@@ -20,7 +20,6 @@ from .invariants import (
     A_tensor,
     DecompositionError,
     S_tilde,
-    _delta_mix,
     rho,
     weyl_factored,
     weyl_first_display,
@@ -78,7 +77,7 @@ class _Blocks:
 
         self.theta_prime = space.trace_cov_derivative()
         # deformation-curvature group structures (coefficient-free)
-        self.a_mu = _delta_mix(tc.scale(sv, agm.mu))
+        self.a_mu = tc.delta_mix(tc.scale(sv, agm.mu))
         self.a_cd = tc.alternate(
             tc.ein("jmn,i->ijmn", (1, 3), self.sigma_cd, pv), 2, 3)
         self.a_quad = tc.alternate(
@@ -130,13 +129,13 @@ def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
-        "trace-theta": tc.scale(_delta_mix(b.theta_prime), C(-1, N + 1)),
-        "trace-cd": tc.scale(_delta_mix(b.y_cd_j), C(-1, 2 * (N + 1))),
-        "trace-nu": tc.scale(_delta_mix(b.y_wnu), C(-1, 2 * (N + 1))),
-        "trace-tor": tc.scale(_delta_mix(b.y_tor), C(-eps, 2 * (N + 1))),
-        "trace-scalar": tc.scale(_delta_mix(b.scalar_sigma(b.ttphi)),
+        "trace-theta": tc.scale(tc.delta_mix(b.theta_prime), C(-1, N + 1)),
+        "trace-cd": tc.scale(tc.delta_mix(b.y_cd_j), C(-1, 2 * (N + 1))),
+        "trace-nu": tc.scale(tc.delta_mix(b.y_wnu), C(-1, 2 * (N + 1))),
+        "trace-tor": tc.scale(tc.delta_mix(b.y_tor), C(-eps, 2 * (N + 1))),
+        "trace-scalar": tc.scale(tc.delta_mix(b.scalar_sigma(b.ttphi)),
                                  C(1, 2 * (N + 1))),
-        "trace-outer": tc.scale(_delta_mix(b.y_tt), C(-1, (N + 1) ** 2)),
+        "trace-outer": tc.scale(tc.delta_mix(b.y_tt), C(-1, (N + 1) ** 2)),
     }
 
 
@@ -147,34 +146,34 @@ def _groups_fourth(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     ric = fields.space.ricci
     ric_y = ric if printed else tc.sym_pair(ric, 0, 1)
     if printed:
-        tr_cd = tc.scale(tc.sub(_delta_mix(b.y_cd_n), _delta_mix(b.y_cd_j)),
+        tr_cd = tc.scale(tc.sub(tc.delta_mix(b.y_cd_n), tc.delta_mix(b.y_cd_j)),
                          C(1, 4 * (N - 1)))
         half = C(1, 4 * (N - 1))
         wnu, tor = b.y_wnu, b.y_tor
     else:
         tr_cd = tc.scale(
-            tc.sub(_delta_mix(b.y_cd_n),
-                   _delta_mix(tc.sym_pair(b.y_cd_j, 0, 1))),
+            tc.sub(tc.delta_mix(b.y_cd_n),
+                   tc.delta_mix(tc.sym_pair(b.y_cd_j, 0, 1))),
             C(1, 2 * (N - 1)))
         half = C(1, 2 * (N - 1))
         wnu = tc.sym_pair(b.y_wnu, 0, 1)
         tor = tc.sym_pair(b.y_tor, 0, 1)
     return {
         "curvature": b.R,
-        "ricci": tc.scale(_delta_mix(ric_y), C(1, N - 1)),
+        "ricci": tc.scale(tc.delta_mix(ric_y), C(1, N - 1)),
         "deform-mu": tc.zeros(N, (1, 3)),
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
         "trace-cd": tr_cd,
-        "trace-scalar-quad": tc.scale(_delta_mix(b.scalar_sigma(b.sphiphi)),
+        "trace-scalar-quad": tc.scale(tc.delta_mix(b.scalar_sigma(b.sphiphi)),
                                       C(1, 4 * (N - 1))),
-        "trace-scalar-nu": tc.scale(_delta_mix(b.scalar_sigma(b.nuphi)), half),
-        "trace-scalar-tor": tc.scale(_delta_mix(b.scalar_sigma(b.tlphi)),
+        "trace-scalar-nu": tc.scale(tc.delta_mix(b.scalar_sigma(b.nuphi)), half),
+        "trace-scalar-tor": tc.scale(tc.delta_mix(b.scalar_sigma(b.tlphi)),
                                      eps * half),
-        "trace-outer-quad": tc.scale(_delta_mix(b.y_ww), C(-1, 4 * (N - 1))),
-        "trace-outer-nu": tc.scale(_delta_mix(wnu), -half),
-        "trace-outer-tor": tc.scale(_delta_mix(tor), -eps * half),
+        "trace-outer-quad": tc.scale(tc.delta_mix(b.y_ww), C(-1, 4 * (N - 1))),
+        "trace-outer-nu": tc.scale(tc.delta_mix(wnu), -half),
+        "trace-outer-tor": tc.scale(tc.delta_mix(tor), -eps * half),
     }
 
 
@@ -185,38 +184,38 @@ def _groups_first(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     if printed:
         mu_c = C(-(N + 2) ** 2, 4 * (N + 1) ** 2)
         over = C(1, 4 * (N + 1) ** 2 * (N - 1))
-        over_cd = tc.scale(tc.sub(_delta_mix(b.y_cd_n), _delta_mix(b.y_cd_j)),
+        over_cd = tc.scale(tc.sub(tc.delta_mix(b.y_cd_n), tc.delta_mix(b.y_cd_j)),
                            -over)
         over_quad = tc.scale(
-            tc.sub(_delta_mix(b.scalar_sigma(b.sphiphi)), _delta_mix(b.y_ww)),
+            tc.sub(tc.delta_mix(b.scalar_sigma(b.sphiphi)), tc.delta_mix(b.y_ww)),
             -over)
         nutor_in = tc.add_scaled(
-            tc.sub(_delta_mix(b.scalar_sigma(b.nuphi)), _delta_mix(b.y_wnu)),
+            tc.sub(tc.delta_mix(b.scalar_sigma(b.nuphi)), tc.delta_mix(b.y_wnu)),
             eps,
-            tc.sub(_delta_mix(b.scalar_sigma(b.tlphi)), _delta_mix(b.y_tor)))
+            tc.sub(tc.delta_mix(b.scalar_sigma(b.tlphi)), tc.delta_mix(b.y_tor)))
         over_nutor = tc.scale(nutor_in, -over)
     else:
         mu_c = C(-(N * N + 4 * N + 1), 2 * (N + 1) ** 2)
         over_cd = tc.scale(
-            tc.sub(_delta_mix(b.y_cd_n),
-                   _delta_mix(tc.sym_pair(b.y_cd_j, 0, 1))),
+            tc.sub(tc.delta_mix(b.y_cd_n),
+                   tc.delta_mix(tc.sym_pair(b.y_cd_j, 0, 1))),
             C(-1, 2 * (N + 1) ** 2))
         over_quad = tc.scale(
-            tc.sub(_delta_mix(b.scalar_sigma(b.sphiphi)), _delta_mix(b.y_ww)),
+            tc.sub(tc.delta_mix(b.scalar_sigma(b.sphiphi)), tc.delta_mix(b.y_ww)),
             C(-1, 4 * (N + 1) ** 2))
         nutor_in = tc.add_scaled(
-            tc.sub(_delta_mix(b.scalar_sigma(b.nuphi)),
-                   _delta_mix(tc.sym_pair(b.y_wnu, 0, 1))),
+            tc.sub(tc.delta_mix(b.scalar_sigma(b.nuphi)),
+                   tc.delta_mix(tc.sym_pair(b.y_wnu, 0, 1))),
             eps,
-            tc.sub(_delta_mix(b.scalar_sigma(b.tlphi)),
-                   _delta_mix(tc.sym_pair(b.y_tor, 0, 1))))
+            tc.sub(tc.delta_mix(b.scalar_sigma(b.tlphi)),
+                   tc.delta_mix(tc.sym_pair(b.y_tor, 0, 1))))
         over_nutor = tc.scale(nutor_in, C(-1, 2 * (N + 1) ** 2))
     return {
         "curvature": b.R,
-        "trace-theta": tc.scale(_delta_mix(b.theta_prime), C(-1, N + 1)),
-        "trace-cd": tc.scale(_delta_mix(b.y_cd_j), C(-1, 2 * (N + 1))),
-        "trace-nu": tc.scale(_delta_mix(b.y_wnu), C(-1, 2 * (N + 1))),
-        "trace-tor": tc.scale(_delta_mix(b.y_tor), C(-eps, 2 * (N + 1))),
+        "trace-theta": tc.scale(tc.delta_mix(b.theta_prime), C(-1, N + 1)),
+        "trace-cd": tc.scale(tc.delta_mix(b.y_cd_j), C(-1, 2 * (N + 1))),
+        "trace-nu": tc.scale(tc.delta_mix(b.y_wnu), C(-1, 2 * (N + 1))),
+        "trace-tor": tc.scale(tc.delta_mix(b.y_tor), C(-eps, 2 * (N + 1))),
         "deform-mu": tc.scale(b.a_mu, mu_c),
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
@@ -288,9 +287,8 @@ def agm_decompose(fields: SpaceFields) -> AGMDecomposition:
     Q = tc.scale(b.sv, -(b.mu * C(1, 2)))
     g = _deform_groups(b, printed=False)
     Nres = tc.add(g["cd"], tc.add(g["quad"], g["nutor"]))
-    recon = tc.add(tc.ein("ij,mn->ijmn", (1, 3), tc.delta(N),
-                          tc.alternate(P, 0, 1)),
-                   tc.add(_delta_mix(Q), Nres))
+    recon = tc.add(tc.delta_outer(tc.alternate(P, 0, 1)),
+                   tc.add(tc.delta_mix(Q), Nres))
     resid = tc.max_abs_diff(recon, A_tensor(fields))
     ref = max(1.0, float(A_tensor(fields).max_abs()))
     if (resid != 0) if fields.mode == "rational" else (float(resid) > 1e-9 * ref):
@@ -308,28 +306,27 @@ def weyl_forms_from_decomposition(dec: AGMDecomposition, fields: SpaceFields
     space = fields.space
     th = space.trace_cov_derivative()
     rr = rho(fields)
-    core = tc.add(
-        tc.ein("ij,mn->ijmn", (1, 3), tc.delta(N), tc.alternate(dec.P, 0, 1)),
-        tc.add(_delta_mix(dec.Q), dec.N))
+    core = tc.add(tc.delta_outer(tc.alternate(dec.P, 0, 1)),
+                  tc.add(tc.delta_mix(dec.Q), dec.N))
     q_u = tc.sym_pair(dec.Q, 0, 1)
     ntr_u = tc.sym_pair(tc.ein("ajna->jn", (0, 2), dec.N), 0, 1)
 
     first = tc.add_scaled(tc.add(space.R, core), C(-1, N + 1),
-                          tc.sub(_delta_mix(th), _delta_mix(rr)))
+                          tc.sub(tc.delta_mix(th), tc.delta_mix(rr)))
     first = tc.add_scaled(first, C(-1, (N + 1) ** 2),
-                          _delta_mix(S_tilde(fields)))
+                          tc.delta_mix(S_tilde(fields)))
 
     fourth = tc.add_scaled(tc.add(space.R, core), C(1, N - 1),
-                           _delta_mix(tc.sym_pair(space.ricci, 0, 1)))
-    fourth = tc.sub(fourth, _delta_mix(q_u))
-    fourth = tc.add_scaled(fourth, C(1, N - 1), _delta_mix(ntr_u))
+                           tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
+    fourth = tc.sub(fourth, tc.delta_mix(q_u))
+    fourth = tc.add_scaled(fourth, C(1, N - 1), tc.delta_mix(ntr_u))
 
     first_disp = tc.add_scaled(tc.add(space.R, core), C(-1, N + 1),
-                               tc.sub(_delta_mix(th), _delta_mix(rr)))
+                               tc.sub(tc.delta_mix(th), tc.delta_mix(rr)))
     first_disp = tc.add_scaled(first_disp, C(N - 1, (N + 1) ** 2),
-                               _delta_mix(q_u))
+                               tc.delta_mix(q_u))
     first_disp = tc.add_scaled(first_disp, C(-1, (N + 1) ** 2),
-                               _delta_mix(ntr_u))
+                               tc.delta_mix(ntr_u))
     return first, fourth, first_disp
 
 
@@ -392,15 +389,15 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     rows.append(_row("split", "trace-identity",
                      tc.max_abs_diff(a_tr_u, ident), tol))
     # the published fourth drops the trace-mixed pair (no-op when symmetric)
-    pr_fourth = tc.sub(fourth, tc.sub(_delta_mix(dec.Q), _delta_mix(q_u)))
+    pr_fourth = tc.sub(fourth, tc.sub(tc.delta_mix(dec.Q), tc.delta_mix(q_u)))
     rows.append(_row("split", "fourth-published",
                      tc.max_abs_diff(pr_fourth, fourth), tol))
     # the published first-display scales both trace corrections down by N-1
     pr_first_disp = tc.add_scaled(first_disp, C(-(N - 2), (N + 1) ** 2),
-                                  _delta_mix(q_u))
+                                  tc.delta_mix(q_u))
     pr_first_disp = tc.add_scaled(pr_first_disp,
                                   C(N - 2, (N + 1) ** 2 * (N - 1)),
-                                  _delta_mix(ntr_u))
+                                  tc.delta_mix(ntr_u))
     rows.append(_row("split", "first-display-published",
                      tc.max_abs_diff(pr_first_disp, first_disp), tol))
     return rows

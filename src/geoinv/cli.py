@@ -60,9 +60,11 @@ def _num_in(v, mode: str):
         if isinstance(v, int) and not isinstance(v, bool):
             return Fraction(v)
         raise UsageError(f"rational-mode entries must be 'num/den' strings, got {v!r}")
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise UsageError(f"float-mode entries must be numbers, got {v!r}")
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise UsageError(f"float-mode entries must be numbers, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, infinities, over-large integers
+        raise UsageError(f"float-mode entries must be finite floats, got {v!r:.40}")
+    return float(v)
 
 
 def instance_to_obj(ins: MappingInstance) -> dict:
@@ -161,7 +163,7 @@ def load_instance(path: str) -> MappingInstance:
             obj = json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an over-long integer literal
         raise UsageError(f"{path} is not valid JSON: {e}") from None
     return instance_from_obj(obj)
 
@@ -382,12 +384,10 @@ def _identity_rows(n: int, seed: int, mode: str, rel_tol: float,
     ]
 
     g = generate_agm3(n, seed, 1 + (seed % 2), mode).source_fields()
-    N = n
     dec = agm_decompose(g)
     a_full = inv.A_tensor(g)
-    recon = tc.add(
-        tc.ein("ij,mn->ijmn", (1, 3), tc.delta(N), tc.alternate(dec.P, 0, 1)),
-        tc.add(inv._delta_mix(dec.Q), dec.N))
+    recon = tc.add(tc.delta_outer(tc.alternate(dec.P, 0, 1)),
+                   tc.add(tc.delta_mix(dec.Q), dec.N))
     rows.append(rec(
         "reconstruction",
         "deformation curvature rebuilt from its trace decomposition",
@@ -398,7 +398,7 @@ def _identity_rows(n: int, seed: int, mode: str, rel_tol: float,
     rows.append(rec(
         "reconstruction-trace",
         "symmetrized deformation-curvature trace from the decomposition",
-        a_tr, tc.add_scaled(ntr_u, -(N - 1), q_u)))
+        a_tr, tc.add_scaled(ntr_u, -(n - 1), q_u)))
     return rows
 
 

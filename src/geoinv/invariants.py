@@ -24,21 +24,6 @@ class DecompositionError(GeoinvError):
     """A decomposition input violates its shape or symmetry contract."""
 
 
-def _delta_mix(Y: Tensor) -> Tensor:
-    """d^i_[m Y_jn] = d^i_m Y_jn - d^i_n Y_jm (the middle index rides along)."""
-    d = tc.delta(Y.dim)
-    return tc.sub(
-        tc.ein("im,jn->ijmn", (1, 3), d, Y),
-        tc.ein("in,jm->ijmn", (1, 3), d, Y),
-    )
-
-
-def _delta_out(Y: Tensor) -> Tensor:
-    """d^i_j Y_[mn] as a (1,3) tensor."""
-    d = tc.delta(Y.dim)
-    return tc.ein("ij,mn->ijmn", (1, 3), d, tc.alternate(Y, 0, 1))
-
-
 def _alt_last(T: Tensor) -> Tensor:
     return tc.alternate(T, 2, 3)
 
@@ -65,15 +50,9 @@ def thomas_factored(fields: SpaceFields) -> Tensor:
     """
     C = coeff(fields.mode)
     N = fields.dim
-    tt = fields.theta_tilde.value
-    d = tc.delta(N)
-    completion = tc.add(
-        tc.ein("ij,k->ijk", (1, 2), d, tt),
-        tc.ein("ik,j->ijk", (1, 2), d, tt),
-    )
     return tc.sub(
         tc.sub(fields.space.Lsym.value, fields.B.value),
-        tc.scale(completion, C(1, N + 1)),
+        tc.scale(tc.delta_sym(fields.theta_tilde.value), C(1, N + 1)),
     )
 
 
@@ -145,12 +124,12 @@ def weyl_factored(fields: SpaceFields) -> Tensor:
         N = fields.dim
         out = tc.add(fields.space.R, A_tensor(fields))
         bracket = tc.sub(
-            _delta_mix(fields.space.trace_cov_derivative()),
-            _delta_mix(rho(fields)),
+            tc.delta_mix(fields.space.trace_cov_derivative()),
+            tc.delta_mix(rho(fields)),
         )
         out = tc.add_scaled(out, C(-1, N + 1), bracket)
         out = tc.add_scaled(out, C(-1, (N + 1) ** 2),
-                            _delta_mix(S_tilde(fields)))
+                            tc.delta_mix(S_tilde(fields)))
         fields._cache["weyl_factored"] = out
     return out
 
@@ -190,29 +169,27 @@ def derived_invariants(dec: XYZDecomposition, space: ConnectionSpace,
     X, Y, Z = dec.X, dec.Y, dec.Z
     z_tr_first = tc.ein("aamn->mn", (0, 2), Z)           # Z^a_amn
     z_tr_last = tc.ein("ajna->jn", (0, 2), Z)            # Z^a_jna
-    common = tc.add(_delta_mix(Y), Z)
+    common = tc.add(tc.delta_mix(Y), Z)
 
     w1 = tc.add(R, common)
     w1 = tc.add_scaled(
         w1, C(-1, N),
-        tc.ein("ij,mn->ijmn", (1, 3), tc.delta(N),
-               tc.add(tc.alternate(Y, 0, 1), z_tr_first)),
+        tc.delta_outer(tc.add(tc.alternate(Y, 0, 1), z_tr_first)),
     )
 
     w2 = tc.add(R, common)
     w2 = tc.add_scaled(
         w2, C(-1, 2),
-        tc.ein("ij,mn->ijmn", (1, 3), tc.delta(N),
-               tc.sub(tc.scale(tc.alternate(Y, 0, 1), N - 1),
-                      tc.alternate(z_tr_last, 0, 1))),
+        tc.delta_outer(tc.sub(tc.scale(tc.alternate(Y, 0, 1), N - 1),
+                              tc.alternate(z_tr_last, 0, 1))),
     )
 
     w4 = tc.add(R, Z)
-    w4 = tc.add_scaled(w4, C(1, N - 1), _delta_mix(tc.sym_pair(space.ricci, 0, 1)))
-    w4 = tc.add(w4, _delta_out(X))
-    x_terms = tc.sub(_delta_mix(X), _delta_mix(tc.transpose_pair(X, 0, 1)))
+    w4 = tc.add_scaled(w4, C(1, N - 1), tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
+    w4 = tc.add(w4, tc.delta_outer(tc.alternate(X, 0, 1)))
+    x_terms = tc.sub(tc.delta_mix(X), tc.delta_mix(tc.transpose_pair(X, 0, 1)))
     w4 = tc.add_scaled(w4, C(-1, N - 1), x_terms)
-    w4 = tc.add_scaled(w4, C(1, N - 1), _delta_mix(tc.sym_pair(z_tr_last, 0, 1)))
+    w4 = tc.add_scaled(w4, C(1, N - 1), tc.delta_mix(tc.sym_pair(z_tr_last, 0, 1)))
 
     return {"first": w1, "second": w2, "fourth": w4}
 
@@ -263,8 +240,8 @@ def weyl_fourth(fields: SpaceFields) -> Tensor:
     a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
     out = tc.add(fields.space.R, A)
     out = tc.add_scaled(out, C(1, N - 1),
-                        _delta_mix(tc.sym_pair(fields.space.ricci, 0, 1)))
-    return tc.add_scaled(out, C(1, N - 1), _delta_mix(a_tr))
+                        tc.delta_mix(tc.sym_pair(fields.space.ricci, 0, 1)))
+    return tc.add_scaled(out, C(1, N - 1), tc.delta_mix(a_tr))
 
 
 def weyl_first_display(fields: SpaceFields) -> Tensor:
@@ -280,11 +257,11 @@ def weyl_first_display(fields: SpaceFields) -> Tensor:
     a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
     inner = tc.add_scaled(
         tc.scale(
-            tc.sub(_delta_mix(fields.space.trace_cov_derivative()),
-                   _delta_mix(rho(fields))),
+            tc.sub(tc.delta_mix(fields.space.trace_cov_derivative()),
+                   tc.delta_mix(rho(fields))),
             N + 1,
         ),
-        1, _delta_mix(a_tr),
+        1, tc.delta_mix(a_tr),
     )
     return tc.add(tc.add_scaled(fields.space.R, C(-1, (N + 1) ** 2), inner), A)
 
@@ -302,9 +279,7 @@ def weyl_first_over(fields: SpaceFields) -> Tensor:
         tc.scale(rho_skew(fields), C(1, N + 1)),
         C(-1, N * (N + 1)), fields.space.skew_ricci,
     )
-    d = tc.delta(N)
-    return tc.add(weyl_factored(fields),
-                  tc.ein("ij,mn->ijmn", (1, 3), d, corr))
+    return tc.add(weyl_factored(fields), tc.delta_outer(corr))
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +290,8 @@ def geodesic_thomas(space: ConnectionSpace, mode: str) -> Tensor:
     """Reduced connection of the trace-shift rule."""
     C = coeff(mode)
     N = space.dim
-    th = space.theta.value
-    d = tc.delta(N)
-    completion = tc.add(
-        tc.ein("ij,k->ijk", (1, 2), d, th),
-        tc.ein("ik,j->ijk", (1, 2), d, th),
-    )
-    return tc.add_scaled(space.Lsym.value, C(-1, N + 1), completion)
+    return tc.add_scaled(space.Lsym.value, C(-1, N + 1),
+                         tc.delta_sym(space.theta.value))
 
 
 def geodesic_weyl(space: ConnectionSpace, mode: str) -> Tensor:
@@ -336,26 +306,19 @@ def geodesic_weyl(space: ConnectionSpace, mode: str) -> Tensor:
     N = space.dim
     th = space.theta.value
     sp = space.special_trace_derivative()
-    d = tc.delta(N)
-    out = tc.add_scaled(
-        space.R, C(1, N + 1),
-        tc.ein("ij,mn->ijmn", (1, 3), d, tc.alternate(sp, 0, 1)),
-    )
+    out = tc.add_scaled(space.R, C(1, N + 1),
+                        tc.delta_outer(tc.alternate(sp, 0, 1)))
     inner = tc.add(tc.scale(space.trace_cov_derivative(), N + 1),
                    tc.ein("j,n->jn", (0, 2), th, th))
-    return tc.add_scaled(out, C(-1, (N + 1) ** 2), _delta_mix(inner))
+    return tc.add_scaled(out, C(-1, (N + 1) ** 2), tc.delta_mix(inner))
 
 
 def weyl_projective(space: ConnectionSpace, mode: str) -> Tensor:
     """The classical projective-type tensor of the symmetric part."""
     C = coeff(mode)
     N = space.dim
-    d = tc.delta(N)
-    out = tc.add_scaled(
-        space.R, C(1, N + 1),
-        tc.ein("ij,mn->ijmn", (1, 3), d, space.skew_ricci),
-    )
-    out = tc.add_scaled(out, C(N, N * N - 1), _delta_mix(space.ricci))
+    out = tc.add_scaled(space.R, C(1, N + 1), tc.delta_outer(space.skew_ricci))
+    out = tc.add_scaled(out, C(N, N * N - 1), tc.delta_mix(space.ricci))
     return tc.add_scaled(
-        out, C(1, N * N - 1), _delta_mix(tc.transpose_pair(space.ricci, 0, 1))
+        out, C(1, N * N - 1), tc.delta_mix(tc.transpose_pair(space.ricci, 0, 1))
     )

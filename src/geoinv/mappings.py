@@ -75,6 +75,18 @@ def _pair_sym(t: JetTensor) -> JetTensor:
     return jet_sym_pair(t, 1, 2, factor_free=True)
 
 
+def _deformation_source(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
+                       flags) -> JetTensor:
+    """The flag-gated symmetric rule terms: paired f (x) sigma, then phi_obj."""
+    _, s2, s3 = flags
+    out = zero_jet(f.dim, (1, 2))
+    if s2:
+        out = jet_add(out, _pair_sym(jet_mul(f, sigma)))
+    if s3:
+        out = jet_add(out, phi_obj)
+    return out
+
+
 class AGMData:
     """Per-space data of a third-type almost-geodesic mapping."""
 
@@ -120,15 +132,8 @@ class SpaceFields:
     @property
     def B(self) -> JetTensor:
         """Deformation source: the flag-gated symmetric rule terms of this side."""
-        def make():
-            s1, s2, s3 = self.flags
-            out = zero_jet(self.dim, (1, 2))
-            if s2:
-                out = jet_add(out, _pair_sym(jet_mul(self.f, self.sigma)))
-            if s3:
-                out = jet_add(out, self.phi_obj)
-            return out
-        return self._cached("B", make)
+        return self._cached("B", lambda: _deformation_source(
+            self.f, self.sigma, self.phi_obj, self.flags))
 
     @property
     def b(self) -> JetTensor:
@@ -144,14 +149,10 @@ class SpaceFields:
     def omega(self) -> JetTensor:
         def make():
             C = coeff(self.mode)
-            dt = _pair_sym(jet_mul(constant_jet(tc.delta(self.dim)), self.theta_tilde))
+            tt = self.theta_tilde
+            dt = JetTensor(tc.delta_sym(tt.value), tc.delta_sym(tt.grad))
             return jet_add(self.B, jet_scale(dt, C(1, self.dim + 1)))
         return self._cached("omega", make)
-
-
-def omega(fields: SpaceFields) -> JetTensor:
-    """The reducing tensor of this side: B plus the delta/trace completion."""
-    return fields.omega
 
 
 class MappingInstance:
@@ -276,11 +277,10 @@ class MappingInstance:
 def build_target_connection(inst: MappingInstance) -> JetTensor:
     """Apply the transformation rule to the source connection jet."""
     s1, s2, s3 = inst.flags
-    N = inst.dim
     out = inst.fields["L"]
     if s1:
         psi = jet_sub(inst.field("u_bar", (0, 1)), inst.field("u", (0, 1)))
-        out = jet_add(out, _pair_sym(jet_mul(constant_jet(tc.delta(N)), psi)))
+        out = jet_add(out, JetTensor(tc.delta_sym(psi.value), tc.delta_sym(psi.grad)))
     if s2:
         bar = _pair_sym(jet_mul(inst.field("f_bar", (1, 1)),
                                 inst.field("sigma_bar", (0, 1))))
@@ -428,12 +428,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
 
     # -- exact curl fix for the deformation-trace difference ---------------
     def b_of(fj, sj, pj) -> JetTensor:
-        out = zero_jet(dim, (1, 2))
-        if s2:
-            out = jet_add(out, _pair_sym(jet_mul(fj, sj)))
-        if s3:
-            out = jet_add(out, pj)
-        return jet_contract(out, 0, 0)
+        return jet_contract(_deformation_source(fj, sj, pj, flags), 0, 0)
 
     eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
                  curl(b_of(f, sigma, phi_obj)))
@@ -442,12 +437,9 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
         if s3:
             # shift the barred object's gradient by a delta-shaped correction
             # whose trace is exactly V
-            dlt = tc.delta(dim)
-            G = tc.add(tc.ein("ij,kn->ijkn", (1, 3), dlt, V),
-                       tc.ein("ik,jn->ijkn", (1, 3), dlt, V))
             phi_obj_bar = JetTensor(
                 phi_obj_bar.value,
-                tc.add_scaled(phi_obj_bar.grad, C(1, dim + 1), G),
+                tc.add_scaled(phi_obj_bar.grad, C(1, dim + 1), tc.delta_sym(V)),
             )
         elif s2:
             H = [[V[(k, n)] for n in range(dim)] for k in range(dim)]

@@ -14,6 +14,10 @@ Bracket conventions used throughout the package:
   the pair are inert,
 * the symmetrized pair is the half-sum (``factor_free=True`` gives the plain
   sum, which one family of formulas needs).
+
+Kronecker-delta blocks come from ``delta_mix``, ``delta_outer`` and
+``delta_sym``, which write entries in place (no einsum against the delta),
+adding blocks in the defining einsums' order so float zeros keep their signs.
 """
 
 from __future__ import annotations
@@ -106,6 +110,47 @@ def delta(dim: int) -> Tensor:
     for i in range(dim):
         d.data[i * dim + i] = 1
     return d
+
+
+# ---------------------------------------------------------------------------
+# Delta blocks (see the module docstring).
+
+
+def delta_mix(Y: Tensor) -> Tensor:
+    """d^i_m Y_jn - d^i_n Y_jm, (0,2) -> (1,3); the middle index rides along."""
+    if Y.valence != (0, 2):
+        raise ShapeError(f"delta_mix: needs a (0,2) tensor, got {Y!r}")
+    N, y, out = Y.dim, Y.data, [0] * Y.dim**4
+    for i, j, k in product(range(N), repeat=3):
+        out[((i * N + j) * N + i) * N + k] += y[j * N + k]
+    for i, j, k in product(range(N), repeat=3):
+        out[((i * N + j) * N + k) * N + i] -= y[j * N + k]
+    return Tensor(N, (1, 3), out)
+
+
+def delta_outer(Y: Tensor) -> Tensor:
+    """d^i_j Y_mn, (0,2) -> (1,3)."""
+    if Y.valence != (0, 2):
+        raise ShapeError(f"delta_outer: needs a (0,2) tensor, got {Y!r}")
+    N, out = Y.dim, [0] * Y.dim**4
+    for i, k in product(range(N), range(N * N)):
+        out[(i * N + i) * N * N + k] += Y.data[k]
+    return Tensor(N, (1, 3), out)
+
+
+def delta_sym(t: Tensor) -> Tensor:
+    """d^i_j t_k.. + d^i_k t_j.., (0,q) -> (1,q+1); t's trailing slots ride
+    along, so a jet's value and gradient go through the same function."""
+    if t.p != 0 or t.q < 1:
+        raise ShapeError(f"delta_sym: needs a (0,q) tensor with q >= 1, got {t!r}")
+    N = t.dim
+    M = N ** (t.q - 1)  # entries per trailing-slot block
+    d, out = t.data, [0] * (N * N * len(t.data))
+    for i, k in product(range(N), range(N * M)):
+        out[(i * N + i) * N * M + k] += d[k]
+    for i, j, r in product(range(N), range(N), range(M)):
+        out[((i * N + j) * N + i) * M + r] += d[j * M + r]
+    return Tensor(N, (1, t.q + 1), out)
 
 
 def _check_same_shape(a: Tensor, b: Tensor) -> None:

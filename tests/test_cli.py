@@ -188,6 +188,35 @@ def test_check_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_check_float_non_finite_entry_exits_2(tmp_path, capsys, entry):
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0", "--mode", "float")
+    obj = json.loads(out.read_text())
+    obj["fields"]["L"]["value"][0] = float(entry.lower().replace("infinity", "inf"))
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(obj))  # json writes the bare NaN / Infinity tokens
+    assert entry in bad.read_text()
+    rep_path = tmp_path / "rep.json"
+    assert main(["check", str(bad), "--report", str(rep_path)]) == 2
+    assert not rep_path.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_check_float_huge_integer_entry_exits_2(tmp_path, capsys):
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0", "--mode", "float")
+    obj = json.loads(out.read_text())
+    obj["fields"]["L"]["value"][0] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and len(err) < 200
+    # past the interpreter's integer-literal limit the JSON itself is refused
+    bad.write_text(bad.read_text().replace(str(10**400), "1" + "0" * 5000))
+    assert main(["check", str(bad)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_check_literal_p2_diagnostic(tmp_path, capsys):
     agm = run_gen(tmp_path, "a.json", "--n", "3", "--seed", "2", "--mapping", "agm3", "--p", "2")
     rep_path = tmp_path / "rep.json"

@@ -319,3 +319,32 @@ def test_literal_all_special_variant_is_not_invariant():
             )
 
         assert tc.max_abs_diff(literal(s.space), literal(t.space)) != 0
+
+
+def test_no_einsum_takes_a_kronecker_delta(monkeypatch):
+    # Delta blocks are placed directly by tensor_core; an einsum against the
+    # mostly-zero delta must not creep back into the invariant formulas.
+    # (index_expr is exempt: user expressions may bind the delta.)
+    from geoinv import agm, cli
+    from geoinv.mappings import generate_agm3
+
+    real_ein = tc.ein
+    hits = []
+
+    def spy(expr, out_valence, *tensors):
+        hits.extend(expr for t in tensors if t == tc.delta(t.dim))
+        return real_ein(expr, out_valence, *tensors)
+
+    monkeypatch.setattr(tc, "ein", spy)
+    general = generate(3, 0, (1, 1, 1), "general", "rational")
+    geodesic = generate(3, 0, (1, 0, 0), "geodesic", "rational")
+    third = generate_agm3(3, 0, 1, "rational")
+    for ins in (general, geodesic, third):
+        cli.pair_invariants(ins)
+    agm.agm_diagnostics(third.source_fields())
+    cli._identity_rows(3, 0, "rational", cli.REL_TOL, cli.ABS_TOL)
+    fl = general.source_fields()
+    inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space, "rational")
+    inv.geodesic_weyl(geodesic.source_fields().space, "rational")
+    inv.weyl_projective(geodesic.source_fields().space, "rational")
+    assert hits == []

@@ -1,6 +1,7 @@
 """Dense rational/float tensor kernel: loop-free ops vs explicit loop oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -94,6 +95,63 @@ def test_contract_rejects_out_of_range():
         tc.contract(t, 1, 0)
     with pytest.raises(IndexKindError):
         tc.contract(t, 0, 1)
+
+
+# ---------------------------------------------------------------- delta blocks
+
+
+def _signed_lattice(rng, dim, valence, exact):
+    """Lattice entries with plenty of exact zeros; float zeros of both signs."""
+    data = []
+    for _ in range(dim ** sum(valence)):
+        k = rng.choice([0, 0, rng.randint(-8, 8)])
+        if exact:
+            data.append(Fraction(k, 4))
+        else:
+            data.append(rng.choice([0.0, -0.0]) if k == 0 else k / 4)
+    return Tensor(dim, valence, data)
+
+
+def _delta_block_oracles(t):
+    d = tc.delta(t.dim)
+    if t.q == 1:
+        yield "sym", tc.add(tc.ein("ij,k->ijk", (1, 2), d, t),
+                            tc.ein("ik,j->ijk", (1, 2), d, t))
+        return
+    yield "sym", tc.add(tc.ein("ij,kl->ijkl", (1, 3), d, t),
+                        tc.ein("ik,jl->ijkl", (1, 3), d, t))
+    yield "mix", tc.sub(tc.ein("im,jn->ijmn", (1, 3), d, t),
+                        tc.ein("in,jm->ijmn", (1, 3), d, t))
+    yield "outer", tc.ein("ij,mn->ijmn", (1, 3), d, t)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_delta_blocks_match_their_einsum_definitions(dim, exact):
+    # Same valence, same values, and the same sign on every float zero:
+    # the blocks replace these einsums inside float-mode invariant formulas.
+    prims = {"mix": tc.delta_mix, "outer": tc.delta_outer, "sym": tc.delta_sym}
+    rng = random.Random(dim * 2 + exact)
+    for valence in ((0, 1), (0, 2)):
+        for _ in range(3):
+            t = _signed_lattice(rng, dim, valence, exact)
+            for name, want in _delta_block_oracles(t):
+                got = prims[name](t)
+                assert got.valence == want.valence
+                assert got.data == want.data, name
+                for g, w in zip(got.data, want.data):
+                    if isinstance(g, float) or isinstance(w, float):
+                        assert math.copysign(1, g) == math.copysign(1, w), name
+
+
+def test_delta_blocks_reject_wrong_valence():
+    v = Tensor(3, (0, 1), [1, 2, 3])
+    with pytest.raises(ShapeError):
+        tc.delta_mix(v)
+    with pytest.raises(ShapeError):
+        tc.delta_outer(tc.delta(3))
+    with pytest.raises(ShapeError):
+        tc.delta_sym(tc.delta(3))
 
 
 # ---------------------------------------------------------------- alternate / sym
