@@ -8,10 +8,8 @@ forms, which take it explicitly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import tensor_core as tc
-from .jet import JetTensor, jet_alternate, jet_sym_pair
+from .jet import JetTensor, jet_alternate, jet_scale, jet_sym_pair
 from .tensor_core import ShapeError, Tensor
 
 
@@ -19,10 +17,8 @@ def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
     """Symmetric and antisymmetric (half-difference) parts, as jets."""
     if L.valence != (1, 2):
         raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
-    sym = jet_sym_pair(L, 1, 2)
-    anti = jet_alternate(L, 1, 2)
-    half = Fraction(1, 2) if tc._exactish(L.value) else 0.5
-    return sym, JetTensor(tc.scale(anti.value, half), tc.scale(anti.grad, half))
+    half = tc.domain_of(L.value).c(1, 2)
+    return jet_sym_pair(L, 1, 2), jet_scale(jet_alternate(L, 1, 2), half)
 
 
 def curvature(Lsym: JetTensor) -> Tensor:

@@ -26,7 +26,6 @@ lexicographically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import tensor_core as tc
@@ -449,9 +448,9 @@ def _mul(a: _Val, b: _Val) -> _Val:
     return _Val(up, low, val, grad)
 
 
-def _eval(node, bindings, space: ConnectionSpace, exact: bool) -> _Val:
+def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
     if isinstance(node, Num):
-        s = Fraction(node.num, node.den) if exact else node.num / node.den
+        s = dom.c(node.num, node.den)
         t = tc.zeros(space.dim, (0, 0))
         t.data[0] = s
         g = tc.zeros(space.dim, (0, 1))
@@ -459,8 +458,8 @@ def _eval(node, bindings, space: ConnectionSpace, exact: bool) -> _Val:
     if isinstance(node, Ref):
         return _ref_value(node, bindings, space)
     if isinstance(node, BinOp):
-        a = _eval(node.left, bindings, space, exact)
-        b = _eval(node.right, bindings, space, exact)
+        a = _eval(node.left, bindings, space, dom)
+        b = _eval(node.right, bindings, space, dom)
         if node.op == "*":
             return _mul(a, b)
         a, b = _canon(a), _canon(b)
@@ -470,7 +469,7 @@ def _eval(node, bindings, space: ConnectionSpace, exact: bool) -> _Val:
             grad = fn(a.grad, b.grad)
         return _Val(a.uppers, a.lowers, fn(a.value, b.value), grad)
     if isinstance(node, Func):
-        v = _eval(node.arg, bindings, space, exact)
+        v = _eval(node.arg, bindings, space, dom)
         if node.kind == "cd":
             if v.grad is None:
                 raise EvalError(
@@ -494,7 +493,7 @@ def _eval(node, bindings, space: ConnectionSpace, exact: bool) -> _Val:
             if v.grad is not None:
                 grad = tc.sub(v.grad, tc.transpose_pair(v.grad, pa, pb))
         else:
-            half = Fraction(1, 2) if exact else 0.5
+            half = dom.c(1, 2)
             val = tc.scale(
                 tc.add(v.value, tc.transpose_pair(v.value, pa, pb)), half)
             grad = None
@@ -511,5 +510,5 @@ def evaluate(node, bindings, space: ConnectionSpace) -> Tensor:
     Free upper indices come first, then free lower indices, each block in
     lexicographic order.
     """
-    exact = tc._exactish(space.Lsym.value)
-    return _canon(_eval(node, bindings, space, exact)).value
+    dom = tc.domain_of(space.Lsym.value)
+    return _canon(_eval(node, bindings, space, dom)).value

@@ -16,8 +16,8 @@ from __future__ import annotations
 from . import tensor_core as tc
 from .connection import ConnectionSpace
 from .jet import covariant_derivative
-from .mappings import SpaceFields, coeff
-from .tensor_core import GeoinvError, Tensor
+from .mappings import SpaceFields
+from .tensor_core import DOMAINS, GeoinvError, Tensor
 
 
 class DecompositionError(GeoinvError):
@@ -39,7 +39,7 @@ def thomas_basic(fields: SpaceFields) -> Tensor:
 
 def thomas_third(src: ConnectionSpace, tgt: ConnectionSpace, mode: str) -> Tensor:
     """Arithmetic mean of the two symmetric parts (manifestly pair-symmetric)."""
-    return tc.scale(tc.add(src.Lsym.value, tgt.Lsym.value), coeff(mode)(1, 2))
+    return tc.scale(tc.add(src.Lsym.value, tgt.Lsym.value), DOMAINS[mode].c(1, 2))
 
 
 def thomas_factored(fields: SpaceFields) -> Tensor:
@@ -48,7 +48,7 @@ def thomas_factored(fields: SpaceFields) -> Tensor:
     Symmetric part, minus the deformation source, minus the delta-completion
     of the reduced trace.
     """
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     return tc.sub(
         tc.sub(fields.space.Lsym.value, fields.B.value),
@@ -120,7 +120,7 @@ def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
     out = fields._cache.get("weyl_factored")
     if out is None:
-        C = coeff(fields.mode)
+        C = fields.domain.c
         N = fields.dim
         out = tc.add(fields.space.R, A_tensor(fields))
         bracket = tc.sub(
@@ -163,7 +163,7 @@ class XYZDecomposition:
 def derived_invariants(dec: XYZDecomposition, space: ConnectionSpace,
                        mode: str) -> dict[str, Tensor]:
     """The first, second and fourth derived forms of R + delta-completed X/Y/Z."""
-    C = coeff(mode)
+    C = DOMAINS[mode].c
     N = space.dim
     R = space.R
     X, Y, Z = dec.X, dec.Y, dec.Z
@@ -196,7 +196,7 @@ def derived_invariants(dec: XYZDecomposition, space: ConnectionSpace,
 
 def xyz_weyl_factored(fields: SpaceFields) -> XYZDecomposition:
     """The factored Weyl form, written as an XYZ decomposition."""
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     Y = tc.add_scaled(
         tc.scale(tc.sub(rho(fields), fields.space.trace_cov_derivative()),
@@ -207,7 +207,7 @@ def xyz_weyl_factored(fields: SpaceFields) -> XYZDecomposition:
 
 
 def xyz_weyl_fourth(fields: SpaceFields) -> XYZDecomposition:
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     A = A_tensor(fields)
     a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
@@ -216,7 +216,7 @@ def xyz_weyl_fourth(fields: SpaceFields) -> XYZDecomposition:
 
 
 def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     A = A_tensor(fields)
     a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
@@ -234,7 +234,7 @@ def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
 
 def weyl_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived form: trace-completed with the symmetrized Ricci data."""
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     A = A_tensor(fields)
     a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
@@ -251,7 +251,7 @@ def weyl_first_display(fields: SpaceFields) -> Tensor:
     delta-bracket of (S-completion minus the A-trace), which moves under the
     rule; see `weyl_first_over` for the invariant closure.
     """
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     A = A_tensor(fields)
     a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
@@ -273,7 +273,7 @@ def weyl_first_over(fields: SpaceFields) -> Tensor:
     decomposition; written directly as the factored invariant plus a pure
     trace correction.
     """
-    C = coeff(fields.mode)
+    C = fields.domain.c
     N = fields.dim
     corr = tc.add_scaled(
         tc.scale(rho_skew(fields), C(1, N + 1)),
@@ -288,7 +288,7 @@ def weyl_first_over(fields: SpaceFields) -> Tensor:
 
 def geodesic_thomas(space: ConnectionSpace, mode: str) -> Tensor:
     """Reduced connection of the trace-shift rule."""
-    C = coeff(mode)
+    C = DOMAINS[mode].c
     N = space.dim
     return tc.add_scaled(space.Lsym.value, C(-1, N + 1),
                          tc.delta_sym(space.theta.value))
@@ -302,7 +302,7 @@ def geodesic_weyl(space: ConnectionSpace, mode: str) -> Tensor:
     mixed block keeps the covector rule, which is what makes the form move
     with the basic Weyl form and stay invariant.
     """
-    C = coeff(mode)
+    C = DOMAINS[mode].c
     N = space.dim
     th = space.theta.value
     sp = space.special_trace_derivative()
@@ -315,7 +315,7 @@ def geodesic_weyl(space: ConnectionSpace, mode: str) -> Tensor:
 
 def weyl_projective(space: ConnectionSpace, mode: str) -> Tensor:
     """The classical projective-type tensor of the symmetric part."""
-    C = coeff(mode)
+    C = DOMAINS[mode].c
     N = space.dim
     out = tc.add_scaled(space.R, C(1, N + 1), tc.delta_outer(space.skew_ricci))
     out = tc.add_scaled(out, C(N, N * N - 1), tc.delta_mix(space.ricci))

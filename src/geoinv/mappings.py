@@ -24,7 +24,6 @@ break invariances the rest of the package certifies.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
@@ -32,6 +31,7 @@ from .jet import (
     JetTensor,
     constant_jet,
     jet_add,
+    jet_alternate,
     jet_contract,
     jet_mul,
     jet_scale,
@@ -39,7 +39,7 @@ from .jet import (
     jet_sym_pair,
     zero_jet,
 )
-from .tensor_core import GeoinvError, Tensor
+from .tensor_core import DOMAINS, Domain, GeoinvError, Tensor
 
 
 class InstanceError(GeoinvError):
@@ -55,14 +55,7 @@ class NotApplicableError(GeoinvError):
 
 
 MAPPINGS = ("general", "geodesic", "agm3")
-MODES = ("rational", "float")
-
-
-def coeff(mode: str):
-    """Scalar constructor for formula coefficients in the given mode."""
-    if mode == "rational":
-        return lambda num, den=1: Fraction(num, den)
-    return lambda num, den=1: num / den
+MODES = tuple(DOMAINS)
 
 
 def curl(w: JetTensor) -> Tensor:
@@ -113,6 +106,7 @@ class SpaceFields:
         self.space = space
         self.flags = tuple(flags)
         self.mode = mode
+        self.domain = DOMAINS[mode]
         N = space.dim
         self.sigma = sigma if sigma is not None else zero_jet(N, (0, 1))
         self.f = f if f is not None else zero_jet(N, (1, 1))
@@ -148,10 +142,9 @@ class SpaceFields:
     @property
     def omega(self) -> JetTensor:
         def make():
-            C = coeff(self.mode)
             tt = self.theta_tilde
             dt = JetTensor(tc.delta_sym(tt.value), tc.delta_sym(tt.grad))
-            return jet_add(self.B, jet_scale(dt, C(1, self.dim + 1)))
+            return jet_add(self.B, jet_scale(dt, self.domain.c(1, self.dim + 1)))
         return self._cached("omega", make)
 
 
@@ -169,7 +162,10 @@ class MappingInstance:
         self._source: SpaceFields | None = None
         self._target: SpaceFields | None = None
         self._target_L: JetTensor | None = None
-        self._agm_fit = None
+
+    @property
+    def domain(self) -> Domain:
+        return DOMAINS[self.mode]
 
     # -- field access -----------------------------------------------------
 
@@ -270,7 +266,13 @@ class MappingInstance:
             # seen from the target side the bilinear form flips sign and the
             # scalar parameters are whatever its own connection induces
             sigma = jet_scale(sigma, -1)
-            nu, mu, _res = fit_agm_parameters(phi, space.L, self.p, self.mode)
+            nu, mu, res = fit_agm_parameters(phi, space.L, self.p, self.mode)
+            # a zero residual passes in every domain; a nonzero one needs a scale
+            if res != 0 and not self.domain.close(
+                    vector_connection_derivative(phi, space.L, self.p),
+                    _relation(phi.value, nu, mu)):
+                raise InstanceError(f"target connection misses the agm3 derivative "
+                                    f"relation: fit residual {res}")
         return AGMData(sigma, phi, nu, mu, self.p)
 
 
@@ -303,14 +305,13 @@ def psi_residual(inst: MappingInstance) -> Tensor:
     """
     if inst.flags[0] != 1:
         raise NotApplicableError("psi is only defined when the first flag is set")
-    C = coeff(inst.mode)
     src, tgt = inst.source_fields(), inst.target_fields()
     psi = tc.sub(inst.field("u_bar", (0, 1)).value, inst.field("u", (0, 1)).value)
     rhs = tc.sub(
         tc.sub(tgt.space.theta.value, src.space.theta.value),
         tc.sub(tgt.b.value, src.b.value),
     )
-    return tc.sub(psi, tc.scale(rhs, C(1, inst.dim + 1)))
+    return tc.sub(psi, tc.scale(rhs, inst.domain.c(1, inst.dim + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,46 +322,27 @@ def _lattice(r: random.Random) -> int:
     return r.randrange(-16, 17)
 
 
-def _conv(mode: str):
-    if mode == "rational":
-        return lambda k: Fraction(k, 16)
-    return lambda k: k / 16.0
-
-
-def _draw(r, cv, dim, valence) -> Tensor:
+def _draw(r, dom: Domain, dim, valence) -> Tensor:
     n = dim ** sum(valence)
-    return Tensor(dim, valence, [cv(_lattice(r)) for _ in range(n)])
+    return Tensor(dim, valence, [dom.c(_lattice(r), 16) for _ in range(n)])
 
 
-def _draw_jet(r, cv, dim, valence) -> JetTensor:
-    v = _draw(r, cv, dim, valence)
-    g = _draw(r, cv, dim, (valence[0], valence[1] + 1))
+def _draw_jet(r, dom: Domain, dim, valence) -> JetTensor:
+    v = _draw(r, dom, dim, valence)
+    g = _draw(r, dom, dim, (valence[0], valence[1] + 1))
     return JetTensor(v, g)
 
 
 def _solve(A: list[list], B: list[list]):
-    """Gaussian elimination for both scalar modes; None when singular."""
+    """Solve A X = B by Gauss-Jordan elimination with max-|.| partial
+    pivoting, in either domain; None when A is singular."""
     n = len(A)
     m = [row_a + row_b for row_a, row_b in zip(A, B)]
     w = len(m[0])
     for col in range(n):
-        piv = None
-        if isinstance(m[col][col], float) or any(
-            isinstance(m[k][col], float) for k in range(col, n)
-        ):
-            best = -1.0
-            for k in range(col, n):
-                if abs(m[k][col]) > best:
-                    best, piv = abs(m[k][col]), k
-            if best == 0:
-                return None
-        else:
-            for k in range(col, n):
-                if m[k][col] != 0:
-                    piv = k
-                    break
-            if piv is None:
-                return None
+        piv = max(range(col, n), key=lambda k: abs(m[k][col]))
+        if m[piv][col] == 0:
+            return None
         m[col], m[piv] = m[piv], m[col]
         inv = m[col][col]
         m[col] = [x / inv for x in m[col]]
@@ -389,39 +371,35 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
         raise InstanceError(f"generate() handles general/geodesic, not {mapping!r}")
     s1, s2, s3 = flags
     r = random.Random(f"geoinv:{mapping}:{dim}:{seed}:{s1}{s2}{s3}")
-    cv = _conv(mode)
-    C = coeff(mode)
+    dom = DOMAINS[mode]
 
-    L = _draw_jet(r, cv, dim, (1, 2))
-    u = _draw_jet(r, cv, dim, (0, 1))
-    u_bar_v = _draw(r, cv, dim, (0, 1))
-    sym_shift = tc.sym_pair(_draw(r, cv, dim, (0, 2)), 0, 1, factor_free=True)
+    L = _draw_jet(r, dom, dim, (1, 2))
+    u = _draw_jet(r, dom, dim, (0, 1))
+    u_bar_v = _draw(r, dom, dim, (0, 1))
+    sym_shift = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
     u_bar = JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
 
-    sigma = _draw_jet(r, cv, dim, (0, 1))
-    sigma_bar = _draw_jet(r, cv, dim, (0, 1))
-    f = _draw_jet(r, cv, dim, (1, 1))
-    f_bar = _draw_jet(r, cv, dim, (1, 1))
+    sigma = _draw_jet(r, dom, dim, (0, 1))
+    sigma_bar = _draw_jet(r, dom, dim, (0, 1))
+    f = _draw_jet(r, dom, dim, (1, 1))
+    f_bar = _draw_jet(r, dom, dim, (1, 1))
     if s2 and not s3:
         # the curl fix below solves against f_bar + trace(f_bar)*delta; nudge
         # the trace until that matrix is invertible (deterministic)
         for bump in range(1, 64):
             M = _rule_matrix(f_bar.value)
-            if _solve(M, [[C(0)] * dim for _ in range(dim)]) is not None:
+            if _solve(M, [[dom.c(0)] * dim for _ in range(dim)]) is not None:
                 break
             f_bar = JetTensor(
-                tc.add_scaled(f_bar.value, C(1, 16), tc.delta(dim)), f_bar.grad
+                tc.add_scaled(f_bar.value, dom.c(1, 16), tc.delta(dim)), f_bar.grad
             )
         else:  # pragma: no cover
             raise DegenerateError("could not make the trace-fix system regular")
 
-    phi_obj = jet_sym_pair(_draw_jet(r, cv, dim, (1, 2)), 1, 2)
-    phi_obj_bar = jet_sym_pair(_draw_jet(r, cv, dim, (1, 2)), 1, 2)
-    xi_raw = _draw_jet(r, cv, dim, (1, 2))
-    xi = jet_scale(
-        JetTensor(tc.alternate(xi_raw.value, 1, 2), tc.alternate(xi_raw.grad, 1, 2)),
-        C(1, 2),
-    )
+    phi_obj = jet_sym_pair(_draw_jet(r, dom, dim, (1, 2)), 1, 2)
+    phi_obj_bar = jet_sym_pair(_draw_jet(r, dom, dim, (1, 2)), 1, 2)
+    xi_raw = _draw_jet(r, dom, dim, (1, 2))
+    xi = jet_scale(jet_alternate(xi_raw, 1, 2), dom.c(1, 2))
     if mapping == "geodesic":
         fields = {"L": L, "u": u, "u_bar": u_bar}
         return MappingInstance(dim, mode, flags, mapping, fields, seed=seed)
@@ -433,13 +411,13 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
                  curl(b_of(f, sigma, phi_obj)))
     if not eps.is_zero():
-        V = tc.scale(eps, C(-1, 2))
+        V = tc.scale(eps, dom.c(-1, 2))
         if s3:
             # shift the barred object's gradient by a delta-shaped correction
             # whose trace is exactly V
             phi_obj_bar = JetTensor(
                 phi_obj_bar.value,
-                tc.add_scaled(phi_obj_bar.grad, C(1, dim + 1), tc.delta_sym(V)),
+                tc.add_scaled(phi_obj_bar.grad, dom.c(1, dim + 1), tc.delta_sym(V)),
             )
         elif s2:
             H = [[V[(k, n)] for n in range(dim)] for k in range(dim)]
@@ -468,7 +446,7 @@ def _rule_matrix(fv: Tensor) -> list[list]:
     ]
 
 
-def _sym_with_product(r, cv, dim, phi_v: Tensor, target: list, v_cov: list):
+def _sym_with_product(r, dom, dim, phi_v: Tensor, target: list, v_cov: list):
     """Draw a symmetric matrix S with S.phi exactly equal to ``target``.
 
     Rank-two correction of a free symmetric draw: with v a covector dual to
@@ -476,8 +454,8 @@ def _sym_with_product(r, cv, dim, phi_v: Tensor, target: list, v_cov: list):
     staying symmetric.  Used for both the value and each gradient slice of
     the agm3 bilinear form.
     """
-    half = 0.5 if any(isinstance(x, float) for x in target) else Fraction(1, 2)
-    S0 = tc.sym_pair(_draw(r, cv, dim, (0, 2)), 0, 1)
+    half = dom.c(1, 2)
+    S0 = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1)
     res = [target[j] - sum(S0[(j, a)] * phi_v[(a,)] for a in range(dim))
            for j in range(dim)]
     rphi = sum(res[a] * phi_v[(a,)] for a in range(dim))
@@ -502,19 +480,19 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     if p not in (1, 2):
         raise InstanceError(f"p must be 1 or 2, got {p}")
     r = random.Random(f"geoinv:agm3:{dim}:{seed}:{p}")
-    cv = _conv(mode)
+    dom = DOMAINS[mode]
 
-    L = _draw_jet(r, cv, dim, (1, 2))
-    u = _draw_jet(r, cv, dim, (0, 1))
-    u_bar_v = _draw(r, cv, dim, (0, 1))
-    sym_shift = tc.sym_pair(_draw(r, cv, dim, (0, 2)), 0, 1, factor_free=True)
+    L = _draw_jet(r, dom, dim, (1, 2))
+    u = _draw_jet(r, dom, dim, (0, 1))
+    u_bar_v = _draw(r, dom, dim, (0, 1))
+    sym_shift = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
     u_bar = JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
 
-    phi_v = _draw(r, cv, dim, (1, 0))
+    phi_v = _draw(r, dom, dim, (1, 0))
     if phi_v.is_zero():
-        phi_v.data[0] = cv(16)  # keep the family non-degenerate
-    nu = _draw(r, cv, dim, (0, 1))
-    mu = cv(_lattice(r))
+        phi_v.data[0] = dom.c(16, 16)  # keep the family non-degenerate
+    nu = _draw(r, dom, dim, (0, 1))
+    mu = dom.c(_lattice(r), 16)
 
     # gradient fixed by the defining relation (full connection, order per p)
     Lv = L.value
@@ -532,9 +510,9 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     v_cov[k_star] = 1 / phi_v[(k_star,)]
 
     # sigma: symmetric, with sigma.phi following a prescribed curl-free jet
-    w_val = _draw(r, cv, dim, (0, 1))
-    w_grad = tc.sym_pair(_draw(r, cv, dim, (0, 2)), 0, 1, factor_free=True)
-    sigma_v = _sym_with_product(r, cv, dim, phi_v,
+    w_val = _draw(r, dom, dim, (0, 1))
+    w_grad = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
+    sigma_v = _sym_with_product(r, dom, dim, phi_v,
                                 [w_val[(j,)] for j in range(dim)], v_cov=v_cov)
     grad_slices = []
     for n in range(dim):
@@ -544,7 +522,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
             for j in range(dim)
         ]
         grad_slices.append(
-            _sym_with_product(r, cv, dim, phi_v, tgt, v_cov=v_cov)
+            _sym_with_product(r, dom, dim, phi_v, tgt, v_cov=v_cov)
         )
     sigma_g = Tensor(
         dim, (0, 3),
@@ -553,10 +531,9 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     )
     sigma = JetTensor(sigma_v, sigma_g)
 
-    C = coeff(mode)
     sig_phi = jet_mul(phi, sigma)  # (1,2): phi^i sigma_jk
-    phi_obj = jet_scale(sig_phi, C(-1, 2))
-    phi_obj_bar = jet_scale(sig_phi, C(1, 2))
+    phi_obj = jet_scale(sig_phi, dom.c(-1, 2))
+    phi_obj_bar = jet_scale(sig_phi, dom.c(1, 2))
 
     fields = {
         "L": L, "u": u, "u_bar": u_bar, "sigma": sigma, "phi": phi,
@@ -602,7 +579,7 @@ def fit_agm_parameters(phi: JetTensor, L: JetTensor, p: int, mode: str):
     if phi_v.is_zero():
         raise DegenerateError("cannot fit parameters for a vanishing vector field")
 
-    if mode == "rational":
+    if DOMAINS[mode].exact:
         k = max(range(dim), key=lambda i: (abs(phi_v[(i,)]), -i))
         pk = phi_v[(k,)]
         nu_vals = [M[(k, j)] / pk for j in range(dim)]  # valid for j != k
@@ -626,7 +603,10 @@ def fit_agm_parameters(phi: JetTensor, L: JetTensor, p: int, mode: str):
         nu = Tensor(dim, (0, 1), [float(x) for x in sol[:dim]])
         mu = float(sol[dim])
 
-    recon = tc.add(tc.ein("i,j->ij", (1, 1), phi_v, nu),
-                   tc.scale(tc.delta(dim), mu))
-    residual = tc.max_abs_diff(M, recon)
-    return nu, mu, residual
+    return nu, mu, tc.max_abs_diff(M, _relation(phi_v, nu, mu))
+
+
+def _relation(phi_v: Tensor, nu: Tensor, mu) -> Tensor:
+    """nu_j phi^i + mu d^i_j: the right-hand side of the defining relation."""
+    return tc.add(tc.ein("i,j->ij", (1, 1), phi_v, nu),
+                  tc.scale(tc.delta(phi_v.dim), mu))

@@ -4,6 +4,11 @@ Entries are exact rationals (fractions.Fraction) or Python floats; every
 operation is closed over whichever scalar type the operands carry (integer
 entries, e.g. from Kronecker deltas, combine freely with both).
 
+The mode is a ``Domain`` (``RATIONAL``/``FLOAT``, by name in ``DOMAINS``):
+it owns formula coefficients, instance-file numbers and the one closeness
+rule, exact equality or ``REL_TOL`` relative / ``ABS_TOL`` absolute.
+``domain_of`` is the only place that infers the mode from data.
+
 Layout: a tensor of valence (p, q) stores its N**(p+q) entries in one flat
 list, row-major over the written index order with the upper indices first.
 
@@ -22,9 +27,10 @@ adding blocks in the defining einsums' order so float zeros keep their signs.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GeoinvError(Exception):
@@ -37,6 +43,79 @@ class ShapeError(GeoinvError):
 
 class IndexKindError(GeoinvError):
     """An index slot was addressed with the wrong kind or out of range."""
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic domains (see the module docstring).
+
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+
+class Domain(NamedTuple):
+    """One arithmetic mode: exact rationals or floats."""
+
+    name: str
+    exact: bool
+
+    def c(self, num: int, den: int = 1):
+        """The formula coefficient num/den."""
+        return Fraction(num, den) if self.exact else num / den
+
+    def num_in(self, v):
+        """An instance-file (JSON) number; ValueError when it is malformed."""
+        if self.exact:
+            if isinstance(v, str):
+                try:
+                    return Fraction(v)
+                except (ValueError, ZeroDivisionError) as e:
+                    raise ValueError(f"bad rational literal {v!r}: {e}") from None
+            if isinstance(v, int) and not isinstance(v, bool):
+                return Fraction(v)
+            raise ValueError(
+                f"rational-mode entries must be 'num/den' strings, got {v!r}")
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"float-mode entries must be numbers, got {v!r}")
+        if not abs(v) <= sys.float_info.max:  # NaN, infinities, over-large ints
+            raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
+        return float(v)
+
+    def num_out(self, x):
+        """x as an instance-file (JSON) number: a 'num/den' string or a float."""
+        if self.exact:
+            f = Fraction(x)
+            return f"{f.numerator}/{f.denominator}"
+        return float(x)
+
+    def measure(self, a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+        """(close, d = max|a - b|, scale = max(|a|, |b|)).  Rational: close iff
+        d == 0, and no scale is computed (None).  Float: close iff d <= abs_tol
+        or d <= rel_tol * scale."""
+        d = max_abs_diff(a, b)
+        if self.exact:
+            return d == 0, d, None
+        scale = max(a.max_abs(), b.max_abs())
+        return d <= abs_tol or d <= rel_tol * scale, d, scale
+
+    def close(self, a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
+        """Whether a and b agree under this domain's rule (see ``measure``)."""
+        return self.measure(a, b, rel_tol, abs_tol)[0]
+
+    def tolerance(self, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> dict:
+        """The closeness rule as a report entry."""
+        if self.exact:
+            return {"exact": True}
+        return {"relative": rel_tol, "absolute": abs_tol}
+
+
+RATIONAL = Domain("rational", exact=True)
+FLOAT = Domain("float", exact=False)
+DOMAINS = {d.name: d for d in (RATIONAL, FLOAT)}
+
+
+def domain_of(t: Tensor) -> Domain:
+    """t's domain: ints count as exact; one float entry makes it FLOAT."""
+    return FLOAT if any(isinstance(x, float) for x in t.data) else RATIONAL
 
 
 class Tensor:
@@ -85,8 +164,8 @@ class Tensor:
     def max_abs(self):
         return max((abs(x) for x in self.data), default=0)
 
-    def is_zero(self, tol=0) -> bool:
-        return all(abs(x) <= tol for x in self.data)
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -233,12 +312,7 @@ def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
     s = add(t, transpose_pair(t, a, b))
     if factor_free:
         return s
-    return scale(s, Fraction(1, 2) if _exactish(s) else 0.5)
-
-
-def _exactish(t: Tensor) -> bool:
-    # ints count as exact; one float entry makes the whole tensor float-mode
-    return not any(isinstance(x, float) for x in t.data)
+    return scale(s, domain_of(s).c(1, 2))
 
 
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"

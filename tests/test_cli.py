@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,30 @@ def test_check_agm3_rows(tmp_path):
     tags = {r["tag"] for r in rep["invariants"]}
     assert {"agm-basic", "agm-fourth"} <= tags
     assert len(rep["invariants"]) == 11
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_check_agm3_fit_residual_exits_2(tmp_path, capsys, mode):
+    # The target side's agm parameters are fitted from its own connection; a
+    # file whose fit leaves a residual is not a third-type mapping at all.
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0",
+                  "--mapping", "agm3", "--p", "1", "--mode", mode)
+    assert main(["check", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    grad = obj["fields"]["phi"]["grad"]
+    if mode == "rational":
+        bumped = Fraction(grad[1]) + Fraction(1, 16)
+        grad[1] = f"{bumped.numerator}/{bumped.denominator}"
+    else:
+        grad[1] += 1 / 16
+    bad = tmp_path / "bad_fit.json"
+    bad.write_text(dumps(obj))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "derivative relation" in err
+    if mode == "rational":
+        assert "residual 1/16" in err
 
 
 def test_check_float_instance(tmp_path):

@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -359,3 +361,127 @@ def test_float_mode_operations():
     af = Tensor(3, (1, 1), [float(x) for x in a.data])
     tr = tc.contract(af, 0, 0)
     assert tr.data[0] == pytest.approx(float(sum(a[i, i] for i in range(3))))
+
+
+# ---------------------------------------------------------------- arithmetic domains
+
+
+def _entry(x):
+    return Tensor(1, (0, 1), [x])
+
+
+class _NoScale(Tensor):
+    """A tensor whose magnitude must not be asked for."""
+
+    __slots__ = ()
+
+    def max_abs(self):
+        raise AssertionError("the exact rule scanned for a scale")
+
+
+def test_domain_coefficients():
+    assert tc.DOMAINS == {"rational": tc.RATIONAL, "float": tc.FLOAT}
+    for num, den in ((1, 2), (-3, 4), (5, 1), (1, 3), (-7, 12), (0, 5)):
+        f = tc.FLOAT.c(num, den)
+        assert type(f) is float and f == num / den
+        r = tc.RATIONAL.c(num, den)
+        assert type(r) is Fraction and r == Fraction(num, den)
+    assert tc.RATIONAL.c(3) == Fraction(3) and tc.FLOAT.c(3) == 3.0
+
+
+def test_float_close_is_the_cli_rule_at_its_edges():
+    # absolute edge: max|a - b| == ABS_TOL passes, one ulp more fails
+    assert tc.FLOAT.close(_entry(tc.ABS_TOL), _entry(0.0))
+    assert not tc.FLOAT.close(_entry(math.nextafter(tc.ABS_TOL, 1.0)), _entry(0.0))
+    # relative edge: REL_TOL * 1e9 is exactly 1.0, so a gap of 1.0 sits on it
+    assert tc.REL_TOL * 1e9 == 1.0
+    assert tc.FLOAT.close(_entry(1e9), _entry(1e9 - 1.0))
+    assert tc.FLOAT.close(_entry(-1e9), _entry(-1e9 + 1.0))
+    assert not tc.FLOAT.close(_entry(1e9), _entry(math.nextafter(1e9 - 1.0, 0)))
+    # both edges move with the tolerances passed in
+    assert tc.FLOAT.close(_entry(2.0), _entry(1.0), rel_tol=0.5, abs_tol=0.0)
+    assert not tc.FLOAT.close(_entry(2.0), _entry(1.0), rel_tol=0.25, abs_tol=0.0)
+    assert tc.FLOAT.close(_entry(0.5), _entry(0.0), rel_tol=0.0, abs_tol=0.5)
+    ok, d, scale = tc.FLOAT.measure(_entry(-3.0), _entry(1.0))
+    assert (ok, d, scale) == (False, 4.0, 3.0)
+
+
+def test_rational_close_is_exact_equality():
+    third = Fraction(1, 3)
+    assert tc.RATIONAL.close(_NoScale(1, (0, 1), [third]), _NoScale(1, (0, 1), [third]))
+    tiny = Fraction(1, 10**30)
+    a, b = _NoScale(1, (0, 1), [third]), _NoScale(1, (0, 1), [third + tiny])
+    assert not tc.RATIONAL.close(a, b, rel_tol=1.0, abs_tol=1.0)
+    assert tc.RATIONAL.measure(a, b) == (False, tiny, None)
+
+
+def test_domain_tolerance_reports():
+    assert tc.RATIONAL.tolerance(1e-3, 1e-4) == {"exact": True}
+    assert tc.FLOAT.tolerance() == {"relative": 1e-9, "absolute": 1e-12}
+    assert tc.FLOAT.tolerance(1e-3, 1e-4) == {"relative": 1e-3, "absolute": 1e-4}
+
+
+def test_domain_of_infers_the_mode_from_entries():
+    assert tc.domain_of(tc.delta(3)) is tc.RATIONAL  # all-int counts as exact
+    assert tc.domain_of(Tensor(2, (0, 1), [Fraction(1, 2), 0])) is tc.RATIONAL
+    assert tc.domain_of(Tensor(2, (0, 1), [0, -0.0])) is tc.FLOAT
+    half_sum = tc.sym_pair(Tensor(2, (0, 2), [1, 2, 0, 1]), 0, 1)
+    assert half_sum.data == [1, 1, 1, 1]
+    assert all(type(x) is Fraction for x in half_sum.data)
+
+
+def _det(A):
+    """Leibniz expansion: an oracle independent of elimination."""
+    n = len(A)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+def test_solve_is_exact_on_lattice_systems():
+    from geoinv.mappings import _solve
+
+    rng = random.Random(61)
+    solved = 0
+    for trial in range(120):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        A = [[Fraction(rng.randint(-16, 16), 16) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            A[0][0] = Fraction(0)  # the first pivot has to come from below
+        B = [[Fraction(rng.randint(-16, 16), 16) for _ in range(m)] for _ in range(n)]
+        X = _solve(A, B)
+        if _det(A) == 0:
+            assert X is None
+            continue
+        solved += 1
+        AX = [[sum(A[i][k] * X[k][j] for k in range(n)) for j in range(m)]
+              for i in range(n)]
+        assert AX == B
+    assert solved > 100
+    singular = [[Fraction(1, 2), Fraction(3, 16)], [Fraction(1, 2), Fraction(3, 16)]]
+    assert _solve(singular, [[Fraction(1)], [Fraction(2)]]) is None
+
+
+def test_mode_dispatch_lives_in_tensor_core():
+    # Mode-specific arithmetic belongs to tc.Domain; no other module may
+    # branch on a mode string, sniff for floats, or bring back the helpers
+    # the domain replaced.
+    pattern = re.compile(
+        r"""(==|!=)\s*["'](rational|float)["']"""
+        r"""|["'](rational|float)["']\s*(==|!=)"""
+        r"""|\bmode\s*(==|!=)"""
+        r"""|isinstance\([^)]*\bfloat\b"""
+        r"""|\b(coeff|_conv|_exactish)\b""")
+    src = Path(tc.__file__).parent
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "tensor_core.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
