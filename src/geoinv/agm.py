@@ -11,6 +11,10 @@ pipeline counterpart.  Each form exists in two variants:
   coefficients are provably inconsistent with the forms' own derivation (they
   break invariance), so the printed variants are never certified — only
   measured.
+
+One builder per form makes both variants; they differ only in coefficients
+and in which trace cores are symmetrized, and share the delta blocks that
+``_Blocks`` builds once per bundle.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from . import tensor_core as tc
 from .invariants import (
     A_tensor,
+    A_trace,
     DecompositionError,
     S_tilde,
     rho,
@@ -31,10 +36,15 @@ from .tensor_core import Tensor
 
 
 class AGMDecomposition:
-    """Deformation curvature split into trace-diagonal, trace-mixed and rest;
-    q_u and ntr_u are Q and N's last-slot trace, each symmetrized."""
+    """Deformation curvature split into trace-diagonal, trace-mixed and rest.
 
-    __slots__ = ("P", "Q", "N", "q_u", "ntr_u")
+    q_u and ntr_u are Q and N's last-slot trace, each symmetrized; their delta
+    blocks, Q's, the rebuilt deformation curvature and its trace are built
+    once here and shared by every consumer of the split.
+    """
+
+    __slots__ = ("P", "Q", "N", "q_u", "ntr_u", "mix_Q", "mix_q_u", "mix_ntr_u",
+                 "rebuilt", "rebuilt_trace")
 
     def __init__(self, P: Tensor, Q: Tensor, N: Tensor):
         if P.valence != (0, 2) or Q.valence != (0, 2) or N.valence != (1, 3):
@@ -47,19 +57,23 @@ class AGMDecomposition:
         self.N = N
         self.q_u = tc.sym_pair(Q, 0, 1)
         self.ntr_u = tc.sym_pair(tc.ein("ajna->jn", (0, 2), N), 0, 1)
-
-    def rebuild(self) -> Tensor:
-        """The deformation curvature again: delta_outer(alt P) + delta_mix(Q) + N."""
-        return tc.add(tc.delta_outer(tc.alternate(self.P, 0, 1)),
-                      tc.add(tc.delta_mix(self.Q), self.N))
-
-    def rebuild_trace(self) -> Tensor:
-        """Symmetrized last-slot trace of ``rebuild()``: ntr_u - (N-1) q_u."""
-        return tc.add_scaled(self.ntr_u, -(self.Q.dim - 1), self.q_u)
+        self.mix_Q = tc.delta_mix(Q)
+        self.mix_q_u = tc.delta_mix(self.q_u)
+        self.mix_ntr_u = tc.delta_mix(self.ntr_u)
+        # delta_outer(alt P) + delta_mix(Q) + N, and its symmetrized last-slot
+        # trace ntr_u - (N-1) q_u
+        self.rebuilt = tc.add(tc.delta_outer(tc.alternate(P, 0, 1)),
+                              tc.add(self.mix_Q, N))
+        self.rebuilt_trace = tc.add_scaled(self.ntr_u, -(Q.dim - 1), self.q_u)
 
 
 class _Blocks:
-    """Shared sub-tensors of the closed forms, computed once per bundle."""
+    """Shared sub-tensors of the closed forms, computed once per bundle.
+
+    ``y`` holds the (0,2) cores of the trace groups and ``mix`` their delta
+    blocks.  The corrected forms symmetrize four of the cores before the
+    delta block, the printed ones do not; ``variant`` picks a form's blocks.
+    """
 
     def __init__(self, fields: SpaceFields):
         agm = fields.agm
@@ -75,65 +89,87 @@ class _Blocks:
         self.R = space.R
         sv = agm.sigma.value
         pv = agm.phi.value
-        self.sv, self.pv, self.nu, self.mu = sv, pv, agm.nu, agm.mu
-        self.sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
+        self.sv, self.mu = sv, agm.mu
+        sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
         ltor = space.Ltor.value
-        self.w = tc.ein("ja,a->j", (0, 1), sv, pv)
-        self.theta_t = tc.add_scaled(space.theta.value, C(1, 2), self.w)
-        self.torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
+        w = tc.ein("ja,a->j", (0, 1), sv, pv)
+        theta_t = tc.add_scaled(space.theta.value, C(1, 2), w)
+        torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
         tl = tc.ein("bab->a", (0, 1), ltor)
-        self.nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv)
-        self.tlphi = tc.ein("a,a->", (0, 0), tl, pv)
-        self.sphiphi = tc.ein("ab,a,b->", (0, 0), sv, pv, pv)
-        self.ttphi = tc.ein("a,a->", (0, 0), self.theta_t, pv)
+        nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv)
+        tlphi = tc.ein("a,a->", (0, 0), tl, pv)
+        sphiphi = tc.ein("ab,a,b->", (0, 0), sv, pv, pv)
+        ttphi = tc.ein("a,a->", (0, 0), theta_t, pv)
 
-        self.theta_prime = space.trace_cov_derivative()
         # deformation-curvature group structures (coefficient-free)
         self.a_mu = tc.delta_mix(tc.scale(sv, agm.mu))
         self.a_cd = tc.alternate(
-            tc.ein("jmn,i->ijmn", (1, 3), self.sigma_cd, pv), 2, 3)
+            tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3)
         self.a_quad = tc.alternate(
             tc.ein("jm,an,a,i->ijmn", (1, 3), sv, sv, pv, pv), 2, 3)
         self.a_nutor = tc.alternate(
             tc.add_scaled(tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv),
                           self.eps,
-                          tc.ein("jm,in->ijmn", (1, 3), sv, self.torphi)),
+                          tc.ein("jm,in->ijmn", (1, 3), sv, torphi)),
             2, 3)
-        # trace-group cores
-        self.y_cd_j = tc.ein("jan,a->jn", (0, 2), self.sigma_cd, pv)
-        self.y_cd_n = tc.ein("jna,a->jn", (0, 2), self.sigma_cd, pv)
-        self.y_wnu = tc.ein("j,n->jn", (0, 2), self.w, agm.nu)
-        self.y_tor = tc.ein("ja,abn,b->jn", (0, 2), sv, ltor, pv)
-        self.y_ww = tc.ein("j,n->jn", (0, 2), self.w, self.w)
-        self.y_tt = tc.ein("j,n->jn", (0, 2), self.theta_t, self.theta_t)
+        self._deform: dict[bool, dict[str, Tensor]] = {}
 
-    def scalar_sigma(self, scalar) -> Tensor:
-        return tc.scale(self.sv, scalar.data[0])
+        def sigma_times(scalar) -> Tensor:
+            return tc.scale(sv, scalar.data[0])
+
+        self.y = {
+            "theta": space.trace_cov_derivative(),
+            "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
+            "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
+            "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
+            "tor": tc.ein("ja,abn,b->jn", (0, 2), sv, ltor, pv),
+            "w_w": tc.ein("j,n->jn", (0, 2), w, w),
+            "tt_tt": tc.ein("j,n->jn", (0, 2), theta_t, theta_t),
+            "s_tt": sigma_times(ttphi),
+            "s_quad": sigma_times(sphiphi),
+            "s_nu": sigma_times(nuphi),
+            "s_tor": sigma_times(tlphi),
+            "ricci": space.ricci,
+        }
+        self.mix = {k: tc.delta_mix(y) for k, y in self.y.items()}
+        self.mix_sym = {**self.mix, **{
+            k: tc.delta_mix(tc.sym_pair(self.y[k], 0, 1))
+            for k in ("cd_j", "w_nu", "tor", "ricci")}}
+        # the trace groups the basic and first forms share, in both variants
+        self.trace = {
+            "trace-theta": tc.scale(self.mix["theta"], C(-1, N + 1)),
+            "trace-cd": tc.scale(self.mix["cd_j"], C(-1, 2 * (N + 1))),
+            "trace-nu": tc.scale(self.mix["w_nu"], C(-1, 2 * (N + 1))),
+            "trace-tor": tc.scale(self.mix["tor"], C(-self.eps, 2 * (N + 1))),
+        }
+
+    def variant(self, printed: bool) -> dict[str, Tensor]:
+        """The delta blocks of one variant's cores."""
+        return self.mix if printed else self.mix_sym
+
+    def deform(self, printed: bool) -> dict[str, Tensor]:
+        """The deformation-curvature expansion, grouped like its display."""
+        got = self._deform.get(printed)
+        if got is None:
+            C = self.C
+            q = C(1, 4) if printed else C(1, 2)
+            got = self._deform[printed] = {
+                "mu": tc.scale(self.a_mu, C(-1, 4) if printed else C(-1, 2)),
+                "cd": tc.scale(self.a_cd, q),
+                "quad": tc.scale(self.a_quad, C(1, 4)),
+                "nutor": tc.scale(self.a_nutor, q),
+            }
+        return got
 
 
 def _blocks(fields: SpaceFields) -> _Blocks:
-    got = fields._cache.get("agm_blocks")
-    if got is None:
-        got = fields._cache["agm_blocks"] = _Blocks(fields)
-    return got
-
-
-def _deform_groups(b: _Blocks, printed: bool) -> dict[str, Tensor]:
-    """The deformation-curvature expansion, grouped like its display."""
-    C = b.C
-    q = C(1, 4) if printed else C(1, 2)
-    return {
-        "mu": tc.scale(b.a_mu, C(-1, 4) if printed else C(-1, 2)),
-        "cd": tc.scale(b.a_cd, q),
-        "quad": tc.scale(b.a_quad, C(1, 4)),
-        "nutor": tc.scale(b.a_nutor, q),
-    }
+    return fields._cached("agm_blocks", lambda: _Blocks(fields))
 
 
 def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     b = _blocks(fields)
-    N, C, eps = b.N, b.C, b.eps
-    g = _deform_groups(b, printed)
+    N, C = b.N, b.C
+    g = b.deform(printed)
     mu_c = C(-(N + 3), 4 * (N + 1)) if printed else C(-(N + 2), 2 * (N + 1))
     return {
         "curvature": b.R,
@@ -141,100 +177,58 @@ def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
-        "trace-theta": tc.scale(tc.delta_mix(b.theta_prime), C(-1, N + 1)),
-        "trace-cd": tc.scale(tc.delta_mix(b.y_cd_j), C(-1, 2 * (N + 1))),
-        "trace-nu": tc.scale(tc.delta_mix(b.y_wnu), C(-1, 2 * (N + 1))),
-        "trace-tor": tc.scale(tc.delta_mix(b.y_tor), C(-eps, 2 * (N + 1))),
-        "trace-scalar": tc.scale(tc.delta_mix(b.scalar_sigma(b.ttphi)),
-                                 C(1, 2 * (N + 1))),
-        "trace-outer": tc.scale(tc.delta_mix(b.y_tt), C(-1, (N + 1) ** 2)),
+        **b.trace,
+        "trace-scalar": tc.scale(b.mix["s_tt"], C(1, 2 * (N + 1))),
+        "trace-outer": tc.scale(b.mix["tt_tt"], C(-1, (N + 1) ** 2)),
     }
 
 
 def _groups_fourth(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     b = _blocks(fields)
     N, C, eps = b.N, b.C, b.eps
-    g = _deform_groups(b, printed)
-    ric = fields.space.ricci
-    ric_y = ric if printed else tc.sym_pair(ric, 0, 1)
-    if printed:
-        tr_cd = tc.scale(tc.sub(tc.delta_mix(b.y_cd_n), tc.delta_mix(b.y_cd_j)),
-                         C(1, 4 * (N - 1)))
-        half = C(1, 4 * (N - 1))
-        wnu, tor = b.y_wnu, b.y_tor
-    else:
-        tr_cd = tc.scale(
-            tc.sub(tc.delta_mix(b.y_cd_n),
-                   tc.delta_mix(tc.sym_pair(b.y_cd_j, 0, 1))),
-            C(1, 2 * (N - 1)))
-        half = C(1, 2 * (N - 1))
-        wnu = tc.sym_pair(b.y_wnu, 0, 1)
-        tor = tc.sym_pair(b.y_tor, 0, 1)
+    g = b.deform(printed)
+    m = b.variant(printed)
+    half = C(1, (4 if printed else 2) * (N - 1))
     return {
         "curvature": b.R,
-        "ricci": tc.scale(tc.delta_mix(ric_y), C(1, N - 1)),
+        "ricci": tc.scale(m["ricci"], C(1, N - 1)),
         "deform-mu": tc.zeros(N, (1, 3)),
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
-        "trace-cd": tr_cd,
-        "trace-scalar-quad": tc.scale(tc.delta_mix(b.scalar_sigma(b.sphiphi)),
-                                      C(1, 4 * (N - 1))),
-        "trace-scalar-nu": tc.scale(tc.delta_mix(b.scalar_sigma(b.nuphi)), half),
-        "trace-scalar-tor": tc.scale(tc.delta_mix(b.scalar_sigma(b.tlphi)),
-                                     eps * half),
-        "trace-outer-quad": tc.scale(tc.delta_mix(b.y_ww), C(-1, 4 * (N - 1))),
-        "trace-outer-nu": tc.scale(tc.delta_mix(wnu), -half),
-        "trace-outer-tor": tc.scale(tc.delta_mix(tor), -eps * half),
+        "trace-cd": tc.scale(tc.sub(m["cd_n"], m["cd_j"]), half),
+        "trace-scalar-quad": tc.scale(m["s_quad"], C(1, 4 * (N - 1))),
+        "trace-scalar-nu": tc.scale(m["s_nu"], half),
+        "trace-scalar-tor": tc.scale(m["s_tor"], eps * half),
+        "trace-outer-quad": tc.scale(m["w_w"], C(-1, 4 * (N - 1))),
+        "trace-outer-nu": tc.scale(m["w_nu"], -half),
+        "trace-outer-tor": tc.scale(m["tor"], -eps * half),
     }
 
 
 def _groups_first(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     b = _blocks(fields)
     N, C, eps = b.N, b.C, b.eps
-    g = _deform_groups(b, printed)
+    g = b.deform(printed)
+    m = b.variant(printed)
     if printed:
         mu_c = C(-(N + 2) ** 2, 4 * (N + 1) ** 2)
-        over = C(1, 4 * (N + 1) ** 2 * (N - 1))
-        over_cd = tc.scale(tc.sub(tc.delta_mix(b.y_cd_n), tc.delta_mix(b.y_cd_j)),
-                           -over)
-        over_quad = tc.scale(
-            tc.sub(tc.delta_mix(b.scalar_sigma(b.sphiphi)), tc.delta_mix(b.y_ww)),
-            -over)
-        nutor_in = tc.add_scaled(
-            tc.sub(tc.delta_mix(b.scalar_sigma(b.nuphi)), tc.delta_mix(b.y_wnu)),
-            eps,
-            tc.sub(tc.delta_mix(b.scalar_sigma(b.tlphi)), tc.delta_mix(b.y_tor)))
-        over_nutor = tc.scale(nutor_in, -over)
+        over_cd = over_quad = C(-1, 4 * (N + 1) ** 2 * (N - 1))
     else:
         mu_c = C(-(N * N + 4 * N + 1), 2 * (N + 1) ** 2)
-        over_cd = tc.scale(
-            tc.sub(tc.delta_mix(b.y_cd_n),
-                   tc.delta_mix(tc.sym_pair(b.y_cd_j, 0, 1))),
-            C(-1, 2 * (N + 1) ** 2))
-        over_quad = tc.scale(
-            tc.sub(tc.delta_mix(b.scalar_sigma(b.sphiphi)), tc.delta_mix(b.y_ww)),
-            C(-1, 4 * (N + 1) ** 2))
-        nutor_in = tc.add_scaled(
-            tc.sub(tc.delta_mix(b.scalar_sigma(b.nuphi)),
-                   tc.delta_mix(tc.sym_pair(b.y_wnu, 0, 1))),
-            eps,
-            tc.sub(tc.delta_mix(b.scalar_sigma(b.tlphi)),
-                   tc.delta_mix(tc.sym_pair(b.y_tor, 0, 1))))
-        over_nutor = tc.scale(nutor_in, C(-1, 2 * (N + 1) ** 2))
+        over_cd, over_quad = C(-1, 2 * (N + 1) ** 2), C(-1, 4 * (N + 1) ** 2)
+    nutor_in = tc.add_scaled(tc.sub(m["s_nu"], m["w_nu"]),
+                             eps, tc.sub(m["s_tor"], m["tor"]))
     return {
         "curvature": b.R,
-        "trace-theta": tc.scale(tc.delta_mix(b.theta_prime), C(-1, N + 1)),
-        "trace-cd": tc.scale(tc.delta_mix(b.y_cd_j), C(-1, 2 * (N + 1))),
-        "trace-nu": tc.scale(tc.delta_mix(b.y_wnu), C(-1, 2 * (N + 1))),
-        "trace-tor": tc.scale(tc.delta_mix(b.y_tor), C(-eps, 2 * (N + 1))),
+        **b.trace,
         "deform-mu": tc.scale(b.a_mu, mu_c),
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
-        "over-cd": over_cd,
-        "over-quad": over_quad,
-        "over-nutor": over_nutor,
+        "over-cd": tc.scale(tc.sub(m["cd_n"], m["cd_j"]), over_cd),
+        "over-quad": tc.scale(tc.sub(m["s_quad"], m["w_w"]), over_quad),
+        "over-nutor": tc.scale(nutor_in, over_cd),
     }
 
 
@@ -273,18 +267,16 @@ def agm_invariants(fields: SpaceFields) -> tuple[Tensor, Tensor, Tensor]:
 def rho_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the deformation-trace derivative for this rule."""
     b = _blocks(fields)
-    C, eps = b.C, b.eps
-    out = tc.add(b.y_cd_j, b.y_wnu)
+    out = tc.add(b.y["cd_j"], b.y["w_nu"])
     out = tc.add(out, tc.scale(b.sv, b.mu))
-    out = tc.add_scaled(out, eps, b.y_tor)
-    return tc.scale(out, C(-1, 2))
+    out = tc.add_scaled(out, b.eps, b.y["tor"])
+    return tc.scale(out, b.C(-1, 2))
 
 
 def s_tilde_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the quadratic trace completion for this rule."""
     b = _blocks(fields)
-    N, C = b.N, b.C
-    return tc.add_scaled(b.y_tt, C(-(N + 1), 2), b.scalar_sigma(b.ttphi))
+    return tc.add_scaled(b.y["tt_tt"], b.C(-(b.N + 1), 2), b.y["s_tt"])
 
 
 def agm_decompose(fields: SpaceFields) -> AGMDecomposition:
@@ -294,11 +286,11 @@ def agm_decompose(fields: SpaceFields) -> AGMDecomposition:
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
-    g = _deform_groups(b, printed=False)
+    g = b.deform(printed=False)
     dec = AGMDecomposition(tc.zeros(b.N, (0, 2)),
                            tc.scale(b.sv, -(b.mu * b.C(1, 2))),
                            tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
-    ok, resid, _ = fields.domain.measure(dec.rebuild(), A_tensor(fields))
+    ok, resid, _ = fields.domain.measure(dec.rebuilt, A_tensor(fields))
     if not ok:
         raise DecompositionError(
             f"deformation-curvature reconstruction residual {resid}")
@@ -312,7 +304,7 @@ def weyl_forms_from_decomposition(dec: AGMDecomposition, fields: SpaceFields
     C = fields.domain.c
     N = fields.dim
     space = fields.space
-    curv = tc.add(space.R, dec.rebuild())
+    curv = tc.add(space.R, dec.rebuilt)
     first_base = tc.add_scaled(
         curv, C(-1, N + 1),
         tc.sub(tc.delta_mix(space.trace_cov_derivative()),
@@ -323,13 +315,11 @@ def weyl_forms_from_decomposition(dec: AGMDecomposition, fields: SpaceFields
 
     fourth = tc.add_scaled(curv, C(1, N - 1),
                            tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
-    fourth = tc.sub(fourth, tc.delta_mix(dec.q_u))
-    fourth = tc.add_scaled(fourth, C(1, N - 1), tc.delta_mix(dec.ntr_u))
+    fourth = tc.sub(fourth, dec.mix_q_u)
+    fourth = tc.add_scaled(fourth, C(1, N - 1), dec.mix_ntr_u)
 
-    first_disp = tc.add_scaled(first_base, C(N - 1, (N + 1) ** 2),
-                               tc.delta_mix(dec.q_u))
-    first_disp = tc.add_scaled(first_disp, C(-1, (N + 1) ** 2),
-                               tc.delta_mix(dec.ntr_u))
+    first_disp = tc.add_scaled(first_base, C(N - 1, (N + 1) ** 2), dec.mix_q_u)
+    first_disp = tc.add_scaled(first_disp, C(-1, (N + 1) ** 2), dec.mix_ntr_u)
     return first, fourth, first_disp
 
 
@@ -346,8 +336,7 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
         rows.append({"section": section, "group": group,
                      "status": "match" if ok else "mismatch", "max_abs": float(resid)})
 
-    dp = _deform_groups(b, printed=True)
-    dd = _deform_groups(b, printed=False)
+    dp, dd = b.deform(True), b.deform(False)
     for key in dd:
         row("deform", key, dp[key], dd[key])
     row("deform", "total-vs-pipeline", _total(dd), A_tensor(fields))
@@ -355,33 +344,31 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     row("trace-derivative", "full", rho_closed(fields), rho(fields))
     row("trace-completion", "full", s_tilde_closed(fields), S_tilde(fields))
 
-    for section, maker, pipeline in (
-            ("basic", _groups_basic, weyl_factored),
-            ("fourth", _groups_fourth, weyl_fourth),
-            ("first", _groups_first, weyl_first_display)):
+    pipeline = {"basic": weyl_factored(fields), "fourth": weyl_fourth(fields),
+                "first": weyl_first_display(fields)}
+    for section, maker in (("basic", _groups_basic), ("fourth", _groups_fourth),
+                           ("first", _groups_first)):
         gp = maker(fields, True)
         gd = maker(fields, False)
         for key in gd:
             row(section, key, gp[key], gd[key])
-        row(section, "total-vs-pipeline", _total(gd), pipeline(fields))
+        row(section, "total-vs-pipeline", _total(gd), pipeline[section])
 
     dec = agm_decompose(fields)
     first, fourth, first_disp = weyl_forms_from_decomposition(dec, fields)
-    row("split", "first-vs-pipeline", first, weyl_factored(fields))
-    row("split", "fourth-vs-pipeline", fourth, weyl_fourth(fields))
-    row("split", "first-display-vs-pipeline", first_disp,
-        weyl_first_display(fields))
+    row("split", "first-vs-pipeline", first, pipeline["basic"])
+    row("split", "fourth-vs-pipeline", fourth, pipeline["fourth"])
+    row("split", "first-display-vs-pipeline", first_disp, pipeline["first"])
     # trace identity of the split, and the published variants' gaps
-    a_tr_u = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1)
-    row("split", "trace-identity", a_tr_u, dec.rebuild_trace())
+    row("split", "trace-identity", A_trace(fields), dec.rebuilt_trace)
     # the published fourth drops the trace-mixed pair (no-op when symmetric)
-    pr_fourth = tc.sub(fourth, tc.sub(tc.delta_mix(dec.Q), tc.delta_mix(dec.q_u)))
+    pr_fourth = tc.sub(fourth, tc.sub(dec.mix_Q, dec.mix_q_u))
     row("split", "fourth-published", pr_fourth, fourth)
     # the published first-display scales both trace corrections down by N-1
     pr_first_disp = tc.add_scaled(first_disp, C(-(N - 2), (N + 1) ** 2),
-                                  tc.delta_mix(dec.q_u))
+                                  dec.mix_q_u)
     pr_first_disp = tc.add_scaled(pr_first_disp,
                                   C(N - 2, (N + 1) ** 2 * (N - 1)),
-                                  tc.delta_mix(dec.ntr_u))
+                                  dec.mix_ntr_u)
     row("split", "first-display-published", pr_first_disp, first_disp)
     return rows

@@ -25,8 +25,9 @@ from .connection import ConnectionSpace
 from .index_expr import evaluate as expr_evaluate
 from .index_expr import parse as expr_parse
 from .jet import JetTensor
-from .mappings import (MAPPINGS, MODES, InstanceError, MappingInstance, curl,
-                       generate, generate_agm3, vector_connection_derivative)
+from .mappings import (FIXED_FLAGS, MAPPINGS, MODES, InstanceError,
+                       MappingInstance, curl, generate, generate_agm3,
+                       vector_connection_derivative)
 from .tensor_core import ABS_TOL, DOMAINS, REL_TOL, GeoinvError, Tensor
 
 
@@ -190,30 +191,20 @@ def _print_table(rows: list[dict], header: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    mode = args.mode
-    flags = (args.s1, args.s2, args.s3)
-    if args.mapping == "general":
-        flags = (1 if args.s1 is None else args.s1,
-                 1 if args.s2 is None else args.s2,
-                 1 if args.s3 is None else args.s3)
-        if args.p is not None:
-            raise UsageError("--p applies only to agm3 instances")
-        ins = generate(args.n, args.seed, flags, "general", mode)
-    elif args.mapping == "geodesic":
-        for got, want, name in ((args.s1, 1, "s1"), (args.s2, 0, "s2"),
-                                (args.s3, 0, "s3")):
+    given = (args.s1, args.s2, args.s3)
+    fixed = FIXED_FLAGS.get(args.mapping)
+    if fixed:
+        for name, got, want in zip(("s1", "s2", "s3"), given, fixed):
             if got is not None and got != want:
-                raise UsageError(f"geodesic instances fix {name}={want}")
-        if args.p is not None:
-            raise UsageError("--p applies only to agm3 instances")
-        ins = generate(args.n, args.seed, (1, 0, 0), "geodesic", mode)
-    else:  # agm3
-        for got, want, name in ((args.s1, 1, "s1"), (args.s2, 0, "s2"),
-                                (args.s3, 1, "s3")):
-            if got is not None and got != want:
-                raise UsageError(f"agm3 instances fix {name}={want}")
+                raise UsageError(f"{args.mapping} instances fix {name}={want}")
+    if args.mapping == "agm3":
         ins = generate_agm3(args.n, args.seed, 1 if args.p is None else args.p,
-                            mode)
+                            args.mode)
+    else:
+        if args.p is not None:
+            raise UsageError("--p applies only to agm3 instances")
+        flags = fixed or tuple(1 if s is None else s for s in given)
+        ins = generate(args.n, args.seed, flags, args.mapping, args.mode)
     _emit(dumps(instance_to_obj(ins)), args.output)
     return 0
 
@@ -355,16 +346,14 @@ def _identity_rows(n: int, seed: int, mode: str, rel_tol: float,
 
     g = generate_agm3(n, seed, 1 + (seed % 2), mode).source_fields()
     dec = agm_decompose(g)
-    a_full = inv.A_tensor(g)
     rows.append(rec(
         "reconstruction",
         "deformation curvature rebuilt from its trace decomposition",
-        dec.rebuild(), a_full))
-    a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), a_full), 0, 1)
+        dec.rebuilt, inv.A_tensor(g)))
     rows.append(rec(
         "reconstruction-trace",
         "symmetrized deformation-curvature trace from the decomposition",
-        a_tr, dec.rebuild_trace()))
+        inv.A_trace(g), dec.rebuilt_trace))
     return rows
 
 

@@ -116,6 +116,12 @@ def A_tensor(fields: SpaceFields) -> Tensor:
     return out
 
 
+def A_trace(fields: SpaceFields) -> Tensor:
+    """Symmetrized last-slot trace of the deformation curvature."""
+    return fields._cached("a_trace", lambda: tc.sym_pair(
+        tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1))
+
+
 def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
     out = fields._cache.get("weyl_factored")
@@ -209,23 +215,20 @@ def xyz_weyl_factored(fields: SpaceFields) -> XYZDecomposition:
 def xyz_weyl_fourth(fields: SpaceFields) -> XYZDecomposition:
     C = fields.domain.c
     N = fields.dim
-    A = A_tensor(fields)
-    a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
-    Y = tc.scale(tc.add(tc.sym_pair(fields.space.ricci, 0, 1), a_tr), C(1, N - 1))
-    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A)
+    Y = tc.scale(tc.add(tc.sym_pair(fields.space.ricci, 0, 1), A_trace(fields)),
+                 C(1, N - 1))
+    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
 
 
 def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
     C = fields.domain.c
     N = fields.dim
-    A = A_tensor(fields)
-    a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
     Y = tc.add_scaled(
         tc.scale(tc.sub(rho(fields), fields.space.trace_cov_derivative()),
                  C(1, N + 1)),
-        C(-1, (N + 1) ** 2), a_tr,
+        C(-1, (N + 1) ** 2), A_trace(fields),
     )
-    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A)
+    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +239,10 @@ def weyl_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived form: trace-completed with the symmetrized Ricci data."""
     C = fields.domain.c
     N = fields.dim
-    A = A_tensor(fields)
-    a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
-    out = tc.add(fields.space.R, A)
+    out = tc.add(fields.space.R, A_tensor(fields))
     out = tc.add_scaled(out, C(1, N - 1),
                         tc.delta_mix(tc.sym_pair(fields.space.ricci, 0, 1)))
-    return tc.add_scaled(out, C(1, N - 1), tc.delta_mix(a_tr))
+    return tc.add_scaled(out, C(1, N - 1), tc.delta_mix(A_trace(fields)))
 
 
 def weyl_first_display(fields: SpaceFields) -> Tensor:
@@ -253,17 +254,16 @@ def weyl_first_display(fields: SpaceFields) -> Tensor:
     """
     C = fields.domain.c
     N = fields.dim
-    A = A_tensor(fields)
-    a_tr = tc.sym_pair(tc.ein("ajna->jn", (0, 2), A), 0, 1)
     inner = tc.add_scaled(
         tc.scale(
             tc.sub(tc.delta_mix(fields.space.trace_cov_derivative()),
                    tc.delta_mix(rho(fields))),
             N + 1,
         ),
-        1, tc.delta_mix(a_tr),
+        1, tc.delta_mix(A_trace(fields)),
     )
-    return tc.add(tc.add_scaled(fields.space.R, C(-1, (N + 1) ** 2), inner), A)
+    return tc.add(tc.add_scaled(fields.space.R, C(-1, (N + 1) ** 2), inner),
+                  A_tensor(fields))
 
 
 def weyl_first_over(fields: SpaceFields) -> Tensor:

@@ -56,6 +56,8 @@ class NotApplicableError(GeoinvError):
 
 MAPPINGS = ("general", "geodesic", "agm3")
 MODES = tuple(DOMAINS)
+# the flags (s1, s2, s3) a mapping family fixes; general instances choose them
+FIXED_FLAGS = {"geodesic": (1, 0, 0), "agm3": (1, 0, 1)}
 
 
 def curl(w: JetTensor) -> Tensor:
@@ -182,6 +184,10 @@ class MappingInstance:
             raise InstanceError(f"unknown mapping {self.mapping!r}")
         if any(s not in (0, 1) for s in self.flags) or len(self.flags) != 3:
             raise InstanceError(f"flags must be three 0/1 values, got {self.flags}")
+        fixed = FIXED_FLAGS.get(self.mapping, self.flags)
+        if self.flags != fixed:
+            raise InstanceError(f"{self.mapping} instances fix flags "
+                                f"({','.join(map(str, fixed))})")
         if "L" not in self.fields:
             raise InstanceError("instance has no connection field 'L'")
         expected: dict[str, tuple[int, int]] = {
@@ -189,8 +195,6 @@ class MappingInstance:
             "phi_obj": (1, 2), "phi_obj_bar": (1, 2),
         }
         if self.mapping == "agm3":
-            if self.flags != (1, 0, 1):
-                raise InstanceError("agm3 instances fix flags (1,0,1)")
             if self.p not in (1, 2):
                 raise InstanceError(f"agm3 requires p in {{1,2}}, got {self.p}")
             expected.update({"sigma": (0, 2), "phi": (1, 0),
@@ -198,8 +202,6 @@ class MappingInstance:
         else:
             expected.update({"sigma": (0, 1), "sigma_bar": (0, 1),
                              "f": (1, 1), "f_bar": (1, 1), "xi": (1, 2)})
-            if self.mapping == "geodesic" and self.flags[1:] != (0, 0):
-                raise InstanceError("geodesic instances have s2 = s3 = 0")
         for name, t in self.fields.items():
             if name not in expected:
                 raise InstanceError(f"unexpected field {name!r} for {self.mapping}")
@@ -260,19 +262,21 @@ class MappingInstance:
         sigma = self.fields["sigma"]
         phi = self.fields["phi"]
         if source:
+            side, kind = "source", "stored-parameter"
             nu = self.fields["nu"].value
             mu = self.fields["mu"].value.data[0]
         else:
             # seen from the target side the bilinear form flips sign and the
             # scalar parameters are whatever its own connection induces
+            side, kind = "target", "fit"
             sigma = jet_scale(sigma, -1)
-            nu, mu, res = fit_agm_parameters(phi, space.L, self.p, self.mode)
-            # a zero residual passes in every domain; a nonzero one needs a scale
-            if res != 0 and not self.domain.close(
-                    vector_connection_derivative(phi, space.L, self.p),
-                    _relation(phi.value, nu, mu)):
-                raise InstanceError(f"target connection misses the agm3 derivative "
-                                    f"relation: fit residual {res}")
+            nu, mu, _ = fit_agm_parameters(phi, space.L, self.p, self.mode)
+        ok, res, _ = self.domain.measure(
+            vector_connection_derivative(phi, space.L, self.p),
+            _relation(phi.value, nu, mu))
+        if not ok:
+            raise InstanceError(f"{side} connection misses the agm3 derivative "
+                                f"relation: {kind} residual {res}")
         return AGMData(sigma, phi, nu, mu, self.p)
 
 
@@ -364,9 +368,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     skew rho tensor needs).  Fixed (dim, seed, flags) reproduce the instance
     bit for bit.
     """
-    if mapping == "geodesic":
-        flags = (1, 0, 0)
-    flags = tuple(int(s) for s in flags)
+    flags = tuple(int(s) for s in FIXED_FLAGS.get(mapping, flags))
     if mapping not in ("general", "geodesic"):
         raise InstanceError(f"generate() handles general/geodesic, not {mapping!r}")
     s1, s2, s3 = flags
@@ -540,7 +542,8 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
         "nu": constant_jet(nu), "mu": constant_jet(Tensor(dim, (0, 0), [mu])),
         "phi_obj": phi_obj, "phi_obj_bar": phi_obj_bar,
     }
-    return MappingInstance(dim, mode, (1, 0, 1), "agm3", fields, p=p, seed=seed)
+    return MappingInstance(dim, mode, FIXED_FLAGS["agm3"], "agm3", fields,
+                           p=p, seed=seed)
 
 
 def vector_connection_derivative(phi: JetTensor, L, p: int,
@@ -567,9 +570,10 @@ def vector_connection_derivative(phi: JetTensor, L, p: int,
 def fit_agm_parameters(phi: JetTensor, L: JetTensor, p: int, mode: str):
     """Recover (nu, mu) from the defining derivative relation of the family.
 
-    Solves phi^i_,j + L-term = nu_j phi^i + mu d^i_j for the pair — by exact
-    elimination in rational mode, by least squares in float mode — and
-    returns (nu, mu, max-abs residual of the reconstruction).
+    Solves phi^i_,j + L-term = nu_j phi^i + mu d^i_j for the pair by
+    elimination on phi's largest component, and returns (nu, mu, max-abs
+    residual of the reconstruction).  ``mode`` no longer changes the
+    algorithm: both domains run the same elimination.
     """
     dim = phi.dim
     if p not in (1, 2):
@@ -579,30 +583,13 @@ def fit_agm_parameters(phi: JetTensor, L: JetTensor, p: int, mode: str):
     if phi_v.is_zero():
         raise DegenerateError("cannot fit parameters for a vanishing vector field")
 
-    if DOMAINS[mode].exact:
-        k = max(range(dim), key=lambda i: (abs(phi_v[(i,)]), -i))
-        pk = phi_v[(k,)]
-        nu_vals = [M[(k, j)] / pk for j in range(dim)]  # valid for j != k
-        i0 = 0 if k != 0 else 1
-        mu = M[(i0, i0)] - nu_vals[i0] * phi_v[(i0,)]
-        nu_vals[k] = (M[(k, k)] - mu) / pk
-        nu = Tensor(dim, (0, 1), nu_vals)
-    else:
-        import numpy as np
-
-        A = np.zeros((dim * dim, dim + 1))
-        rhs = np.zeros(dim * dim)
-        for i in range(dim):
-            for j in range(dim):
-                row = i * dim + j
-                A[row, j] = phi_v[(i,)]
-                if i == j:
-                    A[row, dim] = 1.0
-                rhs[row] = M[(i, j)]
-        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        nu = Tensor(dim, (0, 1), [float(x) for x in sol[:dim]])
-        mu = float(sol[dim])
-
+    k = max(range(dim), key=lambda i: (abs(phi_v[(i,)]), -i))
+    pk = phi_v[(k,)]
+    nu_vals = [M[(k, j)] / pk for j in range(dim)]  # valid for j != k
+    i0 = 0 if k != 0 else 1
+    mu = M[(i0, i0)] - nu_vals[i0] * phi_v[(i0,)]
+    nu_vals[k] = (M[(k, k)] - mu) / pk
+    nu = Tensor(dim, (0, 1), nu_vals)
     return nu, mu, tc.max_abs_diff(M, _relation(phi_v, nu, mu))
 
 

@@ -6,12 +6,14 @@ parameter happens to be zero — the discrepant terms all carry that factor —
 so the comparison allows exactly that degeneracy and nothing else.
 """
 
+import collections
 import functools
 from fractions import Fraction
 
 import pytest
 
 from geoinv import agm, invariants as inv, tensor_core as tc
+from geoinv.cli import pair_invariants
 from geoinv.jet import zero_jet
 from geoinv.mappings import AGMData, SpaceFields, generate, generate_agm3
 
@@ -159,6 +161,85 @@ def test_diagnostics_rows_carry_residual_magnitudes():
             assert row["max_abs"] == 0
         else:
             assert row["max_abs"] > 0
+
+
+# Exact per-row residuals of the source-side diagnostics in rational mode;
+# every row not listed is 0.  The statuses above cannot see a mistyped
+# coefficient in either variant; these magnitudes can.
+PINNED_RESIDUALS = {
+    (3, 0, 1): {
+        ("deform", "mu"): 0.0216064453125,
+        ("deform", "cd"): 0.5453910827636719,
+        ("deform", "nutor"): 0.4149627685546875,
+        ("basic", "deform-mu"): 0.0216064453125,
+        ("basic", "deform-cd"): 0.5453910827636719,
+        ("basic", "deform-nutor"): 0.4149627685546875,
+        ("fourth", "ricci"): 0.3984375,
+        ("fourth", "deform-cd"): 0.5453910827636719,
+        ("fourth", "deform-nutor"): 0.4149627685546875,
+        ("fourth", "trace-cd"): 0.36594390869140625,
+        ("fourth", "trace-scalar-nu"): 0.04726409912109375,
+        ("fourth", "trace-scalar-tor"): 0.027008056640625,
+        ("fourth", "trace-outer-nu"): 0.1025390625,
+        ("fourth", "trace-outer-tor"): 0.1146240234375,
+        ("first", "deform-mu"): 0.02565765380859375,
+        ("first", "deform-cd"): 0.5453910827636719,
+        ("first", "deform-nutor"): 0.4149627685546875,
+        ("first", "over-cd"): 0.06861448287963867,
+        ("first", "over-quad"): 0.006992340087890625,
+        ("first", "over-nutor"): 0.023657798767089844,
+        ("split", "first-display-published"): 0.052826881408691406,
+    },
+    (4, 1, 2): {
+        ("deform", "mu"): 0.1309375,
+        ("deform", "cd"): 1.5411865234375,
+        ("deform", "nutor"): 0.6212451171875,
+        ("basic", "deform-mu"): 0.1309375,
+        ("basic", "deform-cd"): 1.5411865234375,
+        ("basic", "deform-nutor"): 0.6212451171875,
+        ("fourth", "ricci"): 0.24479166666666666,
+        ("fourth", "deform-cd"): 1.5411865234375,
+        ("fourth", "deform-nutor"): 0.6212451171875,
+        ("fourth", "trace-cd"): 0.7890285734953704,
+        ("fourth", "trace-scalar-nu"): 0.06774197048611111,
+        ("fourth", "trace-scalar-tor"): 0.045237087673611114,
+        ("fourth", "trace-outer-nu"): 0.03515625,
+        ("fourth", "trace-outer-tor"): 0.13827094184027777,
+        ("first", "deform-mu"): 0.157125,
+        ("first", "deform-cd"): 1.5411865234375,
+        ("first", "deform-nutor"): 0.6212451171875,
+        ("first", "over-cd"): 0.15780571469907406,
+        ("first", "over-quad"): 0.010131510416666666,
+        ("first", "over-nutor"): 0.019903971354166668,
+        ("split", "first-display-published"): 0.12338363425925926,
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RESIDUALS))
+def test_diagnostics_residuals_are_pinned(key):
+    _, s, _ = case(*key)
+    got = {(r["section"], r["group"]): r["max_abs"] for r in agm.agm_diagnostics(s)}
+    assert got == {**dict.fromkeys(EXPECT, 0.0), **PINNED_RESIDUALS[key]}
+
+
+def test_diagnostics_share_delta_blocks(monkeypatch):
+    # Once the check pipeline has run on a bundle, a diagnostics call reuses
+    # the closed forms' and the decomposition's delta blocks; what is left
+    # is the pipeline forms' own blocks, at most two per input.
+    ins = generate_agm3(3, 0, 1, "rational")
+    s = ins.source_fields()
+    pair_invariants(ins)
+    seen = collections.Counter()
+    real = tc.delta_mix
+
+    def spy(Y):
+        seen[tuple(Y.data)] += 1
+        return real(Y)
+
+    monkeypatch.setattr(tc, "delta_mix", spy)
+    agm.agm_diagnostics(s)
+    assert seen and max(seen.values()) <= 2, sorted(seen.values())
 
 
 # ------------------------------------------------------------ decomposition

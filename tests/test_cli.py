@@ -151,6 +151,48 @@ def test_check_agm3_fit_residual_exits_2(tmp_path, capsys, mode):
         assert "residual 1/16" in err
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("field", ["nu", "mu"])
+def test_check_agm3_source_relation_exits_2(tmp_path, capsys, mode, field):
+    # The source side's stored agm parameters must satisfy the derivative
+    # relation of the source connection, just as the target's fitted ones do.
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0",
+                  "--mapping", "agm3", "--p", "1", "--mode", mode)
+    obj = json.loads(out.read_text())
+    value = obj["fields"][field]["value"]
+    if mode == "rational":
+        bumped = Fraction(value[0]) + Fraction(1, 16)
+        value[0] = f"{bumped.numerator}/{bumped.denominator}"
+    else:
+        value[0] += 1 / 16
+    bad = tmp_path / "bad_source.json"
+    bad.write_text(dumps(obj))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "source connection misses the agm3 derivative relation" in err
+    if mode == "rational" and field == "mu":
+        assert "residual 1/16" in err
+
+
+@pytest.mark.parametrize("mapping, fixed", [("geodesic", (1, 0, 0)),
+                                            ("agm3", (1, 0, 1))])
+@pytest.mark.parametrize("flag", [0, 1, 2])
+def test_check_fixed_flag_edit_exits_2(tmp_path, capsys, mapping, fixed, flag):
+    # A geodesic file with s1 edited to 0 would otherwise check as the
+    # identity mapping; every flag a mapping fixes is checked on load.
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--mapping", mapping)
+    obj = json.loads(out.read_text())
+    name = ("s1", "s2", "s3")[flag]
+    obj["flags"][name] = 1 - fixed[flag]
+    bad = tmp_path / "bad_flags.json"
+    bad.write_text(dumps(obj))
+    capsys.readouterr()
+    assert main(["check", str(bad)]) == 2
+    want = ",".join(map(str, fixed))
+    assert f"{mapping} instances fix flags ({want})" in capsys.readouterr().err
+
+
 def test_check_float_instance(tmp_path):
     out = run_gen(tmp_path, "g.json", "--n", "4", "--seed", "6", "--mode", "float")
     rep_path = tmp_path / "rep.json"
