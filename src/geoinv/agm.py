@@ -19,6 +19,8 @@ and in which trace cores are symmetrized, and share the delta blocks that
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import tensor_core as tc
 from .invariants import (
     A_tensor,
@@ -233,10 +235,7 @@ def _groups_first(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
 
 
 def _total(groups: dict[str, Tensor]) -> Tensor:
-    out = None
-    for t in groups.values():
-        out = t.copy() if out is None else tc.add(out, t)
-    return out
+    return reduce(tc.add, groups.values())
 
 
 def agm_basic(fields: SpaceFields, *, printed: bool = False) -> Tensor:

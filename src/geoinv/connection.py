@@ -72,17 +72,21 @@ class ConnectionSpace:
             tc.ein("aja->j", (0, 1), self.Lsym.value),
             tc.ein("ajak->jk", (0, 2), self.Lsym.grad),
         )
+        self._trace_cd: Tensor | None = None
 
     def torsion(self) -> Tensor:
         """The torsion tensor L^i_jk - L^i_kj (twice the half-difference part)."""
         return tc.scale(self.Ltor.value, 2)
 
     def trace_cov_derivative(self) -> Tensor:
-        """theta_j|n by the covector rule: theta_j,n - L^a_jn theta_a."""
-        return tc.sub(
-            self.theta.grad,
-            tc.ein("ajn,a->jn", (0, 2), self.Lsym.value, self.theta.value),
-        )
+        """theta_j|n by the covector rule: theta_j,n - L^a_jn theta_a
+        (computed once per space)."""
+        if self._trace_cd is None:
+            self._trace_cd = tc.sub(
+                self.theta.grad,
+                tc.ein("ajn,a->jn", (0, 2), self.Lsym.value, self.theta.value),
+            )
+        return self._trace_cd
 
     def special_trace_derivative(self) -> Tensor:
         """theta_j|n evaluated with the special connection derivative."""

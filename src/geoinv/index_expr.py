@@ -450,9 +450,7 @@ def _mul(a: _Val, b: _Val) -> _Val:
 
 def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
     if isinstance(node, Num):
-        s = dom.c(node.num, node.den)
-        t = tc.zeros(space.dim, (0, 0))
-        t.data[0] = s
+        t = Tensor(space.dim, (0, 0), [dom.c(node.num, node.den)])
         g = tc.zeros(space.dim, (0, 1))
         return _Val((), (), t, g)
     if isinstance(node, Ref):

@@ -80,11 +80,8 @@ def weyl_basic(fields: SpaceFields) -> Tensor:
 
 def rho(fields: SpaceFields) -> Tensor:
     """Covariant derivative of the deformation-source trace."""
-    out = fields._cache.get("rho")
-    if out is None:
-        out = covariant_derivative(fields.b, fields.space.Lsym)
-        fields._cache["rho"] = out
-    return out
+    return fields._cached("rho", lambda: covariant_derivative(
+        fields.b, fields.space.Lsym))
 
 
 def rho_skew(fields: SpaceFields) -> Tensor:
@@ -93,27 +90,22 @@ def rho_skew(fields: SpaceFields) -> Tensor:
 
 def S_tilde(fields: SpaceFields) -> Tensor:
     """Quadratic trace completion; symmetric by construction."""
-    out = fields._cache.get("s_tilde")
-    if out is None:
-        N = fields.dim
+    def make():
         tt = fields.theta_tilde.value
         first = tc.ein("a,aij->ij", (0, 2), tt, fields.B.value)
-        out = tc.add(tc.scale(first, N + 1),
-                     tc.ein("i,j->ij", (0, 2), tt, tt))
-        fields._cache["s_tilde"] = out
-    return out
+        return tc.add(tc.scale(first, fields.dim + 1),
+                      tc.ein("i,j->ij", (0, 2), tt, tt))
+    return fields._cached("s_tilde", make)
 
 
 def A_tensor(fields: SpaceFields) -> Tensor:
     """Deformation curvature: minus the alternated derivative plus the square."""
-    out = fields._cache.get("a_tensor")
-    if out is None:
+    def make():
         B = fields.B
         cd = covariant_derivative(B, fields.space.Lsym)
         quad = tc.ein("ajm,ian->ijmn", (1, 3), B.value, B.value)
-        out = tc.sub(_alt_last(quad), _alt_last(cd))
-        fields._cache["a_tensor"] = out
-    return out
+        return tc.sub(_alt_last(quad), _alt_last(cd))
+    return fields._cached("a_tensor", make)
 
 
 def A_trace(fields: SpaceFields) -> Tensor:
@@ -124,8 +116,7 @@ def A_trace(fields: SpaceFields) -> Tensor:
 
 def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
-    out = fields._cache.get("weyl_factored")
-    if out is None:
+    def make():
         C = fields.domain.c
         N = fields.dim
         out = tc.add(fields.space.R, A_tensor(fields))
@@ -134,10 +125,9 @@ def weyl_factored(fields: SpaceFields) -> Tensor:
             tc.delta_mix(rho(fields)),
         )
         out = tc.add_scaled(out, C(-1, N + 1), bracket)
-        out = tc.add_scaled(out, C(-1, (N + 1) ** 2),
-                            tc.delta_mix(S_tilde(fields)))
-        fields._cache["weyl_factored"] = out
-    return out
+        return tc.add_scaled(out, C(-1, (N + 1) ** 2),
+                             tc.delta_mix(S_tilde(fields)))
+    return fields._cached("weyl_factored", make)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +227,14 @@ def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
 
 def weyl_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived form: trace-completed with the symmetrized Ricci data."""
-    C = fields.domain.c
-    N = fields.dim
-    out = tc.add(fields.space.R, A_tensor(fields))
-    out = tc.add_scaled(out, C(1, N - 1),
-                        tc.delta_mix(tc.sym_pair(fields.space.ricci, 0, 1)))
-    return tc.add_scaled(out, C(1, N - 1), tc.delta_mix(A_trace(fields)))
+    def make():
+        C = fields.domain.c
+        N = fields.dim
+        out = tc.add(fields.space.R, A_tensor(fields))
+        out = tc.add_scaled(out, C(1, N - 1),
+                            tc.delta_mix(tc.sym_pair(fields.space.ricci, 0, 1)))
+        return tc.add_scaled(out, C(1, N - 1), tc.delta_mix(A_trace(fields)))
+    return fields._cached("weyl_fourth", make)
 
 
 def weyl_first_display(fields: SpaceFields) -> Tensor:

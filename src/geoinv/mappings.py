@@ -491,8 +491,8 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     u_bar = JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
 
     phi_v = _draw(r, dom, dim, (1, 0))
-    if phi_v.is_zero():
-        phi_v.data[0] = dom.c(16, 16)  # keep the family non-degenerate
+    if phi_v.is_zero():  # keep the family non-degenerate
+        phi_v = Tensor(dim, (1, 0), [dom.c(16, 16)] + phi_v.data[1:])
     nu = _draw(r, dom, dim, (0, 1))
     mu = dom.c(_lattice(r), 16)
 

@@ -1,13 +1,30 @@
 """Dense multi-index tensors over a fixed dimension N.
 
-Entries are exact rationals (fractions.Fraction) or Python floats; every
-operation is closed over whichever scalar type the operands carry (integer
-entries, e.g. from Kronecker deltas, combine freely with both).
+Entries are exact rationals or Python floats; every operation is closed over
+whichever scalar type the operands carry (integer entries, e.g. from
+Kronecker deltas, combine freely with both).
+
+Exact tensors, whose entries are all ``int`` or ``fractions.Fraction``, are
+kept in a scaled form: Python-int numerators over one common denominator, in
+lowest terms (``den > 0`` and ``gcd(den, *nums) == 1``), so equal values have
+equal forms.  When every operand is exact the kernels run on those ints and
+normalise once per call, not once per multiply-add.  ``Tensor.data`` is
+read-only: it materialises the entries on first read and caches them, as
+``Fraction`` objects, or as ``int`` where every input was all-int (deltas,
+zeros and what is built from them with integer coefficients).  Tensors are
+immutable; build a new one instead of writing into ``.data``.
+
+Any other operand (a float entry or coefficient, or a scalar type such as a
+polynomial) sends a kernel down the plain list path, which combines entries
+one operation at a time in a fixed order, so float results and the signs of
+float zeros are reproducible.  A list-path output with a float operand is marked inexact when it is built;
+other tensors are scanned once, on first use, and the scan is cached.
 
 The mode is a ``Domain`` (``RATIONAL``/``FLOAT``, by name in ``DOMAINS``):
 it owns formula coefficients, instance-file numbers and the one closeness
 rule, exact equality or ``REL_TOL`` relative / ``ABS_TOL`` absolute.
-``domain_of`` is the only place that infers the mode from data.
+``domain_of`` is the only place that infers the mode from data, and it
+reads the same cached scan.
 
 Layout: a tensor of valence (p, q) stores its N**(p+q) entries in one flat
 list, row-major over the written index order with the upper indices first.
@@ -28,8 +45,10 @@ adding blocks in the defining einsums' order so float zeros keep their signs.
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -83,7 +102,7 @@ class Domain(NamedTuple):
     def num_out(self, x):
         """x as an instance-file (JSON) number: a 'num/den' string or a float."""
         if self.exact:
-            f = Fraction(x)
+            f = x if type(x) is Fraction or type(x) is int else Fraction(x)
             return f"{f.numerator}/{f.denominator}"
         return float(x)
 
@@ -115,13 +134,100 @@ DOMAINS = {d.name: d for d in (RATIONAL, FLOAT)}
 
 def domain_of(t: Tensor) -> Domain:
     """t's domain: ints count as exact; one float entry makes it FLOAT."""
-    return FLOAT if any(isinstance(x, float) for x in t.data) else RATIONAL
+    return FLOAT if _kind(t) is _FLOAT else RATIONAL
+
+
+# ---------------------------------------------------------------------------
+# Entry kinds.  A tensor's kind is found by one scan of its entries, or set
+# by the kernel that built it; only _INT and _FRACTION tensors carry the
+# scaled form (_nums over _den).
+
+_INT = "int"            # exact, materialised as ints (_den is 1)
+_FRACTION = "fraction"  # exact, materialised as Fractions
+_FLOAT = "float"        # at least one float entry: list kernels
+_OTHER = "other"        # anything else, e.g. polynomials: list kernels
+_EXACT_KINDS = (_INT, _FRACTION)
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _kind(t: Tensor) -> str:
+    k = t._kind
+    if k is None:
+        data = t._data
+        types = set(map(type, data))
+        if types <= _EXACT_TYPES:
+            if Fraction in types:
+                k = _FRACTION
+                den = lcm(*[x.denominator for x in data])
+                t._nums = [x.numerator * (den // x.denominator) for x in data]
+                t._den = den  # in lowest terms, as every Fraction is
+            else:
+                k = _INT
+                t._nums, t._den = data, 1
+        else:
+            k = _FLOAT if float in types else _OTHER
+        t._kind = k
+    return k
+
+
+def _result_kind(*ts: Tensor, c=None):
+    """The kind of a kernel's output from operands ts and coefficient c:
+    _INT or _FRACTION when all are exact (ints only if all are), _FLOAT when
+    a float goes in, else None (the output is scanned on first use)."""
+    ct = type(c)
+    if ct is float:
+        return _FLOAT
+    if c is None or ct is int:
+        k = _INT
+    elif ct is Fraction:
+        k = _FRACTION
+    else:
+        k = None
+    for t in ts:
+        tk = t._kind or _kind(t)
+        if tk is _FLOAT:
+            return _FLOAT
+        if tk is _OTHER:
+            k = None
+        elif tk is _FRACTION and k is _INT:
+            k = _FRACTION
+    return k
+
+
+def _exact(*ts: Tensor) -> bool:
+    """Whether every operand is exact, so the scaled kernels apply."""
+    return _result_kind(*ts) in _EXACT_KINDS
+
+
+def _new(dim: int, valence: tuple[int, int], data, kind, nums=None,
+         den=None) -> Tensor:
+    """A kernel's output, built without re-validating its shape."""
+    t = object.__new__(Tensor)
+    t.dim = dim
+    t.p, t.q = valence
+    t._data = data
+    t._kind = kind
+    t._nums = nums
+    t._den = den
+    return t
+
+
+def _from_scaled(dim: int, valence, nums: list, den: int, ints: bool) -> Tensor:
+    """The exact tensor nums/den, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    if ints:
+        return _new(dim, valence, nums, _INT, nums, 1)
+    return _new(dim, valence, None, _FRACTION, nums, den)
 
 
 class Tensor:
-    """A dense tensor: dimension, valence (p, q), flat row-major data."""
+    """A dense tensor: dimension, valence (p, q), flat row-major entries."""
 
-    __slots__ = ("dim", "p", "q", "data")
+    __slots__ = ("dim", "p", "q", "_data", "_kind", "_nums", "_den")
 
     def __init__(self, dim: int, valence: tuple[int, int], data: list):
         p, q = valence
@@ -134,7 +240,21 @@ class Tensor:
         self.dim = dim
         self.p = p
         self.q = q
-        self.data = data
+        self._data = data
+        self._kind = None
+        self._nums = None
+        self._den = None
+
+    @property
+    def data(self) -> list:
+        """The entries, flat; read-only (tensors are immutable)."""
+        d = self._data
+        if d is None:
+            # one Fraction per distinct value: zeros and +-pairs repeat a lot
+            den = self._den
+            made = {n: Fraction(n, den) for n in set(self._nums)}
+            d = self._data = [made[n] for n in self._nums]
+        return d
 
     @property
     def valence(self) -> tuple[int, int]:
@@ -158,22 +278,24 @@ class Tensor:
     def indices(self) -> Iterable[tuple[int, ...]]:
         return product(range(self.dim), repeat=self.rank)
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.dim, self.valence, list(self.data))
-
     def max_abs(self):
+        if _exact(self):
+            m = max(map(abs, self._nums))
+            return m if self._kind is _INT else Fraction(m, self._den)
         return max((abs(x) for x in self.data), default=0)
 
     def is_zero(self) -> bool:
+        if _exact(self):
+            return not any(self._nums)
         return all(x == 0 for x in self.data)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor)
-            and self.dim == other.dim
-            and self.valence == other.valence
-            and all(a == b for a, b in zip(self.data, other.data))
-        )
+        if not (isinstance(other, Tensor) and self.dim == other.dim
+                and self.valence == other.valence):
+            return False
+        if _exact(self, other):
+            return self._den == other._den and self._nums == other._nums
+        return all(a == b for a, b in zip(self.data, other.data))
 
     def __repr__(self) -> str:
         return f"Tensor(dim={self.dim}, valence={self.valence})"
@@ -185,36 +307,49 @@ def zeros(dim: int, valence: tuple[int, int]) -> Tensor:
 
 def delta(dim: int) -> Tensor:
     """Kronecker delta as a (1,1) tensor with integer entries."""
-    d = zeros(dim, (1, 1))
+    d = [0] * (dim * dim)
     for i in range(dim):
-        d.data[i * dim + i] = 1
-    return d
+        d[i * dim + i] = 1
+    return Tensor(dim, (1, 1), d)
 
 
 # ---------------------------------------------------------------------------
-# Delta blocks (see the module docstring).
+# Delta blocks (see the module docstring).  They only add and subtract
+# entries, so an exact input's numerators run through the same loops and
+# keep its denominator.
+
+
+def _entries(t: Tensor) -> tuple[str | None, list]:
+    k = _result_kind(t)
+    return k, t._nums if k in _EXACT_KINDS else t.data
+
+
+def _block_result(t: Tensor, k, valence, out: list) -> Tensor:
+    if k in _EXACT_KINDS:
+        return _from_scaled(t.dim, valence, out, t._den, k is _INT)
+    return _new(t.dim, valence, out, k)
 
 
 def delta_mix(Y: Tensor) -> Tensor:
     """d^i_m Y_jn - d^i_n Y_jm, (0,2) -> (1,3); the middle index rides along."""
     if Y.valence != (0, 2):
         raise ShapeError(f"delta_mix: needs a (0,2) tensor, got {Y!r}")
-    N, y, out = Y.dim, Y.data, [0] * Y.dim**4
+    (kind, y), N, out = _entries(Y), Y.dim, [0] * Y.dim**4
     for i, j, k in product(range(N), repeat=3):
         out[((i * N + j) * N + i) * N + k] += y[j * N + k]
     for i, j, k in product(range(N), repeat=3):
         out[((i * N + j) * N + k) * N + i] -= y[j * N + k]
-    return Tensor(N, (1, 3), out)
+    return _block_result(Y, kind, (1, 3), out)
 
 
 def delta_outer(Y: Tensor) -> Tensor:
     """d^i_j Y_mn, (0,2) -> (1,3)."""
     if Y.valence != (0, 2):
         raise ShapeError(f"delta_outer: needs a (0,2) tensor, got {Y!r}")
-    N, out = Y.dim, [0] * Y.dim**4
+    (kind, y), N, out = _entries(Y), Y.dim, [0] * Y.dim**4
     for i, k in product(range(N), range(N * N)):
-        out[(i * N + i) * N * N + k] += Y.data[k]
-    return Tensor(N, (1, 3), out)
+        out[(i * N + i) * N * N + k] += y[k]
+    return _block_result(Y, kind, (1, 3), out)
 
 
 def delta_sym(t: Tensor) -> Tensor:
@@ -224,37 +359,73 @@ def delta_sym(t: Tensor) -> Tensor:
         raise ShapeError(f"delta_sym: needs a (0,q) tensor with q >= 1, got {t!r}")
     N = t.dim
     M = N ** (t.q - 1)  # entries per trailing-slot block
-    d, out = t.data, [0] * (N * N * len(t.data))
+    kind, d = _entries(t)
+    out = [0] * (N * N * len(d))
     for i, k in product(range(N), range(N * M)):
         out[(i * N + i) * N * M + k] += d[k]
     for i, j, r in product(range(N), range(N), range(M)):
         out[((i * N + j) * N + i) * M + r] += d[j * M + r]
-    return Tensor(N, (1, t.q + 1), out)
+    return _block_result(t, kind, (1, t.q + 1), out)
 
 
 def _check_same_shape(a: Tensor, b: Tensor) -> None:
-    if a.dim != b.dim or a.valence != b.valence:
+    if a.dim != b.dim or a.p != b.p or a.q != b.q:
         raise ShapeError(f"shape mismatch: {a!r} vs {b!r}")
+
+
+def _combine(a: Tensor, c, b: Tensor, kind) -> Tensor:
+    """a + c*b on the scaled forms of exact a, b and an int/Fraction c:
+    both sides are rescaled to the lcm of their denominators."""
+    cn, cd = c.numerator, c.denominator
+    da, db = a._den, b._den * cd
+    den = da if da == db else lcm(da, db)
+    fa, fb = den // da, cn * (den // db)
+    na, nb = a._nums, b._nums
+    if fa != 1:
+        nums = [x * fa + y * fb for x, y in zip(na, nb)]
+    elif fb == 1:
+        nums = [x + y for x, y in zip(na, nb)]
+    elif fb == -1:
+        nums = [x - y for x, y in zip(na, nb)]
+    else:
+        nums = [x + y * fb for x, y in zip(na, nb)]
+    return _from_scaled(a.dim, a.valence, nums, den, kind is _INT)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b)
-    return Tensor(a.dim, a.valence, [x + y for x, y in zip(a.data, b.data)])
+    kind = _result_kind(a, b)
+    if kind in _EXACT_KINDS:
+        return _combine(a, 1, b, kind)
+    return _new(a.dim, a.valence, [x + y for x, y in zip(a.data, b.data)], kind)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b)
-    return Tensor(a.dim, a.valence, [x - y for x, y in zip(a.data, b.data)])
+    kind = _result_kind(a, b)
+    if kind in _EXACT_KINDS:
+        return _combine(a, -1, b, kind)
+    return _new(a.dim, a.valence, [x - y for x, y in zip(a.data, b.data)], kind)
 
 
 def scale(a: Tensor, c) -> Tensor:
-    return Tensor(a.dim, a.valence, [c * x for x in a.data])
+    kind = _result_kind(a, c=c)
+    if kind in _EXACT_KINDS:
+        cn = c.numerator
+        nums = a._nums if cn == 1 else [cn * x for x in a._nums]
+        return _from_scaled(a.dim, a.valence, nums, a._den * c.denominator,
+                            kind is _INT)
+    return _new(a.dim, a.valence, [c * x for x in a.data], kind)
 
 
 def add_scaled(a: Tensor, c, b: Tensor) -> Tensor:
     """a + c*b in one pass (the pipeline's inner loops live on this)."""
     _check_same_shape(a, b)
-    return Tensor(a.dim, a.valence, [x + c * y for x, y in zip(a.data, b.data)])
+    kind = _result_kind(a, b, c=c)
+    if kind in _EXACT_KINDS:
+        return _combine(a, c, b, kind)
+    return _new(a.dim, a.valence,
+                [x + c * y for x, y in zip(a.data, b.data)], kind)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -327,12 +498,37 @@ def _letters(n: int, start: int) -> str:
 #
 # Works for exact rationals, which numpy cannot do; offset plans are cached
 # per (subscripts, dim, ranks) so repeated formula evaluation costs one flat
-# multiply-add loop.
+# multiply-add loop.  Subscripts can come from user expressions, so the cache
+# keeps only the most recently used plans.
 
-_PLAN_CACHE: dict = {}
+PLAN_CACHE_CAP = 256  # the benchmark workloads use at most 92 plans
+
+
+class _PlanCache(OrderedDict):
+    """Einsum plans by (subscripts, dim, ranks); beyond PLAN_CACHE_CAP the
+    least recently used one goes.  Counts hits and misses."""
+
+    hits = misses = 0
+
+    def plan(self, key):
+        got = self.get(key)
+        if got is None:
+            self.misses += 1
+            got = self[key] = _build_plan(*key)
+            if len(self) > PLAN_CACHE_CAP:
+                self.popitem(last=False)
+        else:
+            self.hits += 1
+            self.move_to_end(key)
+        return got
+
+
+_PLAN_CACHE = _PlanCache()
 
 
 def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
+    """(output length, rows (output offset, operand offsets...)), the rows in
+    the order the multiply-adds run."""
     try:
         ins_s, out_s = expr.split("->")
         ins = ins_s.split(",")
@@ -353,22 +549,36 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
             raise IndexKindError(f"{expr!r}: output index {c!r} not in inputs")
         if out_s.count(c) > 1:
             raise IndexKindError(f"{expr!r}: repeated output index {c!r}")
+    # every letter assignment in row-major order, output letters first; one
+    # column of flat offsets per subscript, each linear in the assignment
     letters = list(out_s) + [c for c in seen if c not in out_s]
-    n_out = dim ** len(out_s)
-    plan = []
-    for assign in product(range(dim), repeat=len(letters)):
-        env = dict(zip(letters, assign))
-        o = 0
-        for c in out_s:
-            o = o * dim + env[c]
-        offs = []
-        for s in ins:
-            k = 0
-            for c in s:
-                k = k * dim + env[c]
-            offs.append(k)
-        plan.append((o, offs))
-    return n_out, plan
+    columns = []
+    for s in (out_s, *ins):
+        col = [0]
+        for c in letters:
+            stride = sum(dim ** k for k, x in enumerate(reversed(s)) if x == c)
+            col = [o + v * stride for o in col for v in range(dim)]
+        columns.append(col)
+    return dim ** len(out_s), list(zip(*columns))
+
+
+def _run_plan(plan, n_out: int, datas: list) -> list:
+    out = [0] * n_out
+    if len(datas) == 1:
+        d0 = datas[0]
+        for o, i in plan:
+            out[o] += d0[i]
+    elif len(datas) == 2:
+        d0, d1 = datas
+        for o, i, j in plan:
+            out[o] += d0[i] * d1[j]
+    else:
+        for row in plan:
+            term = datas[0][row[1]]
+            for d, k in zip(datas[1:], row[2:]):
+                term = term * d[k]
+            out[row[0]] += term
+    return out
 
 
 def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
@@ -379,33 +589,27 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
     for t in tensors:
         if t.dim != dim:
             raise ShapeError("ein: dimension mismatch")
-    key = (expr, dim, tuple(t.rank for t in tensors))
-    cached = _PLAN_CACHE.get(key)
-    if cached is None:
-        cached = _PLAN_CACHE[key] = _build_plan(expr, dim, key[2])
-    n_out, plan = cached
-    out = [0] * n_out
-    if len(tensors) == 1:
-        d0 = tensors[0].data
-        for o, offs in plan:
-            out[o] += d0[offs[0]]
-    elif len(tensors) == 2:
-        d0 = tensors[0].data
-        d1 = tensors[1].data
-        for o, offs in plan:
-            out[o] += d0[offs[0]] * d1[offs[1]]
-    else:
-        datas = [t.data for t in tensors]
-        for o, offs in plan:
-            term = datas[0][offs[0]]
-            for d, k in zip(datas[1:], offs[1:]):
-                term = term * d[k]
-            out[o] += term
+    n_out, plan = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
     if dim ** sum(out_valence) != n_out:
         raise ShapeError(f"ein: output valence {out_valence} disagrees with {expr!r}")
-    return Tensor(dim, out_valence, out)
+    kind = _result_kind(*tensors)
+    if kind in _EXACT_KINDS:
+        den = 1
+        for t in tensors:
+            den *= t._den
+        out = _run_plan(plan, n_out, [t._nums for t in tensors])
+        return _from_scaled(dim, out_valence, out, den, kind is _INT)
+    return _new(dim, out_valence,
+                _run_plan(plan, n_out, [t.data for t in tensors]), kind)
 
 
 def max_abs_diff(a: Tensor, b: Tensor):
     _check_same_shape(a, b)
+    kind = _result_kind(a, b)
+    if kind in _EXACT_KINDS:
+        da, db = a._den, b._den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        m = max(abs(x * fa - y * fb) for x, y in zip(a._nums, b._nums))
+        return m if kind is _INT else Fraction(m, den)
     return max((abs(x - y) for x, y in zip(a.data, b.data)), default=0)

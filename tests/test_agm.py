@@ -242,6 +242,25 @@ def test_diagnostics_share_delta_blocks(monkeypatch):
     assert seen and max(seen.values()) <= 2, sorted(seen.values())
 
 
+def test_trace_derivative_is_computed_once_per_space(monkeypatch):
+    # The covector-rule trace derivative feeds the factored, fourth and
+    # first-display forms, the closed-form blocks and the decomposition
+    # route; each space computes it once, however many of them ask.
+    calls = collections.Counter()
+    real = tc.ein
+
+    def spy(expr, out_valence, *tensors):
+        if expr == "ajn,a->jn":  # L^a_jn theta_a
+            calls[id(tensors[0])] += 1
+        return real(expr, out_valence, *tensors)
+
+    monkeypatch.setattr(tc, "ein", spy)
+    ins = generate_agm3(3, 0, 1, "rational")
+    pair_invariants(ins)
+    agm.agm_diagnostics(ins.source_fields())
+    assert sorted(calls.values()) == [1, 1]  # source and target space
+
+
 # ------------------------------------------------------------ decomposition
 
 

@@ -1,5 +1,6 @@
 """Dense rational/float tensor kernel: loop-free ops vs explicit loop oracles."""
 
+import ast
 import itertools
 import math
 import random
@@ -485,3 +486,293 @@ def test_mode_dispatch_lives_in_tensor_core():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+# ---------------------------------------------------------------- immutability
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "remove", "sort", "reverse",
+             "clear", "__setitem__", "__delitem__"}
+
+
+def _data_writes(tree):
+    """Lines that write into ``<expr>.data[...]``, rebind ``<expr>.data`` or
+    call a list mutator on ``<expr>.data``."""
+    def is_data(node):
+        return isinstance(node, ast.Attribute) and node.attr == "data"
+
+    hits = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for t in targets:
+            for sub in ast.walk(t):
+                if is_data(sub) or (isinstance(sub, ast.Subscript)
+                                    and is_data(sub.value)):
+                    hits.append(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS and is_data(node.func.value)):
+            hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_no_module_writes_into_tensor_data():
+    # An exact tensor caches its materialised entries next to its scaled
+    # form, so an in-place write would leave the two disagreeing.
+    src = Path(tc.__file__).parent
+    hits = {path.name: lines for path in sorted(src.glob("*.py"))
+            if (lines := _data_writes(ast.parse(path.read_text())))}
+    assert hits == {}
+    planted = ast.parse("t.data[0] = 1\nt.data = []\nt.data[1] += 2\n"
+                        "u.value.data.append(3)\nx = t.data[0]\n")
+    assert _data_writes(planted) == [1, 2, 3, 4]
+
+
+def test_data_is_read_only():
+    t = Tensor(2, (0, 1), [Fraction(1, 2), 3])
+    with pytest.raises(AttributeError):
+        t.data = [1, 2]
+
+
+# ---------------------------------------------------------------- plan cache
+
+
+def test_plan_cache_is_bounded_and_stays_correct():
+    # eval subscripts come from users: 500 distinct ones must not grow the
+    # cache past its cap, and a plan rebuilt after eviction must be right
+    cache = tc._PLAN_CACHE
+    assert tc.PLAN_CACHE_CAP >= 200  # well above what the workloads use
+    rng = random.Random(67)
+    a = random_tensor(rng, 2, (0, 3))
+    b = random_tensor(rng, 2, (0, 3))
+    full = sum(x * y for x, y in zip(a.data, b.data))
+    swapped = [sum(a[i, j, k] * b[j, i, k] for i in range(2) for j in range(2))
+               for k in range(2)]
+    triples = list(itertools.islice(
+        itertools.permutations("abcdefghijklmnopqrstuvwxyz", 3), 500))
+    misses = cache.misses
+    for n, (x, y, z) in enumerate(triples):
+        if n % 2:
+            got = tc.ein(f"{x}{y}{z},{x}{y}{z}->", (0, 0), a, b)
+            assert got.data == [full]
+        else:
+            got = tc.ein(f"{x}{y}{z},{y}{x}{z}->{z}", (0, 1), a, b)
+            assert got.data == swapped
+        assert len(cache) <= tc.PLAN_CACHE_CAP
+    assert cache.misses - misses > tc.PLAN_CACHE_CAP  # so plans were evicted
+    x, y, z = triples[0]  # long evicted by now
+    assert tc.ein(f"{x}{y}{z},{y}{x}{z}->{z}", (0, 1), a, b).data == swapped
+    hits = cache.hits
+    assert tc.ein(f"{x}{y}{z},{y}{x}{z}->{z}", (0, 1), a, b).data == swapped
+    assert cache.hits == hits + 1
+
+
+# ------------------------------------------- scaled kernels vs a Fraction oracle
+#
+# The oracle runs on plain entry lists, one multiply-add at a time, in the
+# order the list kernels use (ein sums from an integer 0, output indices in
+# row-major order, summed indices in order of first appearance).  Exact
+# operands must give the same values, with the result's scaled form in
+# lowest terms and int entries exactly when every input was all-int; float
+# operands must give the same bits, signed zeros included.
+
+STYLES = ("den16", "den3", "den7", "zero", "int", "mixed")
+
+
+def _entries(rng, n, style):
+    if style == "den16":
+        return [Fraction(rng.randint(-16, 16), 16) for _ in range(n)]
+    if style == "den3":
+        return [Fraction(rng.randint(-9, 9), 3) for _ in range(n)]
+    if style == "den7":
+        return [Fraction(rng.randint(-14, 14), 7) for _ in range(n)]
+    if style == "zero":
+        return [Fraction(0)] * n
+    if style == "int":
+        return [rng.randint(-9, 9) for _ in range(n)]
+    if style == "mixed":
+        return [rng.choice((rng.randint(-9, 9),
+                            Fraction(rng.randint(-16, 16), rng.choice((16, 3)))))
+                for _ in range(n)]
+    assert style == "float"
+    return [rng.choice((0.0, -0.0, rng.randint(-16, 16) / 16)) for _ in range(n)]
+
+
+def _off(dim, idx):
+    o = 0
+    for i in idx:
+        o = o * dim + i
+    return o
+
+
+def _o_ein(expr, dim, *datas):
+    ins, out = expr.split("->")
+    ins = ins.split(",")
+    summed = [c for c in dict.fromkeys("".join(ins)) if c not in out]
+    result = []
+    for oidx in itertools.product(range(dim), repeat=len(out)):
+        acc = 0
+        for sidx in itertools.product(range(dim), repeat=len(summed)):
+            env = {**dict(zip(out, oidx)), **dict(zip(summed, sidx))}
+            term = None
+            for s, d in zip(ins, datas):
+                x = d[_off(dim, [env[c] for c in s])]
+                term = x if term is None else term * x
+            acc += term
+        result.append(acc)
+    return result
+
+
+def _o_transpose(dim, rank, d, a, b):
+    out = []
+    for idx in itertools.product(range(dim), repeat=rank):
+        src = list(idx)
+        src[a], src[b] = src[b], src[a]
+        out.append(0 + d[_off(dim, src)])
+    return out
+
+
+def _o_delta_mix(dim, y):
+    out = []
+    for i, j, m, n in itertools.product(range(dim), repeat=4):
+        acc = 0
+        if i == m:
+            acc += y[j * dim + n]
+        if i == n:
+            acc -= y[j * dim + m]
+        out.append(acc)
+    return out
+
+
+def _o_delta_outer(dim, y):
+    return [0 + y[m * dim + n] if i == j else 0
+            for i, j, m, n in itertools.product(range(dim), repeat=4)]
+
+
+def _o_delta_sym(dim, q, d):
+    M = dim ** (q - 1)
+    out = []
+    for i, j, k, r in itertools.product(range(dim), range(dim), range(dim),
+                                        range(M)):
+        acc = 0
+        if i == j:
+            acc += d[k * M + r]
+        if i == k:
+            acc += d[j * M + r]
+        out.append(acc)
+    return out
+
+
+EIN_CASES = (
+    ("ajm,ian->ijmn", (1, 3), ((1, 2), (1, 2))),
+    ("ia,aj->ij", (1, 1), ((1, 1), (1, 1))),
+    ("bna,ajb->jn", (0, 2), ((1, 2), (1, 2))),
+    ("aamn->mn", (0, 2), ((1, 3),)),
+    ("ab,a,b->", (0, 0), ((0, 2), (1, 0), (1, 0))),
+)
+
+
+def _unary_cases(dim, exact):
+    """(name, valence, kernel, oracle on the entry list, keeps int entries)."""
+    half = Fraction(1, 2) if exact else 0.5
+    coeffs = ((3, -2, 0, Fraction(-5, 6), Fraction(7, 4), 0.5) if exact
+              else (0.5, -0.25))
+    for c in coeffs:
+        yield (f"scale {c}", (1, 2), lambda t, c=c: tc.scale(t, c),
+               lambda d, c=c: [c * x for x in d], type(c) is int)
+    yield ("delta_mix", (0, 2), tc.delta_mix,
+           lambda d: _o_delta_mix(dim, d), True)
+    yield ("delta_outer", (0, 2), tc.delta_outer,
+           lambda d: _o_delta_outer(dim, d), True)
+    for q in (1, 2):
+        yield (f"delta_sym q={q}", (0, q), tc.delta_sym,
+               lambda d, q=q: _o_delta_sym(dim, q, d), True)
+    yield ("transpose_pair", (1, 2), lambda t: tc.transpose_pair(t, 1, 2),
+           lambda d: _o_transpose(dim, 3, d, 1, 2), True)
+    yield ("alternate", (0, 2), lambda t: tc.alternate(t, 0, 1),
+           lambda d: [x - y for x, y in zip(d, _o_transpose(dim, 2, d, 0, 1))],
+           True)
+    yield ("sym_pair", (1, 2), lambda t: tc.sym_pair(t, 1, 2),
+           lambda d: [half * (x + y)
+                      for x, y in zip(d, _o_transpose(dim, 3, d, 1, 2))], False)
+    yield ("contract", (1, 2), lambda t: tc.contract(t, 0, 1),
+           lambda d: _o_ein("aja->j", dim, d), True)
+
+
+def _binary_cases(exact):
+    coeffs = ((1, -3, Fraction(-5, 6), Fraction(7, 4), -0.25) if exact
+              else (0.5,))
+    yield "add", tc.add, lambda x, y: [u + v for u, v in zip(x, y)], True
+    yield "sub", tc.sub, lambda x, y: [u - v for u, v in zip(x, y)], True
+    for c in coeffs:
+        yield (f"add_scaled {c}", lambda a, b, c=c: tc.add_scaled(a, c, b),
+               lambda x, y, c=c: [u + c * v for u, v in zip(x, y)],
+               type(c) is int)
+
+
+def _check_result(got, want, ints, what):
+    if any(isinstance(x, float) for x in want):  # the untouched list path
+        assert [(type(x), repr(x)) for x in got.data] == \
+            [(type(x), repr(x)) for x in want], what
+        assert tc.domain_of(got) is tc.FLOAT, what
+        return
+    assert got.data == want, what
+    assert tc._exact(got), what
+    nums, den = got._nums, got._den
+    assert den > 0 and math.gcd(den, *nums) == 1, what
+    assert [Fraction(n, den) for n in nums] == want, what
+    assert {type(x) for x in got.data} == ({int} if ints else {Fraction}), what
+    assert got == Tensor(got.dim, got.valence, list(want)), what
+    assert got.is_zero() == all(x == 0 for x in want), what
+    assert got.max_abs() == max(abs(x) for x in want), what
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_scaled_kernels_match_a_fraction_oracle(dim):
+    rng = random.Random(71 + dim)
+
+    def draw(valence, style):
+        data = _entries(rng, dim ** sum(valence), style)
+        return Tensor(dim, valence, data), data
+
+    def all_int(*datas):
+        return all(type(x) is int for d in datas for x in d)
+
+    pairs = [(s, u) for s in STYLES for u in STYLES]
+    pairs += [("float", "float"), ("den16", "float"), ("float", "int"),
+              ("float", "zero")]
+    for n, (sa, sb) in enumerate(pairs):
+        exact = "float" not in (sa, sb)
+        for name, kernel, oracle, keeps_int in _binary_cases(exact):
+            a, da = draw((1, 2), sa)
+            b, db = draw((1, 2), sb)
+            _check_result(kernel(a, b), oracle(da, db),
+                          all_int(da, db) and keeps_int, (name, sa, sb))
+        a, da = draw((1, 2), sa)
+        b, db = draw((1, 2), sb)
+        want = max(abs(x - y) for x, y in zip(da, db))
+        got = tc.max_abs_diff(a, b)
+        assert got == want and repr(float(got)) == repr(float(want))
+        assert (a == b) == (da == db)
+        assert a == Tensor(dim, (1, 2), list(da))
+        a, da = draw((1, 1), sa)
+        b, db = draw((0, 1), sb)
+        _check_result(tc.outer(a, b), _o_ein("ij,k->ijk", dim, da, db),
+                      all_int(da, db), ("outer", sa, sb))
+        for expr, valence, operand_valences in EIN_CASES:
+            if dim == 5 and expr == EIN_CASES[0][0] and n % 5:
+                continue  # its N^5-term oracle is slow: every fifth pair will do
+            ops = [draw(v, (sa, sb)[k % 2]) for k, v in enumerate(operand_valences)]
+            datas = [d for _, d in ops]
+            _check_result(tc.ein(expr, valence, *(t for t, _ in ops)),
+                          _o_ein(expr, dim, *datas), all_int(*datas),
+                          (expr, sa, sb))
+    for style in STYLES + ("float",):
+        for name, valence, kernel, oracle, keeps_int in _unary_cases(
+                dim, style != "float"):
+            t, d = draw(valence, style)
+            _check_result(kernel(t), oracle(d), all_int(d) and keeps_int,
+                          (name, style))
