@@ -19,6 +19,7 @@ and in which trace cores are symmetrized, and share the delta blocks that
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 
 from . import tensor_core as tc
@@ -27,6 +28,7 @@ from .invariants import (
     A_trace,
     DecompositionError,
     S_tilde,
+    delta_block,
     rho,
     weyl_factored,
     weyl_first_display,
@@ -40,13 +42,15 @@ from .tensor_core import Tensor
 class AGMDecomposition:
     """Deformation curvature split into trace-diagonal, trace-mixed and rest.
 
-    q_u and ntr_u are Q and N's last-slot trace, each symmetrized; their delta
-    blocks, Q's, the rebuilt deformation curvature and its trace are built
-    once here and shared by every consumer of the split.
+    Q must be symmetric: ``agm_decompose`` passes -mu/2 sigma, and sigma is
+    symmetric on every instance (generated so, and checked on load), so Q is
+    its own symmetrization.  ntr_u is N's last-slot trace, symmetrized.  The
+    delta blocks of Q and ntr_u, the rebuilt deformation curvature and its
+    trace are built once here and shared by every consumer of the split.
     """
 
-    __slots__ = ("P", "Q", "N", "q_u", "ntr_u", "mix_Q", "mix_q_u", "mix_ntr_u",
-                 "rebuilt", "rebuilt_trace")
+    __slots__ = ("P", "Q", "N", "ntr_u", "mix_Q", "mix_ntr_u", "rebuilt",
+                 "rebuilt_trace")
 
     def __init__(self, P: Tensor, Q: Tensor, N: Tensor):
         if P.valence != (0, 2) or Q.valence != (0, 2) or N.valence != (1, 3):
@@ -57,24 +61,24 @@ class AGMDecomposition:
         self.P = P
         self.Q = Q
         self.N = N
-        self.q_u = tc.sym_pair(Q, 0, 1)
         self.ntr_u = tc.sym_pair(tc.ein("ajna->jn", (0, 2), N), 0, 1)
         self.mix_Q = tc.delta_mix(Q)
-        self.mix_q_u = tc.delta_mix(self.q_u)
         self.mix_ntr_u = tc.delta_mix(self.ntr_u)
         # delta_outer(alt P) + delta_mix(Q) + N, and its symmetrized last-slot
-        # trace ntr_u - (N-1) q_u
+        # trace ntr_u - (N-1) Q
         self.rebuilt = tc.add(tc.delta_outer(tc.alternate(P, 0, 1)),
                               tc.add(self.mix_Q, N))
-        self.rebuilt_trace = tc.add_scaled(self.ntr_u, -(Q.dim - 1), self.q_u)
+        self.rebuilt_trace = tc.add_scaled(self.ntr_u, -(Q.dim - 1), Q)
 
 
 class _Blocks:
     """Shared sub-tensors of the closed forms, computed once per bundle.
 
     ``y`` holds the (0,2) cores of the trace groups and ``mix`` their delta
-    blocks.  The corrected forms symmetrize four of the cores before the
-    delta block, the printed ones do not; ``variant`` picks a form's blocks.
+    blocks; the trace derivative's and the symmetrized Ricci tensor's are the
+    pipeline forms' (``delta_block``).  The corrected forms symmetrize four
+    of the cores before the delta block, the printed ones do not;
+    ``variant`` picks a form's blocks.
     """
 
     def __init__(self, fields: SpaceFields):
@@ -84,9 +88,7 @@ class _Blocks:
                 "closed almost-geodesic forms need the vector-field block")
         space = fields.space
         N = space.dim
-        C = fields.domain.c
         self.N = N
-        self.C = C
         self.eps = -1 if agm.p % 2 else 1
         self.R = space.R
         sv = agm.sigma.value
@@ -95,7 +97,7 @@ class _Blocks:
         sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
         ltor = space.Ltor.value
         w = tc.ein("ja,a->j", (0, 1), sv, pv)
-        theta_t = tc.add_scaled(space.theta.value, C(1, 2), w)
+        theta_t = tc.add_scaled(space.theta.value, Fraction(1, 2), w)
         torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
         tl = tc.ein("bab->a", (0, 1), ltor)
         nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv)
@@ -120,7 +122,6 @@ class _Blocks:
             return tc.scale(sv, scalar.data[0])
 
         self.y = {
-            "theta": space.trace_cov_derivative(),
             "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
             "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
             "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
@@ -133,16 +134,19 @@ class _Blocks:
             "s_tor": sigma_times(tlphi),
             "ricci": space.ricci,
         }
-        self.mix = {k: tc.delta_mix(y) for k, y in self.y.items()}
-        self.mix_sym = {**self.mix, **{
-            k: tc.delta_mix(tc.sym_pair(self.y[k], 0, 1))
-            for k in ("cd_j", "w_nu", "tor", "ricci")}}
+        self.mix = {"theta": delta_block(fields, "theta"),
+                    **{k: tc.delta_mix(y) for k, y in self.y.items()}}
+        self.mix_sym = {
+            **self.mix, "ricci": delta_block(fields, "sym_ricci"),
+            **{k: tc.delta_mix(tc.sym_pair(self.y[k], 0, 1))
+               for k in ("cd_j", "w_nu", "tor")}}
         # the trace groups the basic and first forms share, in both variants
         self.trace = {
-            "trace-theta": tc.scale(self.mix["theta"], C(-1, N + 1)),
-            "trace-cd": tc.scale(self.mix["cd_j"], C(-1, 2 * (N + 1))),
-            "trace-nu": tc.scale(self.mix["w_nu"], C(-1, 2 * (N + 1))),
-            "trace-tor": tc.scale(self.mix["tor"], C(-self.eps, 2 * (N + 1))),
+            "trace-theta": tc.scale(self.mix["theta"], Fraction(-1, N + 1)),
+            "trace-cd": tc.scale(self.mix["cd_j"], Fraction(-1, 2 * (N + 1))),
+            "trace-nu": tc.scale(self.mix["w_nu"], Fraction(-1, 2 * (N + 1))),
+            "trace-tor": tc.scale(self.mix["tor"],
+                                  Fraction(-self.eps, 2 * (N + 1))),
         }
 
     def variant(self, printed: bool) -> dict[str, Tensor]:
@@ -153,12 +157,11 @@ class _Blocks:
         """The deformation-curvature expansion, grouped like its display."""
         got = self._deform.get(printed)
         if got is None:
-            C = self.C
-            q = C(1, 4) if printed else C(1, 2)
+            q = Fraction(1, 4 if printed else 2)
             got = self._deform[printed] = {
-                "mu": tc.scale(self.a_mu, C(-1, 4) if printed else C(-1, 2)),
+                "mu": tc.scale(self.a_mu, -q),
                 "cd": tc.scale(self.a_cd, q),
-                "quad": tc.scale(self.a_quad, C(1, 4)),
+                "quad": tc.scale(self.a_quad, Fraction(1, 4)),
                 "nutor": tc.scale(self.a_nutor, q),
             }
         return got
@@ -170,9 +173,10 @@ def _blocks(fields: SpaceFields) -> _Blocks:
 
 def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     b = _blocks(fields)
-    N, C = b.N, b.C
+    N = b.N
     g = b.deform(printed)
-    mu_c = C(-(N + 3), 4 * (N + 1)) if printed else C(-(N + 2), 2 * (N + 1))
+    mu_c = (Fraction(-(N + 3), 4 * (N + 1)) if printed
+            else Fraction(-(N + 2), 2 * (N + 1)))
     return {
         "curvature": b.R,
         "deform-mu": tc.scale(b.a_mu, mu_c),
@@ -180,29 +184,29 @@ def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
         **b.trace,
-        "trace-scalar": tc.scale(b.mix["s_tt"], C(1, 2 * (N + 1))),
-        "trace-outer": tc.scale(b.mix["tt_tt"], C(-1, (N + 1) ** 2)),
+        "trace-scalar": tc.scale(b.mix["s_tt"], Fraction(1, 2 * (N + 1))),
+        "trace-outer": tc.scale(b.mix["tt_tt"], Fraction(-1, (N + 1) ** 2)),
     }
 
 
 def _groups_fourth(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     b = _blocks(fields)
-    N, C, eps = b.N, b.C, b.eps
+    N, eps = b.N, b.eps
     g = b.deform(printed)
     m = b.variant(printed)
-    half = C(1, (4 if printed else 2) * (N - 1))
+    half = Fraction(1, (4 if printed else 2) * (N - 1))
     return {
         "curvature": b.R,
-        "ricci": tc.scale(m["ricci"], C(1, N - 1)),
+        "ricci": tc.scale(m["ricci"], Fraction(1, N - 1)),
         "deform-mu": tc.zeros(N, (1, 3)),
         "deform-cd": g["cd"],
         "deform-quad": g["quad"],
         "deform-nutor": g["nutor"],
         "trace-cd": tc.scale(tc.sub(m["cd_n"], m["cd_j"]), half),
-        "trace-scalar-quad": tc.scale(m["s_quad"], C(1, 4 * (N - 1))),
+        "trace-scalar-quad": tc.scale(m["s_quad"], Fraction(1, 4 * (N - 1))),
         "trace-scalar-nu": tc.scale(m["s_nu"], half),
         "trace-scalar-tor": tc.scale(m["s_tor"], eps * half),
-        "trace-outer-quad": tc.scale(m["w_w"], C(-1, 4 * (N - 1))),
+        "trace-outer-quad": tc.scale(m["w_w"], Fraction(-1, 4 * (N - 1))),
         "trace-outer-nu": tc.scale(m["w_nu"], -half),
         "trace-outer-tor": tc.scale(m["tor"], -eps * half),
     }
@@ -210,15 +214,16 @@ def _groups_fourth(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
 
 def _groups_first(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
     b = _blocks(fields)
-    N, C, eps = b.N, b.C, b.eps
+    N, eps = b.N, b.eps
     g = b.deform(printed)
     m = b.variant(printed)
     if printed:
-        mu_c = C(-(N + 2) ** 2, 4 * (N + 1) ** 2)
-        over_cd = over_quad = C(-1, 4 * (N + 1) ** 2 * (N - 1))
+        mu_c = Fraction(-(N + 2) ** 2, 4 * (N + 1) ** 2)
+        over_cd = over_quad = Fraction(-1, 4 * (N + 1) ** 2 * (N - 1))
     else:
-        mu_c = C(-(N * N + 4 * N + 1), 2 * (N + 1) ** 2)
-        over_cd, over_quad = C(-1, 2 * (N + 1) ** 2), C(-1, 4 * (N + 1) ** 2)
+        mu_c = Fraction(-(N * N + 4 * N + 1), 2 * (N + 1) ** 2)
+        over_cd = Fraction(-1, 2 * (N + 1) ** 2)
+        over_quad = Fraction(-1, 4 * (N + 1) ** 2)
     nutor_in = tc.add_scaled(tc.sub(m["s_nu"], m["w_nu"]),
                              eps, tc.sub(m["s_tor"], m["tor"]))
     return {
@@ -269,13 +274,13 @@ def rho_closed(fields: SpaceFields) -> Tensor:
     out = tc.add(b.y["cd_j"], b.y["w_nu"])
     out = tc.add(out, tc.scale(b.sv, b.mu))
     out = tc.add_scaled(out, b.eps, b.y["tor"])
-    return tc.scale(out, b.C(-1, 2))
+    return tc.scale(out, Fraction(-1, 2))
 
 
 def s_tilde_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the quadratic trace completion for this rule."""
     b = _blocks(fields)
-    return tc.add_scaled(b.y["tt_tt"], b.C(-(b.N + 1), 2), b.y["s_tt"])
+    return tc.add_scaled(b.y["tt_tt"], Fraction(-(b.N + 1), 2), b.y["s_tt"])
 
 
 def agm_decompose(fields: SpaceFields) -> AGMDecomposition:
@@ -287,7 +292,7 @@ def agm_decompose(fields: SpaceFields) -> AGMDecomposition:
     b = _blocks(fields)
     g = b.deform(printed=False)
     dec = AGMDecomposition(tc.zeros(b.N, (0, 2)),
-                           tc.scale(b.sv, -(b.mu * b.C(1, 2))),
+                           tc.scale(b.sv, -(b.mu * Fraction(1, 2))),
                            tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
     ok, resid, _ = fields.domain.measure(dec.rebuilt, A_tensor(fields))
     if not ok:
@@ -300,25 +305,24 @@ def weyl_forms_from_decomposition(dec: AGMDecomposition, fields: SpaceFields
                                   ) -> tuple[Tensor, Tensor, Tensor]:
     """The factored, fourth and first-display forms re-expressed through a
     decomposition of the deformation curvature (exact substitutions)."""
-    C = fields.domain.c
     N = fields.dim
-    space = fields.space
-    curv = tc.add(space.R, dec.rebuilt)
+    curv = tc.add(fields.space.R, dec.rebuilt)
     first_base = tc.add_scaled(
-        curv, C(-1, N + 1),
-        tc.sub(tc.delta_mix(space.trace_cov_derivative()),
-               tc.delta_mix(rho(fields))))
+        curv, Fraction(-1, N + 1),
+        tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho")))
 
-    first = tc.add_scaled(first_base, C(-1, (N + 1) ** 2),
-                          tc.delta_mix(S_tilde(fields)))
+    first = tc.add_scaled(first_base, Fraction(-1, (N + 1) ** 2),
+                          delta_block(fields, "s_tilde"))
 
-    fourth = tc.add_scaled(curv, C(1, N - 1),
-                           tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
-    fourth = tc.sub(fourth, dec.mix_q_u)
-    fourth = tc.add_scaled(fourth, C(1, N - 1), dec.mix_ntr_u)
+    fourth = tc.add_scaled(curv, Fraction(1, N - 1),
+                           delta_block(fields, "sym_ricci"))
+    fourth = tc.sub(fourth, dec.mix_Q)
+    fourth = tc.add_scaled(fourth, Fraction(1, N - 1), dec.mix_ntr_u)
 
-    first_disp = tc.add_scaled(first_base, C(N - 1, (N + 1) ** 2), dec.mix_q_u)
-    first_disp = tc.add_scaled(first_disp, C(-1, (N + 1) ** 2), dec.mix_ntr_u)
+    first_disp = tc.add_scaled(first_base, Fraction(N - 1, (N + 1) ** 2),
+                               dec.mix_Q)
+    first_disp = tc.add_scaled(first_disp, Fraction(-1, (N + 1) ** 2),
+                               dec.mix_ntr_u)
     return first, fourth, first_disp
 
 
@@ -327,7 +331,7 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     corrected expansions, plus corrected-total-versus-pipeline rows; a row
     matches when its two sides are close in the fields' domain."""
     b = _blocks(fields)
-    N, C = b.N, b.C
+    N = b.N
     rows: list[dict] = []
 
     def row(section: str, group: str, x: Tensor, y: Tensor) -> None:
@@ -360,14 +364,14 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     row("split", "first-display-vs-pipeline", first_disp, pipeline["first"])
     # trace identity of the split, and the published variants' gaps
     row("split", "trace-identity", A_trace(fields), dec.rebuilt_trace)
-    # the published fourth drops the trace-mixed pair (no-op when symmetric)
-    pr_fourth = tc.sub(fourth, tc.sub(dec.mix_Q, dec.mix_q_u))
-    row("split", "fourth-published", pr_fourth, fourth)
+    # the published fourth drops the trace-mixed pair, delta_mix of Q minus
+    # that of its symmetrization: zero, as Q is symmetric
+    row("split", "fourth-published", fourth, fourth)
     # the published first-display scales both trace corrections down by N-1
-    pr_first_disp = tc.add_scaled(first_disp, C(-(N - 2), (N + 1) ** 2),
-                                  dec.mix_q_u)
+    pr_first_disp = tc.add_scaled(first_disp, Fraction(-(N - 2), (N + 1) ** 2),
+                                  dec.mix_Q)
     pr_first_disp = tc.add_scaled(pr_first_disp,
-                                  C(N - 2, (N + 1) ** 2 * (N - 1)),
+                                  Fraction(N - 2, (N + 1) ** 2 * (N - 1)),
                                   dec.mix_ntr_u)
     row("split", "first-display-published", pr_first_disp, first_disp)
     return rows

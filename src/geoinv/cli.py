@@ -217,7 +217,6 @@ def pair_invariants(ins: MappingInstance) -> list[tuple[str, str, Tensor, Tensor
     """(tag, name, source value, target value) for every applicable invariant."""
     s = ins.source_fields()
     t = ins.target_fields()
-    mode = ins.mode
     rows = [
         ("rho-skew", "skew part of the source-trace derivative",
          inv.rho_skew(s), inv.rho_skew(t)),
@@ -228,8 +227,8 @@ def pair_invariants(ins: MappingInstance) -> list[tuple[str, str, Tensor, Tensor
         ("thomas-second", "reduced connection",
          inv.thomas_basic(s), inv.thomas_basic(t)),
         ("thomas-third", "symmetric-mean connection (pair symmetry)",
-         inv.thomas_third(s.space, t.space, mode),
-         inv.thomas_third(t.space, s.space, mode)),
+         inv.thomas_third(s.space, t.space),
+         inv.thomas_third(t.space, s.space)),
         ("weyl-basic", "curvature of the reduced connection",
          inv.weyl_basic(s), inv.weyl_basic(t)),
         ("weyl-factored", "factored curvature form",
@@ -247,14 +246,14 @@ def pair_invariants(ins: MappingInstance) -> list[tuple[str, str, Tensor, Tensor
                      inv.thomas_star(s), inv.thomas_star(t)))
     if ins.mapping == "geodesic":
         rows.append(("geodesic-thomas", "trace-shift reduced connection",
-                     inv.geodesic_thomas(s.space, mode),
-                     inv.geodesic_thomas(t.space, mode)))
+                     inv.geodesic_thomas(s.space),
+                     inv.geodesic_thomas(t.space)))
         rows.append(("geodesic-weyl", "trace-shift curvature form",
-                     inv.geodesic_weyl(s.space, mode),
-                     inv.geodesic_weyl(t.space, mode)))
+                     inv.geodesic_weyl(s.space),
+                     inv.geodesic_weyl(t.space)))
         rows.append(("weyl-projective", "projective curvature form",
-                     inv.weyl_projective(s.space, mode),
-                     inv.weyl_projective(t.space, mode)))
+                     inv.weyl_projective(s.space),
+                     inv.weyl_projective(t.space)))
     if ins.mapping == "agm3":
         rows.append(("agm-basic", "vector-deformation factored form",
                      agm_basic(s), agm_basic(t)))
@@ -503,13 +502,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except GeoinvError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
+    except (GeoinvError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

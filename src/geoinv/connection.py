@@ -8,6 +8,8 @@ forms, which take it explicitly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import tensor_core as tc
 from .jet import JetTensor, jet_alternate, jet_scale, jet_sym_pair
 from .tensor_core import ShapeError, Tensor
@@ -17,8 +19,7 @@ def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
     """Symmetric and antisymmetric (half-difference) parts, as jets."""
     if L.valence != (1, 2):
         raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
-    half = tc.domain_of(L.value).c(1, 2)
-    return jet_sym_pair(L, 1, 2), jet_scale(jet_alternate(L, 1, 2), half)
+    return jet_sym_pair(L, 1, 2), jet_scale(jet_alternate(L, 1, 2), Fraction(1, 2))
 
 
 def curvature(Lsym: JetTensor) -> Tensor:

@@ -484,21 +484,9 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
         else:
             pa = len(v.uppers) + v.lowers.index(x)
             pb = len(v.uppers) + v.lowers.index(y)
-        if node.kind == "alt":
-            swapped = tc.transpose_pair(v.value, pa, pb)
-            val = tc.sub(v.value, swapped)
-            grad = None
-            if v.grad is not None:
-                grad = tc.sub(v.grad, tc.transpose_pair(v.grad, pa, pb))
-        else:
-            half = dom.c(1, 2)
-            val = tc.scale(
-                tc.add(v.value, tc.transpose_pair(v.value, pa, pb)), half)
-            grad = None
-            if v.grad is not None:
-                grad = tc.scale(
-                    tc.add(v.grad, tc.transpose_pair(v.grad, pa, pb)), half)
-        return _Val(v.uppers, v.lowers, val, grad)
+        pair = tc.alternate if node.kind == "alt" else tc.sym_pair
+        grad = None if v.grad is None else pair(v.grad, pa, pb)
+        return _Val(v.uppers, v.lowers, pair(v.value, pa, pb), grad)
     raise TypeError(f"not an expression node: {node!r}")
 
 

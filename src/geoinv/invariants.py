@@ -13,11 +13,13 @@ collapsing them into one implementation.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import tensor_core as tc
 from .connection import ConnectionSpace
 from .jet import covariant_derivative
 from .mappings import SpaceFields
-from .tensor_core import DOMAINS, GeoinvError, Tensor
+from .tensor_core import GeoinvError, Tensor
 
 
 class DecompositionError(GeoinvError):
@@ -37,9 +39,9 @@ def thomas_basic(fields: SpaceFields) -> Tensor:
     return tc.sub(fields.space.Lsym.value, fields.omega.value)
 
 
-def thomas_third(src: ConnectionSpace, tgt: ConnectionSpace, mode: str) -> Tensor:
+def thomas_third(src: ConnectionSpace, tgt: ConnectionSpace) -> Tensor:
     """Arithmetic mean of the two symmetric parts (manifestly pair-symmetric)."""
-    return tc.scale(tc.add(src.Lsym.value, tgt.Lsym.value), DOMAINS[mode].c(1, 2))
+    return tc.scale(tc.add(src.Lsym.value, tgt.Lsym.value), Fraction(1, 2))
 
 
 def thomas_factored(fields: SpaceFields) -> Tensor:
@@ -48,11 +50,9 @@ def thomas_factored(fields: SpaceFields) -> Tensor:
     Symmetric part, minus the deformation source, minus the delta-completion
     of the reduced trace.
     """
-    C = fields.domain.c
-    N = fields.dim
     return tc.sub(
         tc.sub(fields.space.Lsym.value, fields.B.value),
-        tc.scale(tc.delta_sym(fields.theta_tilde.value), C(1, N + 1)),
+        tc.scale(tc.delta_sym(fields.theta_tilde.value), Fraction(1, fields.dim + 1)),
     )
 
 
@@ -114,19 +114,33 @@ def A_trace(fields: SpaceFields) -> Tensor:
         tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1))
 
 
+# the (0,2) cores whose delta_mix blocks several forms share
+_MIX_CORES = {
+    "theta": lambda f: f.space.trace_cov_derivative(),
+    "rho": lambda f: rho(f),
+    "s_tilde": lambda f: S_tilde(f),
+    "a_trace": lambda f: A_trace(f),
+    "sym_ricci": lambda f: tc.sym_pair(f.space.ricci, 0, 1),
+}
+
+
+def delta_block(fields: SpaceFields, core: str) -> Tensor:
+    """delta_mix of one named (0,2) core of this side, built once per bundle:
+    "theta" (the covector-rule trace derivative), "rho", "s_tilde",
+    "a_trace" or "sym_ricci" (the symmetrized Ricci tensor)."""
+    return fields._cached("mix-" + core,
+                          lambda: tc.delta_mix(_MIX_CORES[core](fields)))
+
+
 def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
     def make():
-        C = fields.domain.c
         N = fields.dim
         out = tc.add(fields.space.R, A_tensor(fields))
-        bracket = tc.sub(
-            tc.delta_mix(fields.space.trace_cov_derivative()),
-            tc.delta_mix(rho(fields)),
-        )
-        out = tc.add_scaled(out, C(-1, N + 1), bracket)
-        return tc.add_scaled(out, C(-1, (N + 1) ** 2),
-                             tc.delta_mix(S_tilde(fields)))
+        bracket = tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho"))
+        out = tc.add_scaled(out, Fraction(-1, N + 1), bracket)
+        return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2),
+                             delta_block(fields, "s_tilde"))
     return fields._cached("weyl_factored", make)
 
 
@@ -156,10 +170,9 @@ class XYZDecomposition:
         self.Z = Z
 
 
-def derived_invariants(dec: XYZDecomposition, space: ConnectionSpace,
-                       mode: str) -> dict[str, Tensor]:
+def derived_invariants(dec: XYZDecomposition,
+                       space: ConnectionSpace) -> dict[str, Tensor]:
     """The first, second and fourth derived forms of R + delta-completed X/Y/Z."""
-    C = DOMAINS[mode].c
     N = space.dim
     R = space.R
     X, Y, Z = dec.X, dec.Y, dec.Z
@@ -169,54 +182,53 @@ def derived_invariants(dec: XYZDecomposition, space: ConnectionSpace,
 
     w1 = tc.add(R, common)
     w1 = tc.add_scaled(
-        w1, C(-1, N),
+        w1, Fraction(-1, N),
         tc.delta_outer(tc.add(tc.alternate(Y, 0, 1), z_tr_first)),
     )
 
     w2 = tc.add(R, common)
     w2 = tc.add_scaled(
-        w2, C(-1, 2),
+        w2, Fraction(-1, 2),
         tc.delta_outer(tc.sub(tc.scale(tc.alternate(Y, 0, 1), N - 1),
                               tc.alternate(z_tr_last, 0, 1))),
     )
 
     w4 = tc.add(R, Z)
-    w4 = tc.add_scaled(w4, C(1, N - 1), tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
+    w4 = tc.add_scaled(w4, Fraction(1, N - 1),
+                       tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
     w4 = tc.add(w4, tc.delta_outer(tc.alternate(X, 0, 1)))
     x_terms = tc.sub(tc.delta_mix(X), tc.delta_mix(tc.transpose_pair(X, 0, 1)))
-    w4 = tc.add_scaled(w4, C(-1, N - 1), x_terms)
-    w4 = tc.add_scaled(w4, C(1, N - 1), tc.delta_mix(tc.sym_pair(z_tr_last, 0, 1)))
+    w4 = tc.add_scaled(w4, Fraction(-1, N - 1), x_terms)
+    w4 = tc.add_scaled(w4, Fraction(1, N - 1),
+                       tc.delta_mix(tc.sym_pair(z_tr_last, 0, 1)))
 
     return {"first": w1, "second": w2, "fourth": w4}
 
 
 def xyz_weyl_factored(fields: SpaceFields) -> XYZDecomposition:
     """The factored Weyl form, written as an XYZ decomposition."""
-    C = fields.domain.c
     N = fields.dim
     Y = tc.add_scaled(
         tc.scale(tc.sub(rho(fields), fields.space.trace_cov_derivative()),
-                 C(1, N + 1)),
-        C(-1, (N + 1) ** 2), S_tilde(fields),
+                 Fraction(1, N + 1)),
+        Fraction(-1, (N + 1) ** 2), S_tilde(fields),
     )
     return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
 
 
 def xyz_weyl_fourth(fields: SpaceFields) -> XYZDecomposition:
-    C = fields.domain.c
     N = fields.dim
     Y = tc.scale(tc.add(tc.sym_pair(fields.space.ricci, 0, 1), A_trace(fields)),
-                 C(1, N - 1))
+                 Fraction(1, N - 1))
     return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
 
 
 def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
-    C = fields.domain.c
     N = fields.dim
     Y = tc.add_scaled(
         tc.scale(tc.sub(rho(fields), fields.space.trace_cov_derivative()),
-                 C(1, N + 1)),
-        C(-1, (N + 1) ** 2), A_trace(fields),
+                 Fraction(1, N + 1)),
+        Fraction(-1, (N + 1) ** 2), A_trace(fields),
     )
     return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
 
@@ -228,12 +240,10 @@ def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
 def weyl_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived form: trace-completed with the symmetrized Ricci data."""
     def make():
-        C = fields.domain.c
-        N = fields.dim
+        c = Fraction(1, fields.dim - 1)
         out = tc.add(fields.space.R, A_tensor(fields))
-        out = tc.add_scaled(out, C(1, N - 1),
-                            tc.delta_mix(tc.sym_pair(fields.space.ricci, 0, 1)))
-        return tc.add_scaled(out, C(1, N - 1), tc.delta_mix(A_trace(fields)))
+        out = tc.add_scaled(out, c, delta_block(fields, "sym_ricci"))
+        return tc.add_scaled(out, c, delta_block(fields, "a_trace"))
     return fields._cached("weyl_fourth", make)
 
 
@@ -244,17 +254,13 @@ def weyl_first_display(fields: SpaceFields) -> Tensor:
     delta-bracket of (S-completion minus the A-trace), which moves under the
     rule; see `weyl_first_over` for the invariant closure.
     """
-    C = fields.domain.c
     N = fields.dim
     inner = tc.add_scaled(
-        tc.scale(
-            tc.sub(tc.delta_mix(fields.space.trace_cov_derivative()),
-                   tc.delta_mix(rho(fields))),
-            N + 1,
-        ),
-        1, tc.delta_mix(A_trace(fields)),
+        tc.scale(tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho")),
+                 N + 1),
+        1, delta_block(fields, "a_trace"),
     )
-    return tc.add(tc.add_scaled(fields.space.R, C(-1, (N + 1) ** 2), inner),
+    return tc.add(tc.add_scaled(fields.space.R, Fraction(-1, (N + 1) ** 2), inner),
                   A_tensor(fields))
 
 
@@ -265,11 +271,10 @@ def weyl_first_over(fields: SpaceFields) -> Tensor:
     decomposition; written directly as the factored invariant plus a pure
     trace correction.
     """
-    C = fields.domain.c
     N = fields.dim
     corr = tc.add_scaled(
-        tc.scale(rho_skew(fields), C(1, N + 1)),
-        C(-1, N * (N + 1)), fields.space.skew_ricci,
+        tc.scale(rho_skew(fields), Fraction(1, N + 1)),
+        Fraction(-1, N * (N + 1)), fields.space.skew_ricci,
     )
     return tc.add(weyl_factored(fields), tc.delta_outer(corr))
 
@@ -278,15 +283,13 @@ def weyl_first_over(fields: SpaceFields) -> Tensor:
 # trace-shift-only (geodesic) forms
 
 
-def geodesic_thomas(space: ConnectionSpace, mode: str) -> Tensor:
+def geodesic_thomas(space: ConnectionSpace) -> Tensor:
     """Reduced connection of the trace-shift rule."""
-    C = DOMAINS[mode].c
-    N = space.dim
-    return tc.add_scaled(space.Lsym.value, C(-1, N + 1),
+    return tc.add_scaled(space.Lsym.value, Fraction(-1, space.dim + 1),
                          tc.delta_sym(space.theta.value))
 
 
-def geodesic_weyl(space: ConnectionSpace, mode: str) -> Tensor:
+def geodesic_weyl(space: ConnectionSpace) -> Tensor:
     """Weyl-type form of the trace-shift rule.
 
     The delta-diagonal block alternates the special trace derivative (its
@@ -294,23 +297,21 @@ def geodesic_weyl(space: ConnectionSpace, mode: str) -> Tensor:
     mixed block keeps the covector rule, which is what makes the form move
     with the basic Weyl form and stay invariant.
     """
-    C = DOMAINS[mode].c
     N = space.dim
     th = space.theta.value
     sp = space.special_trace_derivative()
-    out = tc.add_scaled(space.R, C(1, N + 1),
+    out = tc.add_scaled(space.R, Fraction(1, N + 1),
                         tc.delta_outer(tc.alternate(sp, 0, 1)))
     inner = tc.add(tc.scale(space.trace_cov_derivative(), N + 1),
                    tc.ein("j,n->jn", (0, 2), th, th))
-    return tc.add_scaled(out, C(-1, (N + 1) ** 2), tc.delta_mix(inner))
+    return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), tc.delta_mix(inner))
 
 
-def weyl_projective(space: ConnectionSpace, mode: str) -> Tensor:
+def weyl_projective(space: ConnectionSpace) -> Tensor:
     """The classical projective-type tensor of the symmetric part."""
-    C = DOMAINS[mode].c
     N = space.dim
-    out = tc.add_scaled(space.R, C(1, N + 1), tc.delta_outer(space.skew_ricci))
-    out = tc.add_scaled(out, C(N, N * N - 1), tc.delta_mix(space.ricci))
+    out = tc.add_scaled(space.R, Fraction(1, N + 1), tc.delta_outer(space.skew_ricci))
+    out = tc.add_scaled(out, Fraction(N, N * N - 1), tc.delta_mix(space.ricci))
     return tc.add_scaled(
-        out, C(1, N * N - 1), tc.delta_mix(tc.transpose_pair(space.ricci, 0, 1))
+        out, Fraction(1, N * N - 1), tc.delta_mix(tc.transpose_pair(space.ricci, 0, 1))
     )

@@ -24,6 +24,7 @@ break invariances the rest of the package certifies.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
@@ -107,7 +108,6 @@ class SpaceFields:
                  phi_obj: JetTensor | None = None, agm: AGMData | None = None):
         self.space = space
         self.flags = tuple(flags)
-        self.mode = mode
         self.domain = DOMAINS[mode]
         N = space.dim
         self.sigma = sigma if sigma is not None else zero_jet(N, (0, 1))
@@ -146,7 +146,7 @@ class SpaceFields:
         def make():
             tt = self.theta_tilde
             dt = JetTensor(tc.delta_sym(tt.value), tc.delta_sym(tt.grad))
-            return jet_add(self.B, jet_scale(dt, self.domain.c(1, self.dim + 1)))
+            return jet_add(self.B, jet_scale(dt, Fraction(1, self.dim + 1)))
         return self._cached("omega", make)
 
 
@@ -315,7 +315,7 @@ def psi_residual(inst: MappingInstance) -> Tensor:
         tc.sub(tgt.space.theta.value, src.space.theta.value),
         tc.sub(tgt.b.value, src.b.value),
     )
-    return tc.sub(psi, tc.scale(rhs, inst.domain.c(1, inst.dim + 1)))
+    return tc.sub(psi, tc.scale(rhs, Fraction(1, inst.dim + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,17 @@ def _draw_jet(r, dom: Domain, dim, valence) -> JetTensor:
     v = _draw(r, dom, dim, valence)
     g = _draw(r, dom, dim, (valence[0], valence[1] + 1))
     return JetTensor(v, g)
+
+
+def _first_draws(r, dom: Domain, dim):
+    """The first draws of every generator: the connection jet L and the
+    trace-shift covectors u and u_bar, whose gradients differ by a symmetric
+    shift (so psi = u_bar - u is curl-free)."""
+    L = _draw_jet(r, dom, dim, (1, 2))
+    u = _draw_jet(r, dom, dim, (0, 1))
+    u_bar_v = _draw(r, dom, dim, (0, 1))
+    sym_shift = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
+    return L, u, JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
 
 
 def _solve(A: list[list], B: list[list]):
@@ -374,12 +385,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     s1, s2, s3 = flags
     r = random.Random(f"geoinv:{mapping}:{dim}:{seed}:{s1}{s2}{s3}")
     dom = DOMAINS[mode]
-
-    L = _draw_jet(r, dom, dim, (1, 2))
-    u = _draw_jet(r, dom, dim, (0, 1))
-    u_bar_v = _draw(r, dom, dim, (0, 1))
-    sym_shift = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
-    u_bar = JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
+    L, u, u_bar = _first_draws(r, dom, dim)
 
     sigma = _draw_jet(r, dom, dim, (0, 1))
     sigma_bar = _draw_jet(r, dom, dim, (0, 1))
@@ -393,7 +399,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
             if _solve(M, [[dom.c(0)] * dim for _ in range(dim)]) is not None:
                 break
             f_bar = JetTensor(
-                tc.add_scaled(f_bar.value, dom.c(1, 16), tc.delta(dim)), f_bar.grad
+                tc.add_scaled(f_bar.value, Fraction(1, 16), tc.delta(dim)), f_bar.grad
             )
         else:  # pragma: no cover
             raise DegenerateError("could not make the trace-fix system regular")
@@ -401,7 +407,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     phi_obj = jet_sym_pair(_draw_jet(r, dom, dim, (1, 2)), 1, 2)
     phi_obj_bar = jet_sym_pair(_draw_jet(r, dom, dim, (1, 2)), 1, 2)
     xi_raw = _draw_jet(r, dom, dim, (1, 2))
-    xi = jet_scale(jet_alternate(xi_raw, 1, 2), dom.c(1, 2))
+    xi = jet_scale(jet_alternate(xi_raw, 1, 2), Fraction(1, 2))
     if mapping == "geodesic":
         fields = {"L": L, "u": u, "u_bar": u_bar}
         return MappingInstance(dim, mode, flags, mapping, fields, seed=seed)
@@ -413,13 +419,14 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
                  curl(b_of(f, sigma, phi_obj)))
     if not eps.is_zero():
-        V = tc.scale(eps, dom.c(-1, 2))
+        V = tc.scale(eps, Fraction(-1, 2))
         if s3:
             # shift the barred object's gradient by a delta-shaped correction
             # whose trace is exactly V
             phi_obj_bar = JetTensor(
                 phi_obj_bar.value,
-                tc.add_scaled(phi_obj_bar.grad, dom.c(1, dim + 1), tc.delta_sym(V)),
+                tc.add_scaled(phi_obj_bar.grad, Fraction(1, dim + 1),
+                              tc.delta_sym(V)),
             )
         elif s2:
             H = [[V[(k, n)] for n in range(dim)] for k in range(dim)]
@@ -456,12 +463,11 @@ def _sym_with_product(r, dom, dim, phi_v: Tensor, target: list, v_cov: list):
     staying symmetric.  Used for both the value and each gradient slice of
     the agm3 bilinear form.
     """
-    half = dom.c(1, 2)
     S0 = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1)
     res = [target[j] - sum(S0[(j, a)] * phi_v[(a,)] for a in range(dim))
            for j in range(dim)]
     rphi = sum(res[a] * phi_v[(a,)] for a in range(dim))
-    a_vec = [res[j] - rphi * half * v_cov[j] for j in range(dim)]
+    a_vec = [res[j] - rphi * Fraction(1, 2) * v_cov[j] for j in range(dim)]
     data = [
         S0[(j, k)] + a_vec[j] * v_cov[k] + v_cov[j] * a_vec[k]
         for j in range(dim) for k in range(dim)
@@ -483,12 +489,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
         raise InstanceError(f"p must be 1 or 2, got {p}")
     r = random.Random(f"geoinv:agm3:{dim}:{seed}:{p}")
     dom = DOMAINS[mode]
-
-    L = _draw_jet(r, dom, dim, (1, 2))
-    u = _draw_jet(r, dom, dim, (0, 1))
-    u_bar_v = _draw(r, dom, dim, (0, 1))
-    sym_shift = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
-    u_bar = JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
+    L, u, u_bar = _first_draws(r, dom, dim)
 
     phi_v = _draw(r, dom, dim, (1, 0))
     if phi_v.is_zero():  # keep the family non-degenerate
@@ -534,8 +535,8 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     sigma = JetTensor(sigma_v, sigma_g)
 
     sig_phi = jet_mul(phi, sigma)  # (1,2): phi^i sigma_jk
-    phi_obj = jet_scale(sig_phi, dom.c(-1, 2))
-    phi_obj_bar = jet_scale(sig_phi, dom.c(1, 2))
+    phi_obj = jet_scale(sig_phi, Fraction(-1, 2))
+    phi_obj_bar = jet_scale(sig_phi, Fraction(1, 2))
 
     fields = {
         "L": L, "u": u, "u_bar": u_bar, "sigma": sigma, "phi": phi,

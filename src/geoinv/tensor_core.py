@@ -20,11 +20,17 @@ one operation at a time in a fixed order, so float results and the signs of
 float zeros are reproducible.  A list-path output with a float operand is marked inexact when it is built;
 other tensors are scanned once, on first use, and the scan is cached.
 
+Formula coefficients are exact (``int`` or ``Fraction``) in every mode; on
+the float list path ``scale`` and ``add_scaled`` round a ``Fraction`` to
+``float`` once per call (the value ``num / den`` gives).  The operands, not
+the mode, pick the path: all-exact operands (deltas, zeros and what is built
+from them) stay exact in float mode too, so no ``-0.0`` appears there.
+
 The mode is a ``Domain`` (``RATIONAL``/``FLOAT``, by name in ``DOMAINS``):
-it owns formula coefficients, instance-file numbers and the one closeness
-rule, exact equality or ``REL_TOL`` relative / ``ABS_TOL`` absolute.
-``domain_of`` is the only place that infers the mode from data, and it
-reads the same cached scan.
+it owns instance numbers (the ones generators draw and instance files carry)
+and the one closeness rule, exact equality or ``REL_TOL`` relative /
+``ABS_TOL`` absolute.  ``domain_of`` is the only place that infers the mode
+from data, and it reads the same cached scan.
 
 Layout: a tensor of valence (p, q) stores its N**(p+q) entries in one flat
 list, row-major over the written index order with the upper indices first.
@@ -78,7 +84,8 @@ class Domain(NamedTuple):
     exact: bool
 
     def c(self, num: int, den: int = 1):
-        """The formula coefficient num/den."""
+        """The instance number num/den in this domain (a generator draw or a
+        report ratio); formula coefficients are exact ``Fraction``s instead."""
         return Fraction(num, den) if self.exact else num / den
 
     def num_in(self, v):
@@ -415,6 +422,8 @@ def scale(a: Tensor, c) -> Tensor:
         nums = a._nums if cn == 1 else [cn * x for x in a._nums]
         return _from_scaled(a.dim, a.valence, nums, a._den * c.denominator,
                             kind is _INT)
+    if kind is _FLOAT and type(c) is Fraction:
+        c = float(c)
     return _new(a.dim, a.valence, [c * x for x in a.data], kind)
 
 
@@ -424,6 +433,8 @@ def add_scaled(a: Tensor, c, b: Tensor) -> Tensor:
     kind = _result_kind(a, b, c=c)
     if kind in _EXACT_KINDS:
         return _combine(a, c, b, kind)
+    if kind is _FLOAT and type(c) is Fraction:
+        c = float(c)
     return _new(a.dim, a.valence,
                 [x + c * y for x, y in zip(a.data, b.data)], kind)
 
@@ -483,7 +494,7 @@ def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
     s = add(t, transpose_pair(t, a, b))
     if factor_free:
         return s
-    return scale(s, domain_of(s).c(1, 2))
+    return scale(s, Fraction(1, 2))
 
 
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"

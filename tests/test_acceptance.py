@@ -125,7 +125,7 @@ def test_criterion_3_rebuilt_forms_fixed_point():
         ins = generate(4, seed, FLAGS[seed % 8], "general", "rational")
         for fl in (ins.source_fields(), ins.target_fields()):
             dec = inv.xyz_weyl_factored(fl)
-            got = inv.derived_invariants(dec, fl.space, "rational")
+            got = inv.derived_invariants(dec, fl.space)
             if tc.max_abs_diff(got["first"], inv.weyl_factored(fl)) != 0:
                 first_fixed = False
             if tc.max_abs_diff(got["second"], got["first"]) != 0:
@@ -148,7 +148,7 @@ def test_criterion_3_residual_laws():
         ins = generate(n, seed, FLAGS[seed % 8], "general", "rational")
         for fl in (ins.source_fields(), ins.target_fields()):
             dec = inv.xyz_weyl_factored(fl)
-            got = inv.derived_invariants(dec, fl.space, "rational")
+            got = inv.derived_invariants(dec, fl.space)
             rhat = fl.space.skew_ricci
             rhohat = inv.rho_skew(fl)
             corr = tc.add_scaled(
@@ -193,7 +193,7 @@ def test_criterion_4_rebuild_closure():
                 inv.xyz_weyl_fourth(fl),
                 inv.xyz_weyl_first_display(fl),
             ):
-                got = inv.derived_invariants(dec, fl.space, "rational")
+                got = inv.derived_invariants(dec, fl.space)
                 for cell in ("first", "second", "fourth"):
                     in_set = (
                         tc.max_abs_diff(got[cell], over) == 0
@@ -215,10 +215,10 @@ def test_criterion_4_green_cells():
         for fl in (ins.source_fields(), ins.target_fields()):
             over = inv.weyl_first_over(fl)
             fourth = inv.weyl_fourth(fl)
-            got1 = inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space, "rational")
-            got4 = inv.derived_invariants(inv.xyz_weyl_fourth(fl), fl.space, "rational")
+            got1 = inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space)
+            got4 = inv.derived_invariants(inv.xyz_weyl_fourth(fl), fl.space)
             gotd = inv.derived_invariants(
-                inv.xyz_weyl_first_display(fl), fl.space, "rational"
+                inv.xyz_weyl_first_display(fl), fl.space
             )
             assert tc.max_abs_diff(got1["first"], over) == 0
             for got in (got1, got4, gotd):
@@ -236,12 +236,12 @@ def test_criterion_4_red_cell_residuals():
             fourth = inv.weyl_fourth(fl)
             rhat = fl.space.skew_ricci
             rhohat = inv.rho_skew(fl)
-            got4 = inv.derived_invariants(inv.xyz_weyl_fourth(fl), fl.space, "rational")
+            got4 = inv.derived_invariants(inv.xyz_weyl_fourth(fl), fl.space)
             gotd = inv.derived_invariants(
-                inv.xyz_weyl_first_display(fl), fl.space, "rational"
+                inv.xyz_weyl_first_display(fl), fl.space
             )
             got1 = inv.derived_invariants(
-                inv.xyz_weyl_factored(fl), fl.space, "rational"
+                inv.xyz_weyl_factored(fl), fl.space
             )
 
             r = tc.sub(got4["first"], fourth)
@@ -376,8 +376,8 @@ def test_criterion_7_geodesic_specialization():
         for seed in range(30):
             ins = generate(dim, seed, (1, 0, 0), "geodesic", "rational")
             s, t = ins.source_fields(), ins.target_fields()
-            gs = inv.geodesic_thomas(s.space, "rational")
-            gt = inv.geodesic_thomas(t.space, "rational")
+            gs = inv.geodesic_thomas(s.space)
+            gt = inv.geodesic_thomas(t.space)
             if tc.max_abs_diff(inv.thomas_factored(s), gs) != 0:
                 failures.append(("entrywise-source", dim, seed))
             if tc.max_abs_diff(inv.thomas_factored(t), gt) != 0:

@@ -225,11 +225,8 @@ def test_diagnostics_residuals_are_pinned(key):
 
 def test_diagnostics_share_delta_blocks(monkeypatch):
     # Once the check pipeline has run on a bundle, a diagnostics call reuses
-    # the closed forms' and the decomposition's delta blocks; what is left
-    # is the pipeline forms' own blocks, at most two per input.
-    ins = generate_agm3(3, 0, 1, "rational")
-    s = ins.source_fields()
-    pair_invariants(ins)
+    # the pipeline forms' and the closed forms' delta blocks; all it builds
+    # is the decomposition's Q block and its N-trace block, one each.
     seen = collections.Counter()
     real = tc.delta_mix
 
@@ -237,9 +234,15 @@ def test_diagnostics_share_delta_blocks(monkeypatch):
         seen[tuple(Y.data)] += 1
         return real(Y)
 
-    monkeypatch.setattr(tc, "delta_mix", spy)
-    agm.agm_diagnostics(s)
-    assert seen and max(seen.values()) <= 2, sorted(seen.values())
+    for dim, seed, p in ((3, 0, 1), (4, 1, 2)):
+        ins = generate_agm3(dim, seed, p, "rational")
+        s = ins.source_fields()
+        pair_invariants(ins)
+        seen.clear()
+        monkeypatch.setattr(tc, "delta_mix", spy)
+        agm.agm_diagnostics(s)
+        monkeypatch.setattr(tc, "delta_mix", real)
+        assert sorted(seen.values()) == [1, 1], (dim, seed, p)
 
 
 def test_trace_derivative_is_computed_once_per_space(monkeypatch):
@@ -307,12 +310,12 @@ def test_zero_family_block_reduces_to_trace_shift_forms():
     assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0
     # It is NOT the plain basic form: they differ by the trace block.
     assert tc.max_abs_diff(basic, inv.weyl_basic(fl)) != 0
-    gw = inv.geodesic_weyl(src.space, "rational")
+    gw = inv.geodesic_weyl(src.space)
     gap = tc.sub(basic, gw)
     pred = tc.scale(
         tc.ein("ij,mn->ijmn", (1, 3), tc.delta(3), src.space.skew_ricci),
         Fraction(1, 4),
     )
     assert tc.max_abs_diff(gap, pred) == 0
-    gt = inv.geodesic_thomas(src.space, "rational")
+    gt = inv.geodesic_thomas(src.space)
     assert tc.max_abs_diff(inv.thomas_factored(fl), gt) == 0

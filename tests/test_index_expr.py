@@ -69,7 +69,7 @@ def corpus(dim, f, sp):
             f"R{{i;jmn}} + 1/{n + 1}*d{{i;j}}*RS{{;mn}}"
             f" + {n}/{n * n - 1}*alt(d{{i;m}}*Ric{{;jn}}; m,n)"
             f" + 1/{n * n - 1}*alt(d{{i;m}}*Ric{{;nj}}; m,n)",
-            weyl_projective(sp, f.mode),
+            weyl_projective(sp),
             "projective",
         ),
         ("cd(b{;j}; n)", rho(f), "rho"),

@@ -72,8 +72,8 @@ def test_unconditional_invariants():
 
 def test_half_sum_connection_is_pair_symmetric():
     for _, s, t in all_cases():
-        a = inv.thomas_third(s.space, t.space, "rational")
-        b = inv.thomas_third(t.space, s.space, "rational")
+        a = inv.thomas_third(s.space, t.space)
+        b = inv.thomas_third(t.space, s.space)
         assert tc.max_abs_diff(a, b) == 0
 
 
@@ -164,9 +164,9 @@ def test_derived_forms_green_cells():
         dec1 = inv.xyz_weyl_factored(fl)
         dec4 = inv.xyz_weyl_fourth(fl)
         decd = inv.xyz_weyl_first_display(fl)
-        got1 = inv.derived_invariants(dec1, sp, "rational")
-        got4 = inv.derived_invariants(dec4, sp, "rational")
-        gotd = inv.derived_invariants(decd, sp, "rational")
+        got1 = inv.derived_invariants(dec1, sp)
+        got4 = inv.derived_invariants(dec4, sp)
+        gotd = inv.derived_invariants(decd, sp)
         assert tc.max_abs_diff(got1["first"], inv.weyl_first_over(fl)) == 0
         for got in (got1, got4, gotd):
             assert tc.max_abs_diff(got["fourth"], inv.weyl_fourth(fl)) == 0
@@ -180,8 +180,8 @@ def test_derived_forms_red_cells_have_pinned_residuals():
         rhohat = inv.rho_skew(fl)
         dec4 = inv.xyz_weyl_fourth(fl)
         decd = inv.xyz_weyl_first_display(fl)
-        got4 = inv.derived_invariants(dec4, sp, "rational")
-        gotd = inv.derived_invariants(decd, sp, "rational")
+        got4 = inv.derived_invariants(dec4, sp)
+        gotd = inv.derived_invariants(decd, sp)
 
         r = tc.sub(got4["first"], inv.weyl_fourth(fl))
         assert tc.max_abs_diff(r, outer_delta(tc.scale(rhohat, Fraction(1, n)), n)) == 0
@@ -189,7 +189,7 @@ def test_derived_forms_red_cells_have_pinned_residuals():
         assert tc.max_abs_diff(r, outer_delta(tc.scale(rhohat, Fraction(1, 2)), n)) == 0
 
         dec1 = inv.xyz_weyl_factored(fl)
-        got1 = inv.derived_invariants(dec1, sp, "rational")
+        got1 = inv.derived_invariants(dec1, sp)
         r = tc.sub(got1["second"], inv.weyl_first_over(fl))
         assert (
             tc.max_abs_diff(r, outer_delta(tc.scale(rhat, Fraction(-(n - 2), 2 * n)), n))
@@ -223,7 +223,7 @@ def test_second_vs_first_derived_form_gap_law():
             (inv.xyz_weyl_fourth(fl), tc.scale(rhohat, Fraction(n - 2, 2 * n))),
             (inv.xyz_weyl_first_display(fl), tc.scale(rhat, Fraction(-(n - 2), 2 * n))),
         ):
-            got = inv.derived_invariants(dec, sp, "rational")
+            got = inv.derived_invariants(dec, sp)
             r = tc.sub(got["second"], got["first"])
             assert tc.max_abs_diff(r, outer_delta(expect, n)) == 0
 
@@ -265,8 +265,8 @@ def geodesic_cases():
 def test_geodesic_forms_invariant():
     for ins, s, t in geodesic_cases():
         for f in (inv.geodesic_thomas, inv.geodesic_weyl, inv.weyl_projective):
-            a = f(s.space, "rational")
-            b = f(t.space, "rational")
+            a = f(s.space)
+            b = f(t.space)
             assert tc.max_abs_diff(a, b) == 0, (ins.dim, ins.seed, f.__name__)
 
 
@@ -275,11 +275,11 @@ def test_geodesic_connection_form_matches_general_route():
     # collapses onto the geodesic one, entry for entry.
     for ins, s, t in geodesic_cases():
         assert (
-            tc.max_abs_diff(inv.geodesic_thomas(s.space, "rational"), inv.thomas_basic(s))
+            tc.max_abs_diff(inv.geodesic_thomas(s.space), inv.thomas_basic(s))
             == 0
         )
         assert (
-            tc.max_abs_diff(inv.geodesic_thomas(t.space, "rational"), inv.thomas_basic(t))
+            tc.max_abs_diff(inv.geodesic_thomas(t.space), inv.thomas_basic(t))
             == 0
         )
 
@@ -290,7 +290,7 @@ def test_geodesic_weyl_bridge_to_basic():
         for fl in (s, t):
             sp = fl.space
             corr = outer_delta(sp.skew_ricci, n)
-            lhs = tc.sub(inv.weyl_basic(fl), inv.geodesic_weyl(sp, "rational"))
+            lhs = tc.sub(inv.weyl_basic(fl), inv.geodesic_weyl(sp))
             assert tc.max_abs_diff(lhs, tc.scale(corr, Fraction(2, n + 1))) == 0
 
 
@@ -313,7 +313,7 @@ def test_literal_all_special_variant_is_not_invariant():
         def literal(sp):
             m = tc.ein("abn,bja->jn", (0, 2), sp.Lsym.value, sp.Lsym.value)
             return tc.add_scaled(
-                inv.geodesic_weyl(sp, "rational"),
+                inv.geodesic_weyl(sp),
                 Fraction(-2, n + 1),
                 delta_mix(m, n),
             )
@@ -344,7 +344,7 @@ def test_no_einsum_takes_a_kronecker_delta(monkeypatch):
     agm.agm_diagnostics(third.source_fields())
     cli._identity_rows(3, 0, "rational", cli.REL_TOL, cli.ABS_TOL)
     fl = general.source_fields()
-    inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space, "rational")
-    inv.geodesic_weyl(geodesic.source_fields().space, "rational")
-    inv.weyl_projective(geodesic.source_fields().space, "rational")
+    inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space)
+    inv.geodesic_weyl(geodesic.source_fields().space)
+    inv.weyl_projective(geodesic.source_fields().space)
     assert hits == []

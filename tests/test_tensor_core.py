@@ -485,6 +485,21 @@ def test_mode_dispatch_lives_in_tensor_core():
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
+    # the formula modules take exact coefficients and no mode at all; the
+    # domain's closeness rule (fields.domain.measure) stays available
+    formula = re.compile(r"\.c\b|\bDOMAINS\b|\bdomain_of\b")
+    hits += [
+        f"{name}:{n}: {line.strip()}"
+        for name in ("invariants.py", "agm.py", "connection.py", "jet.py")
+        for n, line in enumerate((src / name).read_text().splitlines(), 1)
+        if formula.search(line)
+    ]
+    hits += [
+        f"invariants.py: {node.name}(mode)"
+        for node in ast.walk(ast.parse((src / "invariants.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and "mode" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    ]
     assert hits == []
 
 
@@ -597,6 +612,9 @@ def _entries(rng, n, style):
         return [rng.choice((rng.randint(-9, 9),
                             Fraction(rng.randint(-16, 16), rng.choice((16, 3)))))
                 for _ in range(n)]
+    if style == "float+int":  # a float tensor that still holds int entries
+        return [-0.0] + [rng.choice((0.0, rng.randint(-16, 16) / 16,
+                                     rng.randint(-9, 9))) for _ in range(n - 1)]
     assert style == "float"
     return [rng.choice((0.0, -0.0, rng.randint(-16, 16) / 16)) for _ in range(n)]
 
@@ -678,11 +696,13 @@ EIN_CASES = (
 def _unary_cases(dim, exact):
     """(name, valence, kernel, oracle on the entry list, keeps int entries)."""
     half = Fraction(1, 2) if exact else 0.5
+    # on the float path an exact coefficient acts as its rounded float
     coeffs = ((3, -2, 0, Fraction(-5, 6), Fraction(7, 4), 0.5) if exact
-              else (0.5, -0.25))
+              else (0.5, -0.25, Fraction(-5, 6), Fraction(1, 3)))
     for c in coeffs:
+        k = c if exact else float(c)
         yield (f"scale {c}", (1, 2), lambda t, c=c: tc.scale(t, c),
-               lambda d, c=c: [c * x for x in d], type(c) is int)
+               lambda d, k=k: [k * x for x in d], type(c) is int)
     yield ("delta_mix", (0, 2), tc.delta_mix,
            lambda d: _o_delta_mix(dim, d), True)
     yield ("delta_outer", (0, 2), tc.delta_outer,
@@ -704,12 +724,13 @@ def _unary_cases(dim, exact):
 
 def _binary_cases(exact):
     coeffs = ((1, -3, Fraction(-5, 6), Fraction(7, 4), -0.25) if exact
-              else (0.5,))
+              else (0.5, Fraction(-5, 6), Fraction(1, 3)))
     yield "add", tc.add, lambda x, y: [u + v for u, v in zip(x, y)], True
     yield "sub", tc.sub, lambda x, y: [u - v for u, v in zip(x, y)], True
     for c in coeffs:
+        k = c if exact else float(c)
         yield (f"add_scaled {c}", lambda a, b, c=c: tc.add_scaled(a, c, b),
-               lambda x, y, c=c: [u + c * v for u, v in zip(x, y)],
+               lambda x, y, k=k: [u + k * v for u, v in zip(x, y)],
                type(c) is int)
 
 
@@ -770,9 +791,17 @@ def test_scaled_kernels_match_a_fraction_oracle(dim):
             _check_result(tc.ein(expr, valence, *(t for t, _ in ops)),
                           _o_ein(expr, dim, *datas), all_int(*datas),
                           (expr, sa, sb))
-    for style in STYLES + ("float",):
+    # the operands pick the path, not the mode: an exact coefficient on
+    # all-exact operands stays exact (no float, so no -0.0), as in float mode
+    c = Fraction(-1, 3)
+    for t in (tc.zeros(dim, (1, 1)), tc.delta(dim)):
+        want = [c * x for x in t.data]
+        _check_result(tc.scale(t, c), want, False, ("scale exact", c))
+        _check_result(tc.add_scaled(tc.zeros(dim, (1, 1)), c, t), want, False,
+                      ("add_scaled exact", c))
+    for style in STYLES + ("float", "float+int"):
         for name, valence, kernel, oracle, keeps_int in _unary_cases(
-                dim, style != "float"):
+                dim, not style.startswith("float")):
             t, d = draw(valence, style)
             _check_result(kernel(t), oracle(d), all_int(d) and keeps_int,
                           (name, style))
