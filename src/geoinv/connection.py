@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import tensor_core as tc
-from .jet import JetTensor, jet_alternate, jet_scale, jet_sym_pair
+from .jet import JetTensor, jet_alternate, jet_contract, jet_scale, jet_sym_pair
 from .tensor_core import ShapeError, Tensor
 
 
@@ -69,10 +69,7 @@ class ConnectionSpace:
         self.ricci = ricci(self.R)
         self.skew_ricci = tc.alternate(self.ricci, 0, 1)
         # theta_j = L^a_ja of the symmetric part, with its gradient
-        self.theta = JetTensor(
-            tc.ein("aja->j", (0, 1), self.Lsym.value),
-            tc.ein("ajak->jk", (0, 2), self.Lsym.grad),
-        )
+        self.theta = jet_contract(self.Lsym, 0, 1)
         self._trace_cd: Tensor | None = None
 
     def torsion(self) -> Tensor:

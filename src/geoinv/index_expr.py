@@ -30,7 +30,17 @@ from typing import NamedTuple
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
-from .jet import JetTensor, constant_jet
+from .jet import (
+    JetTensor,
+    constant_jet,
+    covariant_derivative,
+    jet_add,
+    jet_alternate,
+    jet_ein,
+    jet_scale_by,
+    jet_sub,
+    jet_sym_pair,
+)
 from .tensor_core import GeoinvError, Tensor
 
 
@@ -293,7 +303,7 @@ def _free_indices(node, where: tuple[int, int]):
         lu, ll = _free_indices(node.left, where)
         ru, rl = _free_indices(node.right, where)
         if node.op == "*":
-            for x in (lu & ru) | (ll & rl):
+            for x in sorted((lu & ru) | (ll & rl)):
                 raise ParseError(
                     f"index {x!r} appears twice in the same position across "
                     f"a product", line, col)
@@ -347,15 +357,23 @@ def parse(src: str):
 class _Val(NamedTuple):
     uppers: tuple[str, ...]   # slot labels, in tensor slot order
     lowers: tuple[str, ...]
-    value: Tensor
-    grad: Tensor | None       # value's gradient (one extra lower slot), if known
+    t: JetTensor | Tensor     # a jet when the gradient is known
 
 
-def _fresh(used) -> str:
-    for ch in "zyxwvutsrqponmlkjihgfedcba":
-        if ch not in used:
-            return ch
-    raise EvalError("out of index letters")
+def _op(jet_fn, fn, *args):
+    """jet_fn when every tensor operand is a jet, else fn on the values;
+    other arguments pass through."""
+    if not any(isinstance(x, Tensor) for x in args):
+        return jet_fn(*args)
+    return fn(*(x.value if isinstance(x, JetTensor) else x for x in args))
+
+
+def _ein(expr: str, valence, *ts):
+    return _op(jet_ein, tc.ein, expr, valence, *ts)
+
+
+def _scale_by(t: Tensor, s: Tensor) -> Tensor:
+    return tc.scale(t, s.data[0])
 
 
 def _canon(v: _Val) -> _Val:
@@ -363,18 +381,8 @@ def _canon(v: _Val) -> _Val:
     low = tuple(sorted(v.lowers))
     if up == v.uppers and low == v.lowers:
         return v
-    src = "".join(v.uppers) + "".join(v.lowers)
-    dst = "".join(up) + "".join(low)
-    val = tc.ein(f"{src}->{dst}", (len(up), len(low)), v.value)
-    grad = None
-    if v.grad is not None:
-        z = _fresh(set(src))
-        grad = tc.ein(f"{src}{z}->{dst}{z}", (len(up), len(low) + 1), v.grad)
-    return _Val(up, low, val, grad)
-
-
-def _scalar_of(v: _Val):
-    return v.value.data[0]
+    expr = f"{''.join(v.uppers + v.lowers)}->{''.join(up + low)}"
+    return _Val(up, low, _ein(expr, (len(up), len(low)), v.t))
 
 
 def _ref_value(node: Ref, bindings, space: ConnectionSpace) -> _Val:
@@ -384,75 +392,40 @@ def _ref_value(node: Ref, bindings, space: ConnectionSpace) -> _Val:
         bound = bindings.get(node.name)
         if bound is None:
             raise EvalError(f"unbound name {node.name!r}")
-    if isinstance(bound, JetTensor):
-        value, grad = bound.value, bound.grad
-    else:
-        value, grad = bound, None
-    if value.dim != space.dim:
+    if bound.dim != space.dim:
         raise EvalError(
-            f"{node.name!r} has dimension {value.dim}, space has {space.dim}")
-    if value.valence != (len(node.uppers), len(node.lowers)):
+            f"{node.name!r} has dimension {bound.dim}, space has {space.dim}")
+    if bound.valence != (len(node.uppers), len(node.lowers)):
         raise EvalError(
-            f"{node.name!r} has valence {value.valence}, reference "
+            f"{node.name!r} has valence {bound.valence}, reference "
             f"{node.name}{{{''.join(node.uppers)};{''.join(node.lowers)}}} "
             f"needs ({len(node.uppers)},{len(node.lowers)})")
     both = set(node.uppers) & set(node.lowers)
     up = tuple(sorted(x for x in node.uppers if x not in both))
     low = tuple(sorted(x for x in node.lowers if x not in both))
-    src = "".join(node.uppers) + "".join(node.lowers)
-    dst = "".join(up) + "".join(low)
-    out = tc.ein(f"{src}->{dst}", (len(up), len(low)), value)
-    gout = None
-    if grad is not None:
-        z = _fresh(set(src))
-        gout = tc.ein(f"{src}{z}->{dst}{z}", (len(up), len(low) + 1), grad)
-    return _Val(up, low, out, gout)
+    expr = f"{''.join(node.uppers + node.lowers)}->{''.join(up + low)}"
+    return _Val(up, low, _ein(expr, (len(up), len(low)), bound))
 
 
 def _mul(a: _Val, b: _Val) -> _Val:
     if not a.uppers and not a.lowers:
         a, b = b, a
     if not b.uppers and not b.lowers:
-        s = _scalar_of(b)
-        val = tc.scale(a.value, s)
-        grad = None
-        if a.grad is not None and b.grad is not None:
-            if not a.uppers and not a.lowers:
-                grad = tc.add(tc.scale(a.grad, s),
-                              tc.scale(b.grad, _scalar_of(a)))
-            else:
-                la = "".join(a.uppers) + "".join(a.lowers)
-                z = _fresh(set(la))
-                grad = tc.add(
-                    tc.scale(a.grad, s),
-                    tc.ein(f"{la},{z}->{la}{z}",
-                           (len(a.uppers), len(a.lowers) + 1),
-                           a.value, b.grad))
-        return _Val(a.uppers, a.lowers, val, grad)
-    la = "".join(a.uppers) + "".join(a.lowers)
-    lb = "".join(b.uppers) + "".join(b.lowers)
+        return _Val(a.uppers, a.lowers, _op(jet_scale_by, _scale_by, a.t, b.t))
+    la = "".join(a.uppers + a.lowers)
+    lb = "".join(b.uppers + b.lowers)
     up = tuple(sorted((set(a.uppers) | set(b.uppers))
                       - (set(a.lowers) | set(b.lowers))))
     low = tuple(sorted((set(a.lowers) | set(b.lowers))
                        - (set(a.uppers) | set(b.uppers))))
-    out = "".join(up) + "".join(low)
-    val = tc.ein(f"{la},{lb}->{out}", (len(up), len(low)), a.value, b.value)
-    grad = None
-    if a.grad is not None and b.grad is not None:
-        z = _fresh(set(la) | set(lb))
-        grad = tc.add(
-            tc.ein(f"{la}{z},{lb}->{out}{z}", (len(up), len(low) + 1),
-                   a.grad, b.value),
-            tc.ein(f"{la},{lb}{z}->{out}{z}", (len(up), len(low) + 1),
-                   a.value, b.grad))
-    return _Val(up, low, val, grad)
+    expr = f"{la},{lb}->{''.join(up + low)}"
+    return _Val(up, low, _ein(expr, (len(up), len(low)), a.t, b.t))
 
 
 def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
     if isinstance(node, Num):
         t = Tensor(space.dim, (0, 0), [dom.c(node.num, node.den)])
-        g = tc.zeros(space.dim, (0, 1))
-        return _Val((), (), t, g)
+        return _Val((), (), constant_jet(t))
     if isinstance(node, Ref):
         return _ref_value(node, bindings, space)
     if isinstance(node, BinOp):
@@ -461,32 +434,26 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
         if node.op == "*":
             return _mul(a, b)
         a, b = _canon(a), _canon(b)
-        fn = tc.add if node.op == "+" else tc.sub
-        grad = None
-        if a.grad is not None and b.grad is not None:
-            grad = fn(a.grad, b.grad)
-        return _Val(a.uppers, a.lowers, fn(a.value, b.value), grad)
+        fns = (jet_add, tc.add) if node.op == "+" else (jet_sub, tc.sub)
+        return _Val(a.uppers, a.lowers, _op(*fns, a.t, b.t))
     if isinstance(node, Func):
         v = _eval(node.arg, bindings, space, dom)
         if node.kind == "cd":
-            if v.grad is None:
+            if not isinstance(v.t, JetTensor):
                 raise EvalError(
                     "cd needs gradient data; the operand has none "
                     "(value-only binding or a derivative result)")
-            jet = JetTensor(v.value, v.grad)
-            from .jet import covariant_derivative
-            out = covariant_derivative(jet, space.Lsym)
-            return _canon(_Val(v.uppers, v.lowers + (node.indices[0],),
-                               out, None))
+            out = covariant_derivative(v.t, space.Lsym)
+            return _canon(_Val(v.uppers, v.lowers + (node.indices[0],), out))
         x, y = node.indices
         if {x, y} <= set(v.uppers):
             pa, pb = v.uppers.index(x), v.uppers.index(y)
         else:
             pa = len(v.uppers) + v.lowers.index(x)
             pb = len(v.uppers) + v.lowers.index(y)
-        pair = tc.alternate if node.kind == "alt" else tc.sym_pair
-        grad = None if v.grad is None else pair(v.grad, pa, pb)
-        return _Val(v.uppers, v.lowers, pair(v.value, pa, pb), grad)
+        fns = ((jet_alternate, tc.alternate) if node.kind == "alt"
+               else (jet_sym_pair, tc.sym_pair))
+        return _Val(v.uppers, v.lowers, _op(*fns, v.t, pa, pb))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -497,4 +464,5 @@ def evaluate(node, bindings, space: ConnectionSpace) -> Tensor:
     lexicographic order.
     """
     dom = tc.domain_of(space.Lsym.value)
-    return _canon(_eval(node, bindings, space, dom)).value
+    t = _canon(_eval(node, bindings, space, dom)).t
+    return t.value if isinstance(t, JetTensor) else t

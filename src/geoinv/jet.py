@@ -9,7 +9,7 @@ like it needs them has been arranged not to.
 from __future__ import annotations
 
 from . import tensor_core as tc
-from .tensor_core import ShapeError, Tensor
+from .tensor_core import IndexKindError, ShapeError, Tensor
 
 
 class JetTensor:
@@ -57,22 +57,43 @@ def jet_scale(a: JetTensor, c) -> JetTensor:
     return JetTensor(tc.scale(a.value, c), tc.scale(a.grad, c))
 
 
+def jet_ein(expr: str, valence: tuple[int, int], *jets: JetTensor) -> JetTensor:
+    """``tc.ein`` on jets: the value is the sum over the values, and the
+    gradient follows the Leibniz rule, one term per operand in operand order,
+    with the derivative slot last.  This is the package's product rule."""
+    ins, out = expr.split("->")
+    subs = ins.split(",")
+    k = next((c for c in tc._LETTER_POOL if c not in expr), None)
+    if k is None:
+        raise IndexKindError(f"{expr!r}: no index letter left for the derivative")
+    values = [j.value for j in jets]
+    value = tc.ein(expr, valence, *values)
+    grad = None
+    for n, j in enumerate(jets):
+        gsubs = ",".join(s + k if m == n else s for m, s in enumerate(subs))
+        term = tc.ein(f"{gsubs}->{out}{k}", (valence[0], valence[1] + 1),
+                      *values[:n], j.grad, *values[n + 1:])
+        grad = term if grad is None else tc.add(grad, term)
+    return JetTensor(value, grad)
+
+
 def jet_mul(a: JetTensor, b: JetTensor) -> JetTensor:
-    """Outer product of jets; the gradient follows the Leibniz rule."""
+    """Outer product of jets: a's uppers, b's uppers, a's lowers, b's lowers."""
     pa, qa = a.valence
     pb, qb = b.valence
     la = tc._letters(pa + qa, 0)
     lb = tc._letters(pb + qb, pa + qa)
-    k = tc._letters(1, pa + qa + pb + qb)
     out = la[:pa] + lb[:pb] + la[pa:] + lb[pb:]
-    valence = (pa + pb, qa + qb)
-    value = tc.ein(f"{la},{lb}->{out}", valence, a.value, b.value)
-    gvalence = (valence[0], valence[1] + 1)
-    g = tc.add(
-        tc.ein(f"{la}{k},{lb}->{out}{k}", gvalence, a.grad, b.value),
-        tc.ein(f"{la},{lb}{k}->{out}{k}", gvalence, a.value, b.grad),
-    )
-    return JetTensor(value, g)
+    return jet_ein(f"{la},{lb}->{out}", (pa + pb, qa + qb), a, b)
+
+
+def jet_scale_by(a: JetTensor, s: JetTensor) -> JetTensor:
+    """a times the rank-0 jet s: the scalar case of the product rule.  Scalar
+    factors stay on ``tc.scale``: an einsum's 0 + x*s would turn -0.0 into 0.0."""
+    c = s.value.data[0]
+    ds = (tc.scale(s.grad, a.value.data[0]) if a.valence == (0, 0)
+          else tc.outer(a.value, s.grad))
+    return JetTensor(tc.scale(a.value, c), tc.add(tc.scale(a.grad, c), ds))
 
 
 def jet_contract(t: JetTensor, upper: int, lower: int) -> JetTensor:

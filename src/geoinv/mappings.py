@@ -229,27 +229,24 @@ class MappingInstance:
 
     def source_fields(self) -> SpaceFields:
         if self._source is None:
-            space = ConnectionSpace(self.fields["L"])
-            self._source = SpaceFields(
-                space, self.flags, self.mode,
-                sigma=self.fields.get("sigma") if self.mapping != "agm3" else None,
-                f=self.fields.get("f"),
-                phi_obj=self.fields.get("phi_obj"),
-                agm=self._agm_block(space, source=True),
-            )
+            self._source = self._side(self.fields["L"], "")
         return self._source
 
     def target_fields(self) -> SpaceFields:
         if self._target is None:
-            space = ConnectionSpace(self.target_connection())
-            self._target = SpaceFields(
-                space, self.flags, self.mode,
-                sigma=self.fields.get("sigma_bar") if self.mapping != "agm3" else None,
-                f=self.fields.get("f_bar"),
-                phi_obj=self.fields.get("phi_obj_bar"),
-                agm=self._agm_block(space, source=False),
-            )
+            self._target = self._side(self.target_connection(), "_bar")
         return self._target
+
+    def _side(self, L: JetTensor, bar: str) -> SpaceFields:
+        """One side's fields: bar is "" for the source, "_bar" for the target."""
+        space = ConnectionSpace(L)
+        get = self.fields.get
+        return SpaceFields(
+            space, self.flags, self.mode,
+            sigma=get("sigma" + bar) if self.mapping != "agm3" else None,
+            f=get("f" + bar), phi_obj=get("phi_obj" + bar),
+            agm=self._agm_block(space, source=not bar),
+        )
 
     def target_connection(self) -> JetTensor:
         if self._target_L is None:
@@ -261,6 +258,7 @@ class MappingInstance:
             return None
         sigma = self.fields["sigma"]
         phi = self.fields["phi"]
+        M = vector_connection_derivative(phi, space.L, self.p)
         if source:
             side, kind = "source", "stored-parameter"
             nu = self.fields["nu"].value
@@ -270,10 +268,8 @@ class MappingInstance:
             # scalar parameters are whatever its own connection induces
             side, kind = "target", "fit"
             sigma = jet_scale(sigma, -1)
-            nu, mu, _ = fit_agm_parameters(phi, space.L, self.p, self.mode)
-        ok, res, _ = self.domain.measure(
-            vector_connection_derivative(phi, space.L, self.p),
-            _relation(phi.value, nu, mu))
+            nu, mu = _solve_agm(phi.value, M)
+        ok, res, _ = self.domain.measure(M, _relation(phi.value, nu, mu))
         if not ok:
             raise InstanceError(f"{side} connection misses the agm3 derivative "
                                 f"relation: {kind} residual {res}")
@@ -500,11 +496,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     # gradient fixed by the defining relation (full connection, order per p)
     Lv = L.value
     lterm = tc.ein("iaj,a->ij" if p == 1 else "ija,a->ij", (1, 1), Lv, phi_v)
-    phi_g = tc.sub(
-        tc.add(tc.ein("i,j->ij", (1, 1), phi_v, nu),
-               tc.scale(tc.delta(dim), mu)),
-        lterm,
-    )
+    phi_g = tc.sub(_relation(phi_v, nu, mu), lterm)
     phi = JetTensor(phi_v, phi_g)
 
     # dual covector for the rank-two corrections
@@ -571,27 +563,31 @@ def vector_connection_derivative(phi: JetTensor, L, p: int,
 def fit_agm_parameters(phi: JetTensor, L: JetTensor, p: int, mode: str):
     """Recover (nu, mu) from the defining derivative relation of the family.
 
-    Solves phi^i_,j + L-term = nu_j phi^i + mu d^i_j for the pair by
-    elimination on phi's largest component, and returns (nu, mu, max-abs
-    residual of the reconstruction).  ``mode`` no longer changes the
-    algorithm: both domains run the same elimination.
+    Solves phi^i_,j + L-term = nu_j phi^i + mu d^i_j for the pair (see
+    ``_solve_agm``) and returns (nu, mu, max-abs residual of the
+    reconstruction).  ``mode`` no longer changes the algorithm: both domains
+    run the same elimination.
     """
-    dim = phi.dim
-    if p not in (1, 2):
-        raise InstanceError(f"p must be 1 or 2, got {p}")
     M = vector_connection_derivative(phi, L, p)
-    phi_v = phi.value
+    nu, mu = _solve_agm(phi.value, M)
+    return nu, mu, tc.max_abs_diff(M, _relation(phi.value, nu, mu))
+
+
+def _solve_agm(phi_v: Tensor, M: Tensor):
+    """(nu, mu) from the kind-p derivative M of phi, by elimination on phi's
+    largest component; an int pivot divides exactly."""
     if phi_v.is_zero():
         raise DegenerateError("cannot fit parameters for a vanishing vector field")
-
+    dim = phi_v.dim
     k = max(range(dim), key=lambda i: (abs(phi_v[(i,)]), -i))
     pk = phi_v[(k,)]
+    if type(pk) is int:
+        pk = Fraction(pk)
     nu_vals = [M[(k, j)] / pk for j in range(dim)]  # valid for j != k
     i0 = 0 if k != 0 else 1
     mu = M[(i0, i0)] - nu_vals[i0] * phi_v[(i0,)]
     nu_vals[k] = (M[(k, k)] - mu) / pk
-    nu = Tensor(dim, (0, 1), nu_vals)
-    return nu, mu, tc.max_abs_diff(M, _relation(phi_v, nu, mu))
+    return Tensor(dim, (0, 1), nu_vals), mu
 
 
 def _relation(phi_v: Tensor, nu: Tensor, mu) -> Tensor:

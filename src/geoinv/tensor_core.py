@@ -55,7 +55,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class GeoinvError(Exception):
@@ -122,10 +122,6 @@ class Domain(NamedTuple):
             return d == 0, d, None
         scale = max(a.max_abs(), b.max_abs())
         return d <= abs_tol or d <= rel_tol * scale, d, scale
-
-    def close(self, a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> bool:
-        """Whether a and b agree under this domain's rule (see ``measure``)."""
-        return self.measure(a, b, rel_tol, abs_tol)[0]
 
     def tolerance(self, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> dict:
         """The closeness rule as a report entry."""
@@ -281,9 +277,6 @@ class Tensor:
         if isinstance(idx, int):
             idx = (idx,)
         return self.data[self.offset(idx)]
-
-    def indices(self) -> Iterable[tuple[int, ...]]:
-        return product(range(self.dim), repeat=self.rank)
 
     def max_abs(self):
         if _exact(self):

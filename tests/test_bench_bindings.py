@@ -26,4 +26,8 @@ def test_benchmark_bindings_trace_and_restore(monkeypatch):
     assert [o.problems for o in outcomes] == [[], []]
     recorded = {rec.names[i] for i in rec.name}
     assert {"agm.agm_basic", "invariants.weyl_factored"} <= recorded
+    # both sides of both instances build their space through the wrapped
+    # mappings.ConnectionSpace
+    names = [rec.names[i] for i in rec.name]
+    assert names.count("connection.ConnectionSpace") == 4
     assert (cli.pair_invariants, cli.agm_basic, agm.agm_basic) == originals

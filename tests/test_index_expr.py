@@ -1,10 +1,19 @@
 """Index-expression language: a formula corpus, error reporting, printing."""
 
+import ast
+import functools
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geoinv import tensor_core as tc
+from geoinv import cli, index_expr, tensor_core as tc
+from geoinv.connection import ConnectionSpace
 from geoinv.index_expr import (
     EvalError,
     Num,
@@ -15,8 +24,9 @@ from geoinv.index_expr import (
     to_source,
 )
 from geoinv.invariants import rho, weyl_basic, weyl_projective
-from geoinv.jet import covariant_derivative, jet_contract, jet_mul
+from geoinv.jet import covariant_derivative, jet_contract, jet_mul, zero_jet
 from geoinv.mappings import generate
+from geoinv.tensor_core import GeoinvError
 
 
 def delta_mix(s, dim):
@@ -114,6 +124,124 @@ def test_reference_index_order_is_canonicalized():
     sp, _, bind = bindings_for(ins)
     got = evaluate(parse("Ric{;nj}"), bind, sp)
     assert tc.max_abs_diff(got, tc.transpose_pair(sp.ricci, 0, 1)) == 0
+
+
+def test_evaluator_keeps_no_product_rule():
+    # index_expr evaluates on jets through jet.py: it reads no gradient and
+    # builds no jet of its own, so the Leibniz rule lives in one place
+    tree = ast.parse(Path(index_expr.__file__).read_text(encoding="utf-8"))
+    grads = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "grad"]
+    builds = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", getattr(n.func, "attr", None)) == "JetTensor"]
+    assert (grads, builds) == ([], [])
+
+
+def test_out_of_index_letters_is_a_geoinv_error():
+    # a jet reference that uses all 26 letters leaves none for its derivative
+    space = ConnectionSpace(zero_jet(1, (1, 2)))
+    src = "X{abcdefghijklm;nopqrstuvwxyz}"
+    with pytest.raises(GeoinvError):
+        evaluate(parse(src), {"X": zero_jet(1, (13, 13))}, space)
+    plain = evaluate(parse(src), {"X": tc.zeros(1, (13, 13))}, space)
+    assert plain.valence == (13, 13)
+
+
+# float outputs recorded before evaluation moved onto jet.py, with the count
+# of -0.0 entries in each: the general-rule instance from
+# `gen --n 2 --seed S --mode float`, evaluated on the source side
+FLOAT_EVAL_PINS = [
+    (0, "L{a;ba}*L{i;jk}", 5, "f224982f01af6e92"),
+    (0, "cd(L{a;ba}*u{;k}; m)", 0, "fa9a31b9fd1592f2"),
+    (0, "Ls{a;ba}*d{i;j}", 0, "5337f7826c666263"),
+    (3, "L{a;ba}*L{i;jk}", 2, "188fdf1a3a0e3bff"),
+    (3, "cd(L{a;ba}*u{;k}; m)", 4, "dd2c7b64da7175b0"),
+    (3, "Ls{a;ba}*d{i;j}", 0, "00f996f3a7af036a"),
+    (5, "L{a;ba}*L{i;jk}", 0, "89d990554b269e15"),
+    (5, "cd(L{a;ba}*u{;k}; m)", 0, "6090fbcaac38963a"),
+    (5, "Ls{a;ba}*d{i;j}", 2, "9f58d2a55abd9940"),
+    # a scalar times a scalar keeps its signed zeros on tc.scale
+    (0, "cd((0 - 2)*(0 - 3); n)", 2, "96b7d57506ebbb8e"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_float_eval_pins(seed, tmp_path, capsys):
+    path = str(tmp_path / "ins.json")
+    assert cli.main(["gen", "--n", "2", "--seed", str(seed),
+                     "--mode", "float", "-o", path]) == 0
+    for pin_seed, src, zeros, digest in FLOAT_EVAL_PINS:
+        if pin_seed != seed:
+            continue
+        capsys.readouterr()
+        assert cli.main(["eval", path, src]) == 0
+        out = capsys.readouterr().out
+        got = (out.count("-0.0"), hashlib.sha256(out.encode()).hexdigest()[:16])
+        assert got == (zeros, digest), (seed, src)
+
+
+def test_product_diagnostic_names_the_first_repeated_index():
+    # the message must not depend on the string hash seed
+    code = ("from geoinv.index_expr import parse\n"
+            "try:\n    parse('Ric{ka;nb}*R{amk;}')\n"
+            "except Exception as e:\n    print(e)\n")
+    src_dir = str(Path(index_expr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    messages = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True,
+                       env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                PYTHONPATH=path)).stdout
+        for seed in range(4)
+    }
+    assert len(messages) == 1
+    assert "index 'a' appears twice" in messages.pop()
+
+
+# ------------------------------------------------------------------ fuzzing
+
+FUZZ_LETTERS = "abijk"
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_space():
+    ins = generate(2, 0, flags=(1, 1, 1), mode="float")
+    return cli.eval_bindings(ins, "source"), ins.source_fields().space
+
+
+def _fuzz_expressions():
+    valences = {name: t.valence for name, t in _fuzz_space()[0].items()}
+    valences.update(d=(1, 1), nope=(0, 1))
+
+    def ref_of(name):
+        p, q = valences[name]
+        slots = [st.lists(st.sampled_from(FUZZ_LETTERS), min_size=k,
+                          max_size=k).map("".join) for k in (p, q)]
+        return st.builds(lambda up, low: f"{name}{{{up};{low}}}", *slots)
+
+    ref = st.sampled_from(sorted(valences)).flatmap(ref_of)
+    num = st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 3))
+    letter = st.sampled_from(FUZZ_LETTERS)
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("({} {} {})".format, inner, st.sampled_from("+-*"), inner),
+            st.builds("cd({}; {})".format, inner, letter),
+            st.builds("{}({}; {},{})".format, st.sampled_from(["alt", "sym"]),
+                      inner, letter, letter),
+        )
+    return st.recursive(st.one_of(ref, num), extend, max_leaves=6)
+
+
+@settings(max_examples=50)
+@given(src=_fuzz_expressions())
+def test_grammar_fuzz_raises_only_geoinv_errors(src):
+    bindings, space = _fuzz_space()
+    try:
+        out = evaluate(parse(src), bindings, space)
+    except GeoinvError:
+        return
+    assert isinstance(out, tc.Tensor)
 
 
 # ------------------------------------------------------------- parse errors

@@ -57,6 +57,54 @@ def test_jet_mul_matches_polynomial_product(seed):
     assert got.grad.data == want.grad.data
 
 
+def poly_ein(expr: str, valence, *fields: PolyField) -> PolyField:
+    """Einstein sum over polynomial fields by explicit loops over every
+    letter assignment (independent of tensor_core and jet)."""
+    ins_s, out = expr.split("->")
+    ins = ins_s.split(",")
+    letters = sorted(set(ins_s) - {","})
+    dim = fields[0].dim
+    comps = {idx: Poly(dim) for idx in itertools.product(range(dim), repeat=len(out))}
+    for vals in itertools.product(range(dim), repeat=len(letters)):
+        at = dict(zip(letters, vals))
+        term = Poly(dim, {(0,) * dim: Fraction(1)})
+        for s, f in zip(ins, fields):
+            term = term * f.comps[tuple(at[c] for c in s)]
+        key = tuple(at[c] for c in out)
+        comps[key] = comps[key] + term
+    return PolyField(dim, valence, comps)
+
+
+@pytest.mark.parametrize("expr,valence,operands", [
+    ("abc->acb", (1, 2), [(1, 2)]),
+    ("aba->b", (0, 1), [(1, 2)]),
+    ("ab,bc->ac", (1, 1), [(1, 1), (1, 1)]),
+    ("ab,c->acb", (2, 1), [(1, 1), (1, 0)]),
+    ("ab,b,c->ac", (1, 1), [(1, 1), (1, 0), (0, 1)]),
+    ("ab,bc,ca->", (0, 0), [(1, 1), (1, 1), (1, 1)]),
+])
+def test_jet_ein_matches_polynomial_einsum(expr, valence, operands):
+    rng = random.Random(f"jet_ein:{expr}")
+    point = random_point(rng, DIM)
+    fields = [PolyField.random(rng, DIM, v) for v in operands]
+    got = jet.jet_ein(expr, valence, *(f.jet_at(point) for f in fields))
+    want = poly_ein(expr, valence, *fields).jet_at(point)
+    assert got.value.data == want.value.data
+    assert got.grad.data == want.grad.data
+
+
+@pytest.mark.parametrize("valence", [(0, 0), (1, 1)])
+def test_jet_scale_by_matches_polynomial_product(valence):
+    rng = random.Random(7000 + valence[0])
+    point = random_point(rng, DIM)
+    a = PolyField.random(rng, DIM, valence)
+    s = PolyField.random(rng, DIM, (0, 0))
+    got = jet.jet_scale_by(a.jet_at(point), s.jet_at(point))
+    want = a.mul(s).jet_at(point)
+    assert got.value.data == want.value.data
+    assert got.grad.data == want.grad.data
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_jet_contract_matches_polynomial_contraction(seed):
     rng = random.Random(2000 + seed)

@@ -377,6 +377,20 @@ def test_fit_float_mode_matches_rational():
     assert abs(mu_f - float(mu_r)) < 1e-9
 
 
+@pytest.mark.parametrize("num", [int, float])
+def test_fit_divides_exactly_on_int_entries(num):
+    # phi = (2, 1), phi_,j = [[3, 1], [0, 1]], zero connection: the pivot is
+    # phi^0 = 2, so nu = (5/4, 1/2), mu = 1/2 and the residual is 5/4.  Int
+    # entries come back as exact Fractions; the float twin keeps float division.
+    phi = JetTensor(Tensor(2, (1, 0), [num(2), num(1)]),
+                    Tensor(2, (1, 1), [num(x) for x in (3, 1, 0, 1)]))
+    nu, mu, residual = fit_agm_parameters(phi, zero_jet(2, (1, 2)), 1, "rational")
+    want = Fraction if num is int else float
+    assert [type(x) for x in nu.data + [mu, residual]] == [want] * 4
+    assert nu.data == [Fraction(5, 4), Fraction(1, 2)]
+    assert (mu, residual) == (Fraction(1, 2), Fraction(5, 4))
+
+
 # ------------------------------------------- vector connection derivative
 
 

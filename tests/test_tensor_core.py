@@ -392,27 +392,27 @@ def test_domain_coefficients():
 
 def test_float_close_is_the_cli_rule_at_its_edges():
     # absolute edge: max|a - b| == ABS_TOL passes, one ulp more fails
-    assert tc.FLOAT.close(_entry(tc.ABS_TOL), _entry(0.0))
-    assert not tc.FLOAT.close(_entry(math.nextafter(tc.ABS_TOL, 1.0)), _entry(0.0))
+    assert tc.FLOAT.measure(_entry(tc.ABS_TOL), _entry(0.0))[0]
+    assert not tc.FLOAT.measure(_entry(math.nextafter(tc.ABS_TOL, 1.0)), _entry(0.0))[0]
     # relative edge: REL_TOL * 1e9 is exactly 1.0, so a gap of 1.0 sits on it
     assert tc.REL_TOL * 1e9 == 1.0
-    assert tc.FLOAT.close(_entry(1e9), _entry(1e9 - 1.0))
-    assert tc.FLOAT.close(_entry(-1e9), _entry(-1e9 + 1.0))
-    assert not tc.FLOAT.close(_entry(1e9), _entry(math.nextafter(1e9 - 1.0, 0)))
+    assert tc.FLOAT.measure(_entry(1e9), _entry(1e9 - 1.0))[0]
+    assert tc.FLOAT.measure(_entry(-1e9), _entry(-1e9 + 1.0))[0]
+    assert not tc.FLOAT.measure(_entry(1e9), _entry(math.nextafter(1e9 - 1.0, 0)))[0]
     # both edges move with the tolerances passed in
-    assert tc.FLOAT.close(_entry(2.0), _entry(1.0), rel_tol=0.5, abs_tol=0.0)
-    assert not tc.FLOAT.close(_entry(2.0), _entry(1.0), rel_tol=0.25, abs_tol=0.0)
-    assert tc.FLOAT.close(_entry(0.5), _entry(0.0), rel_tol=0.0, abs_tol=0.5)
+    assert tc.FLOAT.measure(_entry(2.0), _entry(1.0), rel_tol=0.5, abs_tol=0.0)[0]
+    assert not tc.FLOAT.measure(_entry(2.0), _entry(1.0), rel_tol=0.25, abs_tol=0.0)[0]
+    assert tc.FLOAT.measure(_entry(0.5), _entry(0.0), rel_tol=0.0, abs_tol=0.5)[0]
     ok, d, scale = tc.FLOAT.measure(_entry(-3.0), _entry(1.0))
     assert (ok, d, scale) == (False, 4.0, 3.0)
 
 
 def test_rational_close_is_exact_equality():
     third = Fraction(1, 3)
-    assert tc.RATIONAL.close(_NoScale(1, (0, 1), [third]), _NoScale(1, (0, 1), [third]))
+    assert tc.RATIONAL.measure(_NoScale(1, (0, 1), [third]), _NoScale(1, (0, 1), [third]))[0]
     tiny = Fraction(1, 10**30)
     a, b = _NoScale(1, (0, 1), [third]), _NoScale(1, (0, 1), [third + tiny])
-    assert not tc.RATIONAL.close(a, b, rel_tol=1.0, abs_tol=1.0)
+    assert not tc.RATIONAL.measure(a, b, rel_tol=1.0, abs_tol=1.0)[0]
     assert tc.RATIONAL.measure(a, b) == (False, tiny, None)
 
 
