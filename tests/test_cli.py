@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schemas, determinism, controls."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -43,6 +44,52 @@ def test_gen_is_byte_stable(tmp_path):
     a = run_gen(tmp_path, "a.json", "--n", "4", "--seed", "3")
     b = run_gen(tmp_path, "b.json", "--n", "4", "--seed", "3")
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of output bytes, recorded before the exact edges were rewritten
+# to read and write scaled integers; any change in formatting moves them.
+GOLDEN_GEN = {
+    "general-3-0-111": ["--n", "3", "--seed", "0"],
+    "general-3-0-010": ["--n", "3", "--seed", "0", "--s1", "0", "--s2", "1",
+                        "--s3", "0"],
+    "geodesic-4-1": ["--n", "4", "--seed", "1", "--mapping", "geodesic"],
+    "agm3-3-0-p2": ["--n", "3", "--seed", "0", "--mapping", "agm3", "--p", "2"],
+}
+GOLDEN = {
+    ("gen", "rational", "general-3-0-111"): "fa913cecac2a341e900823b1510ec916b37bb60c9e9991c11e3bab7ade60872d",
+    ("gen", "rational", "general-3-0-010"): "f831b4612598c0733aa4ad661fe1f317362c149341240ab75591b5e5f62a4e53",
+    ("gen", "rational", "geodesic-4-1"): "618dac3609127574608a785585337b723acd588e7936c6e45f678f4ea1c3a8d0",
+    ("gen", "rational", "agm3-3-0-p2"): "ad79ab8df969607c6413a268c05fdddc663c996f8a8d7a9d92dfff65411741e2",
+    ("gen", "float", "general-3-0-111"): "ecccd197ff5f392a94f0743f29e5b182eb48888120f901752cdc9b9d45d013be",
+    ("gen", "float", "general-3-0-010"): "c925cc1fd499f706b74d14f2356b47c04d4a336349a97c7883b84326705ecd83",
+    ("gen", "float", "geodesic-4-1"): "fcbbc925e34fd1b871e0395d9b6a9489aa2751211a3035b4f6d224c19def2215",
+    ("gen", "float", "agm3-3-0-p2"): "8ad7f52c6c8ddca74868446152c5e96d9ae04c765f9b95a9ec35dd8180947927",
+    ("check", "rational", "general-3-0-010"): "7d05b91139e718804d867a70dc960c81464ec412742bd89a911d028ada8ac4f1",
+    ("check", "float", "agm3-3-0-p2"): "1bb097ae36cb9b41f2e0d46871b49343f1eba3c6b0a9309e6bd5ca6fad0ee2e9",
+    ("eval", "rational", "L{a;bc}"): "f7a95a346df1d7a10d81de6ee1b85760e5fc89e6e935f5bbb43b613672a5eb0c",
+    ("eval", "rational", "cd(u{;j}; k)"): "c9e44e4edddac2c4459d8032ad015d7a5a1d20659b36cb7843545955afbed650",
+    ("eval", "float", "L{a;bc}"): "c4ab52ec401ccfc922bee7a68ed4e02ea943d70049e1caf9c03d5a57e25044aa",
+    ("eval", "float", "cd(u{;j}; k)"): "d47d99bc393743dc60fd6cd933eb956d7c8ad392a1a0a6fb71f10e2641a27c8f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
+def test_output_bytes_match_golden_pins(tmp_path, monkeypatch, capsys, key):
+    what, mode, arg = key
+    monkeypatch.chdir(tmp_path)  # the check report records the path it was given
+    name = arg if what != "eval" else "general-3-0-111"
+    path = f"{name}-{mode}.json"
+    assert main(["gen", *GOLDEN_GEN[name], "--mode", mode, "-o", path]) == 0
+    if what == "gen":
+        got = (tmp_path / path).read_bytes()
+    elif what == "check":
+        assert main(["check", path, "--report", "rep.json"]) == 0
+        got = (tmp_path / "rep.json").read_bytes()
+    else:
+        capsys.readouterr()
+        assert main(["eval", path, arg]) == 0
+        got = capsys.readouterr().out.encode()
+    assert hashlib.sha256(got).hexdigest() == GOLDEN[key]
 
 
 def test_gen_flag_conflicts_exit_2(tmp_path, capsys):
