@@ -23,7 +23,7 @@ from . import tensor_core as tc
 from .agm import agm_basic, agm_decompose, agm_fourth
 from .connection import ConnectionSpace
 from .index_expr import evaluate as expr_evaluate
-from .index_expr import parse as expr_parse
+from .index_expr import parse as expr_parse, ref_names
 from .jet import JetTensor
 from .mappings import (FIXED_FLAGS, MAPPINGS, MODES, InstanceError,
                        MappingInstance, curl, generate, generate_agm3,
@@ -40,13 +40,13 @@ class UsageError(GeoinvError):
 
 
 def instance_to_obj(ins: MappingInstance) -> dict:
-    num_out = ins.domain.num_out
+    tensor_out = ins.domain.tensor_out
     fields = {}
     for name, t in sorted(ins.fields.items()):
         fields[name] = {
             "valence": list(t.valence),
-            "value": [num_out(x) for x in t.value.data],
-            "grad": [num_out(x) for x in t.grad.data],
+            "value": tensor_out(t.value),
+            "grad": tensor_out(t.grad),
         }
     obj = {
         "dimension": ins.dim,
@@ -77,7 +77,7 @@ def instance_from_obj(obj) -> MappingInstance:
     mode = _expect(obj, "mode", str)
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    num_in = DOMAINS[mode].num_in
+    tensor_in = DOMAINS[mode].tensor_in
     mapping = _expect(obj, "mapping", str)
     if mapping not in MAPPINGS:
         raise UsageError(f"unknown mapping {mapping!r}")
@@ -115,11 +115,11 @@ def instance_from_obj(obj) -> MappingInstance:
                 f"field {name!r}: array lengths do not match valence "
                 f"{valence} at dimension {dim}")
         try:
-            value = Tensor(dim, valence, [num_in(x) for x in data])
-            grad = Tensor(dim, (valence[0], valence[1] + 1), [num_in(x) for x in gdata])
+            fields[name] = JetTensor(
+                tensor_in(dim, valence, data),
+                tensor_in(dim, (valence[0], valence[1] + 1), gdata))
         except ValueError as e:
             raise UsageError(str(e)) from None
-        fields[name] = JetTensor(value, grad)
     ins = MappingInstance(dim, mode, tuple(flags), mapping, fields,
                           p=p, seed=seed)
     try:
@@ -388,16 +388,14 @@ def cmd_identities(args) -> int:
 
 
 def _nest(t: Tensor, mode: str):
-    n, r = t.dim, t.p + t.q
-    def build(level: int, offset: int):
-        if level == r:
-            return DOMAINS[mode].num_out(t.data[offset])
-        stride = n ** (r - level - 1)
-        return [build(level + 1, offset + i * stride) for i in range(n)]
-    return build(0, 0)
+    out = DOMAINS[mode].tensor_out(t)
+    for _ in range(t.rank - 1):
+        out = [out[i:i + t.dim] for i in range(0, len(out), t.dim)]
+    return out if t.rank else out[0]
 
 
-def eval_bindings(ins: MappingInstance, side: str) -> dict:
+def eval_bindings(ins: MappingInstance, side: str, names=None) -> dict:
+    """One side's bindings; derived tensors only if in names (or it is None)."""
     fields = ins.source_fields() if side == "source" else ins.target_fields()
     sp = fields.space
     bind = dict(ins.fields)
@@ -411,14 +409,15 @@ def eval_bindings(ins: MappingInstance, side: str) -> dict:
         "Ricci": sp.ricci,
         "RS": sp.skew_ricci,
         "theta": sp.theta,
-        "tt": fields.theta_tilde,
-        "B": fields.B,
-        "b": fields.b,
-        "w": fields.omega,
-        "rho": inv.rho(fields),
-        "S": inv.S_tilde(fields),
-        "A": inv.A_tensor(fields),
     })
+    derived = {
+        "tt": lambda: fields.theta_tilde, "B": lambda: fields.B,
+        "b": lambda: fields.b, "w": lambda: fields.omega,
+        "rho": lambda: inv.rho(fields), "S": lambda: inv.S_tilde(fields),
+        "A": lambda: inv.A_tensor(fields),
+    }
+    bind.update({name: make() for name, make in derived.items()
+                 if names is None or name in names})
     return bind
 
 
@@ -426,7 +425,8 @@ def cmd_eval(args) -> int:
     ins = load_instance(args.file)
     try:
         node = expr_parse(args.expr)
-        out = expr_evaluate(node, eval_bindings(ins, args.space),
+        out = expr_evaluate(node,
+                            eval_bindings(ins, args.space, ref_names(node)),
                             (ins.source_fields() if args.space == "source"
                              else ins.target_fields()).space)
     except GeoinvError as e:

@@ -109,6 +109,15 @@ def to_source(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def ref_names(node) -> set[str]:
+    """The names an expression references."""
+    if isinstance(node, Ref):
+        return {node.name}
+    kids = ((node.left, node.right) if isinstance(node, BinOp)
+            else (node.arg,) if isinstance(node, Func) else ())
+    return set().union(*map(ref_names, kids))
+
+
 # ---------------------------------------------------------------------------
 # tokenizer
 

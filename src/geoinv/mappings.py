@@ -324,7 +324,7 @@ def _lattice(r: random.Random) -> int:
 
 def _draw(r, dom: Domain, dim, valence) -> Tensor:
     n = dim ** sum(valence)
-    return Tensor(dim, valence, [dom.c(_lattice(r), 16) for _ in range(n)])
+    return dom.tensor(dim, valence, [_lattice(r) for _ in range(n)], 16)
 
 
 def _draw_jet(r, dom: Domain, dim, valence) -> JetTensor:

@@ -29,8 +29,10 @@ from them) stay exact in float mode too, so no ``-0.0`` appears there.
 The mode is a ``Domain`` (``RATIONAL``/``FLOAT``, by name in ``DOMAINS``):
 it owns instance numbers (the ones generators draw and instance files carry)
 and the one closeness rule, exact equality or ``REL_TOL`` relative /
-``ABS_TOL`` absolute.  ``domain_of`` is the only place that infers the mode
-from data, and it reads the same cached scan.
+``ABS_TOL`` absolute.  Exact instance numbers enter and leave in scaled form:
+``Fraction`` appears only on ``.data`` and for file literals other than ints
+and ``'-?[0-9]+/[0-9]+'``.  ``domain_of`` is the only place that infers the
+mode from data, and it reads the same cached scan.
 
 Layout: a tensor of valence (p, q) stores its N**(p+q) entries in one flat
 list, row-major over the written index order with the upper indices first.
@@ -78,7 +80,8 @@ ABS_TOL = 1e-12
 
 
 class Domain(NamedTuple):
-    """One arithmetic mode: exact rationals or floats."""
+    """One arithmetic mode: exact rationals or floats.  Exact instance
+    tensors are drawn, read and written in scaled form."""
 
     name: str
     exact: bool
@@ -88,30 +91,36 @@ class Domain(NamedTuple):
         report ratio); formula coefficients are exact ``Fraction``s instead."""
         return Fraction(num, den) if self.exact else num / den
 
-    def num_in(self, v):
-        """An instance-file (JSON) number; ValueError when it is malformed."""
+    def tensor(self, dim: int, valence, nums: list, den: int) -> Tensor:
+        """Instance numbers nums/den (ints, one den): scaled if exact, else floats."""
         if self.exact:
-            if isinstance(v, str):
-                try:
-                    return Fraction(v)
-                except (ValueError, ZeroDivisionError) as e:
-                    raise ValueError(f"bad rational literal {v!r}: {e}") from None
-            if isinstance(v, int) and not isinstance(v, bool):
-                return Fraction(v)
-            raise ValueError(
-                f"rational-mode entries must be 'num/den' strings, got {v!r}")
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"float-mode entries must be numbers, got {v!r}")
-        if not abs(v) <= sys.float_info.max:  # NaN, infinities, over-large ints
-            raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
-        return float(v)
+            _check_shape(dim, valence, len(nums))
+            return _from_scaled(dim, valence, nums, den, ints=False)
+        return Tensor(dim, valence, [n / den for n in nums])
+
+    def tensor_in(self, dim: int, valence, vals: list) -> Tensor:
+        """Instance-file (JSON) numbers as a tensor; ValueError if one is bad."""
+        if self.exact:
+            pairs = [_ratio_in(v) for v in vals]
+            den = lcm(*{d for _, d in pairs})
+            return self.tensor(dim, valence, [n * (den // d) for n, d in pairs], den)
+        for v in vals:
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValueError(f"float-mode entries must be numbers, got {v!r}")
+            if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge ints
+                raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
+        return Tensor(dim, valence, [float(v) for v in vals])
 
     def num_out(self, x):
         """x as an instance-file (JSON) number: a 'num/den' string or a float."""
-        if self.exact:
-            f = x if type(x) is Fraction or type(x) is int else Fraction(x)
-            return f"{f.numerator}/{f.denominator}"
-        return float(x)
+        return _ratio_out(*x.as_integer_ratio()) if self.exact else float(x)
+
+    def tensor_out(self, t: Tensor) -> list:
+        """t's entries as flat instance-file numbers; exact ones from the scaled form."""
+        if not (self.exact and _exact(t)):
+            return [self.num_out(x) for x in t.data]
+        made = {n: _ratio_out(n, t._den) for n in set(t._nums)}
+        return [made[n] for n in t._nums]
 
     def measure(self, a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         """(close, d = max|a - b|, scale = max(|a|, |b|)).  Rational: close iff
@@ -128,6 +137,30 @@ class Domain(NamedTuple):
         if self.exact:
             return {"exact": True}
         return {"relative": rel_tol, "absolute": abs_tol}
+
+
+def _ratio_in(v) -> tuple[int, int]:
+    """A rational-mode instance-file number as (num, den): ints and canonical
+    '-?[0-9]+/[0-9]+' strings directly, other strings through ``Fraction``."""
+    if isinstance(v, str):
+        n, _, d = v.partition("/")
+        # ASCII digits (isdigit alone takes '²'), fewer than int()'s least limit
+        if (len(v) < 640 and v.isascii() and n.removeprefix("-").isdigit()
+                and d.isdigit() and d.strip("0")):
+            return int(n), int(d)
+        try:
+            f = Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValueError(f"bad rational literal {v!r}: {e}") from None
+        return f.numerator, f.denominator
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
+    raise ValueError(f"rational-mode entries must be 'num/den' strings, got {v!r}")
+
+
+def _ratio_out(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 RATIONAL = Domain("rational", exact=True)
@@ -215,6 +248,14 @@ def _new(dim: int, valence: tuple[int, int], data, kind, nums=None,
     return t
 
 
+def _check_shape(dim: int, valence, n: int) -> None:
+    p, q = valence
+    if dim < 1 or p < 0 or q < 0:
+        raise ShapeError(f"bad tensor shape: dim={dim}, valence={valence}")
+    if n != dim ** (p + q):
+        raise ShapeError(f"data length {n} != {dim}**{p + q} for valence {valence}")
+
+
 def _from_scaled(dim: int, valence, nums: list, den: int, ints: bool) -> Tensor:
     """The exact tensor nums/den, brought to lowest terms."""
     if den != 1:
@@ -234,12 +275,7 @@ class Tensor:
 
     def __init__(self, dim: int, valence: tuple[int, int], data: list):
         p, q = valence
-        if dim < 1 or p < 0 or q < 0:
-            raise ShapeError(f"bad tensor shape: dim={dim}, valence={valence}")
-        if len(data) != dim ** (p + q):
-            raise ShapeError(
-                f"data length {len(data)} != {dim}**{p + q} for valence {valence}"
-            )
+        _check_shape(dim, valence, len(data))
         self.dim = dim
         self.p = p
         self.q = q

@@ -1,14 +1,20 @@
 """Command-line interface: exit codes, report schemas, determinism, controls."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import subprocess
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geoinv.cli import dumps, instance_to_obj, load_instance, main
+from geoinv import cli, tensor_core as tc
+from geoinv.cli import (UsageError, dumps, instance_from_obj, instance_to_obj,
+                        load_instance, main)
+from geoinv.mappings import generate, generate_agm3
 
 
 def run_gen(tmp_path, name, *args):
@@ -357,6 +363,133 @@ def test_check_round_trip_is_bit_stable(tmp_path):
         assert dumps(instance_to_obj(ins)) == out.read_text()
 
 
+# ------------------------------------------------------- literal decoding
+
+LITERALS = ["3/16", "-0/16", "2/4", "03/016", "1.5", " 3/16", "3 /16", "3/-16",
+            "+3/16", "--3/16", "0/0", "3/0", "1e3", "\u00b2/3", "\u0663/16",
+            "1" * 5000 + "/3", 7, True, None, 0.5]
+
+
+def _reference_entry(v):
+    """A rational-mode file number the way Fraction reads it: the value, or
+    the message the CLI reports for it."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            return f"bad rational literal {v!r}: {e}"
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    return f"rational-mode entries must be 'num/den' strings, got {v!r}"
+
+
+@pytest.mark.parametrize("where", ["value", "grad"])
+@pytest.mark.parametrize("lit", LITERALS, ids=lambda v: repr(v)[:12])
+def test_literal_decoding_matches_fraction(tmp_path, capsys, lit, where):
+    obj = instance_to_obj(generate(2, 0, (1, 1, 1), "general", "rational"))
+    entries = obj["fields"]["L"][where]
+    entries[1] = lit
+    want = [_reference_entry(v) for v in entries]
+    path = tmp_path / "lit.json"
+    path.write_text(json.dumps(obj))
+    message = next((m for m in want if isinstance(m, str)), None)
+    if message is not None:
+        with pytest.raises(UsageError) as err:
+            instance_from_obj(json.loads(path.read_text()))
+        assert str(err.value) == message
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    got = getattr(instance_from_obj(json.loads(path.read_text())).fields["L"], where)
+    ref = tc.Tensor(got.dim, got.valence, want)
+    assert tc._kind(ref) is tc._kind(got) is tc._FRACTION
+    assert (got._nums, got._den) == (ref._nums, ref._den)
+    assert got.data == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(3, 0, (1, 1, 1), "general", "rational"),
+    lambda: generate(3, 1, (0, 1, 0), "general", "rational"),
+    lambda: generate(4, 1, (1, 0, 0), "geodesic", "rational"),
+    lambda: generate_agm3(3, 0, 2, "rational"),
+])
+def test_decoded_scaled_form_equals_generated(make):
+    ins = make()
+    loaded = instance_from_obj(json.loads(dumps(instance_to_obj(ins))))
+    assert loaded.fields.keys() == ins.fields.keys()
+    for name, jet in ins.fields.items():
+        for want, got in ((jet.value, loaded.fields[name].value),
+                          (jet.grad, loaded.fields[name].grad)):
+            tc._kind(want), tc._kind(got)
+            assert (got._nums, got._den) == (want._nums, want._den), name
+
+
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(LITERALS + ["1/2", "0/1", "rational", "float", "agm3",
+                                "general", "geodesic", 10**400]),
+    st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["s1", "value", "grad", "valence", "L", "u"]),
+        inner, max_size=3),
+    max_leaves=4)
+_BASES = [instance_to_obj(make()) for make in (
+    lambda: generate(2, 0, (1, 1, 1), "general", "rational"),
+    lambda: generate(2, 0, (0, 1, 0), "general", "float"),
+    lambda: generate(2, 1, (1, 0, 0), "geodesic", "rational"),
+    lambda: generate_agm3(2, 0, 2, "rational"),
+)]
+
+
+def _slots(node, path=()):
+    """(path, value) for every node below the root of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield path + (k,), v
+        yield from _slots(v, path + (k,))
+
+
+def _mutate(data, obj):
+    path, value = data.draw(st.sampled_from(list(_slots(obj))))
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    how = data.draw(st.sampled_from(["replace", "truncate", "retype", "delete"]))
+    if how == "replace":
+        parent[key] = data.draw(_JSON)
+    elif how == "truncate" and isinstance(value, list):
+        parent[key] = value[:data.draw(st.integers(0, max(len(value) - 1, 0)))]
+    elif how == "retype" and isinstance(parent, dict):
+        parent[data.draw(st.sampled_from(["x", key.upper(), key + "_"]))] = (
+            parent.pop(key))
+    else:
+        del parent[key]
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_fuzz_instance_from_obj_raises_only_usage_errors(tmp_path_factory, data):
+    obj = json.loads(json.dumps(data.draw(st.sampled_from(_BASES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, obj)
+    path = tmp_path_factory.mktemp("fuzz") / "mutant.json"
+    path.write_text(json.dumps(obj))
+    try:
+        instance_from_obj(json.loads(path.read_text()))
+    except UsageError:
+        rejected = True
+    else:
+        rejected = False
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["check", str(path)])
+    assert rc == 2 if rejected else rc in (0, 1)
+
+
 # ------------------------------------------------------------- identities
 
 
@@ -435,6 +568,20 @@ def test_eval_errors_exit_2(tmp_path, capsys):
     assert main(["eval", str(out), "L{i;jk} +"]) == 2
     assert main(["eval", str(out), "nosuch{;j}"]) == 2
     assert main(["eval", str(out), "cd(R{i;jmn}; k)"]) == 2
+    capsys.readouterr()
+
+
+def test_eval_builds_only_the_derived_bindings_it_names(tmp_path, capsys,
+                                                       monkeypatch):
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0")
+    calls = []
+    real = cli.inv.A_tensor
+    monkeypatch.setattr(cli.inv, "A_tensor",
+                        lambda fields: calls.append(1) or real(fields))
+    assert main(["eval", str(out), "u{;j}"]) == 0
+    assert calls == []
+    assert main(["eval", str(out), "A{i;jkl}"]) == 0
+    assert calls == [1]
     capsys.readouterr()
 
 
