@@ -395,7 +395,7 @@ def _nest(t: Tensor, mode: str):
 
 
 def eval_bindings(ins: MappingInstance, side: str, names=None) -> dict:
-    """One side's bindings; derived tensors only if in names (or it is None)."""
+    """One side's bindings; derived ones only if in names (all if names is None)."""
     fields = ins.source_fields() if side == "source" else ins.target_fields()
     sp = fields.space
     bind = dict(ins.fields)

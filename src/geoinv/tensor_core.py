@@ -116,7 +116,7 @@ class Domain(NamedTuple):
         return _ratio_out(*x.as_integer_ratio()) if self.exact else float(x)
 
     def tensor_out(self, t: Tensor) -> list:
-        """t's entries as flat instance-file numbers; exact ones from the scaled form."""
+        """t's entries as flat instance-file numbers; exact ones from scaled form."""
         if not (self.exact and _exact(t)):
             return [self.num_out(x) for x in t.data]
         made = {n: _ratio_out(n, t._den) for n in set(t._nums)}
