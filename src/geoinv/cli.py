@@ -17,11 +17,11 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 
 from . import invariants as inv
 from . import tensor_core as tc
 from .agm import agm_basic, agm_decompose, agm_fourth
-from .connection import ConnectionSpace
 from .index_expr import evaluate as expr_evaluate
 from .index_expr import parse as expr_parse, ref_names
 from .jet import JetTensor
@@ -39,26 +39,29 @@ class UsageError(GeoinvError):
 # number / instance (de)serialization
 
 
-def instance_to_obj(ins: MappingInstance) -> dict:
-    tensor_out = ins.domain.tensor_out
-    fields = {}
-    for name, t in sorted(ins.fields.items()):
-        fields[name] = {
-            "valence": list(t.valence),
-            "value": tensor_out(t.value),
-            "grad": tensor_out(t.grad),
-        }
+FLAG_NAMES = ("s1", "s2", "s3")
+
+
+def _header(ins: MappingInstance) -> dict:
+    """The instance entries an instance file and a check report share."""
     obj = {
         "dimension": ins.dim,
         "mode": ins.mode,
-        "flags": {"s1": ins.flags[0], "s2": ins.flags[1], "s3": ins.flags[2]},
+        "flags": dict(zip(FLAG_NAMES, ins.flags)),
         "mapping": ins.mapping,
         "seed": ins.seed,
-        "fields": fields,
     }
     if ins.mapping == "agm3":
         obj["p"] = ins.p
     return obj
+
+
+def instance_to_obj(ins: MappingInstance) -> dict:
+    out = ins.domain.tensor_out
+    return {**_header(ins), "fields": {
+        name: {"valence": list(t.valence), "value": out(t.value),
+               "grad": out(t.grad)}
+        for name, t in sorted(ins.fields.items())}}
 
 
 def _expect(obj: dict, key: str, types) -> object:
@@ -79,21 +82,10 @@ def instance_from_obj(obj) -> MappingInstance:
         raise UsageError(f"unknown mode {mode!r}")
     tensor_in = DOMAINS[mode].tensor_in
     mapping = _expect(obj, "mapping", str)
-    if mapping not in MAPPINGS:
-        raise UsageError(f"unknown mapping {mapping!r}")
     flags_obj = _expect(obj, "flags", dict)
-    flags = []
-    for key in ("s1", "s2", "s3"):
-        v = flags_obj.get(key)
-        if v not in (0, 1) or isinstance(v, bool):
-            raise UsageError(f"flag {key!r} must be 0 or 1")
-        flags.append(v)
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise UsageError("seed must be an integer or null")
-    p = obj.get("p")
-    if p is not None and p not in (1, 2):
-        raise UsageError("p must be 1 or 2")
     raw = _expect(obj, "fields", dict)
     fields: dict[str, JetTensor] = {}
     for name, entry in raw.items():
@@ -120,8 +112,8 @@ def instance_from_obj(obj) -> MappingInstance:
                 tensor_in(dim, (valence[0], valence[1] + 1), gdata))
         except ValueError as e:
             raise UsageError(str(e)) from None
-    ins = MappingInstance(dim, mode, tuple(flags), mapping, fields,
-                          p=p, seed=seed)
+    ins = MappingInstance(dim, mode, tuple(map(flags_obj.get, FLAG_NAMES)),
+                          mapping, fields, p=obj.get("p"), seed=seed)
     try:
         ins.validate()
     except InstanceError as e:
@@ -174,16 +166,20 @@ def _record(tag: str, name: str, a: Tensor, b: Tensor, mode: str,
     return row
 
 
-def _print_table(rows: list[dict], header: str) -> None:
+def _conclude(report: dict, table: list[dict], header: str,
+              out: str | None) -> int:
+    """Print the table to stderr, emit the report, return the exit code."""
     sys.stderr.write(header + "\n")
-    width = max((len(r["tag"]) for r in rows), default=4)
-    for r in rows:
+    width = max((len(r["tag"]) for r in table), default=4)
+    for r in table:
         status = "pass" if r["pass"] else "FAIL"
         seed = f"  seed={r['seed']}" if "seed" in r else ""
         sys.stderr.write(
             f"  {r['tag']:<{width}}  {status}  max_abs={r['max_abs']}{seed}\n")
-    ok = sum(1 for r in rows if r["pass"])
-    sys.stderr.write(f"  {ok}/{len(rows)} passed\n")
+    ok = sum(1 for r in table if r["pass"])
+    sys.stderr.write(f"  {ok}/{len(table)} passed\n")
+    _emit(dumps(report), out)
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +190,7 @@ def cmd_gen(args) -> int:
     given = (args.s1, args.s2, args.s3)
     fixed = FIXED_FLAGS.get(args.mapping)
     if fixed:
-        for name, got, want in zip(("s1", "s2", "s3"), given, fixed):
+        for name, got, want in zip(FLAG_NAMES, given, fixed):
             if got is not None and got != want:
                 raise UsageError(f"{args.mapping} instances fix {name}={want}")
     if args.mapping == "agm3":
@@ -213,62 +209,67 @@ def cmd_gen(args) -> int:
 # check
 
 
+def _on(mapping: str):
+    return lambda ins: ins.mapping == mapping
+
+
+# (tag, name, applies(instance) or None for every instance,
+#  build(this side's fields, the other side's fields)), sorted by tag.
+INVARIANTS = (
+    ("agm-basic", "vector-deformation factored form",
+     _on("agm3"), lambda f, g: agm_basic(f)),
+    ("agm-fourth", "vector-deformation fourth form",
+     _on("agm3"), lambda f, g: agm_fourth(f)),
+    ("geodesic-thomas", "trace-shift reduced connection",
+     _on("geodesic"), lambda f, g: inv.geodesic_thomas(f.space)),
+    ("geodesic-weyl", "trace-shift curvature form",
+     _on("geodesic"), lambda f, g: inv.geodesic_weyl(f.space)),
+    ("rho-skew", "skew part of the source-trace derivative",
+     None, lambda f, g: inv.rho_skew(f)),
+    ("skew-ricci", "skew part of the Ricci trace",
+     None, lambda f, g: f.space.skew_ricci),
+    ("theta-reduced", "reduced trace (trace-shift-free rules)",
+     lambda ins: ins.flags[0] == 0, lambda f, g: inv.theta_tilde(f)),
+    ("thomas-factored", "reduced connection, expanded route",
+     None, lambda f, g: inv.thomas_factored(f)),
+    ("thomas-reduced", "source-corrected connection (trace-shift-free rules)",
+     lambda ins: ins.flags[0] == 0, lambda f, g: inv.thomas_star(f)),
+    ("thomas-second", "reduced connection",
+     None, lambda f, g: inv.thomas_basic(f)),
+    ("thomas-third", "symmetric-mean connection (pair symmetry)",
+     None, lambda f, g: inv.thomas_third(f.space, g.space)),
+    ("weyl-basic", "curvature of the reduced connection",
+     None, lambda f, g: inv.weyl_basic(f)),
+    ("weyl-factored", "factored curvature form",
+     None, lambda f, g: inv.weyl_factored(f)),
+    ("weyl-first-closed", "first derived form, closed over the factored one",
+     None, lambda f, g: inv.weyl_first_over(f)),
+    ("weyl-fourth", "fourth derived curvature form",
+     None, lambda f, g: inv.weyl_fourth(f)),
+    ("weyl-projective", "projective curvature form",
+     _on("geodesic"), lambda f, g: inv.weyl_projective(f.space)),
+)
+
+
 def pair_invariants(ins: MappingInstance) -> list[tuple[str, str, Tensor, Tensor]]:
     """(tag, name, source value, target value) for every applicable invariant."""
-    s = ins.source_fields()
-    t = ins.target_fields()
-    rows = [
-        ("rho-skew", "skew part of the source-trace derivative",
-         inv.rho_skew(s), inv.rho_skew(t)),
-        ("skew-ricci", "skew part of the Ricci trace",
-         s.space.skew_ricci, t.space.skew_ricci),
-        ("thomas-factored", "reduced connection, expanded route",
-         inv.thomas_factored(s), inv.thomas_factored(t)),
-        ("thomas-second", "reduced connection",
-         inv.thomas_basic(s), inv.thomas_basic(t)),
-        ("thomas-third", "symmetric-mean connection (pair symmetry)",
-         inv.thomas_third(s.space, t.space),
-         inv.thomas_third(t.space, s.space)),
-        ("weyl-basic", "curvature of the reduced connection",
-         inv.weyl_basic(s), inv.weyl_basic(t)),
-        ("weyl-factored", "factored curvature form",
-         inv.weyl_factored(s), inv.weyl_factored(t)),
-        ("weyl-first-closed", "first derived form, closed over the factored one",
-         inv.weyl_first_over(s), inv.weyl_first_over(t)),
-        ("weyl-fourth", "fourth derived curvature form",
-         inv.weyl_fourth(s), inv.weyl_fourth(t)),
-    ]
-    if ins.flags[0] == 0:
-        rows.append(("theta-reduced", "reduced trace (trace-shift-free rules)",
-                     inv.theta_tilde(s), inv.theta_tilde(t)))
-        rows.append(("thomas-reduced",
-                     "source-corrected connection (trace-shift-free rules)",
-                     inv.thomas_star(s), inv.thomas_star(t)))
-    if ins.mapping == "geodesic":
-        rows.append(("geodesic-thomas", "trace-shift reduced connection",
-                     inv.geodesic_thomas(s.space),
-                     inv.geodesic_thomas(t.space)))
-        rows.append(("geodesic-weyl", "trace-shift curvature form",
-                     inv.geodesic_weyl(s.space),
-                     inv.geodesic_weyl(t.space)))
-        rows.append(("weyl-projective", "projective curvature form",
-                     inv.weyl_projective(s.space),
-                     inv.weyl_projective(t.space)))
-    if ins.mapping == "agm3":
-        rows.append(("agm-basic", "vector-deformation factored form",
-                     agm_basic(s), agm_basic(t)))
-        rows.append(("agm-fourth", "vector-deformation fourth form",
-                     agm_fourth(s), agm_fourth(t)))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    s, t = ins.source_fields(), ins.target_fields()
+    return [(tag, name, build(s, t), build(t, s))
+            for tag, name, applies, build in INVARIANTS
+            if applies is None or applies(ins)]
 
 
 def cmd_check(args) -> int:
     ins = load_instance(args.file)
     rows = [_record(tag, name, a, b, ins.mode, args.tol, args.abs_tol)
             for tag, name, a, b in pair_invariants(ins)]
-    ok = all(r["pass"] for r in rows)
-    diagnostics = []
+    report = {
+        "file": args.file,
+        **_header(ins),
+        "tolerance": ins.domain.tolerance(args.tol, args.abs_tol),
+        "invariants": rows,
+        "pass": all(r["pass"] for r in rows),
+    }
     if args.literal_p2:
         if ins.mapping != "agm3" or ins.p != 2:
             raise UsageError(
@@ -277,92 +278,64 @@ def cmd_check(args) -> int:
         gap = tc.max_abs_diff(
             vector_connection_derivative(phi, L, 2),
             vector_connection_derivative(phi, L, 2, literal=True))
-        diagnostics.append({
+        report["diagnostics"] = [{
             "tag": "literal-p2-derivative",
             "name": "gap between the contracted kind-2 vector derivative "
                     "and its uncontracted printed variant (informational)",
             "max_abs": ins.domain.num_out(gap),
-        })
-    report = {
-        "file": args.file,
-        "dimension": ins.dim,
-        "mode": ins.mode,
-        "mapping": ins.mapping,
-        "flags": {"s1": ins.flags[0], "s2": ins.flags[1], "s3": ins.flags[2]},
-        "seed": ins.seed,
-        "tolerance": ins.domain.tolerance(args.tol, args.abs_tol),
-        "invariants": rows,
-        "pass": ok,
-    }
-    if ins.mapping == "agm3":
-        report["p"] = ins.p
-    if diagnostics:
-        report["diagnostics"] = diagnostics
-    _print_table(rows, f"invariance check: {args.file}")
-    _emit(dumps(report), args.report)
-    return 0 if ok else 1
+        }]
+    return _conclude(report, rows, f"invariance check: {args.file}", args.report)
 
 
 # ---------------------------------------------------------------------------
 # identities
 
 
-def _identity_rows(n: int, seed: int, mode: str, rel_tol: float,
-                   abs_tol: float) -> list[dict]:
+def identity_rows(n: int, seed: int, mode: str, rel_tol: float,
+                  abs_tol: float) -> list[dict]:
     flags = ((seed >> 2) & 1, (seed >> 1) & 1, seed & 1)
     f = generate(n, seed, flags, "general", mode).source_fields()
     sp = f.space
-    zero2 = tc.zeros(n, (0, 2))
-    zero4 = tc.zeros(n, (1, 3))
-
-    def rec(tag, name, a, b):
-        return _record(tag, name, a, b, mode, rel_tol, abs_tol, seed=seed)
-
-    rows = [
-        rec("curvature-antisymmetry",
-            "curvature flips sign in its last index pair",
-            tc.add(sp.R, tc.transpose_pair(sp.R, 2, 3)), zero4),
-        rec("curvature-trace-curl",
-            "first-slot curvature trace equals the trace curl",
-            tc.ein("aamn->mn", (0, 2), sp.R), curl(sp.theta)),
-        rec("curvature-trace-skew",
-            "first-slot curvature trace equals minus the skew Ricci",
-            tc.ein("aamn->mn", (0, 2), sp.R),
-            tc.scale(sp.skew_ricci, -1)),
-        rec("completion-symmetry", "quadratic trace completion is symmetric",
-            tc.alternate(inv.S_tilde(f), 0, 1), zero2),
-        rec("deformation-trace-diagonal",
-            "diagonal trace of the deformation curvature is minus the "
-            "skew source-trace derivative",
-            tc.ein("aamn->mn", (0, 2), inv.A_tensor(f)),
-            tc.scale(inv.rho_skew(f), -1)),
-        rec("deformation-trace-last",
-            "alternated last-slot trace of the deformation curvature is "
-            "the skew source-trace derivative",
-            tc.alternate(tc.ein("amna->mn", (0, 2), inv.A_tensor(f)), 0, 1),
-            inv.rho_skew(f)),
-    ]
-
     g = generate_agm3(n, seed, 1 + (seed % 2), mode).source_fields()
     dec = agm_decompose(g)
-    rows.append(rec(
-        "reconstruction",
-        "deformation curvature rebuilt from its trace decomposition",
-        dec.rebuilt, inv.A_tensor(g)))
-    rows.append(rec(
-        "reconstruction-trace",
-        "symmetrized deformation-curvature trace from the decomposition",
-        inv.A_trace(g), dec.rebuilt_trace))
-    return rows
+    R_trace = tc.ein("aamn->mn", (0, 2), sp.R)
+    A, rho_skew = inv.A_tensor(f), inv.rho_skew(f)
+    rows = (
+        ("curvature-antisymmetry",
+         "curvature flips sign in its last index pair",
+         tc.add(sp.R, tc.transpose_pair(sp.R, 2, 3)), tc.zeros(n, (1, 3))),
+        ("curvature-trace-curl",
+         "first-slot curvature trace equals the trace curl",
+         R_trace, curl(sp.theta)),
+        ("curvature-trace-skew",
+         "first-slot curvature trace equals minus the skew Ricci",
+         R_trace, tc.scale(sp.skew_ricci, -1)),
+        ("completion-symmetry", "quadratic trace completion is symmetric",
+         tc.alternate(inv.S_tilde(f), 0, 1), tc.zeros(n, (0, 2))),
+        ("deformation-trace-diagonal",
+         "diagonal trace of the deformation curvature is minus the "
+         "skew source-trace derivative",
+         tc.ein("aamn->mn", (0, 2), A), tc.scale(rho_skew, -1)),
+        ("deformation-trace-last",
+         "alternated last-slot trace of the deformation curvature is "
+         "the skew source-trace derivative",
+         tc.alternate(tc.ein("amna->mn", (0, 2), A), 0, 1), rho_skew),
+        ("reconstruction",
+         "deformation curvature rebuilt from its trace decomposition",
+         dec.rebuilt, inv.A_tensor(g)),
+        ("reconstruction-trace",
+         "symmetrized deformation-curvature trace from the decomposition",
+         inv.A_trace(g), dec.rebuilt_trace),
+    )
+    return [_record(tag, name, a, b, mode, rel_tol, abs_tol, seed=seed)
+            for tag, name, a, b in rows]
 
 
 def cmd_identities(args) -> int:
-    rows = []
-    for k in range(args.count):
-        rows.extend(_identity_rows(args.n, args.seed + k, args.mode,
-                                   args.tol, args.abs_tol))
-    rows.sort(key=lambda r: (r["tag"], r["seed"]))
-    ok = all(r["pass"] for r in rows)
+    rows = sorted((r for k in range(args.count)
+                   for r in identity_rows(args.n, args.seed + k, args.mode,
+                                          args.tol, args.abs_tol)),
+                  key=lambda r: (r["tag"], r["seed"]))
     report = {
         "dimension": args.n,
         "mode": args.mode,
@@ -370,17 +343,14 @@ def cmd_identities(args) -> int:
         "seed": args.seed,
         "tolerance": DOMAINS[args.mode].tolerance(args.tol, args.abs_tol),
         "identities": rows,
-        "pass": ok,
+        "pass": all(r["pass"] for r in rows),
     }
-    shown = {}
-    for r in rows:  # one table line per identity: the worst seed
-        cur = shown.get(r["tag"])
-        if cur is None or (cur["pass"] and not r["pass"]):
-            shown[r["tag"]] = r
-    _print_table(list(shown.values()),
-                 f"identity suite: n={args.n}, {args.count} draws")
-    _emit(dumps(report), args.report)
-    return 0 if ok else 1
+    # one table line per identity: its first failing seed, else its first seed
+    worst = [min(group, key=lambda r: r["pass"])
+             for _, group in groupby(rows, key=lambda r: r["tag"])]
+    return _conclude(report, worst,
+                     f"identity suite: n={args.n}, {args.count} draws",
+                     args.report)
 
 
 # ---------------------------------------------------------------------------

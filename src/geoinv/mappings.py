@@ -182,8 +182,13 @@ class MappingInstance:
             raise InstanceError(f"unknown mode {self.mode!r}")
         if self.mapping not in MAPPINGS:
             raise InstanceError(f"unknown mapping {self.mapping!r}")
-        if any(s not in (0, 1) for s in self.flags) or len(self.flags) != 3:
+        # exact types: True and 1.0 compare equal to 1 but are not flags or p
+        if len(self.flags) != 3 or any(type(s) is not int or s not in (0, 1)
+                                       for s in self.flags):
             raise InstanceError(f"flags must be three 0/1 values, got {self.flags}")
+        if ((self.p is not None or self.mapping == "agm3")
+                and (type(self.p) is not int or self.p not in (1, 2))):
+            raise InstanceError(f"p must be 1 or 2, got {self.p!r}")
         fixed = FIXED_FLAGS.get(self.mapping, self.flags)
         if self.flags != fixed:
             raise InstanceError(f"{self.mapping} instances fix flags "
@@ -195,8 +200,6 @@ class MappingInstance:
             "phi_obj": (1, 2), "phi_obj_bar": (1, 2),
         }
         if self.mapping == "agm3":
-            if self.p not in (1, 2):
-                raise InstanceError(f"agm3 requires p in {{1,2}}, got {self.p}")
             expected.update({"sigma": (0, 2), "phi": (1, 0),
                              "nu": (0, 1), "mu": (0, 0)})
         else:
@@ -494,9 +497,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     mu = dom.c(_lattice(r), 16)
 
     # gradient fixed by the defining relation (full connection, order per p)
-    Lv = L.value
-    lterm = tc.ein("iaj,a->ij" if p == 1 else "ija,a->ij", (1, 1), Lv, phi_v)
-    phi_g = tc.sub(_relation(phi_v, nu, mu), lterm)
+    phi_g = tc.sub(_relation(phi_v, nu, mu), _connection_term(L.value, phi_v, p))
     phi = JetTensor(phi_v, phi_g)
 
     # dual covector for the rank-two corrections
@@ -555,9 +556,13 @@ def vector_connection_derivative(phi: JetTensor, L, p: int,
         if p != 2:
             raise NotApplicableError("the literal variant only exists for p=2")
         return tc.add(phi.grad, tc.ein("ija->ij", (1, 1), Lv))
-    lterm = tc.ein("iaj,a->ij" if p == 1 else "ija,a->ij", (1, 1), Lv,
-                   phi.value)
-    return tc.add(phi.grad, lterm)
+    return tc.add(phi.grad, _connection_term(Lv, phi.value, p))
+
+
+def _connection_term(Lv: Tensor, v: Tensor, p: int) -> Tensor:
+    """The connection term of the kind-p derivative of v: L^i_{aj} v^a for
+    kind 1, L^i_{ja} v^a for kind 2."""
+    return tc.ein("iaj,a->ij" if p == 1 else "ija,a->ij", (1, 1), Lv, v)
 
 
 def fit_agm_parameters(phi: JetTensor, L: JetTensor, p: int, mode: str):

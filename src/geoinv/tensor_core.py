@@ -148,10 +148,19 @@ def _ratio_in(v) -> tuple[int, int]:
         if (len(v) < 640 and v.isascii() and n.removeprefix("-").isdigit()
                 and d.isdigit() and d.strip("0")):
             return int(n), int(d)
+        shown = f"{v!r:.40}"
+        # Fraction computes 10**exp, which can run for minutes: refuse an
+        # exponent past int()'s default digit limit, as a written-out
+        # numerator is
+        _, e, exp = v.lower().rpartition("e")
+        exp = exp.replace("_", "").strip().lstrip("+-").lstrip("0")
+        if e and exp.isdecimal() and (len(exp) > 4 or int(exp) > 4300):
+            raise ValueError(f"bad rational literal {shown}: exponent beyond 4300")
         try:
             f = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"bad rational literal {v!r}: {e}") from None
+            raise ValueError(f"bad rational literal {shown}: "
+                             f"{str(e).replace(repr(v), shown)}") from None
         return f.numerator, f.denominator
     if isinstance(v, int) and not isinstance(v, bool):
         return v, 1

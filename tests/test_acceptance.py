@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from geoinv import agm, invariants as inv, tensor_core as tc
-from geoinv.cli import _identity_rows, dumps, instance_to_obj, pair_invariants
+from geoinv.cli import dumps, identity_rows, instance_to_obj, pair_invariants
 from geoinv.jet import jet_mul
 from geoinv.mappings import (
     fit_agm_parameters,
@@ -95,7 +95,7 @@ def test_criterion_2_identity_suite():
     failures = []
     for dim in (3, 4, 5):
         for seed in range(20):
-            for row in _identity_rows(dim, seed, "rational", REL_TOL, ABS_TOL):
+            for row in identity_rows(dim, seed, "rational", REL_TOL, ABS_TOL):
                 if not (row["pass"] and Fraction(row["max_abs"]) == 0):
                     failures.append((dim, seed, row["tag"], row["max_abs"]))
     ok = not failures
@@ -465,8 +465,8 @@ def test_criterion_9_determinism():
     if outs[0] != outs[1] or not outs[0]:
         failures.append("cross-process gen not byte-stable")
 
-    a = _identity_rows(4, 3, "rational", REL_TOL, ABS_TOL)
-    b = _identity_rows(4, 3, "rational", REL_TOL, ABS_TOL)
+    a = identity_rows(4, 3, "rational", REL_TOL, ABS_TOL)
+    b = identity_rows(4, 3, "rational", REL_TOL, ABS_TOL)
     if a != b:
         failures.append("identity rows not reproducible")
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schemas, determinism, controls."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import json
 import shutil
 import subprocess
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +132,19 @@ def test_gen_mode_env_default(tmp_path, monkeypatch):
 # ------------------------------------------------------------------ check
 
 
+# rows every instance certifies; the others depend on s1 and the mapping
+BASE_ROWS = {
+    "rho-skew", "skew-ricci", "thomas-factored", "thomas-second",
+    "thomas-third", "weyl-basic", "weyl-factored", "weyl-first-closed",
+    "weyl-fourth",
+}
+
+
+def test_invariant_table_is_sorted_by_unique_tags():
+    tags = [row[0] for row in cli.INVARIANTS]
+    assert tags == sorted(set(tags))
+
+
 def test_check_general_instance_passes(tmp_path):
     out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "2")
     rep_path = tmp_path / "rep.json"
@@ -140,12 +155,7 @@ def test_check_general_instance_passes(tmp_path):
     assert rep["mode"] == "rational"
     assert rep["tolerance"] == {"exact": True}
     tags = [r["tag"] for r in rep["invariants"]]
-    assert tags == sorted(tags)
-    assert set(tags) == {
-        "rho-skew", "skew-ricci", "thomas-factored", "thomas-second",
-        "thomas-third", "weyl-basic", "weyl-factored", "weyl-first-closed",
-        "weyl-fourth",
-    }
+    assert tags == sorted(BASE_ROWS)
     for row in rep["invariants"]:
         assert row["pass"] is True
         assert row["max_abs"] == "0/1"
@@ -155,8 +165,8 @@ def test_check_reduced_rows_appear_without_trace_shift(tmp_path):
     out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "2", "--s1", "0")
     rep_path = tmp_path / "rep.json"
     assert main(["check", str(out), "--report", str(rep_path)]) == 0
-    tags = {r["tag"] for r in json.loads(rep_path.read_text())["invariants"]}
-    assert {"theta-reduced", "thomas-reduced"} <= tags
+    tags = [r["tag"] for r in json.loads(rep_path.read_text())["invariants"]]
+    assert tags == sorted(BASE_ROWS | {"theta-reduced", "thomas-reduced"})
 
 
 def test_check_geodesic_rows(tmp_path):
@@ -164,9 +174,10 @@ def test_check_geodesic_rows(tmp_path):
     rep_path = tmp_path / "rep.json"
     assert main(["check", str(out), "--report", str(rep_path)]) == 0
     rep = json.loads(rep_path.read_text())
-    tags = {r["tag"] for r in rep["invariants"]}
-    assert {"geodesic-thomas", "geodesic-weyl", "weyl-projective"} <= tags
-    assert len(rep["invariants"]) == 12
+    tags = [r["tag"] for r in rep["invariants"]]
+    assert tags == sorted(
+        BASE_ROWS | {"geodesic-thomas", "geodesic-weyl", "weyl-projective"})
+    assert len(tags) == 12
     assert all(r["pass"] for r in rep["invariants"])
 
 
@@ -175,9 +186,9 @@ def test_check_agm3_rows(tmp_path):
     rep_path = tmp_path / "rep.json"
     assert main(["check", str(out), "--report", str(rep_path)]) == 0
     rep = json.loads(rep_path.read_text())
-    tags = {r["tag"] for r in rep["invariants"]}
-    assert {"agm-basic", "agm-fourth"} <= tags
-    assert len(rep["invariants"]) == 11
+    tags = [r["tag"] for r in rep["invariants"]]
+    assert tags == sorted(BASE_ROWS | {"agm-basic", "agm-fourth"})
+    assert len(tags) == 11
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -308,6 +319,23 @@ def test_check_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("key, value", [("p", True), ("p", 1.0), ("s1", 1.0)])
+def test_check_inexact_value_types_exit_2(tmp_path, capsys, mode, key, value):
+    # flags and p compare equal to True or 1.0, but only the ints 0/1 and 1/2
+    # are instance values (a float flag used to be echoed into the report)
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0", "--mode", mode,
+                  *(("--mapping", "agm3") if key == "p" else ()))
+    obj = json.loads(out.read_text())
+    (obj if key == "p" else obj["flags"])[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rep_path = tmp_path / "rep.json"
+    assert main(["check", str(bad), "--report", str(rep_path)]) == 2
+    assert not rep_path.exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
 def test_check_float_non_finite_entry_exits_2(tmp_path, capsys, entry):
     out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0", "--mode", "float")
@@ -377,7 +405,8 @@ def _reference_entry(v):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
-            return f"bad rational literal {v!r}: {e}"
+            shown = f"{v!r:.40}"  # the literal is echoed cut at 40 characters
+            return f"bad rational literal {shown}: {str(e).replace(repr(v), shown)}"
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     return f"rational-mode entries must be 'num/den' strings, got {v!r}"
@@ -405,6 +434,34 @@ def test_literal_decoding_matches_fraction(tmp_path, capsys, lit, where):
     assert tc._kind(ref) is tc._kind(got) is tc._FRACTION
     assert (got._nums, got._den) == (ref._nums, ref._den)
     assert got.data == want
+
+
+@pytest.mark.parametrize("lit, ok", [("1e4301", False), ("-1E+4301", False),
+                                     ("1e-3", True), ("-5/6", True),
+                                     ("1e4300", True)])
+def test_exponent_literals_are_bounded(tmp_path, capsys, lit, ok):
+    # Fraction builds 10**exp; past int()'s digit limit the literal is refused
+    obj = instance_to_obj(generate(2, 0, (1, 1, 1), "general", "rational"))
+    obj["fields"]["L"]["grad"][1] = lit
+    path = tmp_path / "lit.json"
+    path.write_text(json.dumps(obj))
+    if ok:
+        got = load_instance(str(path)).fields["L"].grad.data[1]
+        assert got == Fraction(lit)
+        return
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad rational literal {lit!r}: exponent beyond 4300\n")
+
+
+def test_bad_long_literal_message_is_short(tmp_path, capsys):
+    obj = instance_to_obj(generate(2, 0, (1, 1, 1), "general", "rational"))
+    obj["fields"]["L"]["value"][1] = "9" * 5000 + "x"
+    path = tmp_path / "lit.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad rational literal '99") and len(err) < 200
 
 
 @pytest.mark.parametrize("make", [
@@ -606,3 +663,55 @@ def test_console_script_cross_process_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     assert a.read_bytes() == b.read_bytes()
+
+
+def _private_cli_reads(tree):
+    """Lines that import or read an underscore name of ``geoinv.cli``:
+    ``from geoinv.cli import _x``, ``cli._x`` (however the module was bound)
+    and ``getattr(cli, "_x")``-style calls."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    aliases, hits = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            where = (node.module, node.level)
+            if where in (("geoinv.cli", 0), ("cli", 1)):
+                hits += [node.lineno for a in node.names if private(a.name)]
+            elif where in (("geoinv", 0), (None, 1)):
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "cli"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name == "geoinv.cli" and a.asname}
+
+    def is_cli(node):
+        return ((isinstance(node, ast.Name) and node.id in aliases)
+                or (isinstance(node, ast.Attribute) and node.attr == "cli"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "geoinv"))
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and is_cli(node.value)):
+            hits.append(node.lineno)
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and is_cli(node.args[0]) and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)
+              and private(node.args[1].value)):
+            hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_nothing_reads_private_cli_names():
+    # the gate and the library use the CLI's public entry points only
+    src = Path(cli.__file__).parent
+    paths = sorted(Path(__file__).parent.glob("*.py")) + sorted(src.glob("*.py"))
+    hits = {path.name: lines for path in paths if path.name != "cli.py"
+            if (lines := _private_cli_reads(ast.parse(path.read_text())))}
+    assert hits == {}
+    planted = ast.parse(
+        "from geoinv.cli import _record, main\nfrom geoinv import cli as c\n"
+        "import geoinv.cli\nc._emit('', None)\ngeoinv.cli._nest\n"
+        "getattr(c, '_header')\nc.main\nfrom .cli import _on\n")
+    assert _private_cli_reads(planted) == [1, 4, 5, 6, 8]

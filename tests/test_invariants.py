@@ -342,7 +342,7 @@ def test_no_einsum_takes_a_kronecker_delta(monkeypatch):
     for ins in (general, geodesic, third):
         cli.pair_invariants(ins)
     agm.agm_diagnostics(third.source_fields())
-    cli._identity_rows(3, 0, "rational", cli.REL_TOL, cli.ABS_TOL)
+    cli.identity_rows(3, 0, "rational", cli.REL_TOL, cli.ABS_TOL)
     fl = general.source_fields()
     inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space)
     inv.geodesic_weyl(geodesic.source_fields().space)
