@@ -26,6 +26,7 @@ from . import tensor_core as tc
 from .invariants import (
     A_tensor,
     A_trace,
+    Decomposition,
     DecompositionError,
     S_tilde,
     delta_block,
@@ -37,38 +38,6 @@ from .invariants import (
 from .jet import covariant_derivative
 from .mappings import NotApplicableError, SpaceFields
 from .tensor_core import Tensor
-
-
-class AGMDecomposition:
-    """Deformation curvature split into trace-diagonal, trace-mixed and rest.
-
-    Q must be symmetric: ``agm_decompose`` passes -mu/2 sigma, and sigma is
-    symmetric on every instance (generated so, and checked on load), so Q is
-    its own symmetrization.  ntr_u is N's last-slot trace, symmetrized.  The
-    delta blocks of Q and ntr_u, the rebuilt deformation curvature and its
-    trace are built once here and shared by every consumer of the split.
-    """
-
-    __slots__ = ("P", "Q", "N", "ntr_u", "mix_Q", "mix_ntr_u", "rebuilt",
-                 "rebuilt_trace")
-
-    def __init__(self, P: Tensor, Q: Tensor, N: Tensor):
-        if P.valence != (0, 2) or Q.valence != (0, 2) or N.valence != (1, 3):
-            raise DecompositionError(
-                f"PQN valences must be (0,2),(0,2),(1,3); got "
-                f"{P.valence}, {Q.valence}, {N.valence}"
-            )
-        self.P = P
-        self.Q = Q
-        self.N = N
-        self.ntr_u = tc.sym_pair(tc.ein("ajna->jn", (0, 2), N), 0, 1)
-        self.mix_Q = tc.delta_mix(Q)
-        self.mix_ntr_u = tc.delta_mix(self.ntr_u)
-        # delta_outer(alt P) + delta_mix(Q) + N, and its symmetrized last-slot
-        # trace ntr_u - (N-1) Q
-        self.rebuilt = tc.add(tc.delta_outer(tc.alternate(P, 0, 1)),
-                              tc.add(self.mix_Q, N))
-        self.rebuilt_trace = tc.add_scaled(self.ntr_u, -(Q.dim - 1), Q)
 
 
 class _Blocks:
@@ -283,46 +252,42 @@ def s_tilde_closed(fields: SpaceFields) -> Tensor:
     return tc.add_scaled(b.y["tt_tt"], Fraction(-(b.N + 1), 2), b.y["s_tt"])
 
 
-def agm_decompose(fields: SpaceFields) -> AGMDecomposition:
-    """Split the deformation curvature into its trace-mixed part and rest.
+def agm_decompose(fields: SpaceFields) -> Decomposition:
+    """Split the deformation curvature into its trace-mixed part, with
+    Y = -mu/2 sigma, and the rest.
 
     Validates the reconstruction against the pipeline's deformation
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
     g = b.deform(printed=False)
-    dec = AGMDecomposition(tc.zeros(b.N, (0, 2)),
-                           tc.scale(b.sv, -(b.mu * Fraction(1, 2))),
-                           tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
-    ok, resid, _ = fields.domain.measure(dec.rebuilt, A_tensor(fields))
+    dec = Decomposition(tc.scale(b.sv, -(b.mu * Fraction(1, 2))),
+                        tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
+    ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
     if not ok:
         raise DecompositionError(
             f"deformation-curvature reconstruction residual {resid}")
     return dec
 
 
-def weyl_forms_from_decomposition(dec: AGMDecomposition, fields: SpaceFields
+def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
                                   ) -> tuple[Tensor, Tensor, Tensor]:
     """The factored, fourth and first-display forms re-expressed through a
-    decomposition of the deformation curvature (exact substitutions)."""
-    N = fields.dim
-    curv = tc.add(fields.space.R, dec.rebuilt)
+    decomposition of the deformation curvature (exact substitutions); the
+    fourth is ``derived_invariants(dec, fields.space)["fourth"]``."""
+    N, R = fields.dim, fields.space.R
     first_base = tc.add_scaled(
-        curv, Fraction(-1, N + 1),
+        tc.add(R, dec.total), Fraction(-1, N + 1),
         tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho")))
-
     first = tc.add_scaled(first_base, Fraction(-1, (N + 1) ** 2),
                           delta_block(fields, "s_tilde"))
-
-    fourth = tc.add_scaled(curv, Fraction(1, N - 1),
-                           delta_block(fields, "sym_ricci"))
-    fourth = tc.sub(fourth, dec.mix_Q)
-    fourth = tc.add_scaled(fourth, Fraction(1, N - 1), dec.mix_ntr_u)
-
+    c = Fraction(1, N - 1)
+    fourth = tc.add_scaled(tc.add(R, dec.Z), c, delta_block(fields, "sym_ricci"))
+    fourth = tc.add_scaled(fourth, c, dec.mix_z_trace)
     first_disp = tc.add_scaled(first_base, Fraction(N - 1, (N + 1) ** 2),
-                               dec.mix_Q)
+                               dec.mix_Y)
     first_disp = tc.add_scaled(first_disp, Fraction(-1, (N + 1) ** 2),
-                               dec.mix_ntr_u)
+                               dec.mix_z_trace)
     return first, fourth, first_disp
 
 
@@ -363,15 +328,15 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     row("split", "fourth-vs-pipeline", fourth, pipeline["fourth"])
     row("split", "first-display-vs-pipeline", first_disp, pipeline["first"])
     # trace identity of the split, and the published variants' gaps
-    row("split", "trace-identity", A_trace(fields), dec.rebuilt_trace)
-    # the published fourth drops the trace-mixed pair, delta_mix of Q minus
-    # that of its symmetrization: zero, as Q is symmetric
+    row("split", "trace-identity", A_trace(fields), dec.total_trace())
+    # the published fourth drops the trace-mixed pair, delta_mix of Y minus
+    # that of its symmetrization: zero, as Y is symmetric
     row("split", "fourth-published", fourth, fourth)
     # the published first-display scales both trace corrections down by N-1
     pr_first_disp = tc.add_scaled(first_disp, Fraction(-(N - 2), (N + 1) ** 2),
-                                  dec.mix_Q)
+                                  dec.mix_Y)
     pr_first_disp = tc.add_scaled(pr_first_disp,
                                   Fraction(N - 2, (N + 1) ** 2 * (N - 1)),
-                                  dec.mix_ntr_u)
+                                  dec.mix_z_trace)
     row("split", "first-display-published", pr_first_disp, first_disp)
     return rows

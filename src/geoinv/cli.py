@@ -322,10 +322,10 @@ def identity_rows(n: int, seed: int, mode: str, rel_tol: float,
          tc.alternate(tc.ein("amna->mn", (0, 2), A), 0, 1), rho_skew),
         ("reconstruction",
          "deformation curvature rebuilt from its trace decomposition",
-         dec.rebuilt, inv.A_tensor(g)),
+         dec.total, inv.A_tensor(g)),
         ("reconstruction-trace",
          "symmetrized deformation-curvature trace from the decomposition",
-         inv.A_trace(g), dec.rebuilt_trace),
+         inv.A_trace(g), dec.total_trace()),
     )
     return [_record(tag, name, a, b, mode, rel_tol, abs_tol, seed=seed)
             for tag, name, a, b in rows]

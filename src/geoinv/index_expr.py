@@ -26,6 +26,7 @@ lexicographically.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from . import tensor_core as tc
@@ -152,10 +153,12 @@ def _tokenize(src: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() parses; isdigit() also takes '²'
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
+            if 0 < sys.get_int_max_str_digits() < j - i:
+                raise ParseError(f"number of {j - i} digits is too long", line, col)
             out.append(_Token("NUMBER", src[i:j], line, col))
             col += j - i
             i = j
@@ -433,8 +436,12 @@ def _mul(a: _Val, b: _Val) -> _Val:
 
 def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
     if isinstance(node, Num):
-        t = Tensor(space.dim, (0, 0), [dom.c(node.num, node.den)])
-        return _Val((), (), constant_jet(t))
+        try:
+            x = dom.c(node.num, node.den)
+        except OverflowError:
+            raise EvalError(f"number {to_source(node):.40}... is past the "
+                            f"float range") from None
+        return _Val((), (), constant_jet(Tensor(space.dim, (0, 0), [x])))
     if isinstance(node, Ref):
         return _ref_value(node, bindings, space)
     if isinstance(node, BinOp):

@@ -145,92 +145,85 @@ def weyl_factored(fields: SpaceFields) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# derived invariants of a three-part decomposition
+# derived invariants of a decomposition
 
 
-class XYZDecomposition:
-    """Input shape of the derived-invariant constructions.
+class Decomposition:
+    """A deformation-type (1,3) form written as delta_mix(Y) + Z.
 
-    X and Y are (0,2); Z is (1,3) and must be antisymmetric in its last two
-    slots — the constructions are only stated for that shape.
+    Y is (0,2); Z is (1,3) and must be antisymmetric in its last two slots,
+    the only shape the constructions are stated for.  The rebuild operator
+    (``derived_invariants``) and the agm split share the blocks built once
+    here: ``mix_Y``, ``total = mix_Y + Z``, ``z_trace`` (Z's symmetrized
+    last-slot trace) and ``mix_z_trace``.
     """
 
-    __slots__ = ("X", "Y", "Z")
+    __slots__ = ("Y", "Z", "mix_Y", "total", "z_trace", "mix_z_trace")
 
-    def __init__(self, X: Tensor, Y: Tensor, Z: Tensor):
-        if X.valence != (0, 2) or Y.valence != (0, 2) or Z.valence != (1, 3):
+    def __init__(self, Y: Tensor, Z: Tensor):
+        if Y.valence != (0, 2) or Z.valence != (1, 3):
             raise DecompositionError(
-                f"XYZ valences must be (0,2),(0,2),(1,3); got "
-                f"{X.valence}, {Y.valence}, {Z.valence}"
-            )
+                f"Y, Z valences must be (0,2), (1,3); got {Y.valence}, {Z.valence}")
         if not tc.add(Z, tc.transpose_pair(Z, 2, 3)).is_zero():
             raise DecompositionError("Z must be antisymmetric in its last two slots")
-        self.X = X
-        self.Y = Y
-        self.Z = Z
+        self.Y, self.Z = Y, Z
+        self.mix_Y = tc.delta_mix(Y)
+        self.total = tc.add(self.mix_Y, Z)
+        self.z_trace = tc.sym_pair(tc.ein("ajna->jn", (0, 2), Z), 0, 1)
+        self.mix_z_trace = tc.delta_mix(self.z_trace)
+
+    def total_trace(self) -> Tensor:
+        """The symmetrized last-slot trace of ``total``, z_trace - (N-1) Y.
+
+        Holds only for a symmetric Y, whose delta block contributes
+        -(N-1) Y to that trace; the agm split's Y = -mu/2 sigma is symmetric,
+        as sigma is on every instance (generated so, and checked on load).
+        """
+        return tc.add_scaled(self.z_trace, -(self.Y.dim - 1), self.Y)
 
 
-def derived_invariants(dec: XYZDecomposition,
+def derived_invariants(dec: Decomposition,
                        space: ConnectionSpace) -> dict[str, Tensor]:
-    """The first, second and fourth derived forms of R + delta-completed X/Y/Z."""
+    """The first, second and fourth derived forms of R + delta_mix(Y) + Z."""
     N = space.dim
-    R = space.R
-    X, Y, Z = dec.X, dec.Y, dec.Z
-    z_tr_first = tc.ein("aamn->mn", (0, 2), Z)           # Z^a_amn
-    z_tr_last = tc.ein("ajna->jn", (0, 2), Z)            # Z^a_jna
-    common = tc.add(tc.delta_mix(Y), Z)
-
-    w1 = tc.add(R, common)
-    w1 = tc.add_scaled(
-        w1, Fraction(-1, N),
-        tc.delta_outer(tc.add(tc.alternate(Y, 0, 1), z_tr_first)),
-    )
-
-    w2 = tc.add(R, common)
-    w2 = tc.add_scaled(
-        w2, Fraction(-1, 2),
-        tc.delta_outer(tc.sub(tc.scale(tc.alternate(Y, 0, 1), N - 1),
-                              tc.alternate(z_tr_last, 0, 1))),
-    )
-
-    w4 = tc.add(R, Z)
-    w4 = tc.add_scaled(w4, Fraction(1, N - 1),
-                       tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
-    w4 = tc.add(w4, tc.delta_outer(tc.alternate(X, 0, 1)))
-    x_terms = tc.sub(tc.delta_mix(X), tc.delta_mix(tc.transpose_pair(X, 0, 1)))
-    w4 = tc.add_scaled(w4, Fraction(-1, N - 1), x_terms)
-    w4 = tc.add_scaled(w4, Fraction(1, N - 1),
-                       tc.delta_mix(tc.sym_pair(z_tr_last, 0, 1)))
-
-    return {"first": w1, "second": w2, "fourth": w4}
+    z_tr_first = tc.ein("aamn->mn", (0, 2), dec.Z)       # Z^a_amn
+    z_tr_last = tc.ein("ajna->jn", (0, 2), dec.Z)        # Z^a_jna
+    alt_Y = tc.alternate(dec.Y, 0, 1)
+    curv = tc.add(space.R, dec.total)
+    first = tc.add_scaled(curv, Fraction(-1, N),
+                          tc.delta_outer(tc.add(alt_Y, z_tr_first)))
+    second = tc.add_scaled(curv, Fraction(-1, 2), tc.delta_outer(
+        tc.sub(tc.scale(alt_Y, N - 1), tc.alternate(z_tr_last, 0, 1))))
+    c = Fraction(1, N - 1)
+    fourth = tc.add_scaled(tc.add(space.R, dec.Z), c,
+                           tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
+    return {"first": first, "second": second,
+            "fourth": tc.add_scaled(fourth, c, dec.mix_z_trace)}
 
 
-def xyz_weyl_factored(fields: SpaceFields) -> XYZDecomposition:
-    """The factored Weyl form, written as an XYZ decomposition."""
+def _trace_decomposition(fields: SpaceFields, completion: Tensor) -> Decomposition:
     N = fields.dim
-    Y = tc.add_scaled(
-        tc.scale(tc.sub(rho(fields), fields.space.trace_cov_derivative()),
-                 Fraction(1, N + 1)),
-        Fraction(-1, (N + 1) ** 2), S_tilde(fields),
-    )
-    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
+    bracket = tc.sub(rho(fields), fields.space.trace_cov_derivative())
+    Y = tc.add_scaled(tc.scale(bracket, Fraction(1, N + 1)),
+                      Fraction(-1, (N + 1) ** 2), completion)
+    return Decomposition(Y, A_tensor(fields))
 
 
-def xyz_weyl_fourth(fields: SpaceFields) -> XYZDecomposition:
+def xyz_weyl_factored(fields: SpaceFields) -> Decomposition:
+    """The factored Weyl form, written as a decomposition."""
+    return _trace_decomposition(fields, S_tilde(fields))
+
+
+def xyz_weyl_fourth(fields: SpaceFields) -> Decomposition:
     N = fields.dim
     Y = tc.scale(tc.add(tc.sym_pair(fields.space.ricci, 0, 1), A_trace(fields)),
                  Fraction(1, N - 1))
-    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
+    return Decomposition(Y, A_tensor(fields))
 
 
-def xyz_weyl_first_display(fields: SpaceFields) -> XYZDecomposition:
-    N = fields.dim
-    Y = tc.add_scaled(
-        tc.scale(tc.sub(rho(fields), fields.space.trace_cov_derivative()),
-                 Fraction(1, N + 1)),
-        Fraction(-1, (N + 1) ** 2), A_trace(fields),
-    )
-    return XYZDecomposition(tc.zeros(N, (0, 2)), Y, A_tensor(fields))
+def xyz_weyl_first_display(fields: SpaceFields) -> Decomposition:
+    """The displayed first form: the factored one, completed by the A-trace."""
+    return _trace_decomposition(fields, A_trace(fields))
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,10 @@ def _ratio_in(v) -> tuple[int, int]:
 
 def _ratio_out(n: int, d: int) -> str:
     g = gcd(n, d)
-    return f"{n // g}/{d // g}"
+    try:
+        return f"{n // g}/{d // g}"
+    except ValueError:  # past int()'s digit limit
+        raise GeoinvError("exact number too long to write") from None
 
 
 RATIONAL = Domain("rational", exact=True)

@@ -271,9 +271,19 @@ def test_decomposition_round_trip():
     for _, s, t in all_cases():
         for fl in (s, t):
             dec = agm.agm_decompose(fl)
-            assert dec.P.is_zero()
             expected_q = tc.scale(fl.agm.sigma.value, -Fraction(1, 2) * fl.agm.mu)
-            assert tc.max_abs_diff(dec.Q, expected_q) == 0
+            assert tc.max_abs_diff(dec.Y, expected_q) == 0
+
+
+def test_split_fourth_form_is_the_rebuild_operators():
+    cases = [(s, t) for _, s, t in all_cases()]
+    float_ins = generate_agm3(3, 7, 2, "float")
+    cases.append((float_ins.source_fields(), float_ins.target_fields()))
+    for pair in cases:
+        for fl in pair:
+            dec = agm.agm_decompose(fl)
+            _, fourth, _ = agm.weyl_forms_from_decomposition(dec, fl)
+            assert fourth.data == inv.derived_invariants(dec, fl.space)["fourth"].data
 
 
 # -------------------------------------------------------------- float parity

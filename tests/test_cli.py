@@ -628,6 +628,36 @@ def test_eval_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "mode,expr",
+    [
+        ("rational", "\u00b2*u{;i}"),
+        ("rational", "9" * 5000 + "*u{;i}"),
+        ("float", "9" * 400 + "*u{;i}"),
+    ],
+    ids=["superscript-digit", "past-int-digit-limit", "past-float-range"],
+)
+def test_eval_bad_number_literals_exit_2(tmp_path, capsys, mode, expr):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0", "--mode", mode)
+    assert main(["eval", str(out), expr]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 200
+
+
+def test_eval_output_past_the_digit_limit_exits_2(tmp_path, capsys):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0")
+    obj = json.loads(out.read_text())
+    obj["fields"]["u"]["value"][0] = "1e4300"  # 4301 digits, accepted on load
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(obj))
+    lit = "9" * 4000
+    for path, expr in ((big, "u{;i}"), (out, f"{lit}*{lit}")):
+        assert main(["eval", str(path), expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too long to write" in captured.err and len(captured.err) < 200
+
+
 def test_eval_builds_only_the_derived_bindings_it_names(tmp_path, capsys,
                                                        monkeypatch):
     out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0")

@@ -275,6 +275,23 @@ def test_parse_errors(src, frag):
     assert "line" in message and "column" in message
 
 
+@pytest.mark.parametrize(
+    "src,frag",
+    [
+        ("2*\u00b2", "unexpected character"),  # isdigit() takes '²', int() not
+        ("2*" + "9" * 5000, "5000 digits"),      # past int()'s digit limit
+        ("2/" + "9" * 5000, "5000 digits"),
+    ],
+    ids=["superscript-digit", "long-numerator", "long-denominator"],
+)
+def test_number_literal_parse_errors(src, frag):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    err = excinfo.value
+    assert frag in str(err) and len(str(err)) < 120
+    assert (err.line, err.col) == (1, 3)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as excinfo:
         parse("R{i;jm} +")
@@ -301,6 +318,14 @@ def test_eval_errors():
         with pytest.raises(EvalError) as excinfo:
             evaluate(parse(src), bind, sp)
         assert frag in str(excinfo.value), (src, str(excinfo.value))
+
+
+def test_float_literal_past_the_float_range_is_an_eval_error():
+    sp = generate(3, 0, flags=(1, 1, 1), mode="float").source_fields().space
+    assert evaluate(parse("1" * 300), {}, sp).data[0] == float("1" * 300)
+    with pytest.raises(EvalError) as excinfo:
+        evaluate(parse("1" * 400), {}, sp)
+    assert "float range" in str(excinfo.value) and len(str(excinfo.value)) < 120
 
 
 # ------------------------------------------------------------------ printer

@@ -77,6 +77,13 @@ def test_half_sum_connection_is_pair_symmetric():
         assert tc.max_abs_diff(a, b) == 0
 
 
+def test_half_sum_connection_of_one_space_is_its_symmetric_part():
+    # pins the 1/2, which no invariance row can see
+    for _, s, t in all_cases():
+        for sp in (s.space, t.space):
+            assert tc.max_abs_diff(inv.thomas_third(sp, sp), sp.Lsym.value) == 0
+
+
 def test_conditional_invariants_hold_on_generated_instances():
     # The generator enforces the two curl conditions these forms require.
     for ins, s, t in all_cases():
@@ -245,6 +252,19 @@ def test_decomposition_trace_identities():
         y1 = tc.alternate(inv.xyz_weyl_factored(fl).Y, 0, 1)
         pred = tc.scale(tc.add(rhat, rhohat), Fraction(1, n + 1))
         assert tc.max_abs_diff(y1, pred) == 0
+
+
+def test_decomposition_rejects_bad_shapes():
+    _, s, _ = case(3, 0, (1, 1, 1))
+    dec = inv.xyz_weyl_factored(s)
+    Y, Z = dec.Y, dec.Z
+    for bad in ((Z, Z), (Y, Y), (tc.zeros(3, (1, 1)), Z), (Y, tc.zeros(3, (0, 4)))):
+        with pytest.raises(inv.DecompositionError, match="valences"):
+            inv.Decomposition(*bad)
+    lopsided = tc.add(Z, tc.delta_outer(tc.sym_pair(Y, 0, 1)))
+    with pytest.raises(inv.DecompositionError, match="antisymmetric"):
+        inv.Decomposition(Y, lopsided)
+    assert tc.max_abs_diff(dec.total, tc.add(delta_mix(Y, 3), Z)) == 0
 
 
 # ------------------------------------------------------------ geodesic forms
