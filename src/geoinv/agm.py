@@ -327,11 +327,8 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     row("split", "first-vs-pipeline", first, pipeline["basic"])
     row("split", "fourth-vs-pipeline", fourth, pipeline["fourth"])
     row("split", "first-display-vs-pipeline", first_disp, pipeline["first"])
-    # trace identity of the split, and the published variants' gaps
+    # trace identity of the split, and the published first-display gap
     row("split", "trace-identity", A_trace(fields), dec.total_trace())
-    # the published fourth drops the trace-mixed pair, delta_mix of Y minus
-    # that of its symmetrization: zero, as Y is symmetric
-    row("split", "fourth-published", fourth, fourth)
     # the published first-display scales both trace corrections down by N-1
     pr_first_disp = tc.add_scaled(first_disp, Fraction(-(N - 2), (N + 1) ** 2),
                                   dec.mix_Y)

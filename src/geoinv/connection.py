@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import tensor_core as tc
-from .jet import JetTensor, jet_alternate, jet_contract, jet_scale, jet_sym_pair
+from .jet import JetTensor, linear
 from .tensor_core import ShapeError, Tensor
 
 
@@ -19,7 +19,8 @@ def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
     """Symmetric and antisymmetric (half-difference) parts, as jets."""
     if L.valence != (1, 2):
         raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
-    return jet_sym_pair(L, 1, 2), jet_scale(jet_alternate(L, 1, 2), Fraction(1, 2))
+    return (linear(tc.sym_pair, L, 1, 2),
+            linear(tc.scale, linear(tc.alternate, L, 1, 2), Fraction(1, 2)))
 
 
 def curvature(Lsym: JetTensor) -> Tensor:
@@ -69,7 +70,7 @@ class ConnectionSpace:
         self.ricci = ricci(self.R)
         self.skew_ricci = tc.alternate(self.ricci, 0, 1)
         # theta_j = L^a_ja of the symmetric part, with its gradient
-        self.theta = jet_contract(self.Lsym, 0, 1)
+        self.theta = linear(tc.contract, self.Lsym, 0, 1)
         self._trace_cd: Tensor | None = None
 
     def torsion(self) -> Tensor:

@@ -26,6 +26,7 @@ lexicographically.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import NamedTuple
 
@@ -35,12 +36,9 @@ from .jet import (
     JetTensor,
     constant_jet,
     covariant_derivative,
-    jet_add,
-    jet_alternate,
     jet_ein,
     jet_scale_by,
-    jet_sub,
-    jet_sym_pair,
+    linear,
 )
 from .tensor_core import GeoinvError, Tensor
 
@@ -200,25 +198,40 @@ class _Parser:
                              tok.line, tok.col, expected=(repr(text),))
         return self.next()
 
+    # expr, term and factor return (node, (free uppers, free lowers)) and
+    # check Einstein usage as each node is built, at the token that breaks it
+
     def expr(self):
-        node = self.term()
+        node, free = self.term()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = BinOp(op, node, self.term())
-        return node
+            op = self.next()
+            right, rfree = self.term()
+            if rfree != free:
+                raise ParseError(
+                    f"free indices differ across {op.text!r}: "
+                    f"{_fmt(*free)} vs {_fmt(*rfree)}", op.line, op.col)
+            node = BinOp(op.text, node, right)
+        return node, free
 
     def term(self):
-        node = self.factor()
+        node, (lu, ll) = self.factor()
         while self.peek().text == "*":
-            self.next()
-            node = BinOp("*", node, self.factor())
-        return node
+            op = self.next()
+            right, (ru, rl) = self.factor()
+            for x in sorted((lu & ru) | (ll & rl)):
+                raise ParseError(
+                    f"index {x!r} appears twice in the same position across "
+                    f"a product", op.line, op.col)
+            node = BinOp("*", node, right)
+            lu, ll = (lu - rl) | (ru - ll), (ll - ru) | (rl - lu)
+        return node, (lu, ll)
 
     def factor(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.next()
             num = int(tok.text)
+            den = 1
             if self.peek().text == "/":
                 self.next()
                 den_tok = self.peek()
@@ -231,13 +244,12 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator",
                                      den_tok.line, den_tok.col)
-                return Num(num, den)
-            return Num(num, 1)
+            return Num(num, den), (frozenset(), frozenset())
         if tok.text == "(":
             self.next()
-            node = self.expr()
+            out = self.expr()
             self.expect(")")
-            return node
+            return out
         if tok.kind == "NAME":
             self.next()
             if self.peek().text == "(":
@@ -246,7 +258,7 @@ class _Parser:
                                      tok.line, tok.col,
                                      expected=("alt", "sym", "cd"))
                 self.next()
-                arg = self.expr()
+                arg, (au, al) = self.expr()
                 self.expect(";")
                 indices = [self._index()]
                 while self.peek().text == ",":
@@ -259,7 +271,23 @@ class _Parser:
                         f"{tok.text} takes {want} "
                         f"{'index' if want == 1 else 'indices'}, "
                         f"got {len(indices)}", tok.line, tok.col)
-                return Func(tok.text, arg, tuple(indices))
+                node = Func(tok.text, arg, tuple(indices))
+                if tok.text == "cd":
+                    k = indices[0]
+                    if k in au | al:
+                        raise ParseError(
+                            f"derivative index {k!r} already free in the "
+                            f"operand", tok.line, tok.col)
+                    return node, (au, al | {k})
+                x, y = indices
+                if x == y:
+                    raise ParseError(f"{tok.text} needs two distinct indices",
+                                     tok.line, tok.col)
+                if not ({x, y} <= au or {x, y} <= al):
+                    raise ParseError(
+                        f"{tok.text} indices {x!r},{y!r} must both be free in "
+                        f"the same position kind", tok.line, tok.col)
+                return node, (au, al)
             if self.peek().text == "{":
                 self.next()
                 uppers = []
@@ -271,7 +299,15 @@ class _Parser:
                     while self.peek().kind == "NAME":
                         lowers.extend(self._split_indices(self.next()))
                 self.expect("}")
-                return Ref(tok.text, tuple(uppers), tuple(lowers))
+                for seq, kind in ((uppers, "upper"), (lowers, "lower")):
+                    for x in seq:
+                        if seq.count(x) > 1:
+                            raise ParseError(
+                                f"index {x!r} repeated in {kind} position of "
+                                f"{tok.text}", tok.line, tok.col)
+                both = set(uppers) & set(lowers)
+                return (Ref(tok.text, tuple(uppers), tuple(lowers)),
+                        (frozenset(uppers) - both, frozenset(lowers) - both))
             nxt = self.peek()
             raise ParseError(f"unexpected {nxt.text or 'end of input'!r}",
                              nxt.line, nxt.col, expected=("'{'", "'('"))
@@ -296,56 +332,6 @@ class _Parser:
         return list(tok.text)
 
 
-def _free_indices(node, where: tuple[int, int]):
-    """(upper-set, lower-set) of free indices, validating Einstein usage."""
-    line, col = where
-    if isinstance(node, Num):
-        return frozenset(), frozenset()
-    if isinstance(node, Ref):
-        up, low = node.uppers, node.lowers
-        for seq, kind in ((up, "upper"), (low, "lower")):
-            for x in seq:
-                if seq.count(x) > 1:
-                    raise ParseError(
-                        f"index {x!r} repeated in {kind} position of "
-                        f"{node.name}", line, col)
-        both = set(up) & set(low)
-        return frozenset(set(up) - both), frozenset(set(low) - both)
-    if isinstance(node, BinOp):
-        lu, ll = _free_indices(node.left, where)
-        ru, rl = _free_indices(node.right, where)
-        if node.op == "*":
-            for x in sorted((lu & ru) | (ll & rl)):
-                raise ParseError(
-                    f"index {x!r} appears twice in the same position across "
-                    f"a product", line, col)
-            return (lu - rl) | (ru - ll), (ll - ru) | (rl - lu)
-        if (lu, ll) != (ru, rl):
-            raise ParseError(
-                f"free indices differ across {node.op!r}: "
-                f"{_fmt(lu, ll)} vs {_fmt(ru, rl)}", line, col)
-        return lu, ll
-    if isinstance(node, Func):
-        au, al = _free_indices(node.arg, where)
-        if node.kind == "cd":
-            k = node.indices[0]
-            if k in au | al:
-                raise ParseError(
-                    f"derivative index {k!r} already free in the operand",
-                    line, col)
-            return au, al | {k}
-        x, y = node.indices
-        if x == y:
-            raise ParseError(f"{node.kind} needs two distinct indices",
-                             line, col)
-        if not ({x, y} <= au or {x, y} <= al):
-            raise ParseError(
-                f"{node.kind} indices {x!r},{y!r} must both be free in the "
-                f"same position kind", line, col)
-        return au, al
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def _fmt(up, low):
     return "{" + "".join(sorted(up)) + ";" + "".join(sorted(low)) + "}"
 
@@ -353,12 +339,11 @@ def _fmt(up, low):
 def parse(src: str):
     """Parse a source string into an AST, validating index usage."""
     parser = _Parser(_tokenize(src))
-    node = parser.expr()
+    node, _ = parser.expr()
     end = parser.peek()
     if end.kind != "END":
         raise ParseError(f"unexpected {end.text!r}", end.line, end.col,
                          expected=("end of input",))
-    _free_indices(node, (1, 1))
     return node
 
 
@@ -372,16 +357,17 @@ class _Val(NamedTuple):
     t: JetTensor | Tensor     # a jet when the gradient is known
 
 
-def _op(jet_fn, fn, *args):
-    """jet_fn when every tensor operand is a jet, else fn on the values;
-    other arguments pass through."""
+def _op(fn, *args, product=None):
+    """The tensor function fn on jets when every tensor operand is a jet
+    (lifted by ``linear``, or by the product rule ``product`` when fn is
+    not linear), else fn on the values; other arguments pass through."""
     if not any(isinstance(x, Tensor) for x in args):
-        return jet_fn(*args)
+        return product(*args) if product else linear(fn, *args)
     return fn(*(x.value if isinstance(x, JetTensor) else x for x in args))
 
 
 def _ein(expr: str, valence, *ts):
-    return _op(jet_ein, tc.ein, expr, valence, *ts)
+    return _op(tc.ein, expr, valence, *ts, product=jet_ein)
 
 
 def _scale_by(t: Tensor, s: Tensor) -> Tensor:
@@ -423,7 +409,8 @@ def _mul(a: _Val, b: _Val) -> _Val:
     if not a.uppers and not a.lowers:
         a, b = b, a
     if not b.uppers and not b.lowers:
-        return _Val(a.uppers, a.lowers, _op(jet_scale_by, _scale_by, a.t, b.t))
+        return _Val(a.uppers, a.lowers,
+                    _op(_scale_by, a.t, b.t, product=jet_scale_by))
     la = "".join(a.uppers + a.lowers)
     lb = "".join(b.uppers + b.lowers)
     up = tuple(sorted((set(a.uppers) | set(b.uppers))
@@ -450,8 +437,8 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
         if node.op == "*":
             return _mul(a, b)
         a, b = _canon(a), _canon(b)
-        fns = (jet_add, tc.add) if node.op == "+" else (jet_sub, tc.sub)
-        return _Val(a.uppers, a.lowers, _op(*fns, a.t, b.t))
+        fn = tc.add if node.op == "+" else tc.sub
+        return _Val(a.uppers, a.lowers, _op(fn, a.t, b.t))
     if isinstance(node, Func):
         v = _eval(node.arg, bindings, space, dom)
         if node.kind == "cd":
@@ -467,9 +454,8 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
         else:
             pa = len(v.uppers) + v.lowers.index(x)
             pb = len(v.uppers) + v.lowers.index(y)
-        fns = ((jet_alternate, tc.alternate) if node.kind == "alt"
-               else (jet_sym_pair, tc.sym_pair))
-        return _Val(v.uppers, v.lowers, _op(*fns, v.t, pa, pb))
+        fn = tc.alternate if node.kind == "alt" else tc.sym_pair
+        return _Val(v.uppers, v.lowers, _op(fn, v.t, pa, pb))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -481,4 +467,8 @@ def evaluate(node, bindings, space: ConnectionSpace) -> Tensor:
     """
     dom = tc.domain_of(space.Lsym.value)
     t = _canon(_eval(node, bindings, space, dom)).t
-    return t.value if isinstance(t, JetTensor) else t
+    out = t.value if isinstance(t, JetTensor) else t
+    if not tc.domain_of(out).exact and not all(map(math.isfinite, out.data)):
+        raise EvalError("the result is not finite: it overflowed the float "
+                        "range")
+    return out

@@ -154,11 +154,11 @@ class Decomposition:
     Y is (0,2); Z is (1,3) and must be antisymmetric in its last two slots,
     the only shape the constructions are stated for.  The rebuild operator
     (``derived_invariants``) and the agm split share the blocks built once
-    here: ``mix_Y``, ``total = mix_Y + Z``, ``z_trace`` (Z's symmetrized
-    last-slot trace) and ``mix_z_trace``.
+    here: ``mix_Y``, ``total = mix_Y + Z``, ``z_last`` (Z's last-slot trace
+    Z^a_jna), ``z_trace`` (its symmetrization) and ``mix_z_trace``.
     """
 
-    __slots__ = ("Y", "Z", "mix_Y", "total", "z_trace", "mix_z_trace")
+    __slots__ = ("Y", "Z", "mix_Y", "total", "z_last", "z_trace", "mix_z_trace")
 
     def __init__(self, Y: Tensor, Z: Tensor):
         if Y.valence != (0, 2) or Z.valence != (1, 3):
@@ -169,7 +169,8 @@ class Decomposition:
         self.Y, self.Z = Y, Z
         self.mix_Y = tc.delta_mix(Y)
         self.total = tc.add(self.mix_Y, Z)
-        self.z_trace = tc.sym_pair(tc.ein("ajna->jn", (0, 2), Z), 0, 1)
+        self.z_last = tc.ein("ajna->jn", (0, 2), Z)
+        self.z_trace = tc.sym_pair(self.z_last, 0, 1)
         self.mix_z_trace = tc.delta_mix(self.z_trace)
 
     def total_trace(self) -> Tensor:
@@ -187,13 +188,12 @@ def derived_invariants(dec: Decomposition,
     """The first, second and fourth derived forms of R + delta_mix(Y) + Z."""
     N = space.dim
     z_tr_first = tc.ein("aamn->mn", (0, 2), dec.Z)       # Z^a_amn
-    z_tr_last = tc.ein("ajna->jn", (0, 2), dec.Z)        # Z^a_jna
     alt_Y = tc.alternate(dec.Y, 0, 1)
     curv = tc.add(space.R, dec.total)
     first = tc.add_scaled(curv, Fraction(-1, N),
                           tc.delta_outer(tc.add(alt_Y, z_tr_first)))
     second = tc.add_scaled(curv, Fraction(-1, 2), tc.delta_outer(
-        tc.sub(tc.scale(alt_Y, N - 1), tc.alternate(z_tr_last, 0, 1))))
+        tc.sub(tc.scale(alt_Y, N - 1), tc.alternate(dec.z_last, 0, 1))))
     c = Fraction(1, N - 1)
     fourth = tc.add_scaled(tc.add(space.R, dec.Z), c,
                            tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))

@@ -45,16 +45,14 @@ def zero_jet(dim: int, valence: tuple[int, int]) -> JetTensor:
     return constant_jet(tc.zeros(dim, valence))
 
 
-def jet_add(a: JetTensor, b: JetTensor) -> JetTensor:
-    return JetTensor(tc.add(a.value, b.value), tc.add(a.grad, b.grad))
-
-
-def jet_sub(a: JetTensor, b: JetTensor) -> JetTensor:
-    return JetTensor(tc.sub(a.value, b.value), tc.sub(a.grad, b.grad))
-
-
-def jet_scale(a: JetTensor, c) -> JetTensor:
-    return JetTensor(tc.scale(a.value, c), tc.scale(a.grad, c))
+def linear(op, *args) -> JetTensor:
+    """A linear ``tc`` operation on jets: ``op`` runs on the values, then
+    unchanged on the gradients; arguments that are not jets go to both calls.
+    A slot number means the same on both, because the gradient's derivative
+    slot is last.  This is the package's only lift of a linear operation."""
+    value = op(*(a.value if isinstance(a, JetTensor) else a for a in args))
+    grad = op(*(a.grad if isinstance(a, JetTensor) else a for a in args))
+    return JetTensor(value, grad)
 
 
 def jet_ein(expr: str, valence: tuple[int, int], *jets: JetTensor) -> JetTensor:
@@ -94,31 +92,6 @@ def jet_scale_by(a: JetTensor, s: JetTensor) -> JetTensor:
     ds = (tc.scale(s.grad, a.value.data[0]) if a.valence == (0, 0)
           else tc.outer(a.value, s.grad))
     return JetTensor(tc.scale(a.value, c), tc.add(tc.scale(a.grad, c), ds))
-
-
-def jet_contract(t: JetTensor, upper: int, lower: int) -> JetTensor:
-    # the trailing derivative slot sits after the value's lowers, so the
-    # same (upper, lower) addresses work on both components
-    return JetTensor(
-        tc.contract(t.value, upper, lower), tc.contract(t.grad, upper, lower)
-    )
-
-
-def jet_transpose_pair(t: JetTensor, a: int, b: int) -> JetTensor:
-    return JetTensor(
-        tc.transpose_pair(t.value, a, b), tc.transpose_pair(t.grad, a, b)
-    )
-
-
-def jet_alternate(t: JetTensor, a: int, b: int) -> JetTensor:
-    return JetTensor(tc.alternate(t.value, a, b), tc.alternate(t.grad, a, b))
-
-
-def jet_sym_pair(t: JetTensor, a: int, b: int, factor_free: bool = False) -> JetTensor:
-    return JetTensor(
-        tc.sym_pair(t.value, a, b, factor_free),
-        tc.sym_pair(t.grad, a, b, factor_free),
-    )
 
 
 def covariant_derivative(t: JetTensor, gamma) -> Tensor:

@@ -31,13 +31,8 @@ from .connection import ConnectionSpace
 from .jet import (
     JetTensor,
     constant_jet,
-    jet_add,
-    jet_alternate,
-    jet_contract,
     jet_mul,
-    jet_scale,
-    jet_sub,
-    jet_sym_pair,
+    linear,
     zero_jet,
 )
 from .tensor_core import DOMAINS, Domain, GeoinvError, Tensor
@@ -68,7 +63,7 @@ def curl(w: JetTensor) -> Tensor:
 
 def _pair_sym(t: JetTensor) -> JetTensor:
     """t^i_jk + t^i_kj (factor-free) — the shape every rule term takes."""
-    return jet_sym_pair(t, 1, 2, factor_free=True)
+    return linear(tc.sym_pair, t, 1, 2, True)
 
 
 def _deformation_source(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
@@ -77,9 +72,9 @@ def _deformation_source(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
     _, s2, s3 = flags
     out = zero_jet(f.dim, (1, 2))
     if s2:
-        out = jet_add(out, _pair_sym(jet_mul(f, sigma)))
+        out = linear(tc.add, out, _pair_sym(jet_mul(f, sigma)))
     if s3:
-        out = jet_add(out, phi_obj)
+        out = linear(tc.add, out, phi_obj)
     return out
 
 
@@ -133,20 +128,20 @@ class SpaceFields:
 
     @property
     def b(self) -> JetTensor:
-        return self._cached("b", lambda: jet_contract(self.B, 0, 0))
+        return self._cached("b", lambda: linear(tc.contract, self.B, 0, 0))
 
     @property
     def theta_tilde(self) -> JetTensor:
         return self._cached(
-            "theta_tilde", lambda: jet_sub(self.space.theta, self.b)
+            "theta_tilde", lambda: linear(tc.sub, self.space.theta, self.b)
         )
 
     @property
     def omega(self) -> JetTensor:
         def make():
-            tt = self.theta_tilde
-            dt = JetTensor(tc.delta_sym(tt.value), tc.delta_sym(tt.grad))
-            return jet_add(self.B, jet_scale(dt, Fraction(1, self.dim + 1)))
+            dt = linear(tc.delta_sym, self.theta_tilde)
+            return linear(tc.add, self.B,
+                          linear(tc.scale, dt, Fraction(1, self.dim + 1)))
         return self._cached("omega", make)
 
 
@@ -270,7 +265,7 @@ class MappingInstance:
             # seen from the target side the bilinear form flips sign and the
             # scalar parameters are whatever its own connection induces
             side, kind = "target", "fit"
-            sigma = jet_scale(sigma, -1)
+            sigma = linear(tc.scale, sigma, -1)
             nu, mu = _solve_agm(phi.value, M)
         ok, res, _ = self.domain.measure(M, _relation(phi.value, nu, mu))
         if not ok:
@@ -284,19 +279,19 @@ def build_target_connection(inst: MappingInstance) -> JetTensor:
     s1, s2, s3 = inst.flags
     out = inst.fields["L"]
     if s1:
-        psi = jet_sub(inst.field("u_bar", (0, 1)), inst.field("u", (0, 1)))
-        out = jet_add(out, JetTensor(tc.delta_sym(psi.value), tc.delta_sym(psi.grad)))
+        psi = linear(tc.sub, inst.field("u_bar", (0, 1)), inst.field("u", (0, 1)))
+        out = linear(tc.add, out, linear(tc.delta_sym, psi))
     if s2:
         bar = _pair_sym(jet_mul(inst.field("f_bar", (1, 1)),
                                 inst.field("sigma_bar", (0, 1))))
         unb = _pair_sym(jet_mul(inst.field("f", (1, 1)),
                                 inst.field("sigma", (0, 1))))
-        out = jet_add(out, jet_sub(bar, unb))
+        out = linear(tc.add, out, linear(tc.sub, bar, unb))
     if s3:
-        out = jet_add(out, jet_sub(inst.field("phi_obj_bar", (1, 2)),
-                                   inst.field("phi_obj", (1, 2))))
+        out = linear(tc.add, out, linear(tc.sub, inst.field("phi_obj_bar", (1, 2)),
+                                         inst.field("phi_obj", (1, 2))))
     if "xi" in inst.fields:
-        out = jet_add(out, inst.fields["xi"])
+        out = linear(tc.add, out, inst.fields["xi"])
     return out
 
 
@@ -403,17 +398,17 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
         else:  # pragma: no cover
             raise DegenerateError("could not make the trace-fix system regular")
 
-    phi_obj = jet_sym_pair(_draw_jet(r, dom, dim, (1, 2)), 1, 2)
-    phi_obj_bar = jet_sym_pair(_draw_jet(r, dom, dim, (1, 2)), 1, 2)
+    phi_obj = linear(tc.sym_pair, _draw_jet(r, dom, dim, (1, 2)), 1, 2)
+    phi_obj_bar = linear(tc.sym_pair, _draw_jet(r, dom, dim, (1, 2)), 1, 2)
     xi_raw = _draw_jet(r, dom, dim, (1, 2))
-    xi = jet_scale(jet_alternate(xi_raw, 1, 2), Fraction(1, 2))
+    xi = linear(tc.scale, linear(tc.alternate, xi_raw, 1, 2), Fraction(1, 2))
     if mapping == "geodesic":
         fields = {"L": L, "u": u, "u_bar": u_bar}
         return MappingInstance(dim, mode, flags, mapping, fields, seed=seed)
 
     # -- exact curl fix for the deformation-trace difference ---------------
     def b_of(fj, sj, pj) -> JetTensor:
-        return jet_contract(_deformation_source(fj, sj, pj, flags), 0, 0)
+        return linear(tc.contract, _deformation_source(fj, sj, pj, flags), 0, 0)
 
     eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
                  curl(b_of(f, sigma, phi_obj)))
@@ -528,8 +523,8 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     sigma = JetTensor(sigma_v, sigma_g)
 
     sig_phi = jet_mul(phi, sigma)  # (1,2): phi^i sigma_jk
-    phi_obj = jet_scale(sig_phi, Fraction(-1, 2))
-    phi_obj_bar = jet_scale(sig_phi, Fraction(1, 2))
+    phi_obj = linear(tc.scale, sig_phi, Fraction(-1, 2))
+    phi_obj_bar = linear(tc.scale, sig_phi, Fraction(1, 2))
 
     fields = {
         "L": L, "u": u, "u_bar": u_bar, "sigma": sigma, "phi": phi,

@@ -68,7 +68,6 @@ EXPECT = {
     ("split", "fourth-vs-pipeline"): "match",
     ("split", "first-display-vs-pipeline"): "match",
     ("split", "trace-identity"): "match",
-    ("split", "fourth-published"): "match",
     ("split", "first-display-published"): "mismatch",
 }
 

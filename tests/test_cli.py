@@ -658,6 +658,20 @@ def test_eval_output_past_the_digit_limit_exits_2(tmp_path, capsys):
         assert "too long to write" in captured.err and len(captured.err) < 200
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [f"{'9' * 300}*{'9' * 300}*u{{;i}}",
+     f"{'9' * 300}*{'9' * 300}*u{{;i}} - {'9' * 300}*{'9' * 300}*u{{;i}}"],
+    ids=["infinity", "nan"],
+)
+def test_eval_non_finite_float_result_exits_2(tmp_path, capsys, expr):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0", "--mode", "float")
+    assert main(["eval", str(out), expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err and len(captured.err) < 200
+
+
 def test_eval_builds_only_the_derived_bindings_it_names(tmp_path, capsys,
                                                        monkeypatch):
     out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0")

@@ -3,6 +3,7 @@
 import ast
 import functools
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from geoinv.index_expr import (
     to_source,
 )
 from geoinv.invariants import rho, weyl_basic, weyl_projective
-from geoinv.jet import covariant_derivative, jet_contract, jet_mul, zero_jet
+from geoinv.jet import covariant_derivative, jet_mul, linear, zero_jet
 from geoinv.mappings import generate
 from geoinv.tensor_core import GeoinvError
 
@@ -106,11 +107,11 @@ def test_derivative_follows_product_rule(mode):
     tol = 0 if mode == "rational" else 1e-9
 
     got = evaluate(parse("cd(u{;a}*ff{a;b}; n)"), bind, sp)
-    prod = jet_contract(jet_mul(ins.fields["u"], ins.fields["f"]), 0, 0)
+    prod = linear(tc.contract, jet_mul(ins.fields["u"], ins.fields["f"]), 0, 0)
     expect = covariant_derivative(prod, sp.Lsym)
     assert tc.max_abs_diff(got, expect) <= tol
 
-    tr = jet_contract(ins.fields["f"], 0, 0)
+    tr = linear(tc.contract, ins.fields["f"], 0, 0)
     got = evaluate(parse("cd(ff{a;a}; n)"), bind, sp)
     assert tc.max_abs_diff(got, tr.grad) <= tol
 
@@ -124,6 +125,22 @@ def test_reference_index_order_is_canonicalized():
     sp, _, bind = bindings_for(ins)
     got = evaluate(parse("Ric{;nj}"), bind, sp)
     assert tc.max_abs_diff(got, tc.transpose_pair(sp.ricci, 0, 1)) == 0
+
+
+def test_derivative_index_sorting_first_is_canonicalized():
+    ins = generate(3, 0, flags=(1, 1, 1), mode="rational")
+    sp, _, bind = bindings_for(ins)
+    got = evaluate(parse("cd(u{;k}; a)"), bind, sp)
+    want = evaluate(parse("cd(u{;j}; k)"), bind, sp)
+    assert got == tc.transpose_pair(want, 0, 1)
+
+
+def test_alt_over_upper_indices():
+    sp, _, bind = bindings_for(generate(3, 0, flags=(1, 1, 1), mode="rational"))
+    got = evaluate(parse("alt(d{i;j}*d{k;l}; i,k)"), bind, sp)
+    want = [int(i == j and k == l) - int(k == j and i == l)
+            for i, k, j, l in itertools.product(range(3), repeat=4)]
+    assert got.valence == (2, 2) and got.data == want
 
 
 def test_evaluator_keeps_no_product_rule():
@@ -298,6 +315,21 @@ def test_parse_error_carries_position():
     err = excinfo.value
     assert err.line == 1
     assert err.col > 1
+
+
+@pytest.mark.parametrize(
+    "src,where",
+    [
+        ("u{;i} + u{;j}", (1, 7)),                       # at the '+'
+        ("u{;i} +\n  alt(u{;i}*u{;j}; i,i)", (2, 3)),    # at the function name
+        ("u{;i}*u{;i}*u{;i}", (1, 6)),                   # at the first '*'
+        ("u{;i} - x{;jj}", (1, 9)),                      # at the reference name
+    ],
+)
+def test_index_usage_errors_point_at_the_breaking_token(src, where):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert (excinfo.value.line, excinfo.value.col) == where
 
 
 # -------------------------------------------------------------- eval errors

@@ -267,6 +267,21 @@ def test_decomposition_rejects_bad_shapes():
     assert tc.max_abs_diff(dec.total, tc.add(delta_mix(Y, 3), Z)) == 0
 
 
+def test_rebuild_reads_the_last_slot_trace_once(monkeypatch):
+    # Decomposition keeps Z^a_jna; derived_invariants reuses it
+    _, s, _ = case(3, 0, (1, 1, 1))
+    real_ein = tc.ein
+    traces = []
+
+    def spy(expr, out_valence, *tensors):
+        traces.extend([expr] if expr == "ajna->jn" else [])
+        return real_ein(expr, out_valence, *tensors)
+
+    monkeypatch.setattr(tc, "ein", spy)
+    inv.derived_invariants(inv.xyz_weyl_factored(s), s.space)
+    assert traces == ["ajna->jn"]
+
+
 # ------------------------------------------------------------ geodesic forms
 
 

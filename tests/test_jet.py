@@ -1,8 +1,10 @@
 """First-order jets: pointwise arithmetic vs an exact symbolic-polynomial oracle."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +113,7 @@ def test_jet_contract_matches_polynomial_contraction(seed):
     point = random_point(rng, DIM)
     t = PolyField.random(rng, DIM, (1, 2))
     for lower in (0, 1):
-        got = jet.jet_contract(t.jet_at(point), 0, lower)
+        got = jet.linear(tc.contract, t.jet_at(point), 0, lower)
         want = t.contract(0, lower).jet_at(point)
         assert got.value.data == want.value.data
         assert got.grad.data == want.grad.data
@@ -122,7 +124,7 @@ def test_jet_alternate_matches_polynomial_swap(seed):
     rng = random.Random(3000 + seed)
     point = random_point(rng, DIM)
     t = PolyField.random(rng, DIM, (1, 2))
-    got = jet.jet_alternate(t.jet_at(point), 1, 2)
+    got = jet.linear(tc.alternate, t.jet_at(point), 1, 2)
     want = t.combine(t.swap_lowers(0, 1), Fraction(-1)).jet_at(point)
     assert got.value.data == want.value.data
     assert got.grad.data == want.grad.data
@@ -133,7 +135,7 @@ def test_jet_sym_pair_matches_polynomial_half_sum(seed):
     rng = random.Random(4000 + seed)
     point = random_point(rng, DIM)
     t = PolyField.random(rng, DIM, (0, 2))
-    got = jet.jet_sym_pair(t.jet_at(point), 0, 1)
+    got = jet.linear(tc.sym_pair, t.jet_at(point), 0, 1)
     half = t.combine(t.swap_lowers(0, 1), Fraction(1))
     want = PolyField(
         DIM, t.valence, {i: p.scaled(Fraction(1, 2)) for i, p in half.comps.items()}
@@ -160,7 +162,7 @@ def test_jet_chain_matches_polynomial_chain():
     point = random_point(rng, DIM)
     a = PolyField.random(rng, DIM, (1, 1))
     b = PolyField.random(rng, DIM, (0, 2))
-    got = jet.jet_alternate(jet.jet_contract(jet.jet_mul(a.jet_at(point), b.jet_at(point)), 0, 0), 0, 1)
+    got = jet.linear(tc.alternate, jet.linear(tc.contract, jet.jet_mul(a.jet_at(point), b.jet_at(point)), 0, 0), 0, 1)
     sym = a.mul(b).contract(0, 0)
     want = sym.combine(sym.swap_lowers(0, 1), Fraction(-1)).jet_at(point)
     assert got.value.data == want.value.data
@@ -216,7 +218,7 @@ def test_covariant_derivative_linearity():
     a, b = mk((1, 1)), mk((1, 1))
     g = Tensor(3, (1, 2), [Fraction(rng.randint(-5, 5), 2) for _ in range(27)])
     c = Fraction(3, 7)
-    lhs = covariant_derivative(jet.jet_add(a, jet.jet_scale(b, c)), g)
+    lhs = covariant_derivative(jet.linear(tc.add, a, jet.linear(tc.scale, b, c)), g)
     rhs = tc.add(covariant_derivative(a, g), tc.scale(covariant_derivative(b, g), c))
     assert lhs.data == rhs.data
 
@@ -228,7 +230,7 @@ def test_covariant_derivative_leibniz_on_contraction():
     point = random_point(rng, DIM)
     f = PolyField.random(rng, DIM, (1, 1))
     g = PolyField.random(rng, DIM, (1, 2))
-    traced = jet.jet_contract(f.jet_at(point), 0, 0)
+    traced = jet.linear(tc.contract, f.jet_at(point), 0, 0)
     out = covariant_derivative(traced, g.value_at(point))
     assert out.data == traced.grad.data
 
@@ -255,11 +257,47 @@ def test_jet_sub_and_transpose_pair():
     point = random_point(rng, DIM)
     a = PolyField.random(rng, DIM, (0, 2))
     b = PolyField.random(rng, DIM, (0, 2))
-    diff = jet.jet_sub(a.jet_at(point), b.jet_at(point))
+    diff = jet.linear(tc.sub, a.jet_at(point), b.jet_at(point))
     want = a.combine(b, Fraction(-1)).jet_at(point)
     assert diff.value.data == want.value.data
     assert diff.grad.data == want.grad.data
-    tp = jet.jet_transpose_pair(a.jet_at(point), 0, 1)
+    tp = jet.linear(tc.transpose_pair, a.jet_at(point), 0, 1)
     want_tp = a.swap_lowers(0, 1).jet_at(point)
     assert tp.value.data == want_tp.value.data
     assert tp.grad.data == want_tp.grad.data
+
+
+def _hand_lifts(tree):
+    """Lines that build a JetTensor whose value and gradient are one call,
+    made on ``.value`` and then on ``.grad``: a linear operation lifted by
+    hand instead of through ``jet.linear``."""
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "JetTensor"):
+            continue
+        parts = [*node.args, *(k.value for k in node.keywords)]
+        if len(parts) != 2 or not all(isinstance(p, ast.Call) for p in parts):
+            continue
+        value, grad = map(ast.dump, parts)
+        if ("attr='value'" in value
+                and value.replace("attr='value'", "attr='grad'") == grad):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_only_jet_lifts_linear_operations():
+    # jet.linear is the one lift of a linear tc operation; no other module
+    # pairs op(x.value) with op(x.grad) itself
+    src = Path(jet.__file__).parent
+    hits = {path.name: lines for path in sorted(src.glob("*.py"))
+            if path.name != "jet.py"
+            if (lines := _hand_lifts(ast.parse(path.read_text())))}
+    assert hits == {}
+    planted = ast.parse(
+        "JetTensor(tc.delta_sym(t.value), tc.delta_sym(t.grad))\n"
+        "jet.JetTensor(tc.scale(a.value, c), tc.scale(a.grad, c))\n"
+        "JetTensor(v, tc.add(u.grad, s))\n"
+        "JetTensor(tc.scale(a.value, c), tc.add(tc.scale(a.grad, c), d))\n"
+        "JetTensor(value=tc.sub(a.value, b.value), grad=tc.sub(a.grad, b.grad))\n")
+    assert _hand_lifts(planted) == [1, 2, 5]

@@ -805,3 +805,31 @@ def test_scaled_kernels_match_a_fraction_oracle(dim):
             t, d = draw(valence, style)
             _check_result(kernel(t), oracle(d), all_int(d) and keeps_int,
                           (name, style))
+
+
+class _Frac(Fraction):
+    """Exact, but not a type the kind scan knows: tensors of it take the
+    list kernels of the other-scalar kind, as polynomial scalars do."""
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_other_scalar_kind_matches_plain_fractions(dim):
+    rng = random.Random(97 + dim)
+    a, b = random_tensor(rng, dim, (1, 2)), random_tensor(rng, dim, (1, 2))
+    y = random_tensor(rng, dim, (0, 2))
+
+    def other(t):
+        return Tensor(t.dim, t.valence, [_Frac(x) for x in t.data])
+
+    assert tc._kind(other(a)) is tc._OTHER
+    kernels = {
+        "ein": lambda a, b, y: tc.ein("ajm,ian->ijmn", (1, 3), a, b),
+        "add": lambda a, b, y: tc.add(a, b),
+        "scale": lambda a, b, y: tc.scale(a, Fraction(-5, 6)),
+        "transpose_pair": lambda a, b, y: tc.transpose_pair(a, 1, 2),
+        "delta_mix": lambda a, b, y: tc.delta_mix(y),
+    }
+    for name, kernel in kernels.items():
+        want = kernel(a, b, y).data
+        assert kernel(other(a), other(b), other(y)).data == want, name
+        assert kernel(other(a), b, other(y)).data == want, name
