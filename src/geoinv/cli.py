@@ -332,6 +332,8 @@ def identity_rows(n: int, seed: int, mode: str, rel_tol: float,
 
 
 def cmd_identities(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     rows = sorted((r for k in range(args.count)
                    for r in identity_rows(args.n, args.seed + k, args.mode,
                                           args.tol, args.abs_tol)),

@@ -42,6 +42,11 @@ class InstanceError(GeoinvError):
     """A mapping instance is malformed or internally inconsistent."""
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 2:
+        raise InstanceError(f"dimension must be >= 2, got {dim}")
+
+
 class DegenerateError(GeoinvError):
     """Generated or supplied data is too degenerate for the operation."""
 
@@ -171,8 +176,7 @@ class MappingInstance:
         return t if t is not None else zero_jet(self.dim, valence)
 
     def validate(self) -> None:
-        if self.dim < 2:
-            raise InstanceError(f"dimension must be >= 2, got {self.dim}")
+        _check_dim(self.dim)
         if self.mode not in MODES:
             raise InstanceError(f"unknown mode {self.mode!r}")
         if self.mapping not in MAPPINGS:
@@ -373,6 +377,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     skew rho tensor needs).  Fixed (dim, seed, flags) reproduce the instance
     bit for bit.
     """
+    _check_dim(dim)
     flags = tuple(int(s) for s in FIXED_FLAGS.get(mapping, flags))
     if mapping not in ("general", "geodesic"):
         raise InstanceError(f"generate() handles general/geodesic, not {mapping!r}")
@@ -479,6 +484,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     has a symmetric gradient — the structural condition that makes the skew
     rho tensor vanish identically on both sides of this family.
     """
+    _check_dim(dim)
     if p not in (1, 2):
         raise InstanceError(f"p must be 1 or 2, got {p}")
     r = random.Random(f"geoinv:agm3:{dim}:{seed}:{p}")

@@ -7,18 +7,22 @@ Kronecker deltas, combine freely with both).
 Exact tensors, whose entries are all ``int`` or ``fractions.Fraction``, are
 kept in a scaled form: Python-int numerators over one common denominator, in
 lowest terms (``den > 0`` and ``gcd(den, *nums) == 1``), so equal values have
-equal forms.  When every operand is exact the kernels run on those ints and
-normalise once per call, not once per multiply-add.  ``Tensor.data`` is
-read-only: it materialises the entries on first read and caches them, as
-``Fraction`` objects, or as ``int`` where every input was all-int (deltas,
-zeros and what is built from them with integer coefficients).  Tensors are
-immutable; build a new one instead of writing into ``.data``.
+equal forms (``max_abs_diff`` reads 0 off equal forms, with no diff).  When
+every operand is exact the kernels run on those ints and normalise once per
+call, not once per multiply-add.  ``Tensor.data`` is read-only: it
+materialises the entries on first read and caches them, as ``Fraction``
+objects, or as ``int`` where every input was all-int (deltas, zeros and what
+is built from them with integer coefficients).  Tensors are immutable; build
+a new one instead of writing into ``.data``.
 
 Any other operand (a float entry or coefficient, or a scalar type such as a
-polynomial) sends a kernel down the plain list path, which combines entries
-one operation at a time in a fixed order, so float results and the signs of
-float zeros are reproducible.  A list-path output with a float operand is marked inexact when it is built;
-other tensors are scanned once, on first use, and the scan is cached.
+polynomial) sends a kernel down the plain list path, which combines the
+entries themselves in a fixed order, so float results and the signs of float
+zeros are reproducible.  ``ein`` runs both paths through the same generated
+kernels (see "Minimal einsum" below): each output entry is its products
+added onto an integer 0 one after another, in order.  A list-path output
+with a float operand is marked inexact when it is built; other tensors are
+scanned once, on first use, and the scan is cached.
 
 Formula coefficients are exact (``int`` or ``Fraction``) in every mode; on
 the float list path ``scale`` and ``add_scaled`` round a ``Fraction`` to
@@ -55,6 +59,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
@@ -548,12 +553,39 @@ def _letters(n: int, start: int) -> str:
 # ---------------------------------------------------------------------------
 # Minimal einsum over flat lists.
 #
-# Works for exact rationals, which numpy cannot do; offset plans are cached
-# per (subscripts, dim, ranks) so repeated formula evaluation costs one flat
-# multiply-add loop.  Subscripts can come from user expressions, so the cache
-# keeps only the most recently used plans.
+# Works for exact rationals, which numpy cannot do.  A plan, cached per
+# (subscripts, dim, ranks), holds one row of operand offsets per output
+# entry, summand after summand, and a kernel: per pass, the list comprehension
+#     [0 + d0[x0]*d1[x1] + d0[x2]*d1[x3] + ... for x0, x1, x2, x3, ... in rows]
+# generated from the operand count and the summands alone, so one compiled
+# function serves every plan of that shape and no subscript text reaches the
+# compiler.  The products (each left to right) are added onto an integer 0
+# in row order, the order of the one-multiply-add-at-a-time definition, so
+# float results keep their bits and signed zeros, and any scalar type with
+# + and * goes through.  Past KERNEL_TERMS summands a further pass adds the
+# next ones onto the running sums: one much longer sum overflows the
+# compiler's recursion limit.  Subscripts can come from user expressions, so
+# the plan cache keeps only the most recently used plans.
 
-PLAN_CACHE_CAP = 256  # the benchmark workloads use at most 92 plans
+PLAN_CACHE_CAP = 256  # the workloads use 63 plans (check) and 76 (agm3)
+KERNEL_TERMS = 128    # summands per pass: N**3 at N = 5 still takes one
+
+
+@lru_cache(maxsize=PLAN_CACHE_CAP)
+def _kernel(n_ops: int, terms: int, resume: bool):
+    """The pass that adds `terms` products of `n_ops` operands to each output
+    entry: kernel(rows, d0, d1, ...) sums onto 0, and with `resume` set
+    kernel(rows, acc, d0, ...) sums onto acc's entries.  A row holds the
+    offsets x0, x1, ... summand by summand (a bare int if there is one)."""
+    xs = [f"x{n}" for n in range(n_ops * terms)]
+    ds = [f"d{j}" for j in range(n_ops)]
+    total = " + ".join("*".join(f"{d}[{x}]" for d, x in zip(ds, xs[s:]))
+                       for s in range(0, len(xs), n_ops))
+    loop = (f"s + {total} for s, ({', '.join(xs)}) in zip(acc, rows)" if resume
+            else f"0 + {total} for {', '.join(xs)} in rows")
+    args = ", ".join(["rows", "acc"][:1 + resume] + ds)
+    src = f"lambda {args}: [{loop}]"
+    return eval(compile(src, f"<ein kernel {n_ops}x{terms}>", "eval"), {})
 
 
 class _PlanCache(OrderedDict):
@@ -579,8 +611,8 @@ _PLAN_CACHE = _PlanCache()
 
 
 def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
-    """(output length, rows (output offset, operand offsets...)), the rows in
-    the order the multiply-adds run."""
+    """(output length, kernel): kernel(*operand entry lists) is the output
+    entry list."""
     try:
         ins_s, out_s = expr.split("->")
         ins = ins_s.split(",")
@@ -601,36 +633,35 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
             raise IndexKindError(f"{expr!r}: output index {c!r} not in inputs")
         if out_s.count(c) > 1:
             raise IndexKindError(f"{expr!r}: repeated output index {c!r}")
-    # every letter assignment in row-major order, output letters first; one
-    # column of flat offsets per subscript, each linear in the assignment
+    # every letter assignment in row-major order, output letters first, so
+    # each output entry's summands are consecutive; one column of flat
+    # offsets per operand, each linear in the assignment
     letters = list(out_s) + [c for c in seen if c not in out_s]
     columns = []
-    for s in (out_s, *ins):
+    for s in ins:
         col = [0]
         for c in letters:
             stride = sum(dim ** k for k, x in enumerate(reversed(s)) if x == c)
             col = [o + v * stride for o in col for v in range(dim)]
         columns.append(col)
-    return dim ** len(out_s), list(zip(*columns))
+    n_ops, n_out = len(ins), dim ** len(out_s)
+    terms = len(columns[0]) // n_out  # summands per output entry
+    passes = []
+    for lo in range(0, terms, KERNEL_TERMS):
+        offs = [col[s::terms] for s in range(lo, min(lo + KERNEL_TERMS, terms))
+                for col in columns]
+        rows = offs[0] if len(offs) == 1 else list(zip(*offs))
+        passes.append(partial(_kernel(n_ops, len(offs) // n_ops, lo > 0), rows))
+    if len(passes) == 1:
+        return n_out, passes[0]
+    first, *rest = passes
 
-
-def _run_plan(plan, n_out: int, datas: list) -> list:
-    out = [0] * n_out
-    if len(datas) == 1:
-        d0 = datas[0]
-        for o, i in plan:
-            out[o] += d0[i]
-    elif len(datas) == 2:
-        d0, d1 = datas
-        for o, i, j in plan:
-            out[o] += d0[i] * d1[j]
-    else:
-        for row in plan:
-            term = datas[0][row[1]]
-            for d, k in zip(datas[1:], row[2:]):
-                term = term * d[k]
-            out[row[0]] += term
-    return out
+    def kernel(*datas):
+        out = first(*datas)
+        for more in rest:
+            out = more(out, *datas)
+        return out
+    return n_out, kernel
 
 
 def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
@@ -641,7 +672,7 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
     for t in tensors:
         if t.dim != dim:
             raise ShapeError("ein: dimension mismatch")
-    n_out, plan = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
+    n_out, kernel = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
     if dim ** sum(out_valence) != n_out:
         raise ShapeError(f"ein: output valence {out_valence} disagrees with {expr!r}")
     kind = _result_kind(*tensors)
@@ -649,10 +680,9 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
         den = 1
         for t in tensors:
             den *= t._den
-        out = _run_plan(plan, n_out, [t._nums for t in tensors])
+        out = kernel(*[t._nums for t in tensors])
         return _from_scaled(dim, out_valence, out, den, kind is _INT)
-    return _new(dim, out_valence,
-                _run_plan(plan, n_out, [t.data for t in tensors]), kind)
+    return _new(dim, out_valence, kernel(*[t.data for t in tensors]), kind)
 
 
 def max_abs_diff(a: Tensor, b: Tensor):
@@ -660,6 +690,8 @@ def max_abs_diff(a: Tensor, b: Tensor):
     kind = _result_kind(a, b)
     if kind in _EXACT_KINDS:
         da, db = a._den, b._den
+        if da == db and a._nums == b._nums:  # lowest terms: equal values
+            return 0 if kind is _INT else Fraction(0)
         den = da if da == db else lcm(da, db)
         fa, fb = den // da, den // db
         m = max(abs(x * fa - y * fb) for x, y in zip(a._nums, b._nums))

@@ -108,6 +108,20 @@ def test_gen_flag_conflicts_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--n", "1"), ("gen", "--n", "0"),
+    ("gen", "--n", "1", "--mapping", "agm3"),
+    ("identities", "--n", "1", "--count", "1"),
+])
+def test_dimension_below_2_exits_2(tmp_path, capsys, argv):
+    # the rule check and eval apply to instance files, with their message
+    out = tmp_path / "x.json"
+    extra = ["-o", str(out)] if argv[0] == "gen" else []
+    assert main([*argv, *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: dimension must be >= 2, got {argv[2]}\n")
+    assert not out.exists()
+
+
 def test_gen_agm3_records_p(tmp_path):
     out = run_gen(tmp_path, "a.json", "--n", "3", "--seed", "1", "--mapping", "agm3", "--p", "2")
     obj = json.loads(out.read_text())
@@ -567,6 +581,12 @@ def test_identities_pass_and_report(tmp_path):
     assert all(r["pass"] for r in rows)
     keyed = [(r["tag"], r["seed"]) for r in rows]
     assert keyed == sorted(keyed)
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_identities_without_draws_exits_2(capsys, count):
+    assert main(["identities", "--n", "3", "--count", count]) == 2
+    assert capsys.readouterr() == ("", f"error: --count must be >= 1, got {count}\n")
 
 
 def test_identities_float_mode(tmp_path):

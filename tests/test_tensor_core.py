@@ -503,6 +503,46 @@ def test_mode_dispatch_lives_in_tensor_core():
     assert hits == []
 
 
+def _dynamic_code_calls(tree, allowed=None):
+    """Lines that call ``exec``, ``eval`` or ``compile`` (by name or as
+    ``builtins.x``) outside the function named ``allowed``."""
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == allowed
+              for sub in ast.walk(node)}
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            name = f.id
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and f.value.id == "builtins"):
+            name = f.attr
+        else:
+            continue
+        if name in ("exec", "eval", "compile"):
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_only_the_kernel_factory_compiles_code():
+    # the ein kernels are the package's only generated code, and their
+    # source is built from two integers, never from user text
+    src = Path(tc.__file__).parent
+    allowed = {"tensor_core.py": "_kernel"}
+    hits = {path.name: lines for path in sorted(src.glob("*.py"))
+            if (lines := _dynamic_code_calls(ast.parse(path.read_text()),
+                                             allowed.get(path.name)))}
+    assert hits == {}
+    assert _dynamic_code_calls(ast.parse(Path(tc.__file__).read_text()))
+    planted = ast.parse("eval('1')\nre.compile('x')\nimport builtins\n"
+                        "builtins.exec('')\ndef _kernel():\n"
+                        "    return compile('', '', 'eval')\n")
+    assert _dynamic_code_calls(planted) == [1, 4, 6]
+    assert _dynamic_code_calls(planted, "_kernel") == [1, 4]
+
+
 # ---------------------------------------------------------------- immutability
 
 
@@ -833,3 +873,56 @@ def test_other_scalar_kind_matches_plain_fractions(dim):
         want = kernel(a, b, y).data
         assert kernel(other(a), other(b), other(y)).data == want, name
         assert kernel(other(a), b, other(y)).data == want, name
+
+
+# The generated ein kernels by shape: more summands than one pass takes
+# (4096 for abcdef at dim 4; 129 for "a->" at dim 129, whose last pass adds
+# a single offset), rank-0 outputs, and agm's four-operand product.
+KERNEL_CASES = (
+    ("abcdef,abcdef->", (0, 0), ((0, 6), (0, 6)), (4,)),
+    ("a->", (0, 0), ((1, 0),), (129,)),
+    ("jm,an,a,i->ijmn", (1, 3), ((0, 2), (0, 2), (1, 0), (1, 0)), (2, 3, 4, 5)),
+)
+
+
+@pytest.mark.parametrize("style", ["den7", "int", "mixed", "float", "other"])
+@pytest.mark.parametrize("expr, valence, operand_valences, dims", KERNEL_CASES)
+def test_ein_kernel_shapes_match_the_oracle(expr, valence, operand_valences,
+                                            dims, style):
+    rng = random.Random(f"{expr}:{style}")
+    for dim in dims:
+        datas = [_entries(rng, dim ** sum(v), "den7" if style == "other" else style)
+                 for v in operand_valences]
+        if style == "other":
+            datas = [[_Frac(x) for x in d] for d in datas]
+        ops = [Tensor(dim, v, d) for v, d in zip(operand_valences, datas)]
+        if style == "other":
+            assert {tc._kind(t) for t in ops} == {tc._OTHER}
+        _check_result(tc.ein(expr, valence, *ops), _o_ein(expr, dim, *datas),
+                      all(type(x) is int for d in datas for x in d),
+                      (expr, dim, style))
+    ins, out = expr.split("->")
+    if not out:  # the rank-0 cases are the ones past one pass
+        assert dims[0] ** len(set(ins) - {","}) > tc.KERNEL_TERMS
+
+
+@pytest.mark.parametrize("data", [
+    [3, -1, 0, 2],
+    [Fraction(1, 2), Fraction(-3, 4), 0, 1],
+    [Fraction(4, 2), Fraction(-3), 0, 1],  # Fraction entries with den 1
+], ids=["int", "fraction", "fraction-den-1"])
+def test_equal_exact_tensors_differ_by_a_zero_of_the_diff_type(data):
+    # equal scaled forms skip the entrywise diff; the 0 keeps the type the
+    # diff gives: int when every input is all-int, else Fraction
+    want = int if {type(x) for x in data} == {int} else Fraction
+    a = Tensor(2, (0, 2), data)
+    for b in (Tensor(2, (0, 2), list(data)),
+              Tensor(2, (0, 2), [Fraction(x) for x in data])):
+        kind = want if tc._kind(b) is tc._INT else Fraction
+        got = tc.max_abs_diff(a, b)
+        assert got == 0 and type(got) is kind
+        close, d, scale = tc.RATIONAL.measure(a, b)
+        assert (close, d, scale) == (True, 0, None) and type(d) is kind
+    c = Tensor(2, (0, 2), [data[0] + Fraction(1, 3)] + data[1:])
+    assert tc.max_abs_diff(a, c) == Fraction(1, 3)
+    assert tc.RATIONAL.measure(c, a) == (False, Fraction(1, 3), None)
