@@ -37,7 +37,7 @@ from .invariants import (
 )
 from .jet import covariant_derivative
 from .mappings import NotApplicableError, SpaceFields
-from .tensor_core import Tensor
+from .tensor_core import Tensor, once
 
 
 class _Blocks:
@@ -85,7 +85,6 @@ class _Blocks:
                           self.eps,
                           tc.ein("jm,in->ijmn", (1, 3), sv, torphi)),
             2, 3)
-        self._deform: dict[bool, dict[str, Tensor]] = {}
 
         def sigma_times(scalar) -> Tensor:
             return tc.scale(sv, scalar.data[0])
@@ -122,22 +121,21 @@ class _Blocks:
         """The delta blocks of one variant's cores."""
         return self.mix if printed else self.mix_sym
 
+    @once
     def deform(self, printed: bool) -> dict[str, Tensor]:
         """The deformation-curvature expansion, grouped like its display."""
-        got = self._deform.get(printed)
-        if got is None:
-            q = Fraction(1, 4 if printed else 2)
-            got = self._deform[printed] = {
-                "mu": tc.scale(self.a_mu, -q),
-                "cd": tc.scale(self.a_cd, q),
-                "quad": tc.scale(self.a_quad, Fraction(1, 4)),
-                "nutor": tc.scale(self.a_nutor, q),
-            }
-        return got
+        q = Fraction(1, 4 if printed else 2)
+        return {
+            "mu": tc.scale(self.a_mu, -q),
+            "cd": tc.scale(self.a_cd, q),
+            "quad": tc.scale(self.a_quad, Fraction(1, 4)),
+            "nutor": tc.scale(self.a_nutor, q),
+        }
 
 
+@once
 def _blocks(fields: SpaceFields) -> _Blocks:
-    return fields._cached("agm_blocks", lambda: _Blocks(fields))
+    return _Blocks(fields)
 
 
 def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
@@ -260,7 +258,7 @@ def agm_decompose(fields: SpaceFields) -> Decomposition:
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
-    g = b.deform(printed=False)
+    g = b.deform(False)
     dec = Decomposition(tc.scale(b.sv, -(b.mu * Fraction(1, 2))),
                         tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))

@@ -8,7 +8,8 @@ Subcommands:
 * ``eval``       — evaluate an index-notation expression against an instance.
 
 Exit codes: 0 success, 1 invariant/identity failure, 2 usage or input error.
-The environment variable ``GEOINV_MODE`` sets the default arithmetic mode.
+The environment variable ``GEOINV_MODE`` sets the default arithmetic mode
+(an unknown mode exits 2).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .index_expr import evaluate as expr_evaluate
 from .index_expr import parse as expr_parse, ref_names
 from .jet import JetTensor
 from .mappings import (FIXED_FLAGS, MAPPINGS, MODES, InstanceError,
-                       MappingInstance, curl, generate, generate_agm3,
-                       vector_connection_derivative)
+                       MappingInstance, check_valence, curl, generate,
+                       generate_agm3, vector_connection_derivative)
 from .tensor_core import ABS_TOL, DOMAINS, REL_TOL, GeoinvError, Tensor
 
 
@@ -97,6 +98,10 @@ def instance_from_obj(obj) -> MappingInstance:
                        for k in val)):
             raise UsageError(f"field {name!r} has a bad valence")
         valence = (val[0], val[1])
+        try:  # before the array sizes: dim ** rank of a crafted valence is huge
+            check_valence(mapping, name, valence)
+        except InstanceError as e:
+            raise UsageError(str(e)) from None
         data = entry.get("value")
         gdata = entry.get("grad")
         if not isinstance(data, list) or not isinstance(gdata, list):
@@ -413,7 +418,10 @@ def cmd_eval(args) -> int:
 
 def _mode_default() -> str:
     mode = os.environ.get("GEOINV_MODE", "rational")
-    return mode if mode in MODES else "rational"
+    if mode not in MODES:
+        raise UsageError(f"GEOINV_MODE must be {' or '.join(map(repr, MODES))}, "
+                         f"got {mode!r}")
+    return mode
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,13 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except (GeoinvError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import tensor_core as tc
 from .jet import JetTensor, linear
-from .tensor_core import ShapeError, Tensor
+from .tensor_core import ShapeError, Tensor, once
 
 
 def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
@@ -71,21 +71,17 @@ class ConnectionSpace:
         self.skew_ricci = tc.alternate(self.ricci, 0, 1)
         # theta_j = L^a_ja of the symmetric part, with its gradient
         self.theta = linear(tc.contract, self.Lsym, 0, 1)
-        self._trace_cd: Tensor | None = None
 
     def torsion(self) -> Tensor:
         """The torsion tensor L^i_jk - L^i_kj (twice the half-difference part)."""
         return tc.scale(self.Ltor.value, 2)
 
+    @once
     def trace_cov_derivative(self) -> Tensor:
         """theta_j|n by the covector rule: theta_j,n - L^a_jn theta_a
         (computed once per space)."""
-        if self._trace_cd is None:
-            self._trace_cd = tc.sub(
-                self.theta.grad,
-                tc.ein("ajn,a->jn", (0, 2), self.Lsym.value, self.theta.value),
-            )
-        return self._trace_cd
+        return tc.sub(self.theta.grad,
+                      tc.ein("ajn,a->jn", (0, 2), self.Lsym.value, self.theta.value))
 
     def special_trace_derivative(self) -> Tensor:
         """theta_j|n evaluated with the special connection derivative."""

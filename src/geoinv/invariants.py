@@ -19,7 +19,7 @@ from . import tensor_core as tc
 from .connection import ConnectionSpace
 from .jet import covariant_derivative
 from .mappings import SpaceFields
-from .tensor_core import GeoinvError, Tensor
+from .tensor_core import GeoinvError, Tensor, once
 
 
 class DecompositionError(GeoinvError):
@@ -78,40 +78,37 @@ def weyl_basic(fields: SpaceFields) -> Tensor:
     return tc.add(fields.space.R, tc.sub(_alt_last(quad), _alt_last(cd)))
 
 
+@once
 def rho(fields: SpaceFields) -> Tensor:
     """Covariant derivative of the deformation-source trace."""
-    return fields._cached("rho", lambda: covariant_derivative(
-        fields.b, fields.space.Lsym))
+    return covariant_derivative(fields.b, fields.space.Lsym)
 
 
 def rho_skew(fields: SpaceFields) -> Tensor:
     return tc.alternate(rho(fields), 0, 1)
 
 
+@once
 def S_tilde(fields: SpaceFields) -> Tensor:
     """Quadratic trace completion; symmetric by construction."""
-    def make():
-        tt = fields.theta_tilde.value
-        first = tc.ein("a,aij->ij", (0, 2), tt, fields.B.value)
-        return tc.add(tc.scale(first, fields.dim + 1),
-                      tc.ein("i,j->ij", (0, 2), tt, tt))
-    return fields._cached("s_tilde", make)
+    tt = fields.theta_tilde.value
+    first = tc.ein("a,aij->ij", (0, 2), tt, fields.B.value)
+    return tc.add(tc.scale(first, fields.dim + 1), tc.ein("i,j->ij", (0, 2), tt, tt))
 
 
+@once
 def A_tensor(fields: SpaceFields) -> Tensor:
     """Deformation curvature: minus the alternated derivative plus the square."""
-    def make():
-        B = fields.B
-        cd = covariant_derivative(B, fields.space.Lsym)
-        quad = tc.ein("ajm,ian->ijmn", (1, 3), B.value, B.value)
-        return tc.sub(_alt_last(quad), _alt_last(cd))
-    return fields._cached("a_tensor", make)
+    B = fields.B
+    cd = covariant_derivative(B, fields.space.Lsym)
+    quad = tc.ein("ajm,ian->ijmn", (1, 3), B.value, B.value)
+    return tc.sub(_alt_last(quad), _alt_last(cd))
 
 
+@once
 def A_trace(fields: SpaceFields) -> Tensor:
     """Symmetrized last-slot trace of the deformation curvature."""
-    return fields._cached("a_trace", lambda: tc.sym_pair(
-        tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1))
+    return tc.sym_pair(tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1)
 
 
 # the (0,2) cores whose delta_mix blocks several forms share
@@ -124,24 +121,22 @@ _MIX_CORES = {
 }
 
 
+@once
 def delta_block(fields: SpaceFields, core: str) -> Tensor:
     """delta_mix of one named (0,2) core of this side, built once per bundle:
     "theta" (the covector-rule trace derivative), "rho", "s_tilde",
     "a_trace" or "sym_ricci" (the symmetrized Ricci tensor)."""
-    return fields._cached("mix-" + core,
-                          lambda: tc.delta_mix(_MIX_CORES[core](fields)))
+    return tc.delta_mix(_MIX_CORES[core](fields))
 
 
+@once
 def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
-    def make():
-        N = fields.dim
-        out = tc.add(fields.space.R, A_tensor(fields))
-        bracket = tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho"))
-        out = tc.add_scaled(out, Fraction(-1, N + 1), bracket)
-        return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2),
-                             delta_block(fields, "s_tilde"))
-    return fields._cached("weyl_factored", make)
+    N = fields.dim
+    out = tc.add(fields.space.R, A_tensor(fields))
+    bracket = tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho"))
+    out = tc.add_scaled(out, Fraction(-1, N + 1), bracket)
+    return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), delta_block(fields, "s_tilde"))
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +225,13 @@ def xyz_weyl_first_display(fields: SpaceFields) -> Decomposition:
 # closed derived forms
 
 
+@once
 def weyl_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived form: trace-completed with the symmetrized Ricci data."""
-    def make():
-        c = Fraction(1, fields.dim - 1)
-        out = tc.add(fields.space.R, A_tensor(fields))
-        out = tc.add_scaled(out, c, delta_block(fields, "sym_ricci"))
-        return tc.add_scaled(out, c, delta_block(fields, "a_trace"))
-    return fields._cached("weyl_fourth", make)
+    c = Fraction(1, fields.dim - 1)
+    out = tc.add(fields.space.R, A_tensor(fields))
+    out = tc.add_scaled(out, c, delta_block(fields, "sym_ricci"))
+    return tc.add_scaled(out, c, delta_block(fields, "a_trace"))
 
 
 def weyl_first_display(fields: SpaceFields) -> Tensor:

@@ -35,7 +35,7 @@ from .jet import (
     linear,
     zero_jet,
 )
-from .tensor_core import DOMAINS, Domain, GeoinvError, Tensor
+from .tensor_core import DOMAINS, Domain, GeoinvError, Tensor, once
 
 
 class InstanceError(GeoinvError):
@@ -71,15 +71,24 @@ def _pair_sym(t: JetTensor) -> JetTensor:
     return linear(tc.sym_pair, t, 1, 2, True)
 
 
-def _deformation_source(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
-                       flags) -> JetTensor:
+def _rule_terms(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
+               flags) -> list[JetTensor]:
     """The flag-gated symmetric rule terms: paired f (x) sigma, then phi_obj."""
     _, s2, s3 = flags
-    out = zero_jet(f.dim, (1, 2))
+    terms = []
     if s2:
-        out = linear(tc.add, out, _pair_sym(jet_mul(f, sigma)))
+        terms.append(_pair_sym(jet_mul(f, sigma)))
     if s3:
-        out = linear(tc.add, out, phi_obj)
+        terms.append(phi_obj)
+    return terms
+
+
+def _deformation_source(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
+                        flags) -> JetTensor:
+    """The rule terms of one side summed onto a zero jet, in order."""
+    out = zero_jet(f.dim, (1, 2))
+    for term in _rule_terms(f, sigma, phi_obj, flags):
+        out = linear(tc.add, out, term)
     return out
 
 
@@ -114,40 +123,51 @@ class SpaceFields:
         self.f = f if f is not None else zero_jet(N, (1, 1))
         self.phi_obj = phi_obj if phi_obj is not None else zero_jet(N, (1, 2))
         self.agm = agm
-        self._cache: dict = {}
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def _cached(self, key, make):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
     @property
+    @once
     def B(self) -> JetTensor:
         """Deformation source: the flag-gated symmetric rule terms of this side."""
-        return self._cached("B", lambda: _deformation_source(
-            self.f, self.sigma, self.phi_obj, self.flags))
+        return _deformation_source(self.f, self.sigma, self.phi_obj, self.flags)
 
     @property
+    @once
     def b(self) -> JetTensor:
-        return self._cached("b", lambda: linear(tc.contract, self.B, 0, 0))
+        return linear(tc.contract, self.B, 0, 0)
 
     @property
+    @once
     def theta_tilde(self) -> JetTensor:
-        return self._cached(
-            "theta_tilde", lambda: linear(tc.sub, self.space.theta, self.b)
-        )
+        return linear(tc.sub, self.space.theta, self.b)
 
     @property
+    @once
     def omega(self) -> JetTensor:
-        def make():
-            dt = linear(tc.delta_sym, self.theta_tilde)
-            return linear(tc.add, self.B,
-                          linear(tc.scale, dt, Fraction(1, self.dim + 1)))
-        return self._cached("omega", make)
+        dt = linear(tc.delta_sym, self.theta_tilde)
+        return linear(tc.add, self.B, linear(tc.scale, dt, Fraction(1, self.dim + 1)))
+
+
+def check_valence(mapping: str, name: str, valence: tuple[int, int]) -> None:
+    """Raise unless a ``mapping`` instance has a field ``name`` of this valence."""
+    expected: dict[str, tuple[int, int]] = {
+        "L": (1, 2), "u": (0, 1), "u_bar": (0, 1),
+        "phi_obj": (1, 2), "phi_obj_bar": (1, 2),
+    }
+    if mapping == "agm3":
+        expected.update({"sigma": (0, 2), "phi": (1, 0),
+                         "nu": (0, 1), "mu": (0, 0)})
+    else:
+        expected.update({"sigma": (0, 1), "sigma_bar": (0, 1),
+                         "f": (1, 1), "f_bar": (1, 1), "xi": (1, 2)})
+    if name not in expected:
+        raise InstanceError(f"unexpected field {name!r} for {mapping}")
+    if valence != expected[name]:
+        raise InstanceError(
+            f"field {name!r} has valence {valence}, expected {expected[name]}")
 
 
 class MappingInstance:
@@ -161,9 +181,6 @@ class MappingInstance:
         self.fields = fields
         self.p = p
         self.seed = seed
-        self._source: SpaceFields | None = None
-        self._target: SpaceFields | None = None
-        self._target_L: JetTensor | None = None
 
     @property
     def domain(self) -> Domain:
@@ -194,25 +211,10 @@ class MappingInstance:
                                 f"({','.join(map(str, fixed))})")
         if "L" not in self.fields:
             raise InstanceError("instance has no connection field 'L'")
-        expected: dict[str, tuple[int, int]] = {
-            "L": (1, 2), "u": (0, 1), "u_bar": (0, 1),
-            "phi_obj": (1, 2), "phi_obj_bar": (1, 2),
-        }
-        if self.mapping == "agm3":
-            expected.update({"sigma": (0, 2), "phi": (1, 0),
-                             "nu": (0, 1), "mu": (0, 0)})
-        else:
-            expected.update({"sigma": (0, 1), "sigma_bar": (0, 1),
-                             "f": (1, 1), "f_bar": (1, 1), "xi": (1, 2)})
         for name, t in self.fields.items():
-            if name not in expected:
-                raise InstanceError(f"unexpected field {name!r} for {self.mapping}")
+            check_valence(self.mapping, name, t.valence)
             if t.dim != self.dim:
                 raise InstanceError(f"field {name!r} has dimension {t.dim}")
-            if t.valence != expected[name]:
-                raise InstanceError(
-                    f"field {name!r} has valence {t.valence}, expected {expected[name]}"
-                )
         for name in ("phi_obj", "phi_obj_bar", "xi", "sigma"):
             t = self.fields.get(name)
             if t is None or t.valence == (0, 1):
@@ -229,15 +231,13 @@ class MappingInstance:
 
     # -- derived objects ---------------------------------------------------
 
+    @once
     def source_fields(self) -> SpaceFields:
-        if self._source is None:
-            self._source = self._side(self.fields["L"], "")
-        return self._source
+        return self._side(self.fields["L"], "")
 
+    @once
     def target_fields(self) -> SpaceFields:
-        if self._target is None:
-            self._target = self._side(self.target_connection(), "_bar")
-        return self._target
+        return self._side(self.target_connection(), "_bar")
 
     def _side(self, L: JetTensor, bar: str) -> SpaceFields:
         """One side's fields: bar is "" for the source, "_bar" for the target."""
@@ -250,10 +250,9 @@ class MappingInstance:
             agm=self._agm_block(space, source=not bar),
         )
 
+    @once
     def target_connection(self) -> JetTensor:
-        if self._target_L is None:
-            self._target_L = build_target_connection(self)
-        return self._target_L
+        return build_target_connection(self)
 
     def _agm_block(self, space: ConnectionSpace, source: bool) -> AGMData | None:
         if self.mapping != "agm3":
@@ -280,20 +279,19 @@ class MappingInstance:
 
 def build_target_connection(inst: MappingInstance) -> JetTensor:
     """Apply the transformation rule to the source connection jet."""
-    s1, s2, s3 = inst.flags
     out = inst.fields["L"]
-    if s1:
+    if inst.flags[0]:
         psi = linear(tc.sub, inst.field("u_bar", (0, 1)), inst.field("u", (0, 1)))
         out = linear(tc.add, out, linear(tc.delta_sym, psi))
-    if s2:
-        bar = _pair_sym(jet_mul(inst.field("f_bar", (1, 1)),
-                                inst.field("sigma_bar", (0, 1))))
-        unb = _pair_sym(jet_mul(inst.field("f", (1, 1)),
-                                inst.field("sigma", (0, 1))))
-        out = linear(tc.add, out, linear(tc.sub, bar, unb))
-    if s3:
-        out = linear(tc.add, out, linear(tc.sub, inst.field("phi_obj_bar", (1, 2)),
-                                         inst.field("phi_obj", (1, 2))))
+
+    def terms(bar: str) -> list[JetTensor]:
+        return _rule_terms(inst.field("f" + bar, (1, 1)),
+                           inst.field("sigma" + bar, (0, 1)),
+                           inst.field("phi_obj" + bar, (1, 2)), inst.flags)
+
+    # term by term: adding B_bar - B in one step rounds float sums differently
+    for t_bar, t in zip(terms("_bar"), terms("")):
+        out = linear(tc.add, out, linear(tc.sub, t_bar, t))
     if "xi" in inst.fields:
         out = linear(tc.add, out, inst.fields["xi"])
     return out
@@ -385,6 +383,9 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     r = random.Random(f"geoinv:{mapping}:{dim}:{seed}:{s1}{s2}{s3}")
     dom = DOMAINS[mode]
     L, u, u_bar = _first_draws(r, dom, dim)
+    if mapping == "geodesic":
+        fields = {"L": L, "u": u, "u_bar": u_bar}
+        return MappingInstance(dim, mode, flags, mapping, fields, seed=seed)
 
     sigma = _draw_jet(r, dom, dim, (0, 1))
     sigma_bar = _draw_jet(r, dom, dim, (0, 1))
@@ -407,9 +408,6 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     phi_obj_bar = linear(tc.sym_pair, _draw_jet(r, dom, dim, (1, 2)), 1, 2)
     xi_raw = _draw_jet(r, dom, dim, (1, 2))
     xi = linear(tc.scale, linear(tc.alternate, xi_raw, 1, 2), Fraction(1, 2))
-    if mapping == "geodesic":
-        fields = {"L": L, "u": u, "u_bar": u_bar}
-        return MappingInstance(dim, mode, flags, mapping, fields, seed=seed)
 
     # -- exact curl fix for the deformation-trace difference ---------------
     def b_of(fj, sj, pj) -> JetTensor:

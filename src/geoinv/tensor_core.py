@@ -59,7 +59,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
@@ -75,6 +75,30 @@ class ShapeError(GeoinvError):
 
 class IndexKindError(GeoinvError):
     """An index slot was addressed with the wrong kind or out of range."""
+
+
+def once(fn):
+    """Compute ``fn(owner, *args)`` once per owner and argument tuple.
+
+    The package's only memo.  The result is kept in ``owner._memo`` under
+    ``(fn, *args)``: keyed on the undecorated function, so a call through a
+    wrapper of the decorated one shares the entry, and held by the owner, so
+    it lives as long as the owner and no two owners share it.  Arguments are
+    positional and hashable.  A result must not refer back to its owner, or
+    the owner outlives its last reference until the cycle collector runs.
+    """
+    @wraps(fn)
+    def memo(owner, *args):
+        key = (fn, *args)
+        try:
+            return owner._memo[key]
+        except AttributeError:
+            owner._memo = {}
+        except KeyError:
+            pass
+        value = owner._memo[key] = fn(owner, *args)
+        return value
+    return memo
 
 
 # ---------------------------------------------------------------------------

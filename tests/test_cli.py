@@ -7,6 +7,7 @@ import io
 import json
 import shutil
 import subprocess
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,6 +142,15 @@ def test_gen_mode_env_default(tmp_path, monkeypatch):
     monkeypatch.delenv("GEOINV_MODE")
     out = run_gen(tmp_path, "r.json", "--n", "3", "--seed", "0")
     assert json.loads(out.read_text())["mode"] == "rational"
+
+
+def test_gen_unknown_mode_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GEOINV_MODE", "bogus")
+    out = tmp_path / "x.json"
+    assert main(["gen", "--n", "2", "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: GEOINV_MODE must be 'rational' or 'float', got 'bogus'\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ check
@@ -348,6 +358,23 @@ def test_check_inexact_value_types_exit_2(tmp_path, capsys, mode, key, value):
     assert main(["check", str(bad), "--report", str(rep_path)]) == 2
     assert not rep_path.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("L", "field 'L' has valence (3000000, 0), expected (1, 2)"),
+    ("zz", "unexpected field 'zz' for general"),
+])
+def test_check_crafted_valence_exits_2_fast(tmp_path, capsys, name, message):
+    # dimension ** (p + q) of these values has 27 million digits
+    bad = tmp_path / "valence.json"
+    bad.write_text(json.dumps({
+        "dimension": 10**9, "mode": "rational", "mapping": "general",
+        "flags": {"s1": 1, "s2": 1, "s3": 1},
+        "fields": {name: {"valence": [3000000, 0], "value": [0], "grad": [0]}}}))
+    start = time.perf_counter()
+    assert main(["check", str(bad)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])

@@ -1,11 +1,13 @@
 """Mapping instances: generation guarantees, the transformation rule, fields."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from geoinv import mappings as mp, tensor_core as tc
+from geoinv import agm, cli, mappings as mp, tensor_core as tc
 from geoinv.connection import ConnectionSpace, split
 from geoinv.jet import JetTensor, constant_jet, zero_jet
 from geoinv.mappings import (
@@ -426,3 +428,24 @@ def test_vector_connection_derivative_kind_errors():
         vector_connection_derivative(side.agm.phi, side.space.L, 1, literal=True)
     with pytest.raises(InstanceError):
         vector_connection_derivative(side.agm.phi, side.space.L, 5)
+
+
+@pytest.mark.parametrize("mapping", ["general", "agm3"])
+def test_memo_values_do_not_keep_their_instance_alive(mapping):
+    # memo results live on their owners; one that referred back to its owner
+    # would make a cycle that only the cycle collector frees
+    ins = (generate(3, 0, (1, 1, 1), "general", "rational") if mapping == "general"
+           else generate_agm3(3, 0, 1, "rational"))
+    gc.disable()
+    try:
+        cli.pair_invariants(ins)
+        sides = (ins.source_fields(), ins.target_fields())
+        owners = [ins, *sides, *(s.space for s in sides)]
+        if mapping == "agm3":
+            assert all(agm.agm_diagnostics(side) for side in sides)
+            owners += [agm._blocks(side) for side in sides]
+        refs = [weakref.ref(owner) for owner in owners]
+        del ins, sides, owners
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

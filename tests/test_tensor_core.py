@@ -592,6 +592,61 @@ def test_data_is_read_only():
         t.data = [1, 2]
 
 
+# ---------------------------------------------------------------- memo
+
+
+def test_once_runs_once_per_owner_and_argument_tuple():
+    calls = []
+
+    class Owner:
+        @tc.once
+        def part(self, *args):
+            calls.append((self, args))
+            return object()
+
+    a, b = Owner(), Owner()
+    assert a.part(1) is a.part(1)
+    assert a.part() is a.part()
+    assert a.part(2) is not a.part(1)
+    assert b.part(1) is b.part(1)
+    assert b.part(1) is not a.part(1)
+    assert calls == [(a, (1,)), (a, ()), (a, (2,)), (b, (1,))]
+    # keyed on the undecorated function: a second decoration shares entries
+    assert tc.once(Owner.part.__wrapped__)(a, 2) is a.part(2)
+    assert len(calls) == 4
+    with pytest.raises(TypeError):
+        a.part(k=1)
+
+
+def _memo_breaches(tree):
+    """Lines that name a ``_cache`` or ``_cached`` attribute or function, or
+    ``_memo`` outside the function ``once``."""
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "once"
+              for sub in ast.walk(node)}
+    hits = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.FunctionDef) else None)
+        if name in ("_cache", "_cached") or (name == "_memo"
+                                             and id(node) not in inside):
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_once_is_the_only_memo():
+    # a result derived once per owner goes through tc.once, which alone
+    # reads and writes the owner's _memo
+    src = Path(tc.__file__).parent
+    hits = {path.name: lines for path in sorted(src.glob("*.py"))
+            if (lines := _memo_breaches(ast.parse(path.read_text())))}
+    assert hits == {}
+    planted = ast.parse("def _cached(self, key):\n    return self._cache[key]\n"
+                        "def once(fn):\n    fn._memo = {}\n"
+                        "def rho(f):\n    f._memo['rho'] = 1\n")
+    assert _memo_breaches(planted) == [1, 2, 6]
+
+
 # ---------------------------------------------------------------- plan cache
 
 
