@@ -1,26 +1,26 @@
 """Closed-form invariants of the third-type almost-geodesic rule.
 
-The generic pipeline (``invariants``) is the ground truth here: every closed
-form below is also assembled group-by-group so it can be diffed against its
-pipeline counterpart.  Each form exists in two variants:
+The generic pipeline (``invariants``) is the ground truth here.  Each closed
+form (basic, fourth, first) and the deformation curvature's expansion is one
+table, ``tables(N, eps)``, so it can be diffed against its pipeline
+counterpart group by group.  A row ``(group, part, published, corrected)``
+names a coefficient-free part of ``_Blocks`` and its two coefficients; a
+form is its rows' scaled parts summed in order.
 
-* ``printed=False`` (default): the corrected expansion, equal to the pipeline
-  value exactly; this is what the invariance machinery uses.
-* ``printed=True``: the form with its published coefficients, kept only so
-  ``agm_diagnostics`` can report where the two disagree.  Several published
-  coefficients are provably inconsistent with the forms' own derivation (they
-  break invariance), so the printed variants are never certified — only
-  measured.
-
-One builder per form makes both variants; they differ only in coefficients
-and in which trace cores are symmetrized, and share the delta blocks that
-``_Blocks`` builds once per bundle.
+* The corrected column equals the pipeline value exactly; ``agm_basic``,
+  ``agm_fourth`` and ``agm_first`` read it.
+* The published column holds the printed coefficients, kept only so
+  ``agm_diagnostics`` can report where the two disagree.  Several of them
+  provably break invariance, so it is never certified — only measured.
+  The published forms also leave the ricci, cd_j, w_nu and tor cores
+  unsymmetrized: this column reads a ``sym_`` part without its prefix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
+from types import MappingProxyType
 
 from . import tensor_core as tc
 from .invariants import (
@@ -40,14 +40,68 @@ from .mappings import NotApplicableError, SpaceFields
 from .tensor_core import Tensor, once
 
 
-class _Blocks:
-    """Shared sub-tensors of the closed forms, computed once per bundle.
+@cache
+def tables(N: int, eps: int) -> MappingProxyType[str, tuple[tuple, ...]]:
+    """Each closed form's rows (group, part, published, corrected) at
+    dimension N and sign eps, in summation order; built once per (N, eps)
+    and shared, so read-only."""
+    F = Fraction
+    deform = (("mu", "a_mu", F(-1, 4), F(-1, 2)),
+              ("cd", "a_cd", F(1, 4), F(1, 2)),
+              ("quad", "a_quad", F(1, 4), F(1, 4)),
+              ("nutor", "a_nutor", F(1, 4), F(1, 2)))
+    # every form carries the expansion's rows; only its mu coefficient varies
+    carried = tuple(("deform-" + group, *rest) for group, *rest in deform[1:])
+    curvature = ("curvature", "R", F(1), F(1))
+    trace = (("trace-theta", "theta", F(-1, N + 1), F(-1, N + 1)),
+             ("trace-cd", "cd_j", F(-1, 2 * (N + 1)), F(-1, 2 * (N + 1))),
+             ("trace-nu", "w_nu", F(-1, 2 * (N + 1)), F(-1, 2 * (N + 1))),
+             ("trace-tor", "tor", F(-eps, 2 * (N + 1)), F(-eps, 2 * (N + 1))))
+    q, h = F(1, 4 * (N - 1)), F(1, 2 * (N - 1))
+    over = F(-1, 4 * (N + 1) ** 2 * (N - 1))
+    return MappingProxyType({
+        "deform": deform,
+        "basic": (
+            curvature,
+            ("deform-mu", "a_mu", F(-(N + 3), 4 * (N + 1)),
+             F(-(N + 2), 2 * (N + 1))),
+            *carried, *trace,
+            ("trace-scalar", "s_tt", F(1, 2 * (N + 1)), F(1, 2 * (N + 1))),
+            ("trace-outer", "tt_tt", F(-1, (N + 1) ** 2), F(-1, (N + 1) ** 2)),
+        ),
+        "fourth": (
+            curvature,
+            ("ricci", "sym_ricci", F(1, N - 1), F(1, N - 1)),
+            ("deform-mu", "a_mu", F(0), F(0)),
+            *carried,
+            ("trace-cd", "sym_cd", q, h),
+            ("trace-scalar-quad", "s_quad", q, q),
+            ("trace-scalar-nu", "s_nu", q, h),
+            ("trace-scalar-tor", "s_tor", eps * q, eps * h),
+            ("trace-outer-quad", "w_w", -q, -q),
+            ("trace-outer-nu", "sym_w_nu", -q, -h),
+            ("trace-outer-tor", "sym_tor", -eps * q, -eps * h),
+        ),
+        "first": (
+            curvature, *trace,
+            ("deform-mu", "a_mu", F(-(N + 2) ** 2, 4 * (N + 1) ** 2),
+             F(-(N * N + 4 * N + 1), 2 * (N + 1) ** 2)),
+            *carried,
+            ("over-cd", "sym_cd", over, F(-1, 2 * (N + 1) ** 2)),
+            ("over-quad", "quad", over, F(-1, 4 * (N + 1) ** 2)),
+            ("over-nutor", "sym_nutor", over, F(-1, 2 * (N + 1) ** 2)),
+        ),
+    })
 
-    ``y`` holds the (0,2) cores of the trace groups and ``mix`` their delta
-    blocks; the trace derivative's and the symmetrized Ricci tensor's are the
-    pipeline forms' (``delta_block``).  The corrected forms symmetrize four
-    of the cores before the delta block, the printed ones do not;
-    ``variant`` picks a form's blocks.
+
+class _Blocks:
+    """The coefficient-free parts of the closed forms, built once per bundle.
+
+    ``y`` holds the (0,2) cores of the trace groups.  ``raw`` holds the
+    curvature ``R``, the deformation-curvature structures ``a_*`` and the
+    cores' delta blocks (the trace derivative's and the symmetrized Ricci
+    tensor's are the pipeline forms', ``delta_block``); ``sym`` is the same
+    with the ricci, cd_j, w_nu and tor cores symmetrized first.
     """
 
     def __init__(self, fields: SpaceFields):
@@ -56,10 +110,8 @@ class _Blocks:
             raise NotApplicableError(
                 "closed almost-geodesic forms need the vector-field block")
         space = fields.space
-        N = space.dim
-        self.N = N
-        self.eps = -1 if agm.p % 2 else 1
-        self.R = space.R
+        self.N = space.dim
+        self.eps = eps = -1 if agm.p % 2 else 1
         sv = agm.sigma.value
         pv = agm.phi.value
         self.sv, self.mu = sv, agm.mu
@@ -73,18 +125,6 @@ class _Blocks:
         tlphi = tc.ein("a,a->", (0, 0), tl, pv)
         sphiphi = tc.ein("ab,a,b->", (0, 0), sv, pv, pv)
         ttphi = tc.ein("a,a->", (0, 0), theta_t, pv)
-
-        # deformation-curvature group structures (coefficient-free)
-        self.a_mu = tc.delta_mix(tc.scale(sv, agm.mu))
-        self.a_cd = tc.alternate(
-            tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3)
-        self.a_quad = tc.alternate(
-            tc.ein("jm,an,a,i->ijmn", (1, 3), sv, sv, pv, pv), 2, 3)
-        self.a_nutor = tc.alternate(
-            tc.add_scaled(tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv),
-                          self.eps,
-                          tc.ein("jm,in->ijmn", (1, 3), sv, torphi)),
-            2, 3)
 
         def sigma_times(scalar) -> Tensor:
             return tc.scale(sv, scalar.data[0])
@@ -102,35 +142,64 @@ class _Blocks:
             "s_tor": sigma_times(tlphi),
             "ricci": space.ricci,
         }
-        self.mix = {"theta": delta_block(fields, "theta"),
-                    **{k: tc.delta_mix(y) for k, y in self.y.items()}}
-        self.mix_sym = {
-            **self.mix, "ricci": delta_block(fields, "sym_ricci"),
+        self.raw = {
+            "R": space.R,
+            "a_mu": tc.delta_mix(tc.scale(sv, agm.mu)),
+            "a_cd": tc.alternate(
+                tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3),
+            "a_quad": tc.alternate(
+                tc.ein("jm,an,a,i->ijmn", (1, 3), sv, sv, pv, pv), 2, 3),
+            "a_nutor": tc.alternate(
+                tc.add_scaled(tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv),
+                              eps, tc.ein("jm,in->ijmn", (1, 3), sv, torphi)),
+                2, 3),
+            "theta": delta_block(fields, "theta"),
+            **{k: tc.delta_mix(y) for k, y in self.y.items()},
+        }
+        self.sym = {
+            **self.raw, "ricci": delta_block(fields, "sym_ricci"),
             **{k: tc.delta_mix(tc.sym_pair(self.y[k], 0, 1))
                for k in ("cd_j", "w_nu", "tor")}}
-        # the trace groups the basic and first forms share, in both variants
-        self.trace = {
-            "trace-theta": tc.scale(self.mix["theta"], Fraction(-1, N + 1)),
-            "trace-cd": tc.scale(self.mix["cd_j"], Fraction(-1, 2 * (N + 1))),
-            "trace-nu": tc.scale(self.mix["w_nu"], Fraction(-1, 2 * (N + 1))),
-            "trace-tor": tc.scale(self.mix["tor"],
-                                  Fraction(-self.eps, 2 * (N + 1))),
-        }
-
-    def variant(self, printed: bool) -> dict[str, Tensor]:
-        """The delta blocks of one variant's cores."""
-        return self.mix if printed else self.mix_sym
 
     @once
-    def deform(self, printed: bool) -> dict[str, Tensor]:
-        """The deformation-curvature expansion, grouped like its display."""
-        q = Fraction(1, 4 if printed else 2)
-        return {
-            "mu": tc.scale(self.a_mu, -q),
-            "cd": tc.scale(self.a_cd, q),
-            "quad": tc.scale(self.a_quad, Fraction(1, 4)),
-            "nutor": tc.scale(self.a_nutor, q),
-        }
+    def part(self, name: str) -> Tensor:
+        """A part by name, read from ``sym`` when it is a ``sym_`` name: a
+        block, or one of the differences the forms group, built on first use."""
+        m = self.sym if name.startswith("sym_") else self.raw
+        name = name.removeprefix("sym_")
+        if name == "cd":
+            return tc.sub(m["cd_n"], m["cd_j"])
+        if name == "quad":
+            return tc.sub(m["s_quad"], m["w_w"])
+        if name == "nutor":
+            return tc.add_scaled(tc.sub(m["s_nu"], m["w_nu"]), self.eps,
+                                 tc.sub(m["s_tor"], m["tor"]))
+        return m[name]
+
+    @once
+    def term(self, part: str, num: int, den: int) -> Tensor:
+        """A part scaled by num/den, shared by every row that asks for it
+        (int keys: a ``Fraction`` key would pay for its hash on each call).
+        A zero coefficient gives exact zeros, as a scaled float part would
+        carry signed zeros into the sum."""
+        if num == 0:
+            return tc.zeros(self.N, (1, 3))
+        return tc.scale(self.part(part), Fraction(num, den))
+
+    def column(self, form: str, corrected: bool) -> list[tuple[str, Tensor]]:
+        """One column of a form's table: each group with its scaled part."""
+        out = []
+        for group, part, *coefficients in tables(self.N, self.eps)[form]:
+            c = coefficients[corrected]
+            if not corrected:
+                part = part.removeprefix("sym_")
+            out.append((group, self.term(part, c.numerator, c.denominator)))
+        return out
+
+    @once
+    def total(self, form: str) -> Tensor:
+        """A form's corrected column summed in row order."""
+        return reduce(tc.add, [t for _, t in self.column(form, True)])
 
 
 @once
@@ -138,101 +207,24 @@ def _blocks(fields: SpaceFields) -> _Blocks:
     return _Blocks(fields)
 
 
-def _groups_basic(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
-    b = _blocks(fields)
-    N = b.N
-    g = b.deform(printed)
-    mu_c = (Fraction(-(N + 3), 4 * (N + 1)) if printed
-            else Fraction(-(N + 2), 2 * (N + 1)))
-    return {
-        "curvature": b.R,
-        "deform-mu": tc.scale(b.a_mu, mu_c),
-        "deform-cd": g["cd"],
-        "deform-quad": g["quad"],
-        "deform-nutor": g["nutor"],
-        **b.trace,
-        "trace-scalar": tc.scale(b.mix["s_tt"], Fraction(1, 2 * (N + 1))),
-        "trace-outer": tc.scale(b.mix["tt_tt"], Fraction(-1, (N + 1) ** 2)),
-    }
-
-
-def _groups_fourth(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
-    b = _blocks(fields)
-    N, eps = b.N, b.eps
-    g = b.deform(printed)
-    m = b.variant(printed)
-    half = Fraction(1, (4 if printed else 2) * (N - 1))
-    return {
-        "curvature": b.R,
-        "ricci": tc.scale(m["ricci"], Fraction(1, N - 1)),
-        "deform-mu": tc.zeros(N, (1, 3)),
-        "deform-cd": g["cd"],
-        "deform-quad": g["quad"],
-        "deform-nutor": g["nutor"],
-        "trace-cd": tc.scale(tc.sub(m["cd_n"], m["cd_j"]), half),
-        "trace-scalar-quad": tc.scale(m["s_quad"], Fraction(1, 4 * (N - 1))),
-        "trace-scalar-nu": tc.scale(m["s_nu"], half),
-        "trace-scalar-tor": tc.scale(m["s_tor"], eps * half),
-        "trace-outer-quad": tc.scale(m["w_w"], Fraction(-1, 4 * (N - 1))),
-        "trace-outer-nu": tc.scale(m["w_nu"], -half),
-        "trace-outer-tor": tc.scale(m["tor"], -eps * half),
-    }
-
-
-def _groups_first(fields: SpaceFields, printed: bool) -> dict[str, Tensor]:
-    b = _blocks(fields)
-    N, eps = b.N, b.eps
-    g = b.deform(printed)
-    m = b.variant(printed)
-    if printed:
-        mu_c = Fraction(-(N + 2) ** 2, 4 * (N + 1) ** 2)
-        over_cd = over_quad = Fraction(-1, 4 * (N + 1) ** 2 * (N - 1))
-    else:
-        mu_c = Fraction(-(N * N + 4 * N + 1), 2 * (N + 1) ** 2)
-        over_cd = Fraction(-1, 2 * (N + 1) ** 2)
-        over_quad = Fraction(-1, 4 * (N + 1) ** 2)
-    nutor_in = tc.add_scaled(tc.sub(m["s_nu"], m["w_nu"]),
-                             eps, tc.sub(m["s_tor"], m["tor"]))
-    return {
-        "curvature": b.R,
-        **b.trace,
-        "deform-mu": tc.scale(b.a_mu, mu_c),
-        "deform-cd": g["cd"],
-        "deform-quad": g["quad"],
-        "deform-nutor": g["nutor"],
-        "over-cd": tc.scale(tc.sub(m["cd_n"], m["cd_j"]), over_cd),
-        "over-quad": tc.scale(tc.sub(m["s_quad"], m["w_w"]), over_quad),
-        "over-nutor": tc.scale(nutor_in, over_cd),
-    }
-
-
-def _total(groups: dict[str, Tensor]) -> Tensor:
-    return reduce(tc.add, groups.values())
-
-
-def agm_basic(fields: SpaceFields, *, printed: bool = False) -> Tensor:
+def agm_basic(fields: SpaceFields) -> Tensor:
     """Basic Weyl-type closed form of the vector-field rule."""
-    return _total(_groups_basic(fields, printed))
+    return _blocks(fields).total("basic")
 
 
-def agm_fourth(fields: SpaceFields, *, printed: bool = False) -> Tensor:
+def agm_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived closed form of the vector-field rule."""
-    return _total(_groups_fourth(fields, printed))
+    return _blocks(fields).total("fourth")
 
 
-def agm_first(fields: SpaceFields, *, printed: bool = False) -> Tensor:
+def agm_first(fields: SpaceFields) -> Tensor:
     """First derived closed form of the vector-field rule.
 
-    The corrected variant equals the pipeline's display-form composition,
-    which is itself invariant only up to a skew-Ricci trace term; see the
-    first-derived pipeline functions for the closed invariant.
+    It equals the pipeline's display-form composition, which is itself
+    invariant only up to a skew-Ricci trace term; see the first-derived
+    pipeline functions for the closed invariant.
     """
-    return _total(_groups_first(fields, printed))
-
-
-def agm_invariants(fields: SpaceFields) -> tuple[Tensor, Tensor, Tensor]:
-    """The three corrected closed forms (basic, fourth, first)."""
-    return agm_basic(fields), agm_fourth(fields), agm_first(fields)
+    return _blocks(fields).total("first")
 
 
 def rho_closed(fields: SpaceFields) -> Tensor:
@@ -258,7 +250,7 @@ def agm_decompose(fields: SpaceFields) -> Decomposition:
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
-    g = b.deform(False)
+    g = dict(b.column("deform", True))
     dec = Decomposition(tc.scale(b.sv, -(b.mu * Fraction(1, 2))),
                         tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
@@ -290,9 +282,9 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
 
 
 def agm_diagnostics(fields: SpaceFields) -> list[dict]:
-    """Group-by-group diff of the published closed forms against the
-    corrected expansions, plus corrected-total-versus-pipeline rows; a row
-    matches when its two sides are close in the fields' domain."""
+    """Row-by-row diff of each table's published column against its
+    corrected one, plus corrected-total-versus-pipeline rows; a row matches
+    when its two sides are close in the fields' domain."""
     b = _blocks(fields)
     N = b.N
     rows: list[dict] = []
@@ -302,23 +294,19 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
         rows.append({"section": section, "group": group,
                      "status": "match" if ok else "mismatch", "max_abs": float(resid)})
 
-    dp, dd = b.deform(True), b.deform(False)
-    for key in dd:
-        row("deform", key, dp[key], dd[key])
-    row("deform", "total-vs-pipeline", _total(dd), A_tensor(fields))
+    def table(section: str, pipeline: Tensor) -> None:
+        for (group, x), (_, y) in zip(b.column(section, False),
+                                      b.column(section, True)):
+            row(section, group, x, y)
+        row(section, "total-vs-pipeline", b.total(section), pipeline)
 
+    table("deform", A_tensor(fields))
     row("trace-derivative", "full", rho_closed(fields), rho(fields))
     row("trace-completion", "full", s_tilde_closed(fields), S_tilde(fields))
-
     pipeline = {"basic": weyl_factored(fields), "fourth": weyl_fourth(fields),
                 "first": weyl_first_display(fields)}
-    for section, maker in (("basic", _groups_basic), ("fourth", _groups_fourth),
-                           ("first", _groups_first)):
-        gp = maker(fields, True)
-        gd = maker(fields, False)
-        for key in gd:
-            row(section, key, gp[key], gd[key])
-        row(section, "total-vs-pipeline", _total(gd), pipeline[section])
+    for section, form in pipeline.items():
+        table(section, form)
 
     dec = agm_decompose(fields)
     first, fourth, first_disp = weyl_forms_from_decomposition(dec, fields)

@@ -66,30 +66,36 @@ def curl(w: JetTensor) -> Tensor:
     return tc.alternate(w.grad, 0, 1)
 
 
-def _pair_sym(t: JetTensor) -> JetTensor:
-    """t^i_jk + t^i_kj (factor-free) — the shape every rule term takes."""
-    return linear(tc.sym_pair, t, 1, 2, True)
+class RuleTerms:
+    """One side's flag-gated symmetric rule terms: paired f (x) sigma, then
+    phi_obj.  Built once, on first use; the side's B and the target
+    connection share them.  Holds the side's fields, never their instance."""
 
+    def __init__(self, dim: int, flags, f: JetTensor | None = None,
+                 sigma: JetTensor | None = None,
+                 phi_obj: JetTensor | None = None):
+        self.dim = dim
+        self.flags = tuple(flags)
+        self.f = f if f is not None else zero_jet(dim, (1, 1))
+        self.sigma = sigma if sigma is not None else zero_jet(dim, (0, 1))
+        self.phi_obj = phi_obj if phi_obj is not None else zero_jet(dim, (1, 2))
 
-def _rule_terms(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
-               flags) -> list[JetTensor]:
-    """The flag-gated symmetric rule terms: paired f (x) sigma, then phi_obj."""
-    _, s2, s3 = flags
-    terms = []
-    if s2:
-        terms.append(_pair_sym(jet_mul(f, sigma)))
-    if s3:
-        terms.append(phi_obj)
-    return terms
+    @once
+    def terms(self) -> list[JetTensor]:
+        _, s2, s3 = self.flags
+        terms = []
+        if s2:  # f^i_j sigma_k + f^i_k sigma_j, factor-free
+            terms.append(linear(tc.sym_pair, jet_mul(self.f, self.sigma), 1, 2, True))
+        if s3:
+            terms.append(self.phi_obj)
+        return terms
 
-
-def _deformation_source(f: JetTensor, sigma: JetTensor, phi_obj: JetTensor,
-                        flags) -> JetTensor:
-    """The rule terms of one side summed onto a zero jet, in order."""
-    out = zero_jet(f.dim, (1, 2))
-    for term in _rule_terms(f, sigma, phi_obj, flags):
-        out = linear(tc.add, out, term)
-    return out
+    def total(self) -> JetTensor:
+        """The terms summed onto a zero jet, in order: the deformation source."""
+        out = zero_jet(self.dim, (1, 2))
+        for term in self.terms():
+            out = linear(tc.add, out, term)
+        return out
 
 
 class AGMData:
@@ -113,15 +119,11 @@ class SpaceFields:
     """
 
     def __init__(self, space: ConnectionSpace, flags, mode: str,
-                 sigma: JetTensor | None = None, f: JetTensor | None = None,
-                 phi_obj: JetTensor | None = None, agm: AGMData | None = None):
+                 rule: RuleTerms | None = None, agm: AGMData | None = None):
         self.space = space
         self.flags = tuple(flags)
         self.domain = DOMAINS[mode]
-        N = space.dim
-        self.sigma = sigma if sigma is not None else zero_jet(N, (0, 1))
-        self.f = f if f is not None else zero_jet(N, (1, 1))
-        self.phi_obj = phi_obj if phi_obj is not None else zero_jet(N, (1, 2))
+        self.rule = rule if rule is not None else RuleTerms(space.dim, flags)
         self.agm = agm
 
     @property
@@ -132,7 +134,7 @@ class SpaceFields:
     @once
     def B(self) -> JetTensor:
         """Deformation source: the flag-gated symmetric rule terms of this side."""
-        return _deformation_source(self.f, self.sigma, self.phi_obj, self.flags)
+        return self.rule.total()
 
     @property
     @once
@@ -242,13 +244,17 @@ class MappingInstance:
     def _side(self, L: JetTensor, bar: str) -> SpaceFields:
         """One side's fields: bar is "" for the source, "_bar" for the target."""
         space = ConnectionSpace(L)
+        return SpaceFields(space, self.flags, self.mode, self.rule_terms(bar),
+                           self._agm_block(space, source=not bar))
+
+    @once
+    def rule_terms(self, bar: str) -> RuleTerms:
+        """One side's rule terms (bar as in ``_side``), built once for its B
+        and the target connection."""
         get = self.fields.get
-        return SpaceFields(
-            space, self.flags, self.mode,
-            sigma=get("sigma" + bar) if self.mapping != "agm3" else None,
-            f=get("f" + bar), phi_obj=get("phi_obj" + bar),
-            agm=self._agm_block(space, source=not bar),
-        )
+        return RuleTerms(
+            self.dim, self.flags, f=get("f" + bar), phi_obj=get("phi_obj" + bar),
+            sigma=get("sigma" + bar) if self.mapping != "agm3" else None)
 
     @once
     def target_connection(self) -> JetTensor:
@@ -284,13 +290,9 @@ def build_target_connection(inst: MappingInstance) -> JetTensor:
         psi = linear(tc.sub, inst.field("u_bar", (0, 1)), inst.field("u", (0, 1)))
         out = linear(tc.add, out, linear(tc.delta_sym, psi))
 
-    def terms(bar: str) -> list[JetTensor]:
-        return _rule_terms(inst.field("f" + bar, (1, 1)),
-                           inst.field("sigma" + bar, (0, 1)),
-                           inst.field("phi_obj" + bar, (1, 2)), inst.flags)
-
     # term by term: adding B_bar - B in one step rounds float sums differently
-    for t_bar, t in zip(terms("_bar"), terms("")):
+    for t_bar, t in zip(inst.rule_terms("_bar").terms(),
+                        inst.rule_terms("").terms()):
         out = linear(tc.add, out, linear(tc.sub, t_bar, t))
     if "xi" in inst.fields:
         out = linear(tc.add, out, inst.fields["xi"])
@@ -411,7 +413,7 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
 
     # -- exact curl fix for the deformation-trace difference ---------------
     def b_of(fj, sj, pj) -> JetTensor:
-        return linear(tc.contract, _deformation_source(fj, sj, pj, flags), 0, 0)
+        return linear(tc.contract, RuleTerms(dim, flags, fj, sj, pj).total(), 0, 0)
 
     eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
                  curl(b_of(f, sigma, phi_obj)))

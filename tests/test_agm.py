@@ -94,7 +94,7 @@ def all_cases():
 def test_corrected_closed_forms_match_pipeline_on_both_sides():
     for ins, s, t in all_cases():
         for fl in (s, t):
-            basic, fourth, first = agm.agm_invariants(fl)
+            basic, fourth, first = agm.agm_basic(fl), agm.agm_fourth(fl), agm.agm_first(fl)
             key = (ins.dim, ins.seed, ins.p)
             assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0, key
             assert tc.max_abs_diff(fourth, inv.weyl_fourth(fl)) == 0, key
@@ -135,6 +135,57 @@ def test_skew_rho_vanishes_identically_on_family():
     for _, s, t in all_cases():
         assert inv.rho_skew(s).is_zero()
         assert inv.rho_skew(t).is_zero()
+
+
+# ------------------------------------------------------------------- tables
+
+TABLE_SHAPES = [(N, eps) for N in (3, 4, 5, 6) for eps in (-1, 1)]
+
+
+@pytest.mark.parametrize("N, eps", TABLE_SHAPES)
+def test_tables_differ_exactly_on_the_mismatch_groups(N, eps):
+    # a row's columns differ when its coefficients do, or when its part
+    # reads the symmetrized cores (a sym_ part) in the corrected column
+    differ = {(form, group)
+              for form, rows in agm.tables(N, eps).items()
+              for group, part, published, corrected in rows
+              if published != corrected or part.startswith("sym_")}
+    assert differ == {key for key, status in EXPECT.items()
+                      if status == "mismatch" and key[0] != "split"}
+
+
+def test_sym_parts_read_the_symmetrized_cores():
+    for _, s, _ in all_cases():
+        b = agm._blocks(s)
+        parts = {part for rows in agm.tables(s.dim, b.eps).values()
+                 for _, part, _, _ in rows}
+        sym = {part for part in parts if part.startswith("sym_")}
+        assert sym == {"sym_ricci", "sym_cd", "sym_w_nu", "sym_tor", "sym_nutor"}
+        for part in sym:
+            published = b.part(part.removeprefix("sym_"))
+            assert tc.max_abs_diff(b.part(part), published) != 0, part
+
+
+@pytest.mark.parametrize("N, eps", TABLE_SHAPES)
+def test_basic_mu_coefficients_are_pinned(N, eps):
+    rows = {group: (pub, cor) for group, _, pub, cor in agm.tables(N, eps)["basic"]}
+    assert rows["deform-mu"] == (Fraction(-(N + 3), 4 * (N + 1)),
+                                 Fraction(-(N + 2), 2 * (N + 1)))
+
+
+@pytest.mark.parametrize("N, eps", TABLE_SHAPES)
+def test_coefficients_invariance_cannot_see_are_pinned(N, eps):
+    # a_quad, mix_s_quad and mix_w_w are invariant on their own, so no
+    # invariance row can catch a wrong coefficient on them
+    tables = agm.tables(N, eps)
+    rows = {(form, group): (pub, cor)
+            for form, table in tables.items() for group, _, pub, cor in table}
+    quarter = (Fraction(1, 4),) * 2
+    assert rows["deform", "quad"] == quarter
+    for form in ("basic", "fourth", "first"):
+        assert rows[form, "deform-quad"] == quarter
+    assert rows["fourth", "trace-scalar-quad"] == (Fraction(1, 4 * (N - 1)),) * 2
+    assert rows["fourth", "trace-outer-quad"] == (Fraction(-1, 4 * (N - 1)),) * 2
 
 
 # -------------------------------------------------------------- diagnostics
@@ -294,12 +345,13 @@ def test_float_mode_parity(dim, p):
     ins = generate_agm3(dim, 7, p, "float")
     ins.validate()
     s, t = ins.source_fields(), ins.target_fields()
-    basic_s, fourth_s, _ = agm.agm_invariants(s)
-    basic_t, fourth_t, _ = agm.agm_invariants(t)
+    basic_s, fourth_s = agm.agm_basic(s), agm.agm_fourth(s)
+    basic_t, fourth_t = agm.agm_basic(t), agm.agm_fourth(t)
     scale = max(1.0, basic_s.max_abs())
     assert tc.max_abs_diff(basic_s, basic_t) / scale < 1e-9
     assert tc.max_abs_diff(fourth_s, fourth_t) / scale < 1e-9
     assert tc.max_abs_diff(basic_s, inv.weyl_factored(s)) / scale < 1e-9
+    assert tc.max_abs_diff(agm.agm_first(s), inv.weyl_first_display(s)) / scale < 1e-9
     rows = agm.agm_diagnostics(s)
     assert all(r["status"] in ("match", "mismatch") for r in rows)
     agm.agm_decompose(s)
@@ -315,8 +367,10 @@ def test_zero_family_block_reduces_to_trace_shift_forms():
         zero_jet(3, (0, 2)), zero_jet(3, (1, 0)), tc.zeros(3, (0, 1)), Fraction(0), 1
     )
     fl = SpaceFields(src.space, (1, 0, 1), "rational", agm=zero_block)
-    basic, _, _ = agm.agm_invariants(fl)
+    basic = agm.agm_basic(fl)
     assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0
+    assert tc.max_abs_diff(agm.agm_fourth(fl), inv.weyl_fourth(fl)) == 0
+    assert tc.max_abs_diff(agm.agm_first(fl), inv.weyl_first_display(fl)) == 0
     # It is NOT the plain basic form: they differ by the trace block.
     assert tc.max_abs_diff(basic, inv.weyl_basic(fl)) != 0
     gw = inv.geodesic_weyl(src.space)

@@ -430,6 +430,25 @@ def test_vector_connection_derivative_kind_errors():
         vector_connection_derivative(side.agm.phi, side.space.L, 5)
 
 
+@pytest.mark.parametrize("flags", [(1, 1, 0), (1, 1, 1), (0, 1, 1)])
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_each_side_builds_its_s2_rule_term_once(monkeypatch, dim, flags):
+    # B and the target connection share one side's rule terms, so the
+    # f (x) sigma product is made once per side, not once per reader
+    ins = generate(dim, 0, flags, "general", "rational")
+    calls = []
+    real = mp.jet_mul
+
+    def spy(a, b):
+        calls.append((id(a), id(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(mp, "jet_mul", spy)
+    cli.pair_invariants(ins)
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+
+
 @pytest.mark.parametrize("mapping", ["general", "agm3"])
 def test_memo_values_do_not_keep_their_instance_alive(mapping):
     # memo results live on their owners; one that referred back to its owner
