@@ -126,8 +126,42 @@ def instance_from_obj(obj) -> MappingInstance:
     return ins
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte.
+
+    json writes indented output with its pure-Python encoder; here each list
+    of scalars (every tensor of an instance file) and each dict of scalars
+    (every report row) is one call to its C encoder instead.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(x, nl: str) -> str:
+    """x as indented JSON, nl being the newline and indent of its own level."""
+    t = type(x)
+    if t in _SCALARS:
+        return json.dumps(x)
+    if t is list and x:
+        entries = x
+    elif t is dict and x and all(type(k) is str for k in x):
+        entries = x.values()
+    else:  # empty containers, tuples, subclasses, dicts with a non-str key
+        return _INDENTED.encode(x).replace("\n", nl)  # no raw newline in a JSON string
+    inner = nl + "  "
+    if _SCALARS.issuperset(map(type, entries)):
+        # the item separator carries the newline and indent
+        flat = json.dumps(x, separators=("," + inner, ": "), sort_keys=True)
+        return flat[0] + inner + flat[1:-1] + nl + flat[-1]
+    if t is list:
+        body = [_encode(v, inner) for v in x]
+    else:
+        body = [json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]
+    ends = "[]" if t is list else "{}"
+    return ends[0] + inner + ("," + inner).join(body) + nl + ends[1]
 
 
 def load_instance(path: str) -> MappingInstance:
@@ -138,6 +172,8 @@ def load_instance(path: str) -> MappingInstance:
         raise UsageError(f"cannot read {path}: {e}") from None
     except ValueError as e:  # JSONDecodeError, or an over-long integer literal
         raise UsageError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise UsageError(f"{path} is nested too deeply") from None
     return instance_from_obj(obj)
 
 

@@ -320,13 +320,22 @@ def psi_residual(inst: MappingInstance) -> Tensor:
 # generators
 
 
-def _lattice(r: random.Random) -> int:
-    return r.randrange(-16, 17)
+def _lattice(r: random.Random, n: int) -> list[int]:
+    """n draws of ``r.randrange(-16, 17)``, taken in blocks.
+
+    randrange draws 6 bits until they fall below 33; a block keeps the 6-bit
+    draws below 33 and asks only for as many as are still missing, so the
+    numbers and the state of r afterwards are those of n randrange calls.
+    """
+    out: list[int] = []
+    bits = r.getrandbits
+    while len(out) < n:
+        out += [x - 16 for x in [bits(6) for _ in range(n - len(out))] if x < 33]
+    return out
 
 
 def _draw(r, dom: Domain, dim, valence) -> Tensor:
-    n = dim ** sum(valence)
-    return dom.tensor(dim, valence, [_lattice(r) for _ in range(n)], 16)
+    return dom.tensor(dim, valence, _lattice(r, dim ** sum(valence)), 16)
 
 
 def _draw_jet(r, dom: Domain, dim, valence) -> JetTensor:
@@ -495,7 +504,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     if phi_v.is_zero():  # keep the family non-degenerate
         phi_v = Tensor(dim, (1, 0), [dom.c(16, 16)] + phi_v.data[1:])
     nu = _draw(r, dom, dim, (0, 1))
-    mu = dom.c(_lattice(r), 16)
+    mu = dom.c(*_lattice(r, 1), 16)
 
     # gradient fixed by the defining relation (full connection, order per p)
     phi_g = tc.sub(_relation(phi_v, nu, mu), _connection_term(L.value, phi_v, p))

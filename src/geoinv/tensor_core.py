@@ -61,7 +61,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import NamedTuple, Sequence
 
 
@@ -128,11 +128,16 @@ class Domain(NamedTuple):
         return Tensor(dim, valence, [n / den for n in nums])
 
     def tensor_in(self, dim: int, valence, vals: list) -> Tensor:
-        """Instance-file (JSON) numbers as a tensor; ValueError if one is bad."""
+        """Instance-file (JSON) numbers as a tensor; ValueError if one is bad.
+        Rational: one parse per distinct literal.  Float: a list of finite
+        floats is taken as it is; any other list is checked entry by entry."""
         if self.exact:
-            pairs = [_ratio_in(v) for v in vals]
-            den = lcm(*{d for _, d in pairs})
-            return self.tensor(dim, valence, [n * (den // d) for n, d in pairs], den)
+            made = _ratios_in(vals)
+            den = lcm(*{d for _, d in made.values()})
+            scaled = {v: n * (den // d) for v, (n, d) in made.items()}
+            return self.tensor(dim, valence, list(map(scaled.__getitem__, vals)), den)
+        if _FLOAT_TYPE.issuperset(map(type, vals)) and all(map(isfinite, vals)):
+            return Tensor(dim, valence, list(vals))
         for v in vals:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValueError(f"float-mode entries must be numbers, got {v!r}")
@@ -146,7 +151,9 @@ class Domain(NamedTuple):
 
     def tensor_out(self, t: Tensor) -> list:
         """t's entries as flat instance-file numbers; exact ones from scaled form."""
-        if not (self.exact and _exact(t)):
+        if not self.exact:
+            return list(map(float, t.data))
+        if not _exact(t):
             return [self.num_out(x) for x in t.data]
         made = {n: _ratio_out(n, t._den) for n in set(t._nums)}
         return [made[n] for n in t._nums]
@@ -194,6 +201,25 @@ def _ratio_in(v) -> tuple[int, int]:
     if isinstance(v, int) and not isinstance(v, bool):
         return v, 1
     raise ValueError(f"rational-mode entries must be 'num/den' strings, got {v!r}")
+
+
+_LITERAL_TYPES = frozenset((str, int))
+_FLOAT_TYPE = frozenset((float,))
+
+
+def _ratios_in(vals: list) -> dict:
+    """{entry: _ratio_in(entry)} over vals, each distinct literal parsed once.
+
+    Only a list of ``str`` and ``int`` entries goes through a set (one would
+    merge True, 1.0 and 1); any other list, and one holding a bad literal, is
+    scanned in file order, so the error names its first bad entry.
+    """
+    if _LITERAL_TYPES.issuperset(map(type, vals)):
+        try:
+            return {v: _ratio_in(v) for v in set(vals)}
+        except ValueError:
+            pass
+    return {v: _ratio_in(v) for v in vals}
 
 
 def _ratio_out(n: int, d: int) -> str:

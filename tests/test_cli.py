@@ -7,6 +7,7 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -99,6 +100,67 @@ def test_output_bytes_match_golden_pins(tmp_path, monkeypatch, capsys, key):
         assert main(["eval", path, arg]) == 0
         got = capsys.readouterr().out.encode()
     assert hashlib.sha256(got).hexdigest() == GOLDEN[key]
+
+
+def _json_reference(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("mapping", ["general", "geodesic", "agm3"])
+def test_dumps_matches_json_on_generated_instances(mapping, mode):
+    for n in (2, 3, 4, 5):
+        ins = (generate_agm3(n, n, 1 + n % 2, mode) if mapping == "agm3"
+               else generate(n, n, (1, n % 2, 1), mapping, mode))
+        obj = instance_to_obj(ins)
+        assert dumps(obj) == _json_reference(obj), n
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_dumps_matches_json_on_reports_and_eval_outputs(tmp_path, capsys, mode):
+    def same_as_json(text):
+        assert text == _json_reference(json.loads(text))
+
+    path = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "4", "--mode", mode,
+                   "--mapping", "agm3", "--p", "2")
+    assert main(["check", str(path), "--literal-p2",
+                 "--report", str(tmp_path / "check.json")]) == 0
+    same_as_json((tmp_path / "check.json").read_text())
+    assert main(["identities", "--n", "3", "--count", "2", "--mode", mode,
+                 "--report", str(tmp_path / "ids.json")]) == 0
+    same_as_json((tmp_path / "ids.json").read_text())
+    capsys.readouterr()
+    path = run_gen(tmp_path, "e.json", "--n", "3", "--seed", "4", "--mode", mode)
+    for expr in ("f{a;a}", "u{;i}", "Ric{;ij}", "L{a;bc}", "R{a;bcd}"):
+        assert main(["eval", str(path), expr]) == 0
+        same_as_json(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"a": []}, [[], {}], [{}], {"a": {}, "b": [[]]},
+    ["a, b", ", ", "x\ny", "\u00e9", '"q"'], {"a, b": {", ": "\n", "\u00e9": 1}},
+    [-0.0, True, None, False, 0.1, 10**30, "s"], [[-0.0], [True], [None]],
+    {"b": -0.0, "a": None, "c": True, "B": [False]}, [{"y": 1, "x": "\u00e9"}],
+    {"k": (1, [2, ()]), "t": ()}, [(), (1,)],
+    {"z": {1: [1, 2], 0: {"b": [3]}}}, {True: [1], False: 2}, [{2.5: "x", -1: "y"}],
+    -0.0, None, "s", 3, float("nan"), [float("inf"), float("-inf")],
+], ids=repr)
+def test_dumps_matches_json_by_hand(obj):
+    assert dumps(obj) == _json_reference(obj)
+
+
+def test_src_has_one_json_writer():
+    # every indented write goes through cli.dumps: json.dumps never indents
+    # in src, and cli's one indenting encoder is its writer's fallback
+    src = Path(cli.__file__).parent
+    indented = sorted(
+        (path.name, node.func.attr if isinstance(node.func, ast.Attribute)
+         else node.func.id)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and any(kw.arg == "indent" for kw in node.keywords))
+    assert indented == [("cli.py", "JSONEncoder")]
 
 
 def test_gen_flag_conflicts_exit_2(tmp_path, capsys):
@@ -404,6 +466,34 @@ def test_check_float_huge_integer_entry_exits_2(tmp_path, capsys):
     bad.write_text(bad.read_text().replace(str(10**400), "1" + "0" * 5000))
     assert main(["check", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, entry", [
+    ("rational", True), ("rational", 1.0),  # one set entry with the int 1
+    ("float", int(sys.float_info.max) + 1), ("float", True),
+], ids=repr)  # NaN, infinities and 10**400 in float mode: the tests above
+def test_entries_a_bulk_read_could_take_exit_2(tmp_path, capsys, mode, entry):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0", "--mode", mode)
+    obj = json.loads(out.read_text())
+    obj["fields"]["u"]["value"] = [1 if mode == "rational" else 0.5, entry]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    if mode == "rational":
+        message = f"rational-mode entries must be 'num/den' strings, got {entry!r}"
+    elif entry is True:
+        message = "float-mode entries must be numbers, got True"
+    else:
+        message = f"float-mode entries must be finite, got {entry!r:.40}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["eval", "u{;i}"]], ids="-".join)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert main([argv[0], str(deep), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {deep} is nested too deeply\n")
 
 
 def test_check_literal_p2_diagnostic(tmp_path, capsys):

@@ -5,11 +5,12 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoinv import tensor_core as tc
@@ -429,6 +430,75 @@ def test_domain_of_infers_the_mode_from_entries():
     half_sum = tc.sym_pair(Tensor(2, (0, 2), [1, 2, 0, 1]), 0, 1)
     assert half_sum.data == [1, 1, 1, 1]
     assert all(type(x) is Fraction for x in half_sum.data)
+
+
+def _scan_rational(vals):
+    """The per-entry reader: each entry through _ratio_in in file order."""
+    pairs = [tc._ratio_in(v) for v in vals]
+    den = math.lcm(*{d for _, d in pairs})
+    return Tensor(len(vals), (0, 1), [Fraction(n * (den // d), den) for n, d in pairs])
+
+
+def _scan_float(vals):
+    """The per-entry float reader, checks in file order."""
+    for v in vals:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"float-mode entries must be numbers, got {v!r}")
+        if not abs(v) <= sys.float_info.max:
+            raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
+    return Tensor(len(vals), (0, 1), [float(v) for v in vals])
+
+
+_BAD_ENTRIES = [True, False, 1.0, [], None, "1/0", "\u00b2/1", "x", "1/-2"]
+_RATIONAL_ENTRIES = st.one_of(
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(1, 48)),
+    st.integers(-10**20, 10**20),
+    st.sampled_from(["0.5", "1e3", " 1/2", "-0/16", "2/4", "03/016", "1/2", 1]
+                    + _BAD_ENTRIES))
+_FLOAT_ENTRIES = st.one_of(
+    st.floats(), st.integers(-3, 3),
+    st.sampled_from([-0.0, 10**400, int(sys.float_info.max) + 1] + _BAD_ENTRIES))
+
+
+@pytest.mark.parametrize("dom, scan, lists", [
+    (tc.RATIONAL, _scan_rational, st.lists(_RATIONAL_ENTRIES, min_size=1, max_size=9)),
+    (tc.FLOAT, _scan_float, st.lists(_FLOAT_ENTRIES, min_size=1, max_size=9)
+     | st.lists(st.floats(), min_size=1, max_size=9)),  # the all-float path
+], ids=["rational", "float"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_bulk_reader_matches_the_entry_scan(dom, scan, lists, data):
+    # same tensor, or the same message: the first bad entry in file order
+    vals = data.draw(lists)
+    try:
+        want = scan(vals)
+    except ValueError as e:
+        with pytest.raises(ValueError) as err:
+            dom.tensor_in(len(vals), (0, 1), vals)
+        assert str(err.value) == str(e)
+        return
+    got = dom.tensor_in(len(vals), (0, 1), vals)
+    assert list(map(repr, got.data)) == list(map(repr, want.data))
+    if dom.exact:
+        tc._kind(want)
+        assert (got._nums, got._den) == (want._nums, want._den)
+
+
+def test_bulk_reader_names_the_first_bad_literal():
+    # the distinct literals are parsed in set order; the error is file order's
+    for bad in itertools.permutations(["x", "1/0", "\u00b2/1", "1/-2", "0.5.5"], 3):
+        vals = ["1/2", *bad, 3]
+        with pytest.raises(ValueError) as err:
+            tc.RATIONAL.tensor_in(len(vals), (0, 1), vals)
+        with pytest.raises(ValueError) as first:
+            tc._ratio_in(bad[0])
+        assert str(err.value) == str(first.value)
+
+
+def test_float_tensor_out_keeps_every_bit():
+    t = Tensor(2, (0, 2), [-0.0, 0.1, Fraction(1, 3), 7])
+    assert list(map(repr, tc.FLOAT.tensor_out(t))) == [
+        "-0.0", "0.1", repr(1 / 3), "7.0"]
 
 
 def _det(A):
