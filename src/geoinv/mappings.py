@@ -213,6 +213,9 @@ class MappingInstance:
                                 f"({','.join(map(str, fixed))})")
         if "L" not in self.fields:
             raise InstanceError("instance has no connection field 'L'")
+        for name in ("sigma", "phi", "nu", "mu") if self.mapping == "agm3" else ():
+            if name not in self.fields:
+                raise InstanceError(f"agm3 instance has no field {name!r}")
         for name, t in self.fields.items():
             check_valence(self.mapping, name, t.valence)
             if t.dim != self.dim:
@@ -222,14 +225,11 @@ class MappingInstance:
             if t is None or t.valence == (0, 1):
                 continue  # the general-rule sigma is a covector, nothing to check
             a, b = (1, 2) if t.valence == (1, 2) else (0, 1)
-            flip = tc.transpose_pair(t.value, a, b)
-            if name == "xi":
-                bad = not tc.add(t.value, flip).is_zero()
-            else:
-                bad = not tc.sub(t.value, flip).is_zero()
-            if bad:
-                kind = "antisymmetric" if name == "xi" else "symmetric"
-                raise InstanceError(f"field {name!r} must be {kind} in its lower pair")
+            kind = "antisymmetric" if name == "xi" else "symmetric"
+            for part, x in (("", t.value), (" gradient", t.grad)):
+                if tc.transpose_pair(x, a, b) != (tc.scale(x, -1) if name == "xi" else x):
+                    raise InstanceError(
+                        f"field {name!r}{part} must be {kind} in its lower pair")
 
     # -- derived objects ---------------------------------------------------
 
@@ -404,10 +404,11 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     f_bar = _draw_jet(r, dom, dim, (1, 1))
     if s2 and not s3:
         # the curl fix below solves against f_bar + trace(f_bar)*delta; nudge
-        # the trace until that matrix is invertible (deterministic)
+        # the trace until that matrix is invertible, decided exactly (lattice
+        # floats are dyadic), so both modes take the same bumps
         for bump in range(1, 64):
-            M = _rule_matrix(f_bar.value)
-            if _solve(M, [[dom.c(0)] * dim for _ in range(dim)]) is not None:
+            M = [list(map(Fraction, row)) for row in _rule_matrix(f_bar.value)]
+            if _solve(M, [[] for _ in M]) is not None:
                 break
             f_bar = JetTensor(
                 tc.add_scaled(f_bar.value, Fraction(1, 16), tc.delta(dim)), f_bar.grad
@@ -463,24 +464,28 @@ def _rule_matrix(fv: Tensor) -> list[list]:
     ]
 
 
-def _sym_with_product(r, dom, dim, phi_v: Tensor, target: list, v_cov: list):
-    """Draw a symmetric matrix S with S.phi exactly equal to ``target``.
+def _sym_with_product(r, dom, phi_v: Tensor, target: Tensor) -> Tensor:
+    """Draw S, symmetric in its first two slots, with S_ja phi^a = target.
 
     Rank-two correction of a free symmetric draw: with v a covector dual to
     phi (v.phi = 1), S = S0 + a (x) v + v (x) a lands on the target while
-    staying symmetric.  Used for both the value and each gradient slice of
-    the agm3 bilinear form.
+    staying symmetric.  A (0,1) target gives the bilinear form's value; a
+    (0,2) target, whose last slot is a batch, gives every gradient slice at
+    once from one block of draws, slice after slice.
     """
-    S0 = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1)
-    res = [target[j] - sum(S0[(j, a)] * phi_v[(a,)] for a in range(dim))
-           for j in range(dim)]
-    rphi = sum(res[a] * phi_v[(a,)] for a in range(dim))
-    a_vec = [res[j] - rphi * Fraction(1, 2) * v_cov[j] for j in range(dim)]
-    data = [
-        S0[(j, k)] + a_vec[j] * v_cov[k] + v_cov[j] * a_vec[k]
-        for j in range(dim) for k in range(dim)
-    ]
-    return Tensor(dim, (0, 2), data)
+    dim, n = phi_v.dim, "n" if target.q == 2 else ""  # n: the batch slot
+    k = _pivot(phi_v)
+    v = Tensor(dim, (0, 1), [1 / phi_v.data[k] if j == k else 0 for j in range(dim)])
+    S0 = _draw(r, dom, dim, (0, 2 + len(n)))
+    if n:
+        S0 = tc.ein("njk->jkn", (0, 3), S0)
+    S0 = tc.sym_pair(S0, 0, 1)
+    res = tc.sub(target, tc.ein(f"ja{n},a->j{n}", target.valence, S0, phi_v))
+    rphi = tc.ein(f"a{n},a->{n}", (0, len(n)), res, phi_v)
+    a = tc.sub(res, tc.ein(f"j,{n}->j{n}", target.valence, v,
+                           tc.scale(rphi, Fraction(1, 2))))
+    av = tc.ein(f"j{n},k->jk{n}", S0.valence, a, v)
+    return tc.add(tc.add(S0, av), tc.transpose_pair(av, 0, 1))
 
 
 def generate_agm3(dim: int, seed: int, p: int = 1,
@@ -510,31 +515,12 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
     phi_g = tc.sub(_relation(phi_v, nu, mu), _connection_term(L.value, phi_v, p))
     phi = JetTensor(phi_v, phi_g)
 
-    # dual covector for the rank-two corrections
-    k_star = max(range(dim), key=lambda k: (abs(phi_v[(k,)]), -k))
-    v_cov = [0] * dim
-    v_cov[k_star] = 1 / phi_v[(k_star,)]
-
     # sigma: symmetric, with sigma.phi following a prescribed curl-free jet
     w_val = _draw(r, dom, dim, (0, 1))
     w_grad = tc.sym_pair(_draw(r, dom, dim, (0, 2)), 0, 1, factor_free=True)
-    sigma_v = _sym_with_product(r, dom, dim, phi_v,
-                                [w_val[(j,)] for j in range(dim)], v_cov=v_cov)
-    grad_slices = []
-    for n in range(dim):
-        tgt = [
-            w_grad[(j, n)]
-            - sum(sigma_v[(j, a)] * phi_g[(a, n)] for a in range(dim))
-            for j in range(dim)
-        ]
-        grad_slices.append(
-            _sym_with_product(r, dom, dim, phi_v, tgt, v_cov=v_cov)
-        )
-    sigma_g = Tensor(
-        dim, (0, 3),
-        [grad_slices[n][(j, k)]
-         for j in range(dim) for k in range(dim) for n in range(dim)],
-    )
+    sigma_v = _sym_with_product(r, dom, phi_v, w_val)
+    sigma_g = _sym_with_product(
+        r, dom, phi_v, tc.sub(w_grad, tc.ein("ja,an->jn", (0, 2), sigma_v, phi_g)))
     sigma = JetTensor(sigma_v, sigma_g)
 
     sig_phi = jet_mul(phi, sigma)  # (1,2): phi^i sigma_jk
@@ -594,8 +580,8 @@ def _solve_agm(phi_v: Tensor, M: Tensor):
     if phi_v.is_zero():
         raise DegenerateError("cannot fit parameters for a vanishing vector field")
     dim = phi_v.dim
-    k = max(range(dim), key=lambda i: (abs(phi_v[(i,)]), -i))
-    pk = phi_v[(k,)]
+    k = _pivot(phi_v)
+    pk = phi_v.data[k]
     if type(pk) is int:
         pk = Fraction(pk)
     nu_vals = [M[(k, j)] / pk for j in range(dim)]  # valid for j != k
@@ -603,6 +589,12 @@ def _solve_agm(phi_v: Tensor, M: Tensor):
     mu = M[(i0, i0)] - nu_vals[i0] * phi_v[(i0,)]
     nu_vals[k] = (M[(k, k)] - mu) / pk
     return Tensor(dim, (0, 1), nu_vals), mu
+
+
+def _pivot(phi_v: Tensor) -> int:
+    """The slot of phi's largest component, the first of equal ones."""
+    d = phi_v.data
+    return max(range(phi_v.dim), key=lambda k: (abs(d[k]), -k))
 
 
 def _relation(phi_v: Tensor, nu: Tensor, mu) -> Tensor:

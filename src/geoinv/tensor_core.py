@@ -140,7 +140,7 @@ class Domain(NamedTuple):
             return Tensor(dim, valence, list(vals))
         for v in vals:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"float-mode entries must be numbers, got {v!r}")
+                raise ValueError(f"float-mode entries must be numbers, got {v!r:.40}")
             if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge ints
                 raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
         return Tensor(dim, valence, [float(v) for v in vals])
@@ -200,7 +200,7 @@ def _ratio_in(v) -> tuple[int, int]:
         return f.numerator, f.denominator
     if isinstance(v, int) and not isinstance(v, bool):
         return v, 1
-    raise ValueError(f"rational-mode entries must be 'num/den' strings, got {v!r}")
+    raise ValueError(f"rational-mode entries must be 'num/den' strings, got {v!r:.40}")
 
 
 _LITERAL_TYPES = frozenset((str, int))
@@ -617,7 +617,7 @@ def _letters(n: int, start: int) -> str:
 # compiler's recursion limit.  Subscripts can come from user expressions, so
 # the plan cache keeps only the most recently used plans.
 
-PLAN_CACHE_CAP = 256  # the workloads use 63 plans (check) and 76 (agm3)
+PLAN_CACHE_CAP = 256  # the workloads use 63 plans (check) and 90 (agm3)
 KERNEL_TERMS = 128    # summands per pass: N**3 at N = 5 still takes one
 
 

@@ -64,16 +64,22 @@ GOLDEN_GEN = {
                         "--s3", "0"],
     "geodesic-4-1": ["--n", "4", "--seed", "1", "--mapping", "geodesic"],
     "agm3-3-0-p2": ["--n", "3", "--seed", "0", "--mapping", "agm3", "--p", "2"],
+    "agm3-4-0-p1": ["--n", "4", "--seed", "0", "--mapping", "agm3", "--p", "1"],
+    "agm3-5-0-p2": ["--n", "5", "--seed", "0", "--mapping", "agm3", "--p", "2"],
 }
 GOLDEN = {
     ("gen", "rational", "general-3-0-111"): "fa913cecac2a341e900823b1510ec916b37bb60c9e9991c11e3bab7ade60872d",
     ("gen", "rational", "general-3-0-010"): "f831b4612598c0733aa4ad661fe1f317362c149341240ab75591b5e5f62a4e53",
     ("gen", "rational", "geodesic-4-1"): "618dac3609127574608a785585337b723acd588e7936c6e45f678f4ea1c3a8d0",
     ("gen", "rational", "agm3-3-0-p2"): "ad79ab8df969607c6413a268c05fdddc663c996f8a8d7a9d92dfff65411741e2",
+    ("gen", "rational", "agm3-4-0-p1"): "12c18e686a301f44d94474e3333df74f0839cd8a12e103f93ef792024243234a",
+    ("gen", "rational", "agm3-5-0-p2"): "d98d847401e08affb5e2c56dc889478adbaa459a836c2862fd155e4b02e61051",
     ("gen", "float", "general-3-0-111"): "ecccd197ff5f392a94f0743f29e5b182eb48888120f901752cdc9b9d45d013be",
     ("gen", "float", "general-3-0-010"): "c925cc1fd499f706b74d14f2356b47c04d4a336349a97c7883b84326705ecd83",
     ("gen", "float", "geodesic-4-1"): "fcbbc925e34fd1b871e0395d9b6a9489aa2751211a3035b4f6d224c19def2215",
     ("gen", "float", "agm3-3-0-p2"): "8ad7f52c6c8ddca74868446152c5e96d9ae04c765f9b95a9ec35dd8180947927",
+    ("gen", "float", "agm3-4-0-p1"): "659ccb34ff3fb117579451c2abcaf1fa8521260bb6a1313a2a2280aae0d3c48e",
+    ("gen", "float", "agm3-5-0-p2"): "5805958a83e5469a8282c8982d7c58192bbaecebc8b13f0c2f7dca4fae9559de",
     ("check", "rational", "general-3-0-010"): "7d05b91139e718804d867a70dc960c81464ec412742bd89a911d028ada8ac4f1",
     ("check", "float", "agm3-3-0-p2"): "1bb097ae36cb9b41f2e0d46871b49343f1eba3c6b0a9309e6bd5ca6fad0ee2e9",
     ("eval", "rational", "L{a;bc}"): "f7a95a346df1d7a10d81de6ee1b85760e5fc89e6e935f5bbb43b613672a5eb0c",
@@ -453,6 +459,58 @@ def test_check_float_non_finite_entry_exits_2(tmp_path, capsys, entry):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_check_long_non_number_entry_is_quoted_cut(tmp_path, capsys, mode):
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0", "--mode", mode)
+    obj = json.loads(out.read_text())
+    entry = [[[1, 2, 3] * 200]]
+    obj["fields"]["u"]["value"][0] = entry
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    kind = "'num/den' strings" if mode == "rational" else "numbers"
+    assert capsys.readouterr() == (
+        "", f"error: {mode}-mode entries must be {kind}, got {entry!r:.40}\n")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("name", ["xi", "phi_obj", "phi_obj_bar", "sigma"])
+def test_check_gradient_off_its_field_symmetry_exits_2(tmp_path, capsys, name, mode):
+    # a gradient without its field's lower-pair symmetry is no derivative of
+    # that field: the file breaks the contract
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0", "--mode", mode,
+                  *(("--mapping", "agm3") if name == "sigma" else ()))
+    obj = json.loads(out.read_text())
+    # entry (0,0,1,0) of a (1,3) gradient, (0,1,0) of the (0,3) sigma gradient
+    obj["fields"][name]["grad"][3] = "5/1" if mode == "rational" else 5.0
+    bad = tmp_path / "asym.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    kind = "antisymmetric" if name == "xi" else "symmetric"
+    assert capsys.readouterr() == (
+        "", f"error: field {name!r} gradient must be {kind} in its lower pair\n")
+
+
+@pytest.mark.parametrize("name", ["sigma", "phi", "nu", "mu"])
+def test_check_agm3_missing_field_exits_2(tmp_path, capsys, name):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0", "--mapping", "agm3")
+    obj = json.loads(out.read_text())
+    del obj["fields"][name]
+    bad = tmp_path / "missing.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: agm3 instance has no field {name!r}\n")
+
+
+def test_float_trace_bump_instance_passes_check(tmp_path):
+    # a singular curl-fix matrix whose float elimination meets a ~1e-17 pivot:
+    # the trace bump must be taken as in rational mode, or 6 rows fail
+    out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "110001140",
+                  "--s3", "0", "--mode", "float")
+    assert main(["check", str(out)]) == 0
+
+
 def test_check_float_huge_integer_entry_exits_2(tmp_path, capsys):
     out = run_gen(tmp_path, "g.json", "--n", "3", "--seed", "0", "--mode", "float")
     obj = json.loads(out.read_text())
@@ -540,7 +598,7 @@ def _reference_entry(v):
             return f"bad rational literal {shown}: {str(e).replace(repr(v), shown)}"
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    return f"rational-mode entries must be 'num/den' strings, got {v!r}"
+    return f"rational-mode entries must be 'num/den' strings, got {v!r:.40}"
 
 
 @pytest.mark.parametrize("where", ["value", "grad"])

@@ -56,6 +56,29 @@ def test_lattice_blocks_are_randranges_stream():
             assert r.getstate() == twin.getstate()
 
 
+def test_one_batch_draw_is_the_stream_of_its_slices():
+    # the agm3 gradient slices are drawn as one (0,3) block
+    for dim in (2, 3, 4, 5):
+        for seed in range(20):
+            r, twin = random.Random(seed), random.Random(seed)
+            block = mp._draw(r, tc.RATIONAL, dim, (0, 3))
+            slices = [mp._draw(twin, tc.RATIONAL, dim, (0, 2)) for _ in range(dim)]
+            assert block.data == [x for s in slices for x in s.data]
+            assert r.getstate() == twin.getstate()
+
+
+def test_float_trace_bump_is_decided_exactly():
+    # these curl-fix matrices are singular, but float elimination meets a
+    # ~1e-17 pivot: the float instance must still take the rational bumps
+    for dim, seed, flags in [(3, 1715, (1, 1, 0)), (3, 1000164, (0, 1, 0)),
+                             (4, 4000033, (1, 1, 0)), (4, 7000180, (0, 1, 0)),
+                             (3, 110001140, (1, 1, 0))]:
+        exact = generate(dim, seed, flags, "general", "rational")
+        ins = generate(dim, seed, flags, "general", "float")
+        assert ins.fields["f_bar"].value.data == [
+            float(x) for x in exact.fields["f_bar"].value.data]
+
+
 def test_distinct_seeds_differ():
     a = generate(3, 0, (1, 1, 1), "general", "rational")
     b = generate(3, 1, (1, 1, 1), "general", "rational")
@@ -304,6 +327,23 @@ def test_agm3_flags_and_pattern():
     half = jet_mul(ins.fields["phi"], ins.fields["sigma"])
     assert ins.fields["phi_obj_bar"].value.data == tc.scale(half.value, Fraction(1, 2)).data
     assert ins.fields["phi_obj"].value.data == tc.scale(half.value, Fraction(-1, 2)).data
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_sym_with_product_is_symmetric_and_meets_its_target(dim):
+    r = random.Random(dim)
+    for _ in range(6):
+        phi_v = mp._draw(r, tc.RATIONAL, dim, (1, 0))
+        if phi_v.is_zero():
+            continue
+        for q in (1, 2):  # the value; every gradient slice at once
+            target = mp._draw(r, tc.RATIONAL, dim, (0, q))
+            S = mp._sym_with_product(r, tc.RATIONAL, phi_v, target)
+            assert S.valence == (0, q + 1)
+            assert tc.transpose_pair(S, 0, 1) == S
+            d, phi, batch = S.data, phi_v.data, dim ** (q - 1)
+            assert [sum(d[(j * dim + a) * batch + n] * phi[a] for a in range(dim))
+                    for j in range(dim) for n in range(batch)] == target.data
 
 
 def test_agm3_sigma_symmetric_and_negated_on_target():

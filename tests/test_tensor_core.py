@@ -443,7 +443,7 @@ def _scan_float(vals):
     """The per-entry float reader, checks in file order."""
     for v in vals:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"float-mode entries must be numbers, got {v!r}")
+            raise ValueError(f"float-mode entries must be numbers, got {v!r:.40}")
         if not abs(v) <= sys.float_info.max:
             raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
     return Tensor(len(vals), (0, 1), [float(v) for v in vals])
