@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import groupby
@@ -26,9 +27,9 @@ from .agm import agm_basic, agm_decompose, agm_fourth
 from .index_expr import evaluate as expr_evaluate
 from .index_expr import parse as expr_parse, ref_names
 from .jet import JetTensor
-from .mappings import (FIXED_FLAGS, MAPPINGS, MODES, InstanceError,
-                       MappingInstance, check_valence, curl, generate,
-                       generate_agm3, vector_connection_derivative)
+from .mappings import (FIXED_FLAGS, MAPPINGS, MODES, DegenerateError,
+                       InstanceError, MappingInstance, check_valence, curl,
+                       generate, generate_agm3, vector_connection_derivative)
 from .tensor_core import ABS_TOL, DOMAINS, REL_TOL, GeoinvError, Tensor
 
 
@@ -75,6 +76,16 @@ def _expect(obj: dict, key: str, types) -> object:
 
 
 def instance_from_obj(obj) -> MappingInstance:
+    """The instance an instance-file object holds, validated: the one gate."""
+    try:
+        ins = _read_instance(obj)
+        ins.validate()
+    except (InstanceError, DegenerateError, ValueError) as e:
+        raise UsageError(str(e)) from None
+    return ins
+
+
+def _read_instance(obj) -> MappingInstance:
     if not isinstance(obj, dict):
         raise UsageError("instance file must contain a JSON object")
     dim = _expect(obj, "dimension", int)
@@ -98,10 +109,8 @@ def instance_from_obj(obj) -> MappingInstance:
                        for k in val)):
             raise UsageError(f"field {name!r} has a bad valence")
         valence = (val[0], val[1])
-        try:  # before the array sizes: dim ** rank of a crafted valence is huge
-            check_valence(mapping, name, valence)
-        except InstanceError as e:
-            raise UsageError(str(e)) from None
+        # before the array sizes: dim ** rank of a crafted valence is huge
+        check_valence(mapping, name, valence)
         data = entry.get("value")
         gdata = entry.get("grad")
         if not isinstance(data, list) or not isinstance(gdata, list):
@@ -111,19 +120,11 @@ def instance_from_obj(obj) -> MappingInstance:
             raise UsageError(
                 f"field {name!r}: array lengths do not match valence "
                 f"{valence} at dimension {dim}")
-        try:
-            fields[name] = JetTensor(
-                tensor_in(dim, valence, data),
-                tensor_in(dim, (valence[0], valence[1] + 1), gdata))
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    ins = MappingInstance(dim, mode, tuple(map(flags_obj.get, FLAG_NAMES)),
-                          mapping, fields, p=obj.get("p"), seed=seed)
-    try:
-        ins.validate()
-    except InstanceError as e:
-        raise UsageError(str(e)) from None
-    return ins
+        fields[name] = JetTensor(
+            tensor_in(dim, valence, data),
+            tensor_in(dim, (valence[0], valence[1] + 1), gdata))
+    return MappingInstance(dim, mode, tuple(map(flags_obj.get, FLAG_NAMES)),
+                           mapping, fields, p=obj.get("p"), seed=seed)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -300,10 +301,22 @@ def pair_invariants(ins: MappingInstance) -> list[tuple[str, str, Tensor, Tensor
             if applies is None or applies(ins)]
 
 
+def _check_tolerances(args) -> None:
+    for option, tol in (("--tol", args.tol), ("--abs-tol", args.abs_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise UsageError(f"{option} must be a finite number >= 0, got {tol}")
+
+
 def cmd_check(args) -> int:
     ins = load_instance(args.file)
+    _check_tolerances(args)
+    pairs = pair_invariants(ins)
+    for tag, _, a, b in pairs:  # float mode: a, b and every entry of a - b finite
+        if not (ins.domain.exact or all(map(math.isfinite, tc.sub(a, b).data))):
+            raise UsageError(f"the {tag!r} residual is not finite: "
+                             "it overflowed the float range")
     rows = [_record(tag, name, a, b, ins.mode, args.tol, args.abs_tol)
-            for tag, name, a, b in pair_invariants(ins)]
+            for tag, name, a, b in pairs]
     report = {
         "file": args.file,
         **_header(ins),
@@ -375,6 +388,7 @@ def identity_rows(n: int, seed: int, mode: str, rel_tol: float,
 def cmd_identities(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    _check_tolerances(args)
     rows = sorted((r for k in range(args.count)
                    for r in identity_rows(args.n, args.seed + k, args.mode,
                                           args.tol, args.abs_tol)),
@@ -436,14 +450,10 @@ def eval_bindings(ins: MappingInstance, side: str, names=None) -> dict:
 
 def cmd_eval(args) -> int:
     ins = load_instance(args.file)
-    try:
-        node = expr_parse(args.expr)
-        out = expr_evaluate(node,
-                            eval_bindings(ins, args.space, ref_names(node)),
-                            (ins.source_fields() if args.space == "source"
-                             else ins.target_fields()).space)
-    except GeoinvError as e:
-        raise UsageError(str(e)) from None
+    node = expr_parse(args.expr)
+    out = expr_evaluate(node, eval_bindings(ins, args.space, ref_names(node)),
+                        (ins.source_fields() if args.space == "source"
+                         else ins.target_fields()).space)
     sys.stdout.write(dumps(_nest(out, ins.mode)))
     return 0
 

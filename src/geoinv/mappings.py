@@ -24,6 +24,7 @@ break invariances the rest of the package certifies.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from . import tensor_core as tc
@@ -55,7 +56,22 @@ class NotApplicableError(GeoinvError):
     """The requested quantity is undefined for this instance's flags."""
 
 
-MAPPINGS = ("general", "geodesic", "agm3")
+# an instance field: its valence, the symmetry of the lower pair (the value's
+# last two slots) of its value and gradient, "symmetric", "antisymmetric" or ""
+# for none, and whether it is required (an absent field reads as zero)
+Field = namedtuple("Field", "valence lower required", defaults=("", False))
+_SHARED = {"L": Field((1, 2), required=True), "u": Field((0, 1)),
+           "u_bar": Field((0, 1)), "phi_obj": Field((1, 2), "symmetric"),
+           "phi_obj_bar": Field((1, 2), "symmetric")}
+_RULE = {**_SHARED, "sigma": Field((0, 1)), "sigma_bar": Field((0, 1)),
+         "f": Field((1, 1)), "f_bar": Field((1, 1)),
+         "xi": Field((1, 2), "antisymmetric")}
+# the instance contract: each mapping's fields, in the order validate checks them
+FIELDS = {"general": _RULE, "geodesic": _RULE,
+          "agm3": {**_SHARED, "sigma": Field((0, 2), "symmetric", True),
+                   "phi": Field((1, 0), "", True), "nu": Field((0, 1), "", True),
+                   "mu": Field((0, 0), "", True)}}
+MAPPINGS = tuple(FIELDS)
 MODES = tuple(DOMAINS)
 # the flags (s1, s2, s3) a mapping family fixes; general instances choose them
 FIXED_FLAGS = {"geodesic": (1, 0, 0), "agm3": (1, 0, 1)}
@@ -98,17 +114,9 @@ class RuleTerms:
         return out
 
 
-class AGMData:
-    """Per-space data of a third-type almost-geodesic mapping."""
-
-    __slots__ = ("sigma", "phi", "nu", "mu", "p")
-
-    def __init__(self, sigma: JetTensor, phi: JetTensor, nu: Tensor, mu, p: int):
-        self.sigma = sigma  # (0,2) symmetric jet
-        self.phi = phi      # (1,0) jet
-        self.nu = nu        # (0,1) value
-        self.mu = mu        # scalar
-        self.p = p
+# per-space data of a third-type almost-geodesic mapping: the symmetric (0,2)
+# jet sigma, the (1,0) jet phi, the (0,1) value nu, the scalar mu and the kind p
+AGMData = namedtuple("AGMData", "sigma phi nu mu p")
 
 
 class SpaceFields:
@@ -154,22 +162,14 @@ class SpaceFields:
 
 
 def check_valence(mapping: str, name: str, valence: tuple[int, int]) -> None:
-    """Raise unless a ``mapping`` instance has a field ``name`` of this valence."""
-    expected: dict[str, tuple[int, int]] = {
-        "L": (1, 2), "u": (0, 1), "u_bar": (0, 1),
-        "phi_obj": (1, 2), "phi_obj_bar": (1, 2),
-    }
-    if mapping == "agm3":
-        expected.update({"sigma": (0, 2), "phi": (1, 0),
-                         "nu": (0, 1), "mu": (0, 0)})
-    else:
-        expected.update({"sigma": (0, 1), "sigma_bar": (0, 1),
-                         "f": (1, 1), "f_bar": (1, 1), "xi": (1, 2)})
-    if name not in expected:
+    """Raise unless a ``mapping`` instance has a field ``name`` of this valence
+    (an unknown mapping is held to the general table; ``validate`` names it)."""
+    spec = FIELDS.get(mapping, _RULE).get(name)
+    if spec is None:
         raise InstanceError(f"unexpected field {name!r} for {mapping}")
-    if valence != expected[name]:
+    if valence != spec.valence:
         raise InstanceError(
-            f"field {name!r} has valence {valence}, expected {expected[name]}")
+            f"field {name!r} has valence {valence}, expected {spec.valence}")
 
 
 class MappingInstance:
@@ -190,11 +190,14 @@ class MappingInstance:
 
     # -- field access -----------------------------------------------------
 
-    def field(self, name: str, valence: tuple[int, int]) -> JetTensor:
+    def field(self, name: str) -> JetTensor:
         t = self.fields.get(name)
-        return t if t is not None else zero_jet(self.dim, valence)
+        return t if t is not None else zero_jet(
+            self.dim, FIELDS[self.mapping][name].valence)
 
     def validate(self) -> None:
+        """The one gate for an instance: its mapping's ``FIELDS`` and, for agm3,
+        the derivative relation on both sides (DegenerateError if phi vanishes)."""
         _check_dim(self.dim)
         if self.mode not in MODES:
             raise InstanceError(f"unknown mode {self.mode!r}")
@@ -211,25 +214,28 @@ class MappingInstance:
         if self.flags != fixed:
             raise InstanceError(f"{self.mapping} instances fix flags "
                                 f"({','.join(map(str, fixed))})")
-        if "L" not in self.fields:
-            raise InstanceError("instance has no connection field 'L'")
-        for name in ("sigma", "phi", "nu", "mu") if self.mapping == "agm3" else ():
-            if name not in self.fields:
-                raise InstanceError(f"agm3 instance has no field {name!r}")
+        table = FIELDS[self.mapping]
+        for name, spec in table.items():
+            if spec.required and name not in self.fields:
+                raise InstanceError("instance has no connection field 'L'" if name == "L"
+                                    else f"{self.mapping} instance has no field {name!r}")
         for name, t in self.fields.items():
             check_valence(self.mapping, name, t.valence)
             if t.dim != self.dim:
                 raise InstanceError(f"field {name!r} has dimension {t.dim}")
-        for name in ("phi_obj", "phi_obj_bar", "xi", "sigma"):
+        for name, spec in table.items():
             t = self.fields.get(name)
-            if t is None or t.valence == (0, 1):
-                continue  # the general-rule sigma is a covector, nothing to check
-            a, b = (1, 2) if t.valence == (1, 2) else (0, 1)
-            kind = "antisymmetric" if name == "xi" else "symmetric"
+            if t is None or not spec.lower:
+                continue
+            a = sum(spec.valence) - 2  # the lower pair
             for part, x in (("", t.value), (" gradient", t.grad)):
-                if tc.transpose_pair(x, a, b) != (tc.scale(x, -1) if name == "xi" else x):
+                want = tc.scale(x, -1) if spec.lower == "antisymmetric" else x
+                if tc.transpose_pair(x, a, a + 1) != want:
                     raise InstanceError(
-                        f"field {name!r}{part} must be {kind} in its lower pair")
+                        f"field {name!r}{part} must be {spec.lower} in its lower pair")
+        if self.mapping == "agm3":  # the derivative relation, source then target
+            self.source_fields()
+            self.target_fields()
 
     # -- derived objects ---------------------------------------------------
 
@@ -287,7 +293,7 @@ def build_target_connection(inst: MappingInstance) -> JetTensor:
     """Apply the transformation rule to the source connection jet."""
     out = inst.fields["L"]
     if inst.flags[0]:
-        psi = linear(tc.sub, inst.field("u_bar", (0, 1)), inst.field("u", (0, 1)))
+        psi = linear(tc.sub, inst.field("u_bar"), inst.field("u"))
         out = linear(tc.add, out, linear(tc.delta_sym, psi))
 
     # term by term: adding B_bar - B in one step rounds float sums differently
@@ -297,23 +303,6 @@ def build_target_connection(inst: MappingInstance) -> JetTensor:
     if "xi" in inst.fields:
         out = linear(tc.add, out, inst.fields["xi"])
     return out
-
-
-def psi_residual(inst: MappingInstance) -> Tensor:
-    """How far the trace-extracted covector is from the stored one.
-
-    Zero (exactly, in rational mode) on every consistent instance; only
-    defined when the trace-shift flag is on.
-    """
-    if inst.flags[0] != 1:
-        raise NotApplicableError("psi is only defined when the first flag is set")
-    src, tgt = inst.source_fields(), inst.target_fields()
-    psi = tc.sub(inst.field("u_bar", (0, 1)).value, inst.field("u", (0, 1)).value)
-    rhs = tc.sub(
-        tc.sub(tgt.space.theta.value, src.space.theta.value),
-        tc.sub(tgt.b.value, src.b.value),
-    )
-    return tc.sub(psi, tc.scale(rhs, Fraction(1, inst.dim + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +525,7 @@ def generate_agm3(dim: int, seed: int, p: int = 1,
                            p=p, seed=seed)
 
 
-def vector_connection_derivative(phi: JetTensor, L, p: int,
+def vector_connection_derivative(phi: JetTensor, L: JetTensor, p: int,
                                  literal: bool = False) -> Tensor:
     """The kind-p connection derivative of a vector field.
 
@@ -547,12 +536,11 @@ def vector_connection_derivative(phi: JetTensor, L, p: int,
     """
     if p not in (1, 2):
         raise InstanceError(f"p must be 1 or 2, got {p}")
-    Lv = L.value if isinstance(L, JetTensor) else L
     if literal:
         if p != 2:
             raise NotApplicableError("the literal variant only exists for p=2")
-        return tc.add(phi.grad, tc.ein("ija->ij", (1, 1), Lv))
-    return tc.add(phi.grad, _connection_term(Lv, phi.value, p))
+        return tc.add(phi.grad, tc.ein("ija->ij", (1, 1), L.value))
+    return tc.add(phi.grad, _connection_term(L.value, phi.value, p))
 
 
 def _connection_term(Lv: Tensor, v: Tensor, p: int) -> Tensor:

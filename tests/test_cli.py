@@ -503,6 +503,102 @@ def test_check_agm3_missing_field_exits_2(tmp_path, capsys, name):
         "", f"error: agm3 instance has no field {name!r}\n")
 
 
+def _zero_phi_nu_mu(obj):
+    for name in ("phi", "nu", "mu"):
+        for part in ("value", "grad"):
+            obj["fields"][name][part] = [0] * len(obj["fields"][name][part])
+
+
+@pytest.mark.parametrize("mode, edit, message", [
+    ("rational", lambda obj: obj["fields"]["L"]["value"].__setitem__(0, 0),
+     "source connection misses the agm3 derivative relation: "
+     "stored-parameter residual 49/256"),
+    ("float", lambda obj: obj["fields"]["L"]["value"].__setitem__(0, 0),
+     "source connection misses the agm3 derivative relation: "
+     "stored-parameter residual 0.19140625"),
+    ("rational", _zero_phi_nu_mu,
+     "cannot fit parameters for a vanishing vector field"),
+    ("float", _zero_phi_nu_mu,
+     "cannot fit parameters for a vanishing vector field"),
+], ids=["L0-rational", "L0-float", "zero-phi-rational", "zero-phi-float"])
+def test_agm3_off_its_derivative_relation_is_rejected_on_load(
+        tmp_path, capsys, mode, edit, message):
+    # the file is well-formed field by field; only the relation between its
+    # connection and its vector field breaks, which the loader must see too
+    obj = instance_to_obj(generate_agm3(2, 0, 2, mode))
+    edit(obj)
+    bad = tmp_path / "agm3.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(UsageError) as err:
+        instance_from_obj(json.loads(bad.read_text()))
+    assert str(err.value) == message
+    rep_path = tmp_path / "rep.json"
+    assert main(["check", str(bad), "--report", str(rep_path)]) == 2
+    assert not rep_path.exists()
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option", ["--tol", "--abs-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, option, value):
+    # check --abs-tol inf passed every row and wrote "absolute": Infinity
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0", "--mode", "float")
+    message = f"error: {option} must be a finite number >= 0, got {float(value)}\n"
+    rep_path = tmp_path / "rep.json"
+    assert main(["check", str(out), f"{option}={value}",
+                 "--report", str(rep_path)]) == 2
+    assert not rep_path.exists()
+    assert capsys.readouterr() == ("", message)
+    assert main(["identities", "--n", "2", "--count", "1", "--mode", "float",
+                 f"{option}={value}"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_zero_tolerances_are_accepted(tmp_path, capsys):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0")
+    assert main(["check", str(out), "--tol=0", "--abs-tol=0"]) == 0
+    assert main(["identities", "--n", "2", "--count", "1",
+                 "--tol=0", "--abs-tol=0"]) == 0
+    capsys.readouterr()
+
+
+def test_check_overflowing_residual_exits_2(tmp_path, capsys):
+    # the file is well-formed, but its curvature overflows the float range:
+    # check wrote "max_abs": NaN into its report and exited 1
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--mode", "float")
+    obj = json.loads(out.read_text())
+    obj["fields"]["L"]["value"] = [x * 1e300 for x in obj["fields"]["L"]["value"]]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(obj))
+    instance_from_obj(json.loads(bad.read_text()))
+    rep_path = tmp_path / "rep.json"
+    assert main(["check", str(bad), "--report", str(rep_path)]) == 2
+    assert not rep_path.exists()
+    assert capsys.readouterr() == ("", "error: the 'skew-ricci' residual is not "
+                                       "finite: it overflowed the float range\n")
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, float("nan")], [1.0, 1.0]),  # max() skips a NaN after the first entry
+    ([1.0, 2.0], [1.0, float("inf")]),
+    ([1.0, float("inf")], [1.0, float("inf")]),
+    ([1.0, 1e308], [1.0, -1e308]),  # finite sides whose gap overflows
+    ([1.0, 1e308], [1.0, -1e-300]),  # a finite gap: the row is reported
+])
+def test_check_sees_every_non_finite_gap(tmp_path, capsys, monkeypatch, a, b):
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--mode", "float")
+    ta, tb = (tc.Tensor(2, (1, 0), x) for x in (a, b))
+    monkeypatch.setattr(cli, "pair_invariants", lambda ins: [("row", "", ta, tb)])
+    rep_path = tmp_path / "rep.json"
+    rc = main(["check", str(out), "--report", str(rep_path)])
+    if b[1] == -1e-300:
+        assert rc == 1 and json.loads(rep_path.read_text())["pass"] is False
+    else:
+        assert rc == 2 and not rep_path.exists()
+        assert capsys.readouterr().err == (
+            "error: the 'row' residual is not finite: it overflowed the float range\n")
+
+
 def test_float_trace_bump_instance_passes_check(tmp_path):
     # a singular curl-fix matrix whose float elimination meets a ~1e-17 pivot:
     # the trace bump must be taken as in rational mode, or 6 rows fail
@@ -731,9 +827,13 @@ def test_fuzz_instance_from_obj_raises_only_usage_errors(tmp_path_factory, data)
         rejected = True
     else:
         rejected = False
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main(["check", str(path)])
-    assert rc == 2 if rejected else rc in (0, 1)
+    if rejected:
+        assert rc == 2
+    else:  # a well-formed float file can still overflow the float range
+        assert rc in (0, 1) or (rc == 2 and err.getvalue().endswith(
+            "residual is not finite: it overflowed the float range\n"))
 
 
 # ------------------------------------------------------------- identities

@@ -20,7 +20,6 @@ from geoinv.mappings import (
     fit_agm_parameters,
     generate,
     generate_agm3,
-    psi_residual,
     vector_connection_derivative,
 )
 from geoinv.tensor_core import Tensor
@@ -164,6 +163,38 @@ def test_validate_rejects_wrong_valence():
         broken.validate()
 
 
+@pytest.mark.parametrize("mapping", mp.MAPPINGS)
+def test_field_table_matches_the_generators(mapping):
+    # general and agm3 emit every field of their table, geodesic the
+    # trace-shift ones; each with the table's valence and lower-pair symmetry
+    for mode in mp.MODES:
+        ins = (generate_agm3(3, 5, 2, mode) if mapping == "agm3"
+               else generate(3, 5, (1, 1, 1), mapping, mode))
+        table = mp.FIELDS[mapping]
+        emitted = ({"L", "u", "u_bar"} if mapping == "geodesic" else set(table))
+        assert set(ins.fields) == emitted
+        assert {n for n, spec in table.items() if spec.required} <= emitted
+        for name, t in ins.fields.items():
+            spec = table[name]
+            assert t.valence == spec.valence, name
+            a = sum(spec.valence) - 2
+            for x in (t.value, t.grad):
+                if spec.lower == "symmetric":
+                    assert tc.alternate(x, a, a + 1).is_zero(), name
+                elif spec.lower == "antisymmetric":
+                    assert tc.sym_pair(x, a, a + 1).is_zero(), name
+                else:
+                    assert spec.lower == "", name
+
+
+def test_field_default_takes_the_table_valence():
+    ins = generate(3, 8, (1, 0, 0), "geodesic", "rational")
+    for name, spec in mp.FIELDS["geodesic"].items():
+        if name not in ins.fields:
+            assert ins.field(name).valence == spec.valence
+            assert ins.field(name).value.is_zero()
+
+
 def test_float_mode_generation():
     ins = generate(3, 4, (1, 1, 1), "general", "float")
     assert all(isinstance(x, float) for x in ins.fields["L"].value.data)
@@ -283,31 +314,18 @@ def test_theta_tilde_is_theta_minus_deformation_trace():
     assert side.theta_tilde.value.data == expected.data
 
 
-def test_psi_residual_zero_on_consistent_instance():
-    for flags in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
-        ins = generate(3, 19, flags, "general", "rational")
-        assert psi_residual(ins).is_zero()
-    assert psi_residual(generate(4, 19, (1, 0, 0), "geodesic", "rational")).is_zero()
-
-
 def test_rule_trace_identity():
-    # Why the residual vanishes: tracing the rule gives exactly
-    # theta_bar - theta = (N+1) psi + (b_bar - b).
-    for flags in ((1, 0, 0), (1, 1, 1)):
-        ins = generate(3, 20, flags, "general", "rational")
+    # Tracing the rule gives exactly theta_bar - theta = (N+1) psi + (b_bar - b).
+    for ins in [generate(3, 20, flags, "general", "rational")
+                for flags in ((1, 0, 0), (1, 1, 0), (1, 1, 1))] + [
+                    generate(4, 19, (1, 0, 0), "geodesic", "rational")]:
         src, tgt = ins.source_fields(), ins.target_fields()
         lhs = tc.sub(tgt.space.theta.value, src.space.theta.value)
         psi = tc.sub(ins.fields["u_bar"].value, ins.fields["u"].value)
         rhs = tc.add(
             tc.scale(psi, ins.dim + 1), tc.sub(tgt.b.value, src.b.value)
         )
-        assert lhs.data == rhs.data
-
-
-def test_psi_residual_requires_trace_flag():
-    ins = generate(3, 21, (0, 1, 1), "general", "rational")
-    with pytest.raises(NotApplicableError):
-        psi_residual(ins)
+        assert lhs.data == rhs.data, (ins.mapping, ins.flags)
 
 
 # ------------------------------------------------------------------ agm data
