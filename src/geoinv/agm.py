@@ -256,7 +256,8 @@ def agm_decompose(fields: SpaceFields) -> Decomposition:
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
     if not ok:
         raise DecompositionError(
-            f"deformation-curvature reconstruction residual {resid}")
+            f"deformation-curvature reconstruction residual "
+            f"{fields.domain.num_out(resid)}")
     return dec
 
 

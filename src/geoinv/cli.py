@@ -193,7 +193,10 @@ def _emit(text: str, out: str | None) -> None:
 def _record(tag: str, name: str, a: Tensor, b: Tensor, mode: str,
             rel_tol: float, abs_tol: float, seed=None) -> dict:
     dom = DOMAINS[mode]
-    ok, d, scale = dom.measure(a, b, rel_tol, abs_tol)
+    try:
+        ok, d, scale = dom.measure(a, b, rel_tol, abs_tol)
+    except GeoinvError as e:  # a NaN or infinite difference
+        raise UsageError(f"the {tag!r} {e}") from None
     if scale is None:  # the exact rule needs none; a nonzero gap is reported relative
         scale = max(a.max_abs(), b.max_abs()) if d else 0
     row = {
@@ -310,13 +313,8 @@ def _check_tolerances(args) -> None:
 def cmd_check(args) -> int:
     ins = load_instance(args.file)
     _check_tolerances(args)
-    pairs = pair_invariants(ins)
-    for tag, _, a, b in pairs:  # float mode: a, b and every entry of a - b finite
-        if not (ins.domain.exact or all(map(math.isfinite, tc.sub(a, b).data))):
-            raise UsageError(f"the {tag!r} residual is not finite: "
-                             "it overflowed the float range")
     rows = [_record(tag, name, a, b, ins.mode, args.tol, args.abs_tol)
-            for tag, name, a, b in pairs]
+            for tag, name, a, b in pair_invariants(ins)]
     report = {
         "file": args.file,
         **_header(ins),
@@ -453,7 +451,7 @@ def cmd_eval(args) -> int:
     node = expr_parse(args.expr)
     out = expr_evaluate(node, eval_bindings(ins, args.space, ref_names(node)),
                         (ins.source_fields() if args.space == "source"
-                         else ins.target_fields()).space)
+                         else ins.target_fields()).space, ins.domain)
     sys.stdout.write(dumps(_nest(out, ins.mode)))
     return 0
 

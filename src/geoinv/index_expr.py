@@ -26,7 +26,6 @@ lexicographically.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import NamedTuple
 
@@ -459,16 +458,11 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(node, bindings, space: ConnectionSpace) -> Tensor:
-    """Evaluate a parsed expression against named (jet) tensors.
+def evaluate(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> Tensor:
+    """Evaluate a parsed expression against named (jet) tensors in domain dom.
 
     Free upper indices come first, then free lower indices, each block in
     lexicographic order.
     """
-    dom = tc.domain_of(space.Lsym.value)
     t = _canon(_eval(node, bindings, space, dom)).t
-    out = t.value if isinstance(t, JetTensor) else t
-    if not tc.domain_of(out).exact and not all(map(math.isfinite, out.data)):
-        raise EvalError("the result is not finite: it overflowed the float "
-                        "range")
-    return out
+    return t.value if isinstance(t, JetTensor) else t

@@ -207,8 +207,9 @@ class MappingInstance:
         if len(self.flags) != 3 or any(type(s) is not int or s not in (0, 1)
                                        for s in self.flags):
             raise InstanceError(f"flags must be three 0/1 values, got {self.flags}")
-        if ((self.p is not None or self.mapping == "agm3")
-                and (type(self.p) is not int or self.p not in (1, 2))):
+        if self.p is not None and self.mapping != "agm3":
+            raise InstanceError("p applies only to agm3 instances")
+        if self.mapping == "agm3" and (type(self.p) is not int or self.p not in (1, 2)):
             raise InstanceError(f"p must be 1 or 2, got {self.p!r}")
         fixed = FIXED_FLAGS.get(self.mapping, self.flags)
         if self.flags != fixed:
@@ -282,10 +283,14 @@ class MappingInstance:
             side, kind = "target", "fit"
             sigma = linear(tc.scale, sigma, -1)
             nu, mu = _solve_agm(phi.value, M)
-        ok, res, _ = self.domain.measure(M, _relation(phi.value, nu, mu))
+        try:
+            ok, res, _ = self.domain.measure(M, _relation(phi.value, nu, mu))
+            shown = f"residual {self.domain.num_out(res)}"
+        except GeoinvError as e:  # past the float range or int()'s digit limit
+            ok, shown = False, e
         if not ok:
             raise InstanceError(f"{side} connection misses the agm3 derivative "
-                                f"relation: {kind} residual {res}")
+                                f"relation: {kind} {shown}")
         return AGMData(sigma, phi, nu, mu, self.p)
 
 

@@ -147,12 +147,12 @@ class Domain(NamedTuple):
 
     def num_out(self, x):
         """x as an instance-file (JSON) number: a 'num/den' string or a float."""
-        return _ratio_out(*x.as_integer_ratio()) if self.exact else float(x)
+        return _ratio_out(*x.as_integer_ratio()) if self.exact else _finite([float(x)])[0]
 
     def tensor_out(self, t: Tensor) -> list:
         """t's entries as flat instance-file numbers; exact ones from scaled form."""
         if not self.exact:
-            return list(map(float, t.data))
+            return _finite(list(map(float, t.data)))
         if not _exact(t):
             return [self.num_out(x) for x in t.data]
         made = {n: _ratio_out(n, t._den) for n in set(t._nums)}
@@ -160,8 +160,8 @@ class Domain(NamedTuple):
 
     def measure(self, a: Tensor, b: Tensor, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         """(close, d = max|a - b|, scale = max(|a|, |b|)).  Rational: close iff
-        d == 0, and no scale is computed (None).  Float: close iff d <= abs_tol
-        or d <= rel_tol * scale."""
+        d == 0, and no scale (None).  Float: close iff d <= abs_tol or
+        d <= rel_tol * scale; GeoinvError if a difference is NaN or infinite."""
         d = max_abs_diff(a, b)
         if self.exact:
             return d == 0, d, None
@@ -220,6 +220,16 @@ def _ratios_in(vals: list) -> dict:
         except ValueError:
             pass
     return {v: _ratio_in(v) for v in vals}
+
+
+def _finite(xs: list, what: str = "the result") -> list:
+    """xs if every entry is finite, else GeoinvError: the one float-range rule.
+    Every float compared (``max_abs_diff``) or written (``Domain.num_out``,
+    ``Domain.tensor_out``) passes here, so no NaN (which ``max()`` skips past
+    the first entry) and no infinity ever reads as a number."""
+    if all(map(isfinite, xs)):
+        return xs
+    raise GeoinvError(f"{what} is not finite: it overflowed the float range")
 
 
 def _ratio_out(n: int, d: int) -> str:
@@ -746,4 +756,5 @@ def max_abs_diff(a: Tensor, b: Tensor):
         fa, fb = den // da, den // db
         m = max(abs(x * fa - y * fb) for x, y in zip(a._nums, b._nums))
         return m if kind is _INT else Fraction(m, den)
-    return max((abs(x - y) for x, y in zip(a.data, b.data)), default=0)
+    diffs = [abs(x - y) for x, y in zip(a.data, b.data)]
+    return max(_finite(diffs, "residual") if kind is _FLOAT else diffs, default=0)

@@ -424,7 +424,7 @@ def test_criterion_8_oracles():
     if len(formulas) != 10:
         failures.append(("corpus-size", len(formulas)))
     for src, expect, name in formulas:
-        got = evaluate(parse(src), bind, sp)
+        got = evaluate(parse(src), bind, sp, ins.domain)
         if tc.max_abs_diff(got, expect) != 0:
             failures.append(("formula", name))
     ok = not failures

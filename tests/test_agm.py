@@ -325,6 +325,21 @@ def test_decomposition_round_trip():
             assert tc.max_abs_diff(dec.Y, expected_q) == 0
 
 
+@pytest.mark.parametrize("gap, shown", [
+    (Fraction(1, 16), "residual 1/16"),
+    (10**4400, "exact number too long to write"),  # was Python's ValueError
+], ids=["small", "past-digit-limit"])
+def test_decomposition_residual_is_written_as_an_instance_number(monkeypatch,
+                                                                gap, shown):
+    fields = generate_agm3(2, 0, 1, "rational").source_fields()
+    real = agm.A_tensor
+    bump = tc.Tensor(2, (1, 3), [gap] + [0] * 15)
+    monkeypatch.setattr(agm, "A_tensor", lambda f: tc.add(real(f), bump))
+    with pytest.raises(tc.GeoinvError) as err:
+        agm.agm_decompose(fields)
+    assert str(err.value).endswith(shown)
+
+
 def test_split_fourth_form_is_the_rebuild_operators():
     cases = [(s, t) for _, s, t in all_cases()]
     float_ins = generate_agm3(3, 7, 2, "float")

@@ -19,6 +19,7 @@ from geoinv import cli, tensor_core as tc
 from geoinv.cli import (UsageError, dumps, instance_from_obj, instance_to_obj,
                         load_instance, main)
 from geoinv.mappings import generate, generate_agm3
+from test_tensor_core import NON_FINITE_GAPS
 
 
 def run_gen(tmp_path, name, *args):
@@ -597,6 +598,75 @@ def test_check_sees_every_non_finite_gap(tmp_path, capsys, monkeypatch, a, b):
         assert rc == 2 and not rep_path.exists()
         assert capsys.readouterr().err == (
             "error: the 'row' residual is not finite: it overflowed the float range\n")
+
+
+@pytest.mark.parametrize("a, b", NON_FINITE_GAPS + [([1.0, 1e308], [1.0, -1e-300])])
+def test_check_literal_p2_sees_every_non_finite_gap(tmp_path, capsys, monkeypatch,
+                                                    a, b):
+    # the gap wrote a bare Infinity, which is not JSON, or read 0.0 past a NaN
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--mapping", "agm3", "--p", "2",
+                  "--mode", "float")
+    ta, tb = (tc.Tensor(2, (1, 0), x) for x in (a, b))
+    monkeypatch.setattr(cli, "vector_connection_derivative",
+                        lambda phi, L, p, literal=False: tb if literal else ta)
+    rep_path = tmp_path / "rep.json"
+    rc = main(["check", str(out), "--literal-p2", "--report", str(rep_path)])
+    if b[1] == -1e-300:
+        rep = json.loads(rep_path.read_text())
+        assert rc == 0 and rep["diagnostics"][0]["max_abs"] == 1e308
+    else:
+        assert rc == 2 and not rep_path.exists()
+        assert capsys.readouterr() == (
+            "", "error: residual is not finite: it overflowed the float range\n")
+
+
+@pytest.mark.parametrize("mapping", ["general", "geodesic"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_p_on_a_non_agm3_file_exits_2(tmp_path, capsys, mapping, p):
+    # the p was dropped without a word, while gen --p on these mappings exits 2
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--mapping", mapping)
+    obj = json.loads(out.read_text())
+    obj["p"] = p
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rep_path = tmp_path / "rep.json"
+    for argv in (["check", str(bad), "--report", str(rep_path)],
+                 ["eval", str(bad), "u{;i}"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: p applies only to agm3 instances\n")
+    assert not rep_path.exists()
+
+
+def _huge_exponent(values):
+    values[0] = "1e4000"
+
+
+def _times_1e307(values):
+    values[:] = [x * 1e307 for x in values]
+
+
+@pytest.mark.parametrize("mode, edit, residual", [
+    # the Fraction residual has more digits than int()'s 4300-digit limit:
+    # the message was Python's, naming sys.set_int_max_str_digits
+    ("rational", _huge_exponent, "exact number too long to write"),
+    # the target fit's residual was NaN, and the message said "residual nan"
+    ("float", _times_1e307,
+     "residual is not finite: it overflowed the float range"),
+], ids=["rational", "float"])
+def test_check_agm3_unwritable_residual_exits_2(tmp_path, capsys, mode, edit,
+                                                residual):
+    obj = instance_to_obj(generate_agm3(2, 0, 2, mode))
+    for name in ("L", "phi"):
+        edit(obj["fields"][name]["value"])
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(obj))
+    rep_path = tmp_path / "rep.json"
+    assert main(["check", str(bad), "--report", str(rep_path)]) == 2
+    assert not rep_path.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < 200
+    assert err == ("error: source connection misses the agm3 derivative relation: "
+                   f"stored-parameter {residual}\n")
 
 
 def test_float_trace_bump_instance_passes_check(tmp_path):

@@ -95,7 +95,7 @@ def test_formula_corpus(mode, dim, seed):
     tol = 0 if mode == "rational" else 1e-9
     for src, expect, name in corpus(dim, f, sp):
         ast = parse(src)
-        got = evaluate(ast, bind, sp)
+        got = evaluate(ast, bind, sp, ins.domain)
         assert tc.max_abs_diff(got, expect) <= tol, (name, mode, dim, seed)
         assert parse(to_source(ast)) == ast, (name, "round-trip")
 
@@ -106,16 +106,16 @@ def test_derivative_follows_product_rule(mode):
     sp, _, bind = bindings_for(ins)
     tol = 0 if mode == "rational" else 1e-9
 
-    got = evaluate(parse("cd(u{;a}*ff{a;b}; n)"), bind, sp)
+    got = evaluate(parse("cd(u{;a}*ff{a;b}; n)"), bind, sp, ins.domain)
     prod = linear(tc.contract, jet_mul(ins.fields["u"], ins.fields["f"]), 0, 0)
     expect = covariant_derivative(prod, sp.Lsym)
     assert tc.max_abs_diff(got, expect) <= tol
 
     tr = linear(tc.contract, ins.fields["f"], 0, 0)
-    got = evaluate(parse("cd(ff{a;a}; n)"), bind, sp)
+    got = evaluate(parse("cd(ff{a;a}; n)"), bind, sp, ins.domain)
     assert tc.max_abs_diff(got, tr.grad) <= tol
 
-    got = evaluate(parse("cd(ff{a;a}*u{;j}; n)"), bind, sp)
+    got = evaluate(parse("cd(ff{a;a}*u{;j}; n)"), bind, sp, ins.domain)
     expect = covariant_derivative(jet_mul(tr, ins.fields["u"]), sp.Lsym)
     assert tc.max_abs_diff(got, expect) <= tol
 
@@ -123,21 +123,21 @@ def test_derivative_follows_product_rule(mode):
 def test_reference_index_order_is_canonicalized():
     ins = generate(3, 0, flags=(1, 1, 1), mode="rational")
     sp, _, bind = bindings_for(ins)
-    got = evaluate(parse("Ric{;nj}"), bind, sp)
+    got = evaluate(parse("Ric{;nj}"), bind, sp, ins.domain)
     assert tc.max_abs_diff(got, tc.transpose_pair(sp.ricci, 0, 1)) == 0
 
 
 def test_derivative_index_sorting_first_is_canonicalized():
     ins = generate(3, 0, flags=(1, 1, 1), mode="rational")
     sp, _, bind = bindings_for(ins)
-    got = evaluate(parse("cd(u{;k}; a)"), bind, sp)
-    want = evaluate(parse("cd(u{;j}; k)"), bind, sp)
+    got = evaluate(parse("cd(u{;k}; a)"), bind, sp, ins.domain)
+    want = evaluate(parse("cd(u{;j}; k)"), bind, sp, ins.domain)
     assert got == tc.transpose_pair(want, 0, 1)
 
 
 def test_alt_over_upper_indices():
     sp, _, bind = bindings_for(generate(3, 0, flags=(1, 1, 1), mode="rational"))
-    got = evaluate(parse("alt(d{i;j}*d{k;l}; i,k)"), bind, sp)
+    got = evaluate(parse("alt(d{i;j}*d{k;l}; i,k)"), bind, sp, tc.RATIONAL)
     want = [int(i == j and k == l) - int(k == j and i == l)
             for i, k, j, l in itertools.product(range(3), repeat=4)]
     assert got.valence == (2, 2) and got.data == want
@@ -159,8 +159,8 @@ def test_out_of_index_letters_is_a_geoinv_error():
     space = ConnectionSpace(zero_jet(1, (1, 2)))
     src = "X{abcdefghijklm;nopqrstuvwxyz}"
     with pytest.raises(GeoinvError):
-        evaluate(parse(src), {"X": zero_jet(1, (13, 13))}, space)
-    plain = evaluate(parse(src), {"X": tc.zeros(1, (13, 13))}, space)
+        evaluate(parse(src), {"X": zero_jet(1, (13, 13))}, space, tc.RATIONAL)
+    plain = evaluate(parse(src), {"X": tc.zeros(1, (13, 13))}, space, tc.RATIONAL)
     assert plain.valence == (13, 13)
 
 
@@ -255,7 +255,7 @@ def _fuzz_expressions():
 def test_grammar_fuzz_raises_only_geoinv_errors(src):
     bindings, space = _fuzz_space()
     try:
-        out = evaluate(parse(src), bindings, space)
+        out = evaluate(parse(src), bindings, space, tc.FLOAT)
     except GeoinvError:
         return
     assert isinstance(out, tc.Tensor)
@@ -348,15 +348,15 @@ def test_eval_errors():
     cases.append(("R{i;jmn}", {"R": ins4.source_fields().space.R}, "dimension"))
     for src, bind, frag in cases:
         with pytest.raises(EvalError) as excinfo:
-            evaluate(parse(src), bind, sp)
+            evaluate(parse(src), bind, sp, ins.domain)
         assert frag in str(excinfo.value), (src, str(excinfo.value))
 
 
 def test_float_literal_past_the_float_range_is_an_eval_error():
     sp = generate(3, 0, flags=(1, 1, 1), mode="float").source_fields().space
-    assert evaluate(parse("1" * 300), {}, sp).data[0] == float("1" * 300)
+    assert evaluate(parse("1" * 300), {}, sp, tc.FLOAT).data[0] == float("1" * 300)
     with pytest.raises(EvalError) as excinfo:
-        evaluate(parse("1" * 400), {}, sp)
+        evaluate(parse("1" * 400), {}, sp, tc.FLOAT)
     assert "float range" in str(excinfo.value) and len(str(excinfo.value)) < 120
 
 
@@ -388,7 +388,7 @@ def test_printer_frozen_forms():
 
 def test_scalar_arithmetic_evaluates():
     ins = generate(3, 0, flags=(1, 1, 1), mode="rational")
-    got = evaluate(parse("2*(3 + 4/7)"), {}, ins.source_fields().space)
+    got = evaluate(parse("2*(3 + 4/7)"), {}, ins.source_fields().space, ins.domain)
     assert got.data[0] == Fraction(50, 7)
-    got = evaluate(parse("3 - 2 - 1"), {}, ins.source_fields().space)
+    got = evaluate(parse("3 - 2 - 1"), {}, ins.source_fields().space, ins.domain)
     assert got.data[0] == 0

@@ -408,6 +408,70 @@ def test_float_close_is_the_cli_rule_at_its_edges():
     assert (ok, d, scale) == (False, 4.0, 3.0)
 
 
+# the table of test_cli.py::test_check_sees_every_non_finite_gap
+NON_FINITE_GAPS = [
+    ([1.0, float("nan")], [1.0, 1.0]),  # max() skips a NaN after the first entry
+    ([1.0, 2.0], [1.0, float("inf")]),
+    ([1.0, float("inf")], [1.0, float("inf")]),  # inf - inf is NaN
+    ([1.0, 1e308], [1.0, -1e308]),  # finite sides whose gap overflows
+]
+
+
+@pytest.mark.parametrize("a, b", NON_FINITE_GAPS)
+def test_float_comparison_refuses_a_non_finite_gap(a, b):
+    ta, tb = Tensor(2, (1, 0), a), Tensor(2, (1, 0), b)
+    for compare in (tc.max_abs_diff, tc.FLOAT.measure):
+        for x, y in ((ta, tb), (tb, ta)):
+            with pytest.raises(tc.GeoinvError) as err:
+                compare(x, y)
+            assert str(err.value) == (
+                "residual is not finite: it overflowed the float range")
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 1e308], [1.0, -1e-300]),  # a finite gap next to the overflowing one
+    ([-0.0, 0.0], [0.0, -0.0]),
+    ([0.5, -3.0], [1, 0]),  # int entries on the float path
+    ([1e-300, 2.5], [-1e-300, 2.5]),
+])
+def test_float_comparison_on_finite_gaps_is_unchanged(a, b):
+    # the values of the plain max() scan, which finite input never trips
+    ta, tb = Tensor(2, (1, 0), a), Tensor(2, (1, 0), b)
+    d = max(abs(x - y) for x, y in zip(a, b))
+    scale = max(max(map(abs, a)), max(map(abs, b)))
+    got = tc.max_abs_diff(ta, tb)
+    assert got == d and repr(got) == repr(d)
+    assert tc.FLOAT.measure(ta, tb) == (
+        d <= tc.ABS_TOL or d <= tc.REL_TOL * scale, d, scale)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_float_write_edge_refuses_non_finite_numbers(x):
+    message = "the result is not finite: it overflowed the float range"
+    with pytest.raises(tc.GeoinvError) as err:
+        tc.FLOAT.num_out(x)
+    assert str(err.value) == message
+    with pytest.raises(tc.GeoinvError) as err:
+        tc.FLOAT.tensor_out(Tensor(2, (0, 1), [1.0, x]))
+    assert str(err.value) == message
+    assert tc.FLOAT.num_out(-1e308) == -1e308
+    assert tc.FLOAT.tensor_out(Tensor(2, (0, 1), [1e308, 3])) == [1e308, 3.0]
+
+
+def test_exact_and_other_kind_comparisons_keep_their_paths():
+    # exact kernels and other scalars are past the float rule: a gap beyond
+    # the float range is an exact number there, not an error
+    big = 10**400
+    a = Tensor(2, (0, 1), [Fraction(1, 3), big])
+    b = Tensor(2, (0, 1), [0, -big])
+    assert tc.max_abs_diff(a, b) == 2 * big
+    assert tc.RATIONAL.measure(a, b) == (False, 2 * big, None)
+    other_a, other_b = (Tensor(2, (0, 1), [_Frac(x) for x in t.data]) for t in (a, b))
+    assert tc._kind(other_a) is tc._OTHER
+    assert tc.max_abs_diff(other_a, other_b) == 2 * big
+    assert tc.RATIONAL.num_out(Fraction(-big, 3)) == f"-{big}/3"
+
+
 def test_rational_close_is_exact_equality():
     third = Fraction(1, 3)
     assert tc.RATIONAL.measure(_NoScale(1, (0, 1), [third]), _NoScale(1, (0, 1), [third]))[0]
@@ -540,13 +604,14 @@ def test_solve_is_exact_on_lattice_systems():
 
 def test_mode_dispatch_lives_in_tensor_core():
     # Mode-specific arithmetic belongs to tc.Domain; no other module may
-    # branch on a mode string, sniff for floats, or bring back the helpers
-    # the domain replaced.
+    # branch on a mode string or on a domain's kind, infer a domain from
+    # entries, sniff for floats, or bring back the helpers the domain replaced.
     pattern = re.compile(
         r"""(==|!=)\s*["'](rational|float)["']"""
         r"""|["'](rational|float)["']\s*(==|!=)"""
         r"""|\bmode\s*(==|!=)"""
         r"""|isinstance\([^)]*\bfloat\b"""
+        r"""|\.exact\b|\bdomain_of\b"""  # the domain decides, in tensor_core alone
         r"""|\b(coeff|_conv|_exactish)\b""")
     src = Path(tc.__file__).parent
     hits = [
