@@ -5,7 +5,8 @@ form (basic, fourth, first) and the deformation curvature's expansion is one
 table, ``tables(N, eps)``, so it can be diffed against its pipeline
 counterpart group by group.  A row ``(group, part, published, corrected)``
 names a coefficient-free part of ``_Blocks`` and its two coefficients; a
-form is its rows' scaled parts summed in order.
+form is its rows' scaled parts summed in order, its (0,2) cores entering
+through one delta block of their sum.
 
 * The corrected column equals the pipeline value exactly; ``agm_basic``,
   ``agm_fourth`` and ``agm_first`` read it.
@@ -97,11 +98,10 @@ def tables(N: int, eps: int) -> MappingProxyType[str, tuple[tuple, ...]]:
 class _Blocks:
     """The coefficient-free parts of the closed forms, built once per bundle.
 
-    ``y`` holds the (0,2) cores of the trace groups.  ``raw`` holds the
-    curvature ``R``, the deformation-curvature structures ``a_*`` and the
-    cores' delta blocks (the trace derivative's and the symmetrized Ricci
-    tensor's are the pipeline forms', ``delta_block``); ``sym`` is the same
-    with the ricci, cd_j, w_nu and tor cores symmetrized first.
+    ``raw`` holds four (1,3) parts, the curvature ``R`` and the
+    deformation-curvature structures ``a_cd``, ``a_quad`` and ``a_nutor``,
+    and the (0,2) cores that a form enters through its delta block; ``sym``
+    is the same with the ricci, cd_j, w_nu and tor cores symmetrized first.
     """
 
     def __init__(self, fields: SpaceFields):
@@ -114,37 +114,18 @@ class _Blocks:
         self.eps = eps = -1 if agm.p % 2 else 1
         sv = agm.sigma.value
         pv = agm.phi.value
-        self.sv, self.mu = sv, agm.mu
         sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
         ltor = space.Ltor.value
         w = tc.ein("ja,a->j", (0, 1), sv, pv)
         theta_t = tc.add_scaled(space.theta.value, Fraction(1, 2), w)
         torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
         tl = tc.ein("bab->a", (0, 1), ltor)
-        nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv)
-        tlphi = tc.ein("a,a->", (0, 0), tl, pv)
-        sphiphi = tc.ein("ab,a,b->", (0, 0), sv, pv, pv)
-        ttphi = tc.ein("a,a->", (0, 0), theta_t, pv)
-
-        def sigma_times(scalar) -> Tensor:
-            return tc.scale(sv, scalar.data[0])
-
-        self.y = {
-            "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
-            "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
-            "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
-            "tor": tc.ein("ja,abn,b->jn", (0, 2), sv, ltor, pv),
-            "w_w": tc.ein("j,n->jn", (0, 2), w, w),
-            "tt_tt": tc.ein("j,n->jn", (0, 2), theta_t, theta_t),
-            "s_tt": sigma_times(ttphi),
-            "s_quad": sigma_times(sphiphi),
-            "s_nu": sigma_times(nuphi),
-            "s_tor": sigma_times(tlphi),
-            "ricci": space.ricci,
-        }
+        nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv).data[0]
+        tlphi = tc.ein("a,a->", (0, 0), tl, pv).data[0]
+        sphiphi = tc.ein("ab,a,b->", (0, 0), sv, pv, pv).data[0]
+        ttphi = tc.ein("a,a->", (0, 0), theta_t, pv).data[0]
         self.raw = {
             "R": space.R,
-            "a_mu": tc.delta_mix(tc.scale(sv, agm.mu)),
             "a_cd": tc.alternate(
                 tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3),
             "a_quad": tc.alternate(
@@ -153,18 +134,28 @@ class _Blocks:
                 tc.add_scaled(tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv),
                               eps, tc.ein("jm,in->ijmn", (1, 3), sv, torphi)),
                 2, 3),
-            "theta": delta_block(fields, "theta"),
-            **{k: tc.delta_mix(y) for k, y in self.y.items()},
+            "a_mu": tc.scale(sv, agm.mu),
+            "theta": space.trace_cov_derivative(),
+            "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
+            "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
+            "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
+            "tor": tc.ein("ja,abn,b->jn", (0, 2), sv, ltor, pv),
+            "w_w": tc.ein("j,n->jn", (0, 2), w, w),
+            "tt_tt": tc.ein("j,n->jn", (0, 2), theta_t, theta_t),
+            "s_tt": tc.scale(sv, ttphi),
+            "s_quad": tc.scale(sv, sphiphi),
+            "s_nu": tc.scale(sv, nuphi),
+            "s_tor": tc.scale(sv, tlphi),
+            "ricci": space.ricci,
         }
-        self.sym = {
-            **self.raw, "ricci": delta_block(fields, "sym_ricci"),
-            **{k: tc.delta_mix(tc.sym_pair(self.y[k], 0, 1))
-               for k in ("cd_j", "w_nu", "tor")}}
+        self.sym = {**self.raw, "ricci": space.sym_ricci,
+                    **{k: tc.sym_pair(self.raw[k], 0, 1)
+                       for k in ("cd_j", "w_nu", "tor")}}
 
     @once
     def part(self, name: str) -> Tensor:
-        """A part by name, read from ``sym`` when it is a ``sym_`` name: a
-        block, or one of the differences the forms group, built on first use."""
+        """A (1,3) part or a core by name, read from ``sym`` for a ``sym_``
+        name; the core differences the forms group are built on first use."""
         m = self.sym if name.startswith("sym_") else self.raw
         name = name.removeprefix("sym_")
         if name == "cd":
@@ -182,9 +173,10 @@ class _Blocks:
         (int keys: a ``Fraction`` key would pay for its hash on each call).
         A zero coefficient gives exact zeros, as a scaled float part would
         carry signed zeros into the sum."""
+        t = self.part(part)
         if num == 0:
-            return tc.zeros(self.N, (1, 3))
-        return tc.scale(self.part(part), Fraction(num, den))
+            return tc.zeros(self.N, t.valence)
+        return tc.scale(t, Fraction(num, den))
 
     def column(self, form: str, corrected: bool) -> list[tuple[str, Tensor]]:
         """One column of a form's table: each group with its scaled part."""
@@ -198,8 +190,12 @@ class _Blocks:
 
     @once
     def total(self, form: str) -> Tensor:
-        """A form's corrected column summed in row order."""
-        return reduce(tc.add, [t for _, t in self.column(form, True)])
+        """A form's corrected column summed in row order: its (1,3) terms plus
+        the delta block of its (0,2) terms' sum (delta_mix is linear)."""
+        terms = [t for _, t in self.column(form, True)]
+        cores = reduce(tc.add, [t for t in terms if t.p == 0])
+        return tc.add(reduce(tc.add, [t for t in terms if t.p == 1]),
+                      tc.delta_mix(cores))
 
 
 @once
@@ -230,29 +226,27 @@ def agm_first(fields: SpaceFields) -> Tensor:
 def rho_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the deformation-trace derivative for this rule."""
     b = _blocks(fields)
-    out = tc.add(b.y["cd_j"], b.y["w_nu"])
-    out = tc.add(out, tc.scale(b.sv, b.mu))
-    out = tc.add_scaled(out, b.eps, b.y["tor"])
+    out = tc.add(tc.add(b.raw["cd_j"], b.raw["w_nu"]), b.raw["a_mu"])
+    out = tc.add_scaled(out, b.eps, b.raw["tor"])
     return tc.scale(out, Fraction(-1, 2))
 
 
 def s_tilde_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the quadratic trace completion for this rule."""
     b = _blocks(fields)
-    return tc.add_scaled(b.y["tt_tt"], Fraction(-(b.N + 1), 2), b.y["s_tt"])
+    return tc.add_scaled(b.raw["tt_tt"], Fraction(-(b.N + 1), 2), b.raw["s_tt"])
 
 
 def agm_decompose(fields: SpaceFields) -> Decomposition:
     """Split the deformation curvature into its trace-mixed part, with
-    Y = -mu/2 sigma, and the rest.
+    Y = -mu/2 sigma (the deform form's core), and the rest.
 
     Validates the reconstruction against the pipeline's deformation
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
     g = dict(b.column("deform", True))
-    dec = Decomposition(tc.scale(b.sv, -(b.mu * Fraction(1, 2))),
-                        tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
+    dec = Decomposition(g["mu"], tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
     if not ok:
         raise DecompositionError(
@@ -285,7 +279,8 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
 def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     """Row-by-row diff of each table's published column against its
     corrected one, plus corrected-total-versus-pipeline rows; a row matches
-    when its two sides are close in the fields' domain."""
+    when its two sides are close in the fields' domain.  A core row compares
+    cores: for N >= 2 Y's entries are delta_mix(Y)'s, so max|Y| is the same."""
     b = _blocks(fields)
     N = b.N
     rows: list[dict] = []

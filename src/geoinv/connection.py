@@ -69,6 +69,7 @@ class ConnectionSpace:
         self.R = curvature(self.Lsym)
         self.ricci = ricci(self.R)
         self.skew_ricci = tc.alternate(self.ricci, 0, 1)
+        self.sym_ricci = tc.sym_pair(self.ricci, 0, 1)
         # theta_j = L^a_ja of the symmetric part, with its gradient
         self.theta = linear(tc.contract, self.Lsym, 0, 1)
 

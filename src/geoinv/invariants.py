@@ -106,6 +106,13 @@ def A_tensor(fields: SpaceFields) -> Tensor:
 
 
 @once
+def R_plus_A(fields: SpaceFields) -> Tensor:
+    """The curvature plus the deformation curvature, which the factored and
+    fourth forms both start from."""
+    return tc.add(fields.space.R, A_tensor(fields))
+
+
+@once
 def A_trace(fields: SpaceFields) -> Tensor:
     """Symmetrized last-slot trace of the deformation curvature."""
     return tc.sym_pair(tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1)
@@ -117,7 +124,7 @@ _MIX_CORES = {
     "rho": lambda f: rho(f),
     "s_tilde": lambda f: S_tilde(f),
     "a_trace": lambda f: A_trace(f),
-    "sym_ricci": lambda f: tc.sym_pair(f.space.ricci, 0, 1),
+    "sym_ricci": lambda f: f.space.sym_ricci,
 }
 
 
@@ -133,9 +140,8 @@ def delta_block(fields: SpaceFields, core: str) -> Tensor:
 def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
     N = fields.dim
-    out = tc.add(fields.space.R, A_tensor(fields))
     bracket = tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho"))
-    out = tc.add_scaled(out, Fraction(-1, N + 1), bracket)
+    out = tc.add_scaled(R_plus_A(fields), Fraction(-1, N + 1), bracket)
     return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), delta_block(fields, "s_tilde"))
 
 
@@ -191,7 +197,7 @@ def derived_invariants(dec: Decomposition,
         tc.sub(tc.scale(alt_Y, N - 1), tc.alternate(dec.z_last, 0, 1))))
     c = Fraction(1, N - 1)
     fourth = tc.add_scaled(tc.add(space.R, dec.Z), c,
-                           tc.delta_mix(tc.sym_pair(space.ricci, 0, 1)))
+                           tc.delta_mix(space.sym_ricci))
     return {"first": first, "second": second,
             "fourth": tc.add_scaled(fourth, c, dec.mix_z_trace)}
 
@@ -211,7 +217,7 @@ def xyz_weyl_factored(fields: SpaceFields) -> Decomposition:
 
 def xyz_weyl_fourth(fields: SpaceFields) -> Decomposition:
     N = fields.dim
-    Y = tc.scale(tc.add(tc.sym_pair(fields.space.ricci, 0, 1), A_trace(fields)),
+    Y = tc.scale(tc.add(fields.space.sym_ricci, A_trace(fields)),
                  Fraction(1, N - 1))
     return Decomposition(Y, A_tensor(fields))
 
@@ -229,8 +235,7 @@ def xyz_weyl_first_display(fields: SpaceFields) -> Decomposition:
 def weyl_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived form: trace-completed with the symmetrized Ricci data."""
     c = Fraction(1, fields.dim - 1)
-    out = tc.add(fields.space.R, A_tensor(fields))
-    out = tc.add_scaled(out, c, delta_block(fields, "sym_ricci"))
+    out = tc.add_scaled(R_plus_A(fields), c, delta_block(fields, "sym_ricci"))
     return tc.add_scaled(out, c, delta_block(fields, "a_trace"))
 
 

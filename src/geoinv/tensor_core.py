@@ -35,8 +35,7 @@ it owns instance numbers (the ones generators draw and instance files carry)
 and the one closeness rule, exact equality or ``REL_TOL`` relative /
 ``ABS_TOL`` absolute.  Exact instance numbers enter and leave in scaled form:
 ``Fraction`` appears only on ``.data`` and for file literals other than ints
-and ``'-?[0-9]+/[0-9]+'``.  ``domain_of`` is the only place that infers the
-mode from data, and it reads the same cached scan.
+and ``'-?[0-9]+/[0-9]+'``.
 
 Layout: a tensor of valence (p, q) stores its N**(p+q) entries in one flat
 list, row-major over the written index order with the upper indices first.
@@ -243,11 +242,6 @@ def _ratio_out(n: int, d: int) -> str:
 RATIONAL = Domain("rational", exact=True)
 FLOAT = Domain("float", exact=False)
 DOMAINS = {d.name: d for d in (RATIONAL, FLOAT)}
-
-
-def domain_of(t: Tensor) -> Domain:
-    """t's domain: ints count as exact; one float entry makes it FLOAT."""
-    return FLOAT if _kind(t) is _FLOAT else RATIONAL
 
 
 # ---------------------------------------------------------------------------

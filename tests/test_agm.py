@@ -101,6 +101,62 @@ def test_corrected_closed_forms_match_pipeline_on_both_sides():
             assert tc.max_abs_diff(first, inv.weyl_first_display(fl)) == 0, key
 
 
+def _term_by_term(b, form):
+    """A form's corrected column rebuilt as (1,3) terms: each core through its
+    own delta block, each part scaled, summed in row order."""
+    out = None
+    for _, part, _, c in agm.tables(b.N, b.eps)[form]:
+        t = b.part(part)
+        if t.valence == (0, 2):
+            t = tc.delta_mix(t)
+        t = tc.scale(t, c) if c else tc.zeros(b.N, (1, 3))
+        out = t if out is None else tc.add(out, t)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_closed_forms_equal_the_term_by_term_sum(dim, mode):
+    # one delta block of the summed cores is the sum of the cores' blocks:
+    # exactly in rational mode, to the closeness rule in float mode
+    forms = {"deform": lambda fl: agm._blocks(fl).total("deform"),
+             "basic": agm.agm_basic, "fourth": agm.agm_fourth,
+             "first": agm.agm_first}
+    for seed in (0, 1, 2):
+        for p in (1, 2):
+            ins = generate_agm3(dim, seed, p, mode)
+            for fl in (ins.source_fields(), ins.target_fields()):
+                for form, closed in forms.items():
+                    got = closed(fl)
+                    want = _term_by_term(agm._blocks(fl), form)
+                    key = (dim, seed, p, form)
+                    if mode == "rational":
+                        assert got == want, key
+                    else:
+                        assert fl.domain.measure(got, want)[0], key
+
+
+def test_each_closed_form_takes_one_delta_block(monkeypatch):
+    # the parts are built without a delta block; a form's total builds one
+    calls = []
+    real = tc.delta_mix
+
+    def spy(Y):
+        calls.append(Y)
+        return real(Y)
+
+    monkeypatch.setattr(tc, "delta_mix", spy)
+    for dim, seed, p in ((3, 0, 1), (4, 1, 2)):
+        fl = generate_agm3(dim, seed, p, "rational").source_fields()
+        calls.clear()
+        b = agm._blocks(fl)
+        assert calls == [], (dim, seed, p)
+        for form in agm.tables(dim, b.eps):
+            calls.clear()
+            b.total(form)
+            assert len(calls) == 1, (dim, seed, p, form)
+
+
 def test_corrected_basic_and_fourth_forms_are_invariant():
     for _, s, t in all_cases():
         assert tc.max_abs_diff(agm.agm_basic(s), agm.agm_basic(t)) == 0
@@ -275,8 +331,11 @@ def test_diagnostics_residuals_are_pinned(key):
 
 def test_diagnostics_share_delta_blocks(monkeypatch):
     # Once the check pipeline has run on a bundle, a diagnostics call reuses
-    # the pipeline forms' and the closed forms' delta blocks; all it builds
-    # is the decomposition's Q block and its N-trace block, one each.
+    # the pipeline forms' delta blocks and the basic and fourth closed forms;
+    # all it builds is one block for each closed form the check has not
+    # (deform, first) and the decomposition's Q block and N-trace block.
+    # Q = -mu/2 sigma is the deform form's only core, so its block is built
+    # twice: the spy counts 2 for it.
     seen = collections.Counter()
     real = tc.delta_mix
 
@@ -292,7 +351,7 @@ def test_diagnostics_share_delta_blocks(monkeypatch):
         monkeypatch.setattr(tc, "delta_mix", spy)
         agm.agm_diagnostics(s)
         monkeypatch.setattr(tc, "delta_mix", real)
-        assert sorted(seen.values()) == [1, 1], (dim, seed, p)
+        assert sorted(seen.values()) == [1, 1, 2], (dim, seed, p)
 
 
 def test_trace_derivative_is_computed_once_per_space(monkeypatch):

@@ -212,6 +212,9 @@ def test_sym_pair_loop_oracle():
         for n in range(dim):
             assert half[m, n] == Fraction(t[m, n] + t[n, m], 2)
             assert full[m, n] == t[m, n] + t[n, m]
+    half_sum = tc.sym_pair(Tensor(2, (0, 2), [1, 2, 0, 1]), 0, 1)
+    assert half_sum.data == [1, 1, 1, 1]
+    assert all(type(x) is Fraction for x in half_sum.data)
 
 
 @given(tensor_strategy(3, (0, 2)))
@@ -485,15 +488,6 @@ def test_domain_tolerance_reports():
     assert tc.RATIONAL.tolerance(1e-3, 1e-4) == {"exact": True}
     assert tc.FLOAT.tolerance() == {"relative": 1e-9, "absolute": 1e-12}
     assert tc.FLOAT.tolerance(1e-3, 1e-4) == {"relative": 1e-3, "absolute": 1e-4}
-
-
-def test_domain_of_infers_the_mode_from_entries():
-    assert tc.domain_of(tc.delta(3)) is tc.RATIONAL  # all-int counts as exact
-    assert tc.domain_of(Tensor(2, (0, 1), [Fraction(1, 2), 0])) is tc.RATIONAL
-    assert tc.domain_of(Tensor(2, (0, 1), [0, -0.0])) is tc.FLOAT
-    half_sum = tc.sym_pair(Tensor(2, (0, 2), [1, 2, 0, 1]), 0, 1)
-    assert half_sum.data == [1, 1, 1, 1]
-    assert all(type(x) is Fraction for x in half_sum.data)
 
 
 def _scan_rational(vals):
@@ -968,7 +962,6 @@ def _check_result(got, want, ints, what):
     if any(isinstance(x, float) for x in want):  # the untouched list path
         assert [(type(x), repr(x)) for x in got.data] == \
             [(type(x), repr(x)) for x in want], what
-        assert tc.domain_of(got) is tc.FLOAT, what
         return
     assert got.data == want, what
     assert tc._exact(got), what
