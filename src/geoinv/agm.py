@@ -30,10 +30,9 @@ from .invariants import (
     Decomposition,
     DecompositionError,
     S_tilde,
-    delta_block,
+    part,
     rho,
     weyl_factored,
-    weyl_first_display,
     weyl_fourth,
 )
 from .jet import covariant_derivative
@@ -189,13 +188,16 @@ class _Blocks:
         return out
 
     @once
+    def mix(self, form: str) -> Tensor:
+        """The delta block of a form's (0,2) terms' sum (delta_mix is linear)."""
+        cores = [t for _, t in self.column(form, True) if t.p == 0]
+        return tc.delta_mix(reduce(tc.add, cores))
+
+    @once
     def total(self, form: str) -> Tensor:
-        """A form's corrected column summed in row order: its (1,3) terms plus
-        the delta block of its (0,2) terms' sum (delta_mix is linear)."""
-        terms = [t for _, t in self.column(form, True)]
-        cores = reduce(tc.add, [t for t in terms if t.p == 0])
-        return tc.add(reduce(tc.add, [t for t in terms if t.p == 1]),
-                      tc.delta_mix(cores))
+        """A form's corrected column summed in row order: (1,3) terms, then mix."""
+        terms = [t for _, t in self.column(form, True) if t.p == 1]
+        return tc.add(reduce(tc.add, terms), self.mix(form))
 
 
 @once
@@ -239,14 +241,15 @@ def s_tilde_closed(fields: SpaceFields) -> Tensor:
 
 def agm_decompose(fields: SpaceFields) -> Decomposition:
     """Split the deformation curvature into its trace-mixed part, with
-    Y = -mu/2 sigma (the deform form's core), and the rest.
+    Y = -mu/2 sigma (the deform form's one core, whose block it reuses), and the rest.
 
     Validates the reconstruction against the pipeline's deformation
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
     g = dict(b.column("deform", True))
-    dec = Decomposition(g["mu"], tc.add(g["cd"], tc.add(g["quad"], g["nutor"])))
+    dec = Decomposition(g["mu"], tc.add(g["cd"], tc.add(g["quad"], g["nutor"])),
+                        b.mix("deform"))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
     if not ok:
         raise DecompositionError(
@@ -261,18 +264,16 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
     decomposition of the deformation curvature (exact substitutions); the
     fourth is ``derived_invariants(dec, fields.space)["fourth"]``."""
     N, R = fields.dim, fields.space.R
-    first_base = tc.add_scaled(
-        tc.add(R, dec.total), Fraction(-1, N + 1),
-        tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho")))
-    first = tc.add_scaled(first_base, Fraction(-1, (N + 1) ** 2),
-                          delta_block(fields, "s_tilde"))
+    theta_rho, s_tilde, sym_ricci = (part(fields, ("mix", ((1, core),)))
+                                     for core in ("theta_rho", "s_tilde", "sym_ricci"))
+    h2 = Fraction(1, (N + 1) ** 2)
+    first_base = tc.add_scaled(tc.add(R, dec.total), Fraction(-1, N + 1), theta_rho)
+    first = tc.add_scaled(first_base, -h2, s_tilde)
     c = Fraction(1, N - 1)
-    fourth = tc.add_scaled(tc.add(R, dec.Z), c, delta_block(fields, "sym_ricci"))
+    fourth = tc.add_scaled(tc.add(R, dec.Z), c, sym_ricci)
     fourth = tc.add_scaled(fourth, c, dec.mix_z_trace)
-    first_disp = tc.add_scaled(first_base, Fraction(N - 1, (N + 1) ** 2),
-                               dec.mix_Y)
-    first_disp = tc.add_scaled(first_disp, Fraction(-1, (N + 1) ** 2),
-                               dec.mix_z_trace)
+    first_disp = tc.add_scaled(first_base, (N - 1) * h2, dec.mix_Y)
+    first_disp = tc.add_scaled(first_disp, -h2, dec.mix_z_trace)
     return first, fourth, first_disp
 
 
@@ -300,7 +301,7 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     row("trace-derivative", "full", rho_closed(fields), rho(fields))
     row("trace-completion", "full", s_tilde_closed(fields), S_tilde(fields))
     pipeline = {"basic": weyl_factored(fields), "fourth": weyl_fourth(fields),
-                "first": weyl_first_display(fields)}
+                "first": part(fields, "weyl_first_display")}
     for section, form in pipeline.items():
         table(section, form)
 

@@ -268,7 +268,7 @@ INVARIANTS = (
     ("geodesic-thomas", "trace-shift reduced connection",
      _on("geodesic"), lambda f, g: inv.geodesic_thomas(f.space)),
     ("geodesic-weyl", "trace-shift curvature form",
-     _on("geodesic"), lambda f, g: inv.geodesic_weyl(f.space)),
+     _on("geodesic"), lambda f, g: inv.part(f.space, "geodesic_weyl")),
     ("rho-skew", "skew part of the source-trace derivative",
      None, lambda f, g: inv.rho_skew(f)),
     ("skew-ricci", "skew part of the Ricci trace",
@@ -292,7 +292,7 @@ INVARIANTS = (
     ("weyl-fourth", "fourth derived curvature form",
      None, lambda f, g: inv.weyl_fourth(f)),
     ("weyl-projective", "projective curvature form",
-     _on("geodesic"), lambda f, g: inv.weyl_projective(f.space)),
+     _on("geodesic"), lambda f, g: inv.part(f.space, "weyl_projective")),
 )
 
 
@@ -448,10 +448,13 @@ def eval_bindings(ins: MappingInstance, side: str, names=None) -> dict:
 
 def cmd_eval(args) -> int:
     ins = load_instance(args.file)
-    node = expr_parse(args.expr)
-    out = expr_evaluate(node, eval_bindings(ins, args.space, ref_names(node)),
-                        (ins.source_fields() if args.space == "source"
-                         else ins.target_fields()).space, ins.domain)
+    try:
+        node = expr_parse(args.expr)
+        out = expr_evaluate(node, eval_bindings(ins, args.space, ref_names(node)),
+                            (ins.source_fields() if args.space == "source"
+                             else ins.target_fields()).space, ins.domain)
+    except RecursionError:
+        raise UsageError("expression is nested too deeply") from None
     sys.stdout.write(dumps(_nest(out, ins.mode)))
     return 0
 

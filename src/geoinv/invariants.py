@@ -1,9 +1,10 @@
 """Thomas-type and Weyl-type invariants of the transformation rule.
 
 Every function here evaluates one side of a mapping from its SpaceFields
-bundle; comparing the source and target evaluations is what certifies (or
-refutes) invariance.  All Weyl-type outputs are antisymmetric in their last
-index pair by construction.
+bundle (a geodesic form from its ConnectionSpace); comparing the two sides is
+what certifies (or refutes) invariance.  Each Weyl-type form but the basic
+one is a coefficient table over named parts (``weyl_tables``, ``part``); all
+are antisymmetric in their last index pair by construction.
 
 Two deliberately redundant routes exist in several places (e.g. the basic
 reduced connection versus its expanded form, and the closed derived forms
@@ -14,6 +15,8 @@ collapsing them into one implementation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
@@ -66,8 +69,14 @@ def thomas_star(fields: SpaceFields) -> Tensor:
     return tc.sub(fields.space.Lsym.value, fields.B.value)
 
 
+def geodesic_thomas(space: ConnectionSpace) -> Tensor:
+    """Reduced connection of the trace-shift rule."""
+    return tc.add_scaled(space.Lsym.value, Fraction(-1, space.dim + 1),
+                         tc.delta_sym(space.theta.value))
+
+
 # ---------------------------------------------------------------------------
-# Weyl-type invariants, basic and factored
+# Weyl-type invariants: the basic form, then tables over named parts
 
 
 def weyl_basic(fields: SpaceFields) -> Tensor:
@@ -106,43 +115,110 @@ def A_tensor(fields: SpaceFields) -> Tensor:
 
 
 @once
-def R_plus_A(fields: SpaceFields) -> Tensor:
-    """The curvature plus the deformation curvature, which the factored and
-    fourth forms both start from."""
-    return tc.add(fields.space.R, A_tensor(fields))
-
-
-@once
 def A_trace(fields: SpaceFields) -> Tensor:
     """Symmetrized last-slot trace of the deformation curvature."""
     return tc.sym_pair(tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1)
 
 
-# the (0,2) cores whose delta_mix blocks several forms share
-_MIX_CORES = {
-    "theta": lambda f: f.space.trace_cov_derivative(),
-    "rho": lambda f: rho(f),
-    "s_tilde": lambda f: S_tilde(f),
-    "a_trace": lambda f: A_trace(f),
-    "sym_ricci": lambda f: f.space.sym_ricci,
+# a side's named parts besides its Weyl-type forms, by (side, its space):
+# (1,3) tensors, and (0,2) cores that a row takes through a delta block
+PARTS = {
+    "R": lambda f, s: s.R,
+    "A": lambda f, s: A_tensor(f),
+    "theta": lambda f, s: s.trace_cov_derivative(),
+    # a delta_mix entry is +-(theta - rho) or an exact zero, so the block of
+    # this bracket is the difference of the two cores' blocks, to the bit
+    "theta_rho": lambda f, s: tc.sub(s.trace_cov_derivative(), rho(f)),
+    "theta_theta": lambda f, s: tc.outer(s.theta.value, s.theta.value),
+    "s_tilde": lambda f, s: S_tilde(f),
+    "a_trace": lambda f, s: A_trace(f),
+    "rho_skew": lambda f, s: rho_skew(f),
+    "ricci": lambda f, s: s.ricci,
+    "ricci_T": lambda f, s: tc.transpose_pair(s.ricci, 0, 1),
+    "sym_ricci": lambda f, s: s.sym_ricci,
+    "skew_ricci": lambda f, s: s.skew_ricci,
+    "special_skew": lambda f, s: tc.alternate(s.special_trace_derivative(), 0, 1),
 }
 
 
-@once
-def delta_block(fields: SpaceFields, core: str) -> Tensor:
-    """delta_mix of one named (0,2) core of this side, built once per bundle:
-    "theta" (the covector-rule trace derivative), "rho", "s_tilde",
-    "a_trace" or "sym_ricci" (the symmetrized Ricci tensor)."""
-    return tc.delta_mix(_MIX_CORES[core](fields))
+@cache
+def weyl_tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
+    """Each Weyl-type form's rows (coefficient, part) at dimension N, in
+    summation order; built once per N and shared, so read-only.  Rows keep
+    the written formulas' grouping, so float sums round as those do."""
+    F = Fraction
+    return MappingProxyType({
+        "weyl_factored": (
+            (1, "R"), (1, "A"), (F(-1, N + 1), ("mix", ((1, "theta_rho"),))),
+            (F(-1, (N + 1) ** 2), ("mix", ((1, "s_tilde"),)))),
+        "weyl_fourth": (
+            (1, "R"), (1, "A"), (F(1, N - 1), ("mix", ((1, "sym_ricci"),))),
+            (F(1, N - 1), ("mix", ((1, "a_trace"),)))),
+        # the first derived form as displayed, kept for diagnostics.  Not
+        # invariant in general: it differs from the factored form by a delta
+        # bracket of (S-completion minus the A-trace), which moves under the
+        # rule; weyl_first_over is the invariant closure
+        "weyl_first_display": (
+            (1, "R"),
+            (F(-1, (N + 1) ** 2), ("mix", ((N + 1, "theta_rho"), (1, "a_trace")))),
+            (1, "A")),
+        # the first derived construction applied to the factored form's
+        # decomposition: the factored invariant plus a pure trace correction
+        "weyl_first_over": ((1, "weyl_factored"), (1, ("outer", (
+            (F(1, N + 1), "rho_skew"), (F(-1, N * (N + 1)), "skew_ricci"))))),
+        # the trace-shift rule's form
+        "geodesic_weyl": (
+            (1, "R"),
+            # the delta-diagonal block alternates the special trace derivative:
+            # its symmetric excess over the covector rule cancels when alternated
+            (F(1, N + 1), ("outer", ((1, "special_skew"),))),
+            # the mixed block keeps the covector rule, which is what makes the
+            # form move with the basic Weyl form and stay invariant
+            (F(-1, (N + 1) ** 2), ("mix", ((N + 1, "theta"), (1, "theta_theta"))))),
+        # the classical projective-type tensor of the symmetric part
+        "weyl_projective": (
+            (1, "R"), (F(1, N + 1), ("outer", ((1, "skew_ricci"),))),
+            (F(N, N * N - 1), ("mix", ((1, "ricci"),))),
+            (F(1, N * N - 1), ("mix", ((1, "ricci_T"),)))),
+    })
 
 
 @once
+def part(side: SpaceFields | ConnectionSpace, name: str | tuple) -> Tensor:
+    """One named part of a side, built once per side: a Weyl-type form (its
+    table's rows summed), a delta block ("mix" | "outer", core rows) of its
+    core rows' sum, or a ``PARTS`` entry.  The full rule's forms take a
+    bundle as their side, the geodesic ones a bare ConnectionSpace."""
+    if isinstance(name, tuple):
+        kind, rows = name
+        return (tc.delta_mix if kind == "mix" else tc.delta_outer)(_sum(side, rows))
+    if name in PARTS:
+        return PARTS[name](side, getattr(side, "space", side))
+    return _sum(side, weyl_tables(side.dim)[name])
+
+
+def _sum(side: SpaceFields | ConnectionSpace, rows: tuple) -> Tensor:
+    """Rows (coefficient, part) scaled and summed in order; a leading 1 is unscaled."""
+    (c, name), *rest = rows
+    out = part(side, name) if c == 1 else tc.scale(part(side, name), c)
+    for c, name in rest:
+        out = tc.add_scaled(out, c, part(side, name))
+    return out
+
+
 def weyl_factored(fields: SpaceFields) -> Tensor:
     """The factored Weyl-type invariant of the full rule."""
-    N = fields.dim
-    bracket = tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho"))
-    out = tc.add_scaled(R_plus_A(fields), Fraction(-1, N + 1), bracket)
-    return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), delta_block(fields, "s_tilde"))
+    return part(fields, "weyl_factored")
+
+
+def weyl_fourth(fields: SpaceFields) -> Tensor:
+    """Fourth derived form, trace-completed with the symmetrized Ricci data."""
+    return part(fields, "weyl_fourth")
+
+
+def weyl_first_over(fields: SpaceFields) -> Tensor:
+    """First derived form, closed over the factored invariant."""
+    return part(fields, "weyl_first_over")
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +237,14 @@ class Decomposition:
 
     __slots__ = ("Y", "Z", "mix_Y", "total", "z_last", "z_trace", "mix_z_trace")
 
-    def __init__(self, Y: Tensor, Z: Tensor):
+    def __init__(self, Y: Tensor, Z: Tensor, mix_Y: Tensor | None = None):
         if Y.valence != (0, 2) or Z.valence != (1, 3):
             raise DecompositionError(
                 f"Y, Z valences must be (0,2), (1,3); got {Y.valence}, {Z.valence}")
         if not tc.add(Z, tc.transpose_pair(Z, 2, 3)).is_zero():
             raise DecompositionError("Z must be antisymmetric in its last two slots")
         self.Y, self.Z = Y, Z
-        self.mix_Y = tc.delta_mix(Y)
+        self.mix_Y = tc.delta_mix(Y) if mix_Y is None else mix_Y
         self.total = tc.add(self.mix_Y, Z)
         self.z_last = tc.ein("ajna->jn", (0, 2), Z)
         self.z_trace = tc.sym_pair(self.z_last, 0, 1)
@@ -226,84 +302,3 @@ def xyz_weyl_first_display(fields: SpaceFields) -> Decomposition:
     """The displayed first form: the factored one, completed by the A-trace."""
     return _trace_decomposition(fields, A_trace(fields))
 
-
-# ---------------------------------------------------------------------------
-# closed derived forms
-
-
-@once
-def weyl_fourth(fields: SpaceFields) -> Tensor:
-    """Fourth derived form: trace-completed with the symmetrized Ricci data."""
-    c = Fraction(1, fields.dim - 1)
-    out = tc.add_scaled(R_plus_A(fields), c, delta_block(fields, "sym_ricci"))
-    return tc.add_scaled(out, c, delta_block(fields, "a_trace"))
-
-
-def weyl_first_display(fields: SpaceFields) -> Tensor:
-    """First derived form exactly as displayed (kept for diagnostics).
-
-    Not invariant in general: it differs from the factored form by a
-    delta-bracket of (S-completion minus the A-trace), which moves under the
-    rule; see `weyl_first_over` for the invariant closure.
-    """
-    N = fields.dim
-    inner = tc.add_scaled(
-        tc.scale(tc.sub(delta_block(fields, "theta"), delta_block(fields, "rho")),
-                 N + 1),
-        1, delta_block(fields, "a_trace"),
-    )
-    return tc.add(tc.add_scaled(fields.space.R, Fraction(-1, (N + 1) ** 2), inner),
-                  A_tensor(fields))
-
-
-def weyl_first_over(fields: SpaceFields) -> Tensor:
-    """First derived form, closed over the factored invariant.
-
-    Equals the first derived construction applied to the factored form's
-    decomposition; written directly as the factored invariant plus a pure
-    trace correction.
-    """
-    N = fields.dim
-    corr = tc.add_scaled(
-        tc.scale(rho_skew(fields), Fraction(1, N + 1)),
-        Fraction(-1, N * (N + 1)), fields.space.skew_ricci,
-    )
-    return tc.add(weyl_factored(fields), tc.delta_outer(corr))
-
-
-# ---------------------------------------------------------------------------
-# trace-shift-only (geodesic) forms
-
-
-def geodesic_thomas(space: ConnectionSpace) -> Tensor:
-    """Reduced connection of the trace-shift rule."""
-    return tc.add_scaled(space.Lsym.value, Fraction(-1, space.dim + 1),
-                         tc.delta_sym(space.theta.value))
-
-
-def geodesic_weyl(space: ConnectionSpace) -> Tensor:
-    """Weyl-type form of the trace-shift rule.
-
-    The delta-diagonal block alternates the special trace derivative (its
-    symmetric excess over the covector rule cancels under alternation); the
-    mixed block keeps the covector rule, which is what makes the form move
-    with the basic Weyl form and stay invariant.
-    """
-    N = space.dim
-    th = space.theta.value
-    sp = space.special_trace_derivative()
-    out = tc.add_scaled(space.R, Fraction(1, N + 1),
-                        tc.delta_outer(tc.alternate(sp, 0, 1)))
-    inner = tc.add(tc.scale(space.trace_cov_derivative(), N + 1),
-                   tc.ein("j,n->jn", (0, 2), th, th))
-    return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), tc.delta_mix(inner))
-
-
-def weyl_projective(space: ConnectionSpace) -> Tensor:
-    """The classical projective-type tensor of the symmetric part."""
-    N = space.dim
-    out = tc.add_scaled(space.R, Fraction(1, N + 1), tc.delta_outer(space.skew_ricci))
-    out = tc.add_scaled(out, Fraction(N, N * N - 1), tc.delta_mix(space.ricci))
-    return tc.add_scaled(
-        out, Fraction(1, N * N - 1), tc.delta_mix(tc.transpose_pair(space.ricci, 0, 1))
-    )

@@ -98,7 +98,7 @@ def test_corrected_closed_forms_match_pipeline_on_both_sides():
             key = (ins.dim, ins.seed, ins.p)
             assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0, key
             assert tc.max_abs_diff(fourth, inv.weyl_fourth(fl)) == 0, key
-            assert tc.max_abs_diff(first, inv.weyl_first_display(fl)) == 0, key
+            assert tc.max_abs_diff(first, inv.part(fl, "weyl_first_display")) == 0, key
 
 
 def _term_by_term(b, form):
@@ -169,7 +169,7 @@ def test_published_first_closed_form_is_not_invariant():
     for _, s, t in all_cases():
         if tc.max_abs_diff(agm.agm_first(s), agm.agm_first(t)) != 0:
             moved += 1
-        assert tc.max_abs_diff(agm.agm_first(s), inv.weyl_first_display(s)) == 0
+        assert tc.max_abs_diff(agm.agm_first(s), inv.part(s, "weyl_first_display")) == 0
     assert moved == sum(1 for _ in all_cases())
 
 
@@ -332,10 +332,10 @@ def test_diagnostics_residuals_are_pinned(key):
 def test_diagnostics_share_delta_blocks(monkeypatch):
     # Once the check pipeline has run on a bundle, a diagnostics call reuses
     # the pipeline forms' delta blocks and the basic and fourth closed forms;
-    # all it builds is one block for each closed form the check has not
-    # (deform, first) and the decomposition's Q block and N-trace block.
-    # Q = -mu/2 sigma is the deform form's only core, so its block is built
-    # twice: the spy counts 2 for it.
+    # it builds each distinct block it still needs once: one for each closed
+    # form the check has not built (deform, first), the displayed first
+    # form's, and the decomposition's N-trace block.  The decomposition's
+    # Y = -mu/2 sigma is the deform form's only core, so it takes that block.
     seen = collections.Counter()
     real = tc.delta_mix
 
@@ -351,7 +351,7 @@ def test_diagnostics_share_delta_blocks(monkeypatch):
         monkeypatch.setattr(tc, "delta_mix", spy)
         agm.agm_diagnostics(s)
         monkeypatch.setattr(tc, "delta_mix", real)
-        assert sorted(seen.values()) == [1, 1, 2], (dim, seed, p)
+        assert list(seen.values()) == [1, 1, 1, 1], (dim, seed, p)
 
 
 def test_trace_derivative_is_computed_once_per_space(monkeypatch):
@@ -425,7 +425,8 @@ def test_float_mode_parity(dim, p):
     assert tc.max_abs_diff(basic_s, basic_t) / scale < 1e-9
     assert tc.max_abs_diff(fourth_s, fourth_t) / scale < 1e-9
     assert tc.max_abs_diff(basic_s, inv.weyl_factored(s)) / scale < 1e-9
-    assert tc.max_abs_diff(agm.agm_first(s), inv.weyl_first_display(s)) / scale < 1e-9
+    display = inv.part(s, "weyl_first_display")
+    assert tc.max_abs_diff(agm.agm_first(s), display) / scale < 1e-9
     rows = agm.agm_diagnostics(s)
     assert all(r["status"] in ("match", "mismatch") for r in rows)
     agm.agm_decompose(s)
@@ -444,10 +445,10 @@ def test_zero_family_block_reduces_to_trace_shift_forms():
     basic = agm.agm_basic(fl)
     assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0
     assert tc.max_abs_diff(agm.agm_fourth(fl), inv.weyl_fourth(fl)) == 0
-    assert tc.max_abs_diff(agm.agm_first(fl), inv.weyl_first_display(fl)) == 0
+    assert tc.max_abs_diff(agm.agm_first(fl), inv.part(fl, "weyl_first_display")) == 0
     # It is NOT the plain basic form: they differ by the trace block.
     assert tc.max_abs_diff(basic, inv.weyl_basic(fl)) != 0
-    gw = inv.geodesic_weyl(src.space)
+    gw = inv.part(src.space, "geodesic_weyl")
     gap = tc.sub(basic, gw)
     pred = tc.scale(
         tc.ein("ij,mn->ijmn", (1, 3), tc.delta(3), src.space.skew_ricci),

@@ -994,6 +994,21 @@ def test_eval_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "u{;i}" + ")" * 3000,
+     "-".join(["u{;i}"] * 3000),
+     "alt(" * 400 + "R{i;jmn}" + "; m,n)" * 400],
+    ids=["parentheses", "difference-chain", "alternations"],
+)
+def test_eval_deeply_nested_expression_exits_2(tmp_path, capsys, expr):
+    # the parser, the reference scan and the evaluator all recurse; the
+    # chain parses flat but nests in its tree
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0")
+    assert main(["eval", str(out), expr]) == 2
+    assert capsys.readouterr() == ("", "error: expression is nested too deeply\n")
+
+
+@pytest.mark.parametrize(
     "mode,expr",
     [
         ("rational", "\u00b2*u{;i}"),

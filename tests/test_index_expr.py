@@ -24,7 +24,7 @@ from geoinv.index_expr import (
     parse,
     to_source,
 )
-from geoinv.invariants import rho, weyl_basic, weyl_projective
+from geoinv.invariants import part, rho, weyl_basic
 from geoinv.jet import covariant_derivative, jet_mul, linear, zero_jet
 from geoinv.mappings import generate
 from geoinv.tensor_core import GeoinvError
@@ -80,7 +80,7 @@ def corpus(dim, f, sp):
             f"R{{i;jmn}} + 1/{n + 1}*d{{i;j}}*RS{{;mn}}"
             f" + {n}/{n * n - 1}*alt(d{{i;m}}*Ric{{;jn}}; m,n)"
             f" + 1/{n * n - 1}*alt(d{{i;m}}*Ric{{;nj}}; m,n)",
-            weyl_projective(sp),
+            part(sp, "weyl_projective"),
             "projective",
         ),
         ("cd(b{;j}; n)", rho(f), "rho"),

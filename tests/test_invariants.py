@@ -139,7 +139,7 @@ def test_displayed_first_form_gap_to_factored():
                 delta_mix(tc.sub(inv.S_tilde(fl), atr), n),
                 Fraction(1, (n + 1) ** 2),
             )
-            lhs = tc.sub(inv.weyl_first_display(fl), inv.weyl_factored(fl))
+            lhs = tc.sub(inv.part(fl, "weyl_first_display"), inv.weyl_factored(fl))
             assert tc.max_abs_diff(lhs, gap) == 0
 
 
@@ -147,7 +147,7 @@ def test_displayed_first_form_is_not_invariant():
     # It moves on every non-trivial instance; only the torsion-only pattern
     # (all flags off) leaves the symmetric data — hence this form — unchanged.
     for ins, s, t in all_cases():
-        moved = pairdiff(inv.weyl_first_display, s, t) != 0
+        moved = pairdiff(lambda f: inv.part(f, "weyl_first_display"), s, t) != 0
         assert moved == (ins.flags != (0, 0, 0)), (ins.dim, ins.seed, ins.flags)
 
 
@@ -297,10 +297,12 @@ def geodesic_cases():
 
 def test_geodesic_forms_invariant():
     for ins, s, t in geodesic_cases():
-        for f in (inv.geodesic_thomas, inv.geodesic_weyl, inv.weyl_projective):
-            a = f(s.space)
-            b = f(t.space)
-            assert tc.max_abs_diff(a, b) == 0, (ins.dim, ins.seed, f.__name__)
+        for name in ("geodesic_weyl", "weyl_projective"):
+            a = inv.part(s.space, name)
+            b = inv.part(t.space, name)
+            assert tc.max_abs_diff(a, b) == 0, (ins.dim, ins.seed, name)
+        a, b = inv.geodesic_thomas(s.space), inv.geodesic_thomas(t.space)
+        assert tc.max_abs_diff(a, b) == 0, (ins.dim, ins.seed)
 
 
 def test_geodesic_connection_form_matches_general_route():
@@ -323,7 +325,7 @@ def test_geodesic_weyl_bridge_to_basic():
         for fl in (s, t):
             sp = fl.space
             corr = outer_delta(sp.skew_ricci, n)
-            lhs = tc.sub(inv.weyl_basic(fl), inv.geodesic_weyl(sp))
+            lhs = tc.sub(inv.weyl_basic(fl), inv.part(sp, "geodesic_weyl"))
             assert tc.max_abs_diff(lhs, tc.scale(corr, Fraction(2, n + 1))) == 0
 
 
@@ -346,7 +348,7 @@ def test_literal_all_special_variant_is_not_invariant():
         def literal(sp):
             m = tc.ein("abn,bja->jn", (0, 2), sp.Lsym.value, sp.Lsym.value)
             return tc.add_scaled(
-                inv.geodesic_weyl(sp),
+                inv.part(sp, "geodesic_weyl"),
                 Fraction(-2, n + 1),
                 delta_mix(m, n),
             )
@@ -378,6 +380,6 @@ def test_no_einsum_takes_a_kronecker_delta(monkeypatch):
     cli.identity_rows(3, 0, "rational", cli.REL_TOL, cli.ABS_TOL)
     fl = general.source_fields()
     inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space)
-    inv.geodesic_weyl(geodesic.source_fields().space)
-    inv.weyl_projective(geodesic.source_fields().space)
+    inv.part(geodesic.source_fields().space, "geodesic_weyl")
+    inv.part(geodesic.source_fields().space, "weyl_projective")
     assert hits == []

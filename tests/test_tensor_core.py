@@ -776,6 +776,57 @@ def test_once_is_the_only_memo():
     assert _memo_breaches(planted) == [1, 2, 6]
 
 
+def _delta_block_refs(tree, allowed=frozenset()):
+    """Lines that name ``delta_mix`` or ``delta_outer`` (as an attribute, a
+    name or an import) outside the functions whose qualified names, such as
+    ``Class.method``, are in ``allowed``."""
+    inside = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if name in allowed:
+                    inside.update(id(sub) for sub in ast.walk(child))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    hits = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in ("delta_mix", "delta_outer") and id(node) not in inside:
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_only_the_block_builders_take_mix_and_outer_blocks():
+    # A Weyl-type form is a table row over invariants.part, which builds each
+    # delta block once per side; the decomposition, its rebuild operator and
+    # the agm closed forms' one block per form are the only other builders.
+    # A form that grows its own block call fails here.
+    src = Path(tc.__file__).parent
+    allowed = {
+        "invariants.py": {"part", "Decomposition.__init__", "derived_invariants"},
+        "agm.py": {"_Blocks.mix"},
+    }
+    hits = {path.name: lines for path in sorted(src.glob("*.py"))
+            if path.name != "tensor_core.py"
+            and (lines := _delta_block_refs(ast.parse(path.read_text()),
+                                            allowed.get(path.name, set())))}
+    assert hits == {}
+    planted = ast.parse("def f(Y):\n    return tc.delta_mix(Y)\n"
+                        "class _Blocks:\n    def mix(self, Y):\n"
+                        "        return tc.delta_mix(Y)\n"
+                        "from .tensor_core import delta_outer\n"
+                        "g = tc.delta_outer\n")
+    assert _delta_block_refs(planted) == [2, 5, 6, 7]
+    assert _delta_block_refs(planted, {"_Blocks.mix", "mix"}) == [2, 6, 7]
+
+
 # ---------------------------------------------------------------- plan cache
 
 
