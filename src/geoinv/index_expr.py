@@ -72,10 +72,11 @@ class Ref(NamedTuple):
     lowers: tuple[str, ...]
 
 
-class BinOp(NamedTuple):
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
+class Chain(NamedTuple):
+    """A flat sum or product: ops[k] ('+'/'-' in a sum, '*' in a product)
+    stands between args[k] and args[k + 1]; evaluated left to right."""
+    ops: tuple[str, ...]
+    args: tuple
 
 
 class Func(NamedTuple):
@@ -92,18 +93,14 @@ def to_source(node) -> str:
         return f"{node.name}{{{''.join(node.uppers)};{''.join(node.lowers)}}}"
     if isinstance(node, Func):
         return f"{node.kind}({to_source(node.arg)}; {','.join(node.indices)})"
-    if isinstance(node, BinOp):
-        left = to_source(node.left)
-        right = to_source(node.right)
-        if node.op == "*":
-            if isinstance(node.left, BinOp) and node.left.op != "*":
-                left = f"({left})"
-            if isinstance(node.right, BinOp):
-                right = f"({right})"
-            return f"{left}*{right}"
-        if isinstance(node.right, BinOp) and node.right.op != "*":
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+    if isinstance(node, Chain):
+        product = node.ops[0] == "*"
+        # a nested sum, or a product in a product, came from parentheses
+        first, *rest = (f"({to_source(x)})" if isinstance(x, Chain)
+                        and (product or x.ops[0] != "*") else to_source(x)
+                        for x in node.args)
+        return first + "".join(f"{op}{x}" if product else f" {op} {x}"
+                               for op, x in zip(node.ops, rest))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -111,7 +108,7 @@ def ref_names(node) -> set[str]:
     """The names an expression references."""
     if isinstance(node, Ref):
         return {node.name}
-    kids = ((node.left, node.right) if isinstance(node, BinOp)
+    kids = (node.args if isinstance(node, Chain)
             else (node.arg,) if isinstance(node, Func) else ())
     return set().union(*map(ref_names, kids))
 
@@ -202,6 +199,7 @@ class _Parser:
 
     def expr(self):
         node, free = self.term()
+        ops, args = [], [node]
         while self.peek().text in ("+", "-"):
             op = self.next()
             right, rfree = self.term()
@@ -209,11 +207,13 @@ class _Parser:
                 raise ParseError(
                     f"free indices differ across {op.text!r}: "
                     f"{_fmt(*free)} vs {_fmt(*rfree)}", op.line, op.col)
-            node = BinOp(op.text, node, right)
-        return node, free
+            ops.append(op.text)
+            args.append(right)
+        return _chain(ops, args), free
 
     def term(self):
         node, (lu, ll) = self.factor()
+        args = [node]
         while self.peek().text == "*":
             op = self.next()
             right, (ru, rl) = self.factor()
@@ -221,9 +221,9 @@ class _Parser:
                 raise ParseError(
                     f"index {x!r} appears twice in the same position across "
                     f"a product", op.line, op.col)
-            node = BinOp("*", node, right)
+            args.append(right)
             lu, ll = (lu - rl) | (ru - ll), (ll - ru) | (rl - lu)
-        return node, (lu, ll)
+        return _chain(["*"] * (len(args) - 1), args), (lu, ll)
 
     def factor(self):
         tok = self.peek()
@@ -331,6 +331,10 @@ class _Parser:
         return list(tok.text)
 
 
+def _chain(ops: list[str], args: list):
+    return Chain(tuple(ops), tuple(args)) if ops else args[0]
+
+
 def _fmt(up, low):
     return "{" + "".join(sorted(up)) + ";" + "".join(sorted(low)) + "}"
 
@@ -430,14 +434,17 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
         return _Val((), (), constant_jet(Tensor(space.dim, (0, 0), [x])))
     if isinstance(node, Ref):
         return _ref_value(node, bindings, space)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, bindings, space, dom)
-        b = _eval(node.right, bindings, space, dom)
-        if node.op == "*":
-            return _mul(a, b)
-        a, b = _canon(a), _canon(b)
-        fn = tc.add if node.op == "+" else tc.sub
-        return _Val(a.uppers, a.lowers, _op(fn, a.t, b.t))
+    if isinstance(node, Chain):
+        vals = (_eval(x, bindings, space, dom) for x in node.args)
+        a = next(vals)
+        for op, b in zip(node.ops, vals):
+            if op == "*":
+                a = _mul(a, b)
+            else:
+                a, b = _canon(a), _canon(b)
+                fn = tc.add if op == "+" else tc.sub
+                a = _Val(a.uppers, a.lowers, _op(fn, a.t, b.t))
+        return a
     if isinstance(node, Func):
         v = _eval(node.arg, bindings, space, dom)
         if node.kind == "cd":

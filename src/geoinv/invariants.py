@@ -229,22 +229,23 @@ class Decomposition:
     """A deformation-type (1,3) form written as delta_mix(Y) + Z.
 
     Y is (0,2); Z is (1,3) and must be antisymmetric in its last two slots,
-    the only shape the constructions are stated for.  The rebuild operator
+    the only shape the constructions are stated for.  ``mix_Y`` is
+    delta_mix(Y), given by the builder, which has the block at hand
+    (``decompose``, ``agm.agm_decompose``).  The rebuild operator
     (``derived_invariants``) and the agm split share the blocks built once
-    here: ``mix_Y``, ``total = mix_Y + Z``, ``z_last`` (Z's last-slot trace
-    Z^a_jna), ``z_trace`` (its symmetrization) and ``mix_z_trace``.
+    here: ``total = mix_Y + Z``, ``z_last`` (Z's last-slot trace Z^a_jna),
+    ``z_trace`` (its symmetrization) and ``mix_z_trace``.
     """
 
     __slots__ = ("Y", "Z", "mix_Y", "total", "z_last", "z_trace", "mix_z_trace")
 
-    def __init__(self, Y: Tensor, Z: Tensor, mix_Y: Tensor | None = None):
+    def __init__(self, Y: Tensor, Z: Tensor, mix_Y: Tensor):
         if Y.valence != (0, 2) or Z.valence != (1, 3):
             raise DecompositionError(
                 f"Y, Z valences must be (0,2), (1,3); got {Y.valence}, {Z.valence}")
         if not tc.add(Z, tc.transpose_pair(Z, 2, 3)).is_zero():
             raise DecompositionError("Z must be antisymmetric in its last two slots")
-        self.Y, self.Z = Y, Z
-        self.mix_Y = tc.delta_mix(Y) if mix_Y is None else mix_Y
+        self.Y, self.Z, self.mix_Y = Y, Z, mix_Y
         self.total = tc.add(self.mix_Y, Z)
         self.z_last = tc.ein("ajna->jn", (0, 2), Z)
         self.z_trace = tc.sym_pair(self.z_last, 0, 1)
@@ -258,6 +259,19 @@ class Decomposition:
         as sigma is on every instance (generated so, and checked on load).
         """
         return tc.add_scaled(self.z_trace, -(self.Y.dim - 1), self.Y)
+
+
+def decompose(fields: SpaceFields, form: str) -> Decomposition:
+    """A form whose rows are (1, R), (1, A) and delta_mix blocks, read off its
+    table as R + delta_mix(Y) + A: Y sums the blocks' cores, each scaled by
+    its row's coefficient times its own, and, delta_mix being linear, its
+    block is the sum of the form's own blocks."""
+    rows = weyl_tables(fields.dim)[form]
+    blocks = tuple(r for r in rows if isinstance(r[1], tuple) and r[1][0] == "mix")
+    if sorted((r for r in rows if r not in blocks), key=str) != [(1, "A"), (1, "R")]:
+        raise DecompositionError(f"{form} is not R + A + delta_mix blocks")
+    cores = tuple((c * k, core) for c, (_, block) in blocks for k, core in block)
+    return Decomposition(_sum(fields, cores), A_tensor(fields), _sum(fields, blocks))
 
 
 def derived_invariants(dec: Decomposition,
@@ -276,29 +290,3 @@ def derived_invariants(dec: Decomposition,
                            tc.delta_mix(space.sym_ricci))
     return {"first": first, "second": second,
             "fourth": tc.add_scaled(fourth, c, dec.mix_z_trace)}
-
-
-def _trace_decomposition(fields: SpaceFields, completion: Tensor) -> Decomposition:
-    N = fields.dim
-    bracket = tc.sub(rho(fields), fields.space.trace_cov_derivative())
-    Y = tc.add_scaled(tc.scale(bracket, Fraction(1, N + 1)),
-                      Fraction(-1, (N + 1) ** 2), completion)
-    return Decomposition(Y, A_tensor(fields))
-
-
-def xyz_weyl_factored(fields: SpaceFields) -> Decomposition:
-    """The factored Weyl form, written as a decomposition."""
-    return _trace_decomposition(fields, S_tilde(fields))
-
-
-def xyz_weyl_fourth(fields: SpaceFields) -> Decomposition:
-    N = fields.dim
-    Y = tc.scale(tc.add(fields.space.sym_ricci, A_trace(fields)),
-                 Fraction(1, N - 1))
-    return Decomposition(Y, A_tensor(fields))
-
-
-def xyz_weyl_first_display(fields: SpaceFields) -> Decomposition:
-    """The displayed first form: the factored one, completed by the A-trace."""
-    return _trace_decomposition(fields, A_trace(fields))
-

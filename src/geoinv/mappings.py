@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial, reduce
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
@@ -82,36 +83,22 @@ def curl(w: JetTensor) -> Tensor:
     return tc.alternate(w.grad, 0, 1)
 
 
-class RuleTerms:
-    """One side's flag-gated symmetric rule terms: paired f (x) sigma, then
-    phi_obj.  Built once, on first use; the side's B and the target
-    connection share them.  Holds the side's fields, never their instance."""
+def side_terms(flags, field) -> tuple[JetTensor, ...]:
+    """One side's flag-gated symmetric rule terms, in order: paired
+    f (x) sigma when s2, then phi_obj when s3.  ``field(name)`` gives the
+    side's field by its unbarred name, zero when absent."""
+    _, s2, s3 = flags
+    terms = ()
+    if s2:  # f^i_j sigma_k + f^i_k sigma_j, factor-free
+        terms += (linear(tc.sym_pair, jet_mul(field("f"), field("sigma")), 1, 2, True),)
+    if s3:
+        terms += (field("phi_obj"),)
+    return terms
 
-    def __init__(self, dim: int, flags, f: JetTensor | None = None,
-                 sigma: JetTensor | None = None,
-                 phi_obj: JetTensor | None = None):
-        self.dim = dim
-        self.flags = tuple(flags)
-        self.f = f if f is not None else zero_jet(dim, (1, 1))
-        self.sigma = sigma if sigma is not None else zero_jet(dim, (0, 1))
-        self.phi_obj = phi_obj if phi_obj is not None else zero_jet(dim, (1, 2))
 
-    @once
-    def terms(self) -> list[JetTensor]:
-        _, s2, s3 = self.flags
-        terms = []
-        if s2:  # f^i_j sigma_k + f^i_k sigma_j, factor-free
-            terms.append(linear(tc.sym_pair, jet_mul(self.f, self.sigma), 1, 2, True))
-        if s3:
-            terms.append(self.phi_obj)
-        return terms
-
-    def total(self) -> JetTensor:
-        """The terms summed onto a zero jet, in order: the deformation source."""
-        out = zero_jet(self.dim, (1, 2))
-        for term in self.terms():
-            out = linear(tc.add, out, term)
-        return out
+def deformation_source(dim: int, terms: tuple[JetTensor, ...]) -> JetTensor:
+    """A side's rule terms summed onto a zero jet, in order."""
+    return reduce(partial(linear, tc.add), terms, zero_jet(dim, (1, 2)))
 
 
 # per-space data of a third-type almost-geodesic mapping: the symmetric (0,2)
@@ -126,12 +113,11 @@ class SpaceFields:
     tensor are computed once on first use and shared by every invariant.
     """
 
-    def __init__(self, space: ConnectionSpace, flags, mode: str,
-                 rule: RuleTerms | None = None, agm: AGMData | None = None):
+    def __init__(self, space: ConnectionSpace, mode: str,
+                 terms: tuple[JetTensor, ...], agm: AGMData | None = None):
         self.space = space
-        self.flags = tuple(flags)
         self.domain = DOMAINS[mode]
-        self.rule = rule if rule is not None else RuleTerms(space.dim, flags)
+        self.terms = terms
         self.agm = agm
 
     @property
@@ -142,7 +128,7 @@ class SpaceFields:
     @once
     def B(self) -> JetTensor:
         """Deformation source: the flag-gated symmetric rule terms of this side."""
-        return self.rule.total()
+        return deformation_source(self.dim, self.terms)
 
     @property
     @once
@@ -251,17 +237,14 @@ class MappingInstance:
     def _side(self, L: JetTensor, bar: str) -> SpaceFields:
         """One side's fields: bar is "" for the source, "_bar" for the target."""
         space = ConnectionSpace(L)
-        return SpaceFields(space, self.flags, self.mode, self.rule_terms(bar),
+        return SpaceFields(space, self.mode, self.rule_terms(bar),
                            self._agm_block(space, source=not bar))
 
     @once
-    def rule_terms(self, bar: str) -> RuleTerms:
+    def rule_terms(self, bar: str) -> tuple[JetTensor, ...]:
         """One side's rule terms (bar as in ``_side``), built once for its B
         and the target connection."""
-        get = self.fields.get
-        return RuleTerms(
-            self.dim, self.flags, f=get("f" + bar), phi_obj=get("phi_obj" + bar),
-            sigma=get("sigma" + bar) if self.mapping != "agm3" else None)
+        return side_terms(self.flags, lambda name: self.field(name + bar))
 
     @once
     def target_connection(self) -> JetTensor:
@@ -302,8 +285,7 @@ def build_target_connection(inst: MappingInstance) -> JetTensor:
         out = linear(tc.add, out, linear(tc.delta_sym, psi))
 
     # term by term: adding B_bar - B in one step rounds float sums differently
-    for t_bar, t in zip(inst.rule_terms("_bar").terms(),
-                        inst.rule_terms("").terms()):
+    for t_bar, t in zip(inst.rule_terms("_bar"), inst.rule_terms("")):
         out = linear(tc.add, out, linear(tc.sub, t_bar, t))
     if "xi" in inst.fields:
         out = linear(tc.add, out, inst.fields["xi"])
@@ -417,7 +399,8 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
 
     # -- exact curl fix for the deformation-trace difference ---------------
     def b_of(fj, sj, pj) -> JetTensor:
-        return linear(tc.contract, RuleTerms(dim, flags, fj, sj, pj).total(), 0, 0)
+        terms = side_terms(flags, {"f": fj, "sigma": sj, "phi_obj": pj}.get)
+        return linear(tc.contract, deformation_source(dim, terms), 0, 0)
 
     eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
                  curl(b_of(f, sigma, phi_obj)))

@@ -1,0 +1,75 @@
+"""Bit-identity sweep: one sha256 over what geoinv writes and certifies.
+
+    python tests/bit_sweep.py <checkout>
+
+Imports geoinv from ``<checkout>/src`` and digests, in rational and float
+mode, the ``gen`` bytes of each instance, the ``repr`` of every entry of
+every ``pair_invariants`` tensor and the ``repr`` of every
+``agm_diagnostics`` row of both sides.  The sweep: general N = 2-5 x
+seeds 0-3 x all 8 flag patterns, geodesic N = 2-5 x seeds 0-3, agm3
+N = 2-4 x seeds 0-3 x p = 1, 2.  Prints the number of digested records and
+the digest; two checkouts that print the same line wrote and certified the
+same bits.  Not a test module: pytest does not collect it.
+"""
+
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+FLAGS = list(itertools.product((0, 1), repeat=3))
+
+
+def _instances(mode, dims, seeds):
+    from geoinv.mappings import generate, generate_agm3
+
+    for dim, seed in itertools.product(dims, seeds):
+        for flags in FLAGS:
+            yield generate(dim, seed, flags, "general", mode)
+        yield generate(dim, seed, (1, 0, 0), "geodesic", mode)
+        if dim <= 4:
+            for p in (1, 2):
+                yield generate_agm3(dim, seed, p, mode)
+
+
+def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
+    """(records digested, sha256 hex) over the sweep at these dims and seeds."""
+    from geoinv import agm, cli
+
+    h, count = hashlib.sha256(), 0
+
+    def put(record: str) -> None:
+        nonlocal count
+        h.update(record.encode() + b"\0")
+        count += 1
+
+    for mode in ("rational", "float"):
+        for ins in _instances(mode, dims, seeds):
+            put(cli.dumps(cli.instance_to_obj(ins)))
+            for tag, _, a, b in cli.pair_invariants(ins):
+                put(repr((tag, [repr(x) for x in a.data], [repr(x) for x in b.data])))
+            if ins.mapping == "agm3":
+                for side in (ins.source_fields(), ins.target_fields()):
+                    for row in agm.agm_diagnostics(side):
+                        put(repr(row))
+    return count, h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/bit_sweep.py <checkout>", file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve() / "src"
+    sys.path.insert(0, str(src))  # before any geoinv import: the sweep imports lazily
+    import geoinv
+
+    if Path(geoinv.__file__).resolve().parent.parent != src:
+        print(f"geoinv imported from {geoinv.__file__}, not {src}", file=sys.stderr)
+        return 2
+    count, hexdigest = digest()
+    print(count, hexdigest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

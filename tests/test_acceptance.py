@@ -124,7 +124,7 @@ def test_criterion_3_rebuilt_forms_fixed_point():
     for seed in range(20):
         ins = generate(4, seed, FLAGS[seed % 8], "general", "rational")
         for fl in (ins.source_fields(), ins.target_fields()):
-            dec = inv.xyz_weyl_factored(fl)
+            dec = inv.decompose(fl, "weyl_factored")
             got = inv.derived_invariants(dec, fl.space)
             if tc.max_abs_diff(got["first"], inv.weyl_factored(fl)) != 0:
                 first_fixed = False
@@ -147,7 +147,7 @@ def test_criterion_3_residual_laws():
     for seed in range(20):
         ins = generate(n, seed, FLAGS[seed % 8], "general", "rational")
         for fl in (ins.source_fields(), ins.target_fields()):
-            dec = inv.xyz_weyl_factored(fl)
+            dec = inv.decompose(fl, "weyl_factored")
             got = inv.derived_invariants(dec, fl.space)
             rhat = fl.space.skew_ricci
             rhohat = inv.rho_skew(fl)
@@ -189,9 +189,9 @@ def test_criterion_4_rebuild_closure():
             over = inv.weyl_first_over(fl)
             fourth = inv.weyl_fourth(fl)
             for dec in (
-                inv.xyz_weyl_factored(fl),
-                inv.xyz_weyl_fourth(fl),
-                inv.xyz_weyl_first_display(fl),
+                inv.decompose(fl, "weyl_factored"),
+                inv.decompose(fl, "weyl_fourth"),
+                inv.decompose(fl, "weyl_first_display"),
             ):
                 got = inv.derived_invariants(dec, fl.space)
                 for cell in ("first", "second", "fourth"):
@@ -215,10 +215,10 @@ def test_criterion_4_green_cells():
         for fl in (ins.source_fields(), ins.target_fields()):
             over = inv.weyl_first_over(fl)
             fourth = inv.weyl_fourth(fl)
-            got1 = inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space)
-            got4 = inv.derived_invariants(inv.xyz_weyl_fourth(fl), fl.space)
+            got1 = inv.derived_invariants(inv.decompose(fl, "weyl_factored"), fl.space)
+            got4 = inv.derived_invariants(inv.decompose(fl, "weyl_fourth"), fl.space)
             gotd = inv.derived_invariants(
-                inv.xyz_weyl_first_display(fl), fl.space
+                inv.decompose(fl, "weyl_first_display"), fl.space
             )
             assert tc.max_abs_diff(got1["first"], over) == 0
             for got in (got1, got4, gotd):
@@ -236,12 +236,12 @@ def test_criterion_4_red_cell_residuals():
             fourth = inv.weyl_fourth(fl)
             rhat = fl.space.skew_ricci
             rhohat = inv.rho_skew(fl)
-            got4 = inv.derived_invariants(inv.xyz_weyl_fourth(fl), fl.space)
+            got4 = inv.derived_invariants(inv.decompose(fl, "weyl_fourth"), fl.space)
             gotd = inv.derived_invariants(
-                inv.xyz_weyl_first_display(fl), fl.space
+                inv.decompose(fl, "weyl_first_display"), fl.space
             )
             got1 = inv.derived_invariants(
-                inv.xyz_weyl_factored(fl), fl.space
+                inv.decompose(fl, "weyl_factored"), fl.space
             )
 
             r = tc.sub(got4["first"], fourth)

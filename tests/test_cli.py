@@ -996,16 +996,73 @@ def test_eval_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "expr",
     ["(" * 3000 + "u{;i}" + ")" * 3000,
-     "-".join(["u{;i}"] * 3000),
      "alt(" * 400 + "R{i;jmn}" + "; m,n)" * 400],
-    ids=["parentheses", "difference-chain", "alternations"],
+    ids=["parentheses", "alternations"],
 )
 def test_eval_deeply_nested_expression_exits_2(tmp_path, capsys, expr):
-    # the parser, the reference scan and the evaluator all recurse; the
-    # chain parses flat but nests in its tree
+    # the parser, the reference scan and the evaluator all recurse
     out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0")
     assert main(["eval", str(out), expr]) == 2
     assert capsys.readouterr() == ("", "error: expression is nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "expr,same",
+    [("-".join(["u{;i}"] * 5000), "u{;i} - 4999*u{;i}"),
+     ("1*" * 4999 + "u{;i}", "u{;i}")],
+    ids=["difference-chain", "product-chain"],
+)
+def test_eval_flat_chain_evaluates(tmp_path, capsys, expr, same):
+    # a chain is one node however long, so it nests nothing
+    out = run_gen(tmp_path, "g.json", "--n", "2", "--seed", "0")
+    assert main(["eval", str(out), same]) == 0
+    want = capsys.readouterr()
+    assert main(["eval", str(out), expr]) == 0
+    assert capsys.readouterr() == want
+
+
+def _eval_expressions():
+    """Expressions over a ``gen --n 2`` file's bindings: references (some
+    unbound or of the wrong valence), numbers, alt/sym/cd, flat chains of
+    up to 3000 terms and runs of up to 50 parentheses."""
+    bindings = cli.eval_bindings(generate(2, 0), "source")
+    valences = {name: t.valence for name, t in bindings.items()}
+    valences.update(d=(1, 1), nope=(0, 1))
+    letter = st.sampled_from("ijk")
+
+    def ref_of(name):
+        p, q = valences[name]
+        return st.builds(lambda up, low: f"{name}{{{up};{low}}}",
+                         st.text("ijk", min_size=p, max_size=p),
+                         st.text("ijk", min_size=q, max_size=q))
+
+    leaf = st.one_of(st.sampled_from(sorted(valences)).flatmap(ref_of),
+                     st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 9)))
+    chain = st.builds(lambda x, op, n: op.join([x] * n),
+                      leaf, st.sampled_from("+-*"), st.integers(2, 3000))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+            st.builds(lambda x, k: "(" * k + x + ")" * k, inner, st.integers(1, 50)),
+            st.builds("cd({}; {})".format, inner, letter),
+            st.builds("{}({}; {},{})".format, st.sampled_from(["alt", "sym"]),
+                      inner, letter, letter),
+        )
+    return st.recursive(st.one_of(leaf, chain), extend, max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def gen_n2(tmp_path_factory):
+    return run_gen(tmp_path_factory.mktemp("eval"), "g.json", "--n", "2", "--seed", "0")
+
+
+@given(expr=_eval_expressions())
+def test_fuzz_eval_exits_0_or_2(gen_n2, expr):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(["eval", str(gen_n2), expr])
+    assert rc in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -166,9 +166,9 @@ def test_derived_forms_green_cells():
     # form is decomposition-independent.
     for ins, fl in scorecard_cases():
         sp = fl.space
-        dec1 = inv.xyz_weyl_factored(fl)
-        dec4 = inv.xyz_weyl_fourth(fl)
-        decd = inv.xyz_weyl_first_display(fl)
+        dec1 = inv.decompose(fl, "weyl_factored")
+        dec4 = inv.decompose(fl, "weyl_fourth")
+        decd = inv.decompose(fl, "weyl_first_display")
         got1 = inv.derived_invariants(dec1, sp)
         got4 = inv.derived_invariants(dec4, sp)
         gotd = inv.derived_invariants(decd, sp)
@@ -183,8 +183,8 @@ def test_derived_forms_red_cells_have_pinned_residuals():
         sp = fl.space
         rhat = sp.skew_ricci
         rhohat = inv.rho_skew(fl)
-        dec4 = inv.xyz_weyl_fourth(fl)
-        decd = inv.xyz_weyl_first_display(fl)
+        dec4 = inv.decompose(fl, "weyl_fourth")
+        decd = inv.decompose(fl, "weyl_first_display")
         got4 = inv.derived_invariants(dec4, sp)
         gotd = inv.derived_invariants(decd, sp)
 
@@ -193,7 +193,7 @@ def test_derived_forms_red_cells_have_pinned_residuals():
         r = tc.sub(got4["second"], inv.weyl_fourth(fl))
         assert tc.max_abs_diff(r, outer_delta(tc.scale(rhohat, Fraction(1, 2)), n)) == 0
 
-        dec1 = inv.xyz_weyl_factored(fl)
+        dec1 = inv.decompose(fl, "weyl_factored")
         got1 = inv.derived_invariants(dec1, sp)
         r = tc.sub(got1["second"], inv.weyl_first_over(fl))
         assert (
@@ -224,9 +224,9 @@ def test_second_vs_first_derived_form_gap_law():
         rhat = sp.skew_ricci
         rhohat = inv.rho_skew(fl)
         for dec, expect in (
-            (inv.xyz_weyl_factored(fl), tc.scale(rhat, Fraction(-(n - 2), 2 * n))),
-            (inv.xyz_weyl_fourth(fl), tc.scale(rhohat, Fraction(n - 2, 2 * n))),
-            (inv.xyz_weyl_first_display(fl), tc.scale(rhat, Fraction(-(n - 2), 2 * n))),
+            (inv.decompose(fl, "weyl_factored"), tc.scale(rhat, Fraction(-(n - 2), 2 * n))),
+            (inv.decompose(fl, "weyl_fourth"), tc.scale(rhohat, Fraction(n - 2, 2 * n))),
+            (inv.decompose(fl, "weyl_first_display"), tc.scale(rhat, Fraction(-(n - 2), 2 * n))),
         ):
             got = inv.derived_invariants(dec, sp)
             r = tc.sub(got["second"], got["first"])
@@ -239,29 +239,29 @@ def test_decomposition_trace_identities():
         rhohat = inv.rho_skew(fl)
         rhat = fl.space.skew_ricci
         for dec in (
-            inv.xyz_weyl_factored(fl),
-            inv.xyz_weyl_fourth(fl),
-            inv.xyz_weyl_first_display(fl),
+            inv.decompose(fl, "weyl_factored"),
+            inv.decompose(fl, "weyl_fourth"),
+            inv.decompose(fl, "weyl_first_display"),
         ):
             ztr1 = tc.ein("aamn->mn", (0, 2), dec.Z)
             assert tc.max_abs_diff(ztr1, tc.scale(rhohat, -1)) == 0
             ztr2a = tc.alternate(tc.ein("amna->mn", (0, 2), dec.Z), 0, 1)
             assert tc.max_abs_diff(ztr2a, rhohat) == 0
-        y1 = tc.alternate(inv.xyz_weyl_factored(fl).Y, 0, 1)
+        y1 = tc.alternate(inv.decompose(fl, "weyl_factored").Y, 0, 1)
         pred = tc.scale(tc.add(rhat, rhohat), Fraction(1, n + 1))
         assert tc.max_abs_diff(y1, pred) == 0
 
 
 def test_decomposition_rejects_bad_shapes():
     _, s, _ = case(3, 0, (1, 1, 1))
-    dec = inv.xyz_weyl_factored(s)
+    dec = inv.decompose(s, "weyl_factored")
     Y, Z = dec.Y, dec.Z
     for bad in ((Z, Z), (Y, Y), (tc.zeros(3, (1, 1)), Z), (Y, tc.zeros(3, (0, 4)))):
         with pytest.raises(inv.DecompositionError, match="valences"):
-            inv.Decomposition(*bad)
+            inv.Decomposition(*bad, dec.mix_Y)
     lopsided = tc.add(Z, tc.delta_outer(tc.sym_pair(Y, 0, 1)))
     with pytest.raises(inv.DecompositionError, match="antisymmetric"):
-        inv.Decomposition(Y, lopsided)
+        inv.Decomposition(Y, lopsided, dec.mix_Y)
     assert tc.max_abs_diff(dec.total, tc.add(delta_mix(Y, 3), Z)) == 0
 
 
@@ -276,7 +276,7 @@ def test_rebuild_reads_the_last_slot_trace_once(monkeypatch):
         return real_ein(expr, out_valence, *tensors)
 
     monkeypatch.setattr(tc, "ein", spy)
-    inv.derived_invariants(inv.xyz_weyl_factored(s), s.space)
+    inv.derived_invariants(inv.decompose(s, "weyl_factored"), s.space)
     assert traces == ["ajna->jn"]
 
 
@@ -379,7 +379,7 @@ def test_no_einsum_takes_a_kronecker_delta(monkeypatch):
     agm.agm_diagnostics(third.source_fields())
     cli.identity_rows(3, 0, "rational", cli.REL_TOL, cli.ABS_TOL)
     fl = general.source_fields()
-    inv.derived_invariants(inv.xyz_weyl_factored(fl), fl.space)
+    inv.derived_invariants(inv.decompose(fl, "weyl_factored"), fl.space)
     inv.part(geodesic.source_fields().space, "geodesic_weyl")
     inv.part(geodesic.source_fields().space, "weyl_projective")
     assert hits == []

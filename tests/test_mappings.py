@@ -283,7 +283,7 @@ def test_omega_is_symmetric():
 
 def test_omega_of_flat_empty_side_is_zero():
     space = ConnectionSpace(zero_jet(3, (1, 2)))
-    side = mp.SpaceFields(space, (1, 0, 0), "rational")
+    side = mp.SpaceFields(space, "rational", ())
     assert side.omega.value.is_zero()
     assert side.omega.grad.is_zero()
 

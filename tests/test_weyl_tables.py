@@ -137,3 +137,22 @@ def test_each_table_form_builds_one_block_per_block_row(monkeypatch):
         assert sum(counts.values()) == _block_rows(tables, form) > 0, form
         inv.part(side, form)
         assert sum(counts.values()) == _block_rows(tables, form), form
+
+
+DECOMPOSED = ("weyl_factored", "weyl_fourth", "weyl_first_display")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_decomposition_reproduces_its_form(dim):
+    # R + delta_mix(Y) + Z, read off the table, is the form itself, and the
+    # sum of the form's blocks is the block of Y
+    for flags in FLAGS:
+        ins = generate(dim, 0, flags, "general", "rational")
+        for fl in (ins.source_fields(), ins.target_fields()):
+            for form in DECOMPOSED:
+                dec = inv.decompose(fl, form)
+                assert tc.add(fl.space.R, dec.total) == inv.part(fl, form), (flags, form)
+                assert dec.mix_Y == tc.delta_mix(dec.Y), (flags, form)
+    for form in inv.weyl_tables(dim).keys() - set(DECOMPOSED):
+        with pytest.raises(inv.DecompositionError, match=form):
+            inv.decompose(fl, form)
