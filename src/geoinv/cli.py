@@ -92,13 +92,15 @@ def _read_instance(obj) -> MappingInstance:
     mode = _expect(obj, "mode", str)
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    tensor_in = DOMAINS[mode].tensor_in
     mapping = _expect(obj, "mapping", str)
     flags_obj = _expect(obj, "flags", dict)
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise UsageError("seed must be an integer or null")
     raw = _expect(obj, "fields", dict)
+    tensor_in = DOMAINS[mode].reader(
+        [a for entry in raw.values() if isinstance(entry, dict)
+         for a in (entry.get("value"), entry.get("grad")) if isinstance(a, list)])
     fields: dict[str, JetTensor] = {}
     for name, entry in raw.items():
         if not isinstance(entry, dict):

@@ -19,8 +19,15 @@ def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
     """Symmetric and antisymmetric (half-difference) parts, as jets."""
     if L.valence != (1, 2):
         raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
-    return (linear(tc.sym_pair, L, 1, 2),
-            linear(tc.scale, linear(tc.alternate, L, 1, 2), Fraction(1, 2)))
+    return _symmetric_part(L), _half_difference(L)
+
+
+def _symmetric_part(L: JetTensor) -> JetTensor:
+    return linear(tc.sym_pair, L, 1, 2)
+
+
+def _half_difference(L: JetTensor) -> JetTensor:
+    return linear(tc.scale, linear(tc.alternate, L, 1, 2), Fraction(1, 2))
 
 
 def curvature(Lsym: JetTensor) -> Tensor:
@@ -56,8 +63,9 @@ def special_connection_derivative(Lsym: JetTensor) -> Tensor:
 class ConnectionSpace:
     """One space of the mapping: a connection jet and its derived data.
 
-    The constructor computes everything eagerly; instances are cheap to keep
-    around and every invariant evaluation reuses the cached pieces.
+    The constructor computes the symmetric part and its curvature data,
+    which every invariant reads; the torsion half ``Ltor`` is built on first
+    use.  Every invariant evaluation reuses the cached pieces.
     """
 
     def __init__(self, L: JetTensor):
@@ -65,13 +73,19 @@ class ConnectionSpace:
             raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
         self.L = L
         self.dim = L.dim
-        self.Lsym, self.Ltor = split(L)
+        self.Lsym = _symmetric_part(L)
         self.R = curvature(self.Lsym)
         self.ricci = ricci(self.R)
         self.skew_ricci = tc.alternate(self.ricci, 0, 1)
         self.sym_ricci = tc.sym_pair(self.ricci, 0, 1)
         # theta_j = L^a_ja of the symmetric part, with its gradient
         self.theta = linear(tc.contract, self.Lsym, 0, 1)
+
+    @property
+    @once
+    def Ltor(self) -> JetTensor:
+        """The antisymmetric (half-difference) part of L, as a jet."""
+        return _half_difference(self.L)
 
     def torsion(self) -> Tensor:
         """The torsion tensor L^i_jk - L^i_kj (twice the half-difference part)."""

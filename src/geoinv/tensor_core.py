@@ -18,11 +18,13 @@ a new one instead of writing into ``.data``.
 Any other operand (a float entry or coefficient, or a scalar type such as a
 polynomial) sends a kernel down the plain list path, which combines the
 entries themselves in a fixed order, so float results and the signs of float
-zeros are reproducible.  ``ein`` runs both paths through the same generated
+zeros are reproducible.  ``ein`` runs the list path through its generated
 kernels (see "Minimal einsum" below): each output entry is its products
-added onto an integer 0 one after another, in order.  A list-path output
-with a float operand is marked inexact when it is built; other tensors are
-scanned once, on first use, and the scan is cached.
+added onto an integer 0 one after another, in order.  Exact operands take
+the same kernels, except that a permutation and a large two-operand
+contraction run exact-only integer kernels that give the same ints.  A
+list-path output with a float operand is marked inexact when it is built;
+other tensors are scanned once, on first use, and the scan is cached.
 
 Formula coefficients are exact (``int`` or ``Fraction``) in every mode; on
 the float list path ``scale`` and ``add_scaled`` round a ``Fraction`` to
@@ -59,8 +61,10 @@ import sys
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isfinite, lcm
+from operator import itemgetter, mul, xor
+from struct import Struct
 from typing import NamedTuple, Sequence
 
 
@@ -126,12 +130,15 @@ class Domain(NamedTuple):
             return _from_scaled(dim, valence, nums, den, ints=False)
         return Tensor(dim, valence, [n / den for n in nums])
 
-    def tensor_in(self, dim: int, valence, vals: list) -> Tensor:
+    def tensor_in(self, dim: int, valence, vals: list, parsed=None) -> Tensor:
         """Instance-file (JSON) numbers as a tensor; ValueError if one is bad.
-        Rational: one parse per distinct literal.  Float: a list of finite
-        floats is taken as it is; any other list is checked entry by entry."""
+        Rational: one parse per distinct literal, or none where ``parsed``
+        (see ``reader``) holds every literal of vals.  Float: a list of
+        finite floats is taken as it is; any other list is checked entry by
+        entry."""
         if self.exact:
-            made = _ratios_in(vals)
+            made = (_ratios_in(vals) if parsed is None
+                    else {v: parsed[v] for v in set(vals)})
             den = lcm(*{d for _, d in made.values()})
             scaled = {v: n * (den // d) for v, (n, d) in made.items()}
             return self.tensor(dim, valence, list(map(scaled.__getitem__, vals)), den)
@@ -143,6 +150,21 @@ class Domain(NamedTuple):
             if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge ints
                 raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
         return Tensor(dim, valence, [float(v) for v in vals])
+
+    def reader(self, lists: list):
+        """``tensor_in`` for one instance file whose value and grad arrays
+        are ``lists``.  Rational: when every list holds only ``str`` and
+        ``int`` entries and every literal parses, each distinct literal of
+        the whole file is parsed once, here.  Any other file is read tensor
+        by tensor, so its first bad entry in file order is the one named."""
+        if self.exact and all(_LITERAL_TYPES.issuperset(map(type, v)) for v in lists):
+            try:
+                parsed = {v: _ratio_in(v) for v in set().union(*lists)}
+            except ValueError:
+                pass
+            else:
+                return partial(self.tensor_in, parsed=parsed)
+        return self.tensor_in
 
     def num_out(self, x):
         """x as an instance-file (JSON) number: a 'num/den' string or a float."""
@@ -609,7 +631,8 @@ def _letters(n: int, start: int) -> str:
 #
 # Works for exact rationals, which numpy cannot do.  A plan, cached per
 # (subscripts, dim, ranks), holds one row of operand offsets per output
-# entry, summand after summand, and a kernel: per pass, the list comprehension
+# entry, summand after summand, and a generic kernel: per pass, the list
+# comprehension
 #     [0 + d0[x0]*d1[x1] + d0[x2]*d1[x3] + ... for x0, x1, x2, x3, ... in rows]
 # generated from the operand count and the summands alone, so one compiled
 # function serves every plan of that shape and no subscript text reaches the
@@ -620,9 +643,28 @@ def _letters(n: int, start: int) -> str:
 # next ones onto the running sums: one much longer sum overflows the
 # compiler's recursion limit.  Subscripts can come from user expressions, so
 # the plan cache keeps only the most recently used plans.
+#
+# Exact operands are Python-int numerators, so two plan shapes also get an
+# exact kernel, built from the plan's offset columns on its first exact call
+# (float and other scalars never build one).  Both give the generic kernel's
+# integers, since int sums do not depend on their order:
+#
+# * a pure permutation (one operand, no summed or repeated letter) is one
+#   itemgetter gather;
+# * a two-operand contraction of PACKED_MADDS or more multiply-adds, with a
+#   summed letter, an output letter in each operand, and no letter repeated
+#   inside an operand or shared by both operands and the output, packs (SIMD
+#   within a register) each summed-index slice of one operand over its free
+#   indices into one int of 64-bit two's-complement slots.  An output row,
+#   one assignment of the other operand's free indices, is then
+#   sum(map(mul, row, slices)): one big-int multiply per summand instead of
+#   one bytecode multiply-add per entry.  The slots hold every sum exactly
+#   while bits(max|a|) + bits(max|b|) + bits(summands) <= 63, checked per
+#   call; past it the generic kernel runs.
 
 PLAN_CACHE_CAP = 256  # the workloads use 63 plans (check) and 90 (agm3)
 KERNEL_TERMS = 128    # summands per pass: N**3 at N = 5 still takes one
+PACKED_MADDS = 512    # below it packing costs more than the generic kernel
 
 
 @lru_cache(maxsize=PLAN_CACHE_CAP)
@@ -642,13 +684,28 @@ def _kernel(n_ops: int, terms: int, resume: bool):
     return eval(compile(src, f"<ein kernel {n_ops}x{terms}>", "eval"), {})
 
 
+class _Plan:
+    """One einsum plan: its output length, its generic kernel and its kernel
+    for exact operands, built on the first exact call (None before it; the
+    generic kernel where no exact one applies)."""
+
+    __slots__ = ("n_out", "kernel", "spec", "exact")
+
+    def __init__(self, n_out: int, kernel, spec: tuple):
+        self.n_out = n_out
+        self.kernel = kernel
+        self.spec = spec  # (operand letters, output letters, all letters, dim)
+        self.exact = None
+
+
 class _PlanCache(OrderedDict):
     """Einsum plans by (subscripts, dim, ranks); beyond PLAN_CACHE_CAP the
-    least recently used one goes.  Counts hits and misses."""
+    least recently used one goes.  Counts hits and misses, and the exact
+    calls that took an exact kernel (fast) or fell back past its bound."""
 
-    hits = misses = 0
+    hits = misses = fast = fallbacks = 0
 
-    def plan(self, key):
+    def plan(self, key) -> _Plan:
         got = self.get(key)
         if got is None:
             self.misses += 1
@@ -664,9 +721,21 @@ class _PlanCache(OrderedDict):
 _PLAN_CACHE = _PlanCache()
 
 
-def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
-    """(output length, kernel): kernel(*operand entry lists) is the output
-    entry list."""
+def _columns(ins: list[str], letters: list[str], dim: int) -> list[list[int]]:
+    """Every letter assignment in row-major order over `letters`; one column
+    of flat offsets per operand, each linear in the assignment."""
+    columns = []
+    for s in ins:
+        col = [0]
+        for c in letters:
+            stride = sum(dim ** k for k, x in enumerate(reversed(s)) if x == c)
+            col = [o + v * stride for o in col for v in range(dim)]
+        columns.append(col)
+    return columns
+
+
+def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]) -> _Plan:
+    """The plan of `expr` at `dim` for operands of these ranks."""
     try:
         ins_s, out_s = expr.split("->")
         ins = ins_s.split(",")
@@ -687,17 +756,9 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
             raise IndexKindError(f"{expr!r}: output index {c!r} not in inputs")
         if out_s.count(c) > 1:
             raise IndexKindError(f"{expr!r}: repeated output index {c!r}")
-    # every letter assignment in row-major order, output letters first, so
-    # each output entry's summands are consecutive; one column of flat
-    # offsets per operand, each linear in the assignment
+    # output letters first, so each output entry's summands are consecutive
     letters = list(out_s) + [c for c in seen if c not in out_s]
-    columns = []
-    for s in ins:
-        col = [0]
-        for c in letters:
-            stride = sum(dim ** k for k, x in enumerate(reversed(s)) if x == c)
-            col = [o + v * stride for o in col for v in range(dim)]
-        columns.append(col)
+    columns = _columns(ins, letters, dim)
     n_ops, n_out = len(ins), dim ** len(out_s)
     terms = len(columns[0]) // n_out  # summands per output entry
     passes = []
@@ -706,8 +767,9 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
                 for col in columns]
         rows = offs[0] if len(offs) == 1 else list(zip(*offs))
         passes.append(partial(_kernel(n_ops, len(offs) // n_ops, lo > 0), rows))
+    spec = (ins, out_s, letters, dim)
     if len(passes) == 1:
-        return n_out, passes[0]
+        return _Plan(n_out, passes[0], spec)
     first, *rest = passes
 
     def kernel(*datas):
@@ -715,7 +777,91 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]):
         for more in rest:
             out = more(out, *datas)
         return out
-    return n_out, kernel
+    return _Plan(n_out, kernel, spec)
+
+
+def _gather(offsets: list[int]):
+    """itemgetter(*offsets), always giving a tuple (one offset alone would
+    give the bare entry)."""
+    if len(offsets) == 1:
+        only = offsets[0]
+        return lambda d: (d[only],)
+    return itemgetter(*offsets)
+
+
+def _slots(n: int) -> int:
+    """2**63 in each of n 64-bit slots: the bias between two's-complement
+    slot values and their unsigned (offset binary) encoding."""
+    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
+
+
+def _bits(nums: list[int]) -> int:
+    """bits(max|x|) over nums."""
+    return max(max(nums), -min(nums)).bit_length()
+
+
+def _exact_kernel(plan: _Plan):
+    """The plan's kernel for exact operands (see "Minimal einsum"): a gather
+    or the packed kernel, which count their calls in _PLAN_CACHE.fast (and
+    the packed kernel those past its bound, which run the generic kernel, in
+    _PLAN_CACHE.fallbacks), or else the generic kernel itself."""
+    ins, out_s, letters, dim = plan.spec
+    generic = plan.kernel
+    if any(len(set(s)) != len(s) for s in ins):
+        return generic
+    summed = "".join(letters[len(out_s):])
+    if len(ins) == 1:
+        if summed:
+            return generic
+        get = _gather(_columns(ins, letters, dim)[0])
+
+        def gather(d):
+            _PLAN_CACHE.fast += 1
+            return list(get(d))
+        return gather
+    free = [set(s) & set(out_s) for s in ins]
+    if (len(ins) != 2 or not summed or not all(free) or free[0] & free[1]
+            or dim ** len(letters) < PACKED_MADDS):
+        return generic
+    # rows run over the operand with fewer free indices (tie: the one the
+    # output starts with, which often leaves the output in slot order);
+    # the other operand is packed
+    r, p = (0, 1) if out_s[0] in ins[0] else (1, 0)
+    free_r, free_p = ("".join(c for c in out_s if c in ins[k]) for k in (r, p))
+    if len(free_r) > len(free_p):
+        r, p, free_r, free_p = p, r, free_p, free_r
+    # output entry o is slot j of row i, entry i * n_p + j of the unpacked
+    # rows: its offset in a tensor indexed by free_r + free_p.  Rows gather
+    # the (i, s) entries of their operand, slices the (s, j) ones of theirs.
+    where, offs_r, offs_p = (_columns([op], over, dim)[0] for op, over in (
+        (free_r + free_p, out_s), (ins[r], free_r + summed),
+        (ins[p], summed + free_p)))
+    n_out, n_p, terms = len(where), dim ** len(free_p), dim ** len(summed)
+    get_r, get_p = _gather(offs_r), _gather(offs_p)
+    pack = Struct(f"<{terms * n_p}q").pack
+    unpack = Struct(f"<{n_out}q").unpack
+    order = None if where == list(range(n_out)) else itemgetter(*where)
+    width, bias, biases = 8 * n_p, _slots(n_p), _slots(terms * n_p)
+    mask, cuts = (1 << 64 * n_p) - 1, range(0, 64 * n_p * terms, 64 * n_p)
+    room = 63 - terms.bit_length()
+
+    def packed(*nums):
+        a, b = nums[r], nums[p]
+        if _bits(a) + _bits(b) > room:
+            _PLAN_CACHE.fallbacks += 1
+            return generic(*nums)
+        _PLAN_CACHE.fast += 1
+        # to offset binary, then one signed int per slice: slot j holds b[s, j]
+        x = int.from_bytes(pack(*get_p(b)), "little") ^ biases
+        slices = [(x >> c & mask) - bias for c in cuts]
+        sums = map(sum, map(map, repeat(mul), zip(*[iter(get_r(a))] * terms),
+                            repeat(slices)))
+        # each row back to two's-complement slots, all rows unpacked at once
+        rows = map(xor, map(int.__add__, sums, repeat(bias)), repeat(bias))
+        out = unpack(b"".join(map(int.to_bytes, rows, repeat(width),
+                                  repeat("little"))))
+        return list(out if order is None else order(out))
+    return packed
 
 
 def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
@@ -726,17 +872,20 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
     for t in tensors:
         if t.dim != dim:
             raise ShapeError("ein: dimension mismatch")
-    n_out, kernel = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
-    if dim ** sum(out_valence) != n_out:
+    plan = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
+    if dim ** sum(out_valence) != plan.n_out:
         raise ShapeError(f"ein: output valence {out_valence} disagrees with {expr!r}")
     kind = _result_kind(*tensors)
     if kind in _EXACT_KINDS:
         den = 1
         for t in tensors:
             den *= t._den
-        out = kernel(*[t._nums for t in tensors])
+        run = plan.exact
+        if run is None:
+            run = plan.exact = _exact_kernel(plan)
+        out = run(*[t._nums for t in tensors])
         return _from_scaled(dim, out_valence, out, den, kind is _INT)
-    return _new(dim, out_valence, kernel(*[t.data for t in tensors]), kind)
+    return _new(dim, out_valence, plan.kernel(*[t.data for t in tensors]), kind)
 
 
 def max_abs_diff(a: Tensor, b: Tensor):

@@ -36,6 +36,12 @@ class Poly:
             merged[expo] = merged.get(expo, Fraction(0)) + coeff
         return Poly(self.dim, merged)
 
+    def __radd__(self, other) -> "Poly":
+        """0 + p, for sums that start from the integer 0 (as ein's do)."""
+        if other != 0:
+            return NotImplemented
+        return self
+
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():

@@ -1,17 +1,20 @@
 """Bit-identity sweep: one sha256 over what geoinv writes and certifies.
 
-    python tests/bit_sweep.py <checkout>
+    python tests/bit_sweep.py <checkout> [--dims N ...]
 
 Imports geoinv from ``<checkout>/src`` and digests, in rational and float
 mode, the ``gen`` bytes of each instance, the ``repr`` of every entry of
 every ``pair_invariants`` tensor and the ``repr`` of every
 ``agm_diagnostics`` row of both sides.  The sweep: general N = 2-5 x
 seeds 0-3 x all 8 flag patterns, geodesic N = 2-5 x seeds 0-3, agm3
-N = 2-4 x seeds 0-3 x p = 1, 2.  Prints the number of digested records and
+N = 2-4 x seeds 0-3 x p = 1, 2.  ``--dims`` replaces N = 2-5 by the
+dimensions given (agm3 still only up to 4): ``--dims 6`` sweeps the general
+and geodesic instances at N = 6.  Prints the number of digested records and
 the digest; two checkouts that print the same line wrote and certified the
 same bits.  Not a test module: pytest does not collect it.
 """
 
+import argparse
 import hashlib
 import itertools
 import sys
@@ -56,17 +59,20 @@ def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/bit_sweep.py <checkout>", file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve() / "src"
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("checkout")
+    ap.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 5])
+    args = ap.parse_args(argv)
+    if min(args.dims) < 2:
+        ap.error("--dims must be >= 2, the generator's least dimension")
+    src = Path(args.checkout).resolve() / "src"
     sys.path.insert(0, str(src))  # before any geoinv import: the sweep imports lazily
     import geoinv
 
     if Path(geoinv.__file__).resolve().parent.parent != src:
         print(f"geoinv imported from {geoinv.__file__}, not {src}", file=sys.stderr)
         return 2
-    count, hexdigest = digest()
+    count, hexdigest = digest(dims=args.dims)
     print(count, hexdigest)
     return 0
 

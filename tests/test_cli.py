@@ -819,6 +819,22 @@ def test_bad_long_literal_message_is_short(tmp_path, capsys):
     assert err.startswith("error: bad rational literal '99") and len(err) < 200
 
 
+def test_bad_literal_behind_a_bad_field_is_not_the_one_reported():
+    # a file's literals are parsed together only when all of them parse;
+    # otherwise fields are read in file order, so a bad valence in an
+    # earlier field is still what is reported
+    obj = instance_to_obj(generate(2, 0, (1, 1, 1), "general", "rational"))
+    first, *_, last = obj["fields"]
+    obj["fields"][last]["grad"][1] = "x"
+    with pytest.raises(UsageError) as err:
+        instance_from_obj(obj)
+    assert str(err.value) == _reference_entry("x")
+    obj["fields"][first]["valence"] = [1]
+    with pytest.raises(UsageError) as err:
+        instance_from_obj(obj)
+    assert str(err.value) == f"field {first!r} has a bad valence"
+
+
 @pytest.mark.parametrize("make", [
     lambda: generate(3, 0, (1, 1, 1), "general", "rational"),
     lambda: generate(3, 1, (0, 1, 0), "general", "rational"),

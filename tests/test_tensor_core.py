@@ -1,6 +1,7 @@
 """Dense rational/float tensor kernel: loop-free ops vs explicit loop oracles."""
 
 import ast
+import functools
 import itertools
 import math
 import random
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from geoinv import tensor_core as tc
 from geoinv.tensor_core import IndexKindError, ShapeError, Tensor
+
+from _poly import random_poly
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -526,20 +529,26 @@ _FLOAT_ENTRIES = st.one_of(
 @settings(max_examples=60)
 @given(data=st.data())
 def test_bulk_reader_matches_the_entry_scan(dom, scan, lists, data):
-    # same tensor, or the same message: the first bad entry in file order
-    vals = data.draw(lists)
-    try:
-        want = scan(vals)
-    except ValueError as e:
-        with pytest.raises(ValueError) as err:
-            dom.tensor_in(len(vals), (0, 1), vals)
-        assert str(err.value) == str(e)
-        return
-    got = dom.tensor_in(len(vals), (0, 1), vals)
-    assert list(map(repr, got.data)) == list(map(repr, want.data))
-    if dom.exact:
-        tc._kind(want)
-        assert (got._nums, got._den) == (want._nums, want._den)
+    # a file's arrays read in file order, each alone and through the file's
+    # reader: the same tensors, or the same message, naming the first bad
+    # entry in file order
+    arrays = data.draw(st.lists(lists, min_size=1, max_size=3))
+    read = dom.reader(arrays)
+    for vals in arrays:
+        try:
+            want = scan(vals)
+        except ValueError as e:
+            for reader in (dom.tensor_in, read):
+                with pytest.raises(ValueError) as err:
+                    reader(len(vals), (0, 1), vals)
+                assert str(err.value) == str(e)
+            return
+        for reader in (dom.tensor_in, read):
+            got = reader(len(vals), (0, 1), vals)
+            assert list(map(repr, got.data)) == list(map(repr, want.data))
+            if dom.exact:
+                tc._kind(want)
+                assert (got._nums, got._den) == (want._nums, want._den)
 
 
 def test_bulk_reader_names_the_first_bad_literal():
@@ -1160,3 +1169,186 @@ def test_equal_exact_tensors_differ_by_a_zero_of_the_diff_type(data):
     c = Tensor(2, (0, 2), [data[0] + Fraction(1, 3)] + data[1:])
     assert tc.max_abs_diff(a, c) == Fraction(1, 3)
     assert tc.RATIONAL.measure(c, a) == (False, Fraction(1, 3), None)
+
+
+# ---------------------------------------------------------------- exact kernels
+#
+# On exact operands a permutation is one gather and a large two-operand
+# contraction runs packed (see tensor_core's "Minimal einsum").  Both must
+# give the generic kernel's numerators entry for entry, and run exactly where
+# the shape and the per-call bit bound allow; every other operand kind keeps
+# the generic kernel.
+
+
+@functools.lru_cache(maxsize=None)
+def _package_subscripts():
+    """{(subscripts, operand valences): output valence} of every ein call the
+    package makes on a general (all flags), a geodesic and an agm3 instance."""
+    from geoinv import agm, cli
+    from geoinv.mappings import generate, generate_agm3
+
+    seen, ein = {}, tc.ein
+
+    def record(expr, valence, *tensors):
+        seen.setdefault((expr, tuple(t.valence for t in tensors)), valence)
+        return ein(expr, valence, *tensors)
+    tc.ein = record
+    try:
+        cli.pair_invariants(generate(2, 0, (1, 1, 1), "general", "rational"))
+        cli.pair_invariants(generate(2, 0, (1, 0, 0), "geodesic", "rational"))
+        ins = generate_agm3(2, 0, 1, "rational")
+        cli.pair_invariants(ins)
+        agm.agm_diagnostics(ins.source_fields())
+    finally:
+        tc.ein = ein
+    return seen
+
+
+def _takes_exact_kernel(expr, dim):
+    """The shape rule, restated: a permutation, or a two-operand contraction
+    of at least PACKED_MADDS multiply-adds with a summed letter, an output
+    letter in each operand, and no letter repeated inside an operand or
+    shared by both operands and the output."""
+    ins, out = expr.split("->")
+    ops = ins.split(",")
+    letters = set(ins) - {","}
+    if any(len(set(s)) < len(s) for s in ops):
+        return False
+    if len(ops) == 1:
+        return letters == set(out)
+    return (len(ops) == 2 and letters > set(out)
+            and all(set(s) & set(out) for s in ops)
+            and not set(ops[0]) & set(ops[1]) & set(out)
+            and dim ** len(letters) >= tc.PACKED_MADDS)
+
+
+def _exact_operand(rng, dim, valence, kind, mag):
+    """Zeros, negatives and the extreme numerator +-mag; over 1, 3 or 16."""
+    n = dim ** sum(valence)
+    nums = [rng.choice((0, rng.randint(-mag, mag))) for _ in range(n)]
+    nums[rng.randrange(n)] = rng.choice((mag, -mag))
+    if kind == "int":
+        return Tensor(dim, valence, nums)
+    return Tensor(dim, valence, [Fraction(x, rng.choice((1, 3, 16))) for x in nums])
+
+
+def _check_exact_ein(expr, out_valence, ops):
+    """ein against the generic kernel on the same numerators; returns the
+    (fast, fallbacks) counts the call added."""
+    cache, dim = tc._PLAN_CACHE, ops[0].dim
+    assert all(tc._kind(t) in tc._EXACT_KINDS for t in ops)
+    plan = cache.plan((expr, dim, tuple(t.rank for t in ops)))
+    want = tc._from_scaled(dim, out_valence, plan.kernel(*[t._nums for t in ops]),
+                           math.prod(t._den for t in ops),
+                           all(t._kind is tc._INT for t in ops))
+    fast, fallbacks = cache.fast, cache.fallbacks
+    got = tc.ein(expr, out_valence, *ops)
+    assert (got._nums, got._den, got._kind) == (want._nums, want._den, want._kind), expr
+    return cache.fast - fast, cache.fallbacks - fallbacks
+
+
+_MAGNITUDES = (9, 2**20, 2**31, 2**40)
+
+
+@given(dim=st.integers(1, 6), kind=st.sampled_from(["int", "fraction"]),
+       mags=st.tuples(st.sampled_from(_MAGNITUDES), st.sampled_from(_MAGNITUDES)),
+       seed=st.integers(0, 2**32))
+def test_exact_kernels_match_the_generic_kernel(dim, kind, mags, seed):
+    # every one- and two-operand subscript the package builds
+    rng = random.Random(seed)
+    for (expr, valences), out_valence in _package_subscripts().items():
+        if len(valences) > 2:
+            continue
+        ops = [_exact_operand(rng, dim, v, kind, m) for v, m in zip(valences, mags)]
+        moved = _check_exact_ein(expr, out_valence, ops)
+        if not _takes_exact_kernel(expr, dim):
+            assert moved == (0, 0), expr
+        elif len(ops) == 1:
+            assert moved == (1, 0), expr
+        else:
+            ins, out = expr.split("->")
+            terms = dim ** len(set(ins) - set(out) - {","})
+            bits = sum(max(map(abs, t._nums)).bit_length() for t in ops)
+            fits = bits + terms.bit_length() <= 63
+            assert moved == ((1, 0) if fits else (0, 1)), (expr, bits)
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-bit-over"])
+def test_packed_slots_hold_sums_up_to_the_bound(over):
+    # 30 + 30 + bits(5 summands) = 63: every output entry is
+    # +-5 * (2**30 - 1)**2, past 2**62, in both signs; one more bit falls back
+    dim, big = 5, 2**30 - 1
+    a = Tensor(dim, (1, 2), [-big] * dim**3)
+    b = Tensor(dim, (1, 2), [(2**(30 + over) - 1) * (-1) ** (j + k)
+                             for e, j, k in itertools.product(range(dim), repeat=3)])
+    got = tc.ein("aed,ebc->abcd", (1, 3), a, b)
+    assert {abs(x) for x in got.data} == {5 * big * (2**(30 + over) - 1)}
+    assert _check_exact_ein("aed,ebc->abcd", (1, 3), [a, b]) == (
+        (1, 0) if over == 0 else (0, 1))
+
+
+@given(data=st.data(), batch=st.booleans())
+def test_batch_and_repeated_letters_take_the_generic_kernel(data, batch):
+    # generated two-operand subscripts of 625 multiply-adds at N = 5, each
+    # with a summed letter and an output letter in each operand, that share
+    # a letter between both operands and the output, or repeat one inside
+    # an operand
+    s, t, u, v = data.draw(st.permutations("abcd"))
+    a, b = (s + t + u, s + t + v) if batch else (s + t + t + u, s + v)
+    a, b, out = ("".join(data.draw(st.permutations(x))) for x in (a, b, t + u + v))
+    expr = f"{a},{b}->{out}"
+    assert not _takes_exact_kernel(expr, 5)
+    rng = random.Random(expr)
+    ops = [_exact_operand(rng, 5, (0, len(x)), "int", 9) for x in (a, b)]
+    assert _check_exact_ein(expr, (0, 3), ops) == (0, 0)
+    plan = tc._PLAN_CACHE.plan((expr, 5, (len(a), len(b))))
+    assert plan.exact is plan.kernel
+
+
+def test_float_and_other_scalars_keep_the_generic_kernel():
+    # float operands (signed zeros included) give the generic kernel's bits
+    # and polynomial scalars the oracle's sums; neither takes an exact kernel
+    rng = random.Random(89)
+    cache = tc._PLAN_CACHE
+    counts = cache.fast, cache.fallbacks
+    for (expr, valences), out_valence in _package_subscripts().items():
+        for dim in (2, 5):
+            datas = [_entries(rng, dim ** sum(v), "float") for v in valences]
+            want = cache.plan((expr, dim, tuple(map(sum, valences)))).kernel(*datas)
+            got = tc.ein(expr, out_valence,
+                         *[Tensor(dim, v, d) for v, d in zip(valences, datas)])
+            assert [repr(x) for x in got.data] == [repr(x) for x in want], expr
+        if expr in ("aed,ebc->abcd", "ajm,ian->ijmn", "abcd->acbd", "ab->ba"):
+            datas = [[random_poly(rng, 2) for _ in range(2 ** sum(v))] for v in valences]
+            got = tc.ein(expr, out_valence,
+                         *[Tensor(2, v, d) for v, d in zip(valences, datas)])
+            assert tc._kind(got) is tc._OTHER
+            assert [x.terms for x in got.data] == [
+                x.terms for x in _o_ein(expr, 2, *datas)], expr
+    assert (cache.fast, cache.fallbacks) == counts
+
+
+CD_QUAD = ("ajm,ian->ijmn", "aed,ebc->abcd", "ebd,aec->abcd", "ecd,abe->abcd")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_pair_invariants_packs_the_cd_and_quad_contractions(monkeypatch, mode):
+    from geoinv import cli
+    from geoinv.mappings import generate
+
+    ins = generate(5, 0, (1, 1, 1), "general", mode)
+    cache, ein, moved = tc._PLAN_CACHE, tc.ein, {}
+
+    def counting(expr, valence, *tensors):
+        fast = cache.fast
+        out = ein(expr, valence, *tensors)
+        moved.setdefault(expr, set()).add(cache.fast - fast)
+        return out
+    counts = cache.fast, cache.fallbacks
+    monkeypatch.setattr(tc, "ein", counting)
+    cli.pair_invariants(ins)
+    assert cache.fallbacks == counts[1]
+    if mode == "rational":
+        assert {e: moved.get(e) for e in CD_QUAD} == dict.fromkeys(CD_QUAD, {1})
+    else:
+        assert cache.fast == counts[0]
