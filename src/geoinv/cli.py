@@ -98,9 +98,7 @@ def _read_instance(obj) -> MappingInstance:
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise UsageError("seed must be an integer or null")
     raw = _expect(obj, "fields", dict)
-    tensor_in = DOMAINS[mode].reader(
-        [a for entry in raw.values() if isinstance(entry, dict)
-         for a in (entry.get("value"), entry.get("grad")) if isinstance(a, list)])
+    read = DOMAINS[mode].reader()
     fields: dict[str, JetTensor] = {}
     for name, entry in raw.items():
         if not isinstance(entry, dict):
@@ -123,8 +121,8 @@ def _read_instance(obj) -> MappingInstance:
                 f"field {name!r}: array lengths do not match valence "
                 f"{valence} at dimension {dim}")
         fields[name] = JetTensor(
-            tensor_in(dim, valence, data),
-            tensor_in(dim, (valence[0], valence[1] + 1), gdata))
+            read(dim, valence, data),
+            read(dim, (valence[0], valence[1] + 1), gdata))
     return MappingInstance(dim, mode, tuple(map(flags_obj.get, FLAG_NAMES)),
                            mapping, fields, p=obj.get("p"), seed=seed)
 

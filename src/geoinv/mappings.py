@@ -338,7 +338,7 @@ def _solve(A: list[list], B: list[list]):
     m = [row_a + row_b for row_a, row_b in zip(A, B)]
     w = len(m[0])
     for col in range(n):
-        piv = max(range(col, n), key=lambda k: abs(m[k][col]))
+        piv = col + _pivot([row[col] for row in m[col:]])
         if m[piv][col] == 0:
             return None
         m[col], m[piv] = m[piv], m[col]
@@ -451,7 +451,7 @@ def _sym_with_product(r, dom, phi_v: Tensor, target: Tensor) -> Tensor:
     once from one block of draws, slice after slice.
     """
     dim, n = phi_v.dim, "n" if target.q == 2 else ""  # n: the batch slot
-    k = _pivot(phi_v)
+    k = _pivot(phi_v.data)
     v = Tensor(dim, (0, 1), [1 / phi_v.data[k] if j == k else 0 for j in range(dim)])
     S0 = _draw(r, dom, dim, (0, 2 + len(n)))
     if n:
@@ -556,7 +556,7 @@ def _solve_agm(phi_v: Tensor, M: Tensor):
     if phi_v.is_zero():
         raise DegenerateError("cannot fit parameters for a vanishing vector field")
     dim = phi_v.dim
-    k = _pivot(phi_v)
+    k = _pivot(phi_v.data)
     pk = phi_v.data[k]
     if type(pk) is int:
         pk = Fraction(pk)
@@ -567,10 +567,9 @@ def _solve_agm(phi_v: Tensor, M: Tensor):
     return Tensor(dim, (0, 1), nu_vals), mu
 
 
-def _pivot(phi_v: Tensor) -> int:
-    """The slot of phi's largest component, the first of equal ones."""
-    d = phi_v.data
-    return max(range(phi_v.dim), key=lambda k: (abs(d[k]), -k))
+def _pivot(xs: list) -> int:
+    """The index of xs' first entry of largest |.|: the one pivot rule."""
+    return max(range(len(xs)), key=lambda k: abs(xs[k]))
 
 
 def _relation(phi_v: Tensor, nu: Tensor, mu) -> Tensor:

@@ -130,41 +130,18 @@ class Domain(NamedTuple):
             return _from_scaled(dim, valence, nums, den, ints=False)
         return Tensor(dim, valence, [n / den for n in nums])
 
-    def tensor_in(self, dim: int, valence, vals: list, parsed=None) -> Tensor:
-        """Instance-file (JSON) numbers as a tensor; ValueError if one is bad.
-        Rational: one parse per distinct literal, or none where ``parsed``
-        (see ``reader``) holds every literal of vals.  Float: a list of
-        finite floats is taken as it is; any other list is checked entry by
-        entry."""
-        if self.exact:
-            made = (_ratios_in(vals) if parsed is None
-                    else {v: parsed[v] for v in set(vals)})
-            den = lcm(*{d for _, d in made.values()})
-            scaled = {v: n * (den // d) for v, (n, d) in made.items()}
-            return self.tensor(dim, valence, list(map(scaled.__getitem__, vals)), den)
-        if _FLOAT_TYPE.issuperset(map(type, vals)) and all(map(isfinite, vals)):
-            return Tensor(dim, valence, list(vals))
-        for v in vals:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"float-mode entries must be numbers, got {v!r:.40}")
-            if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge ints
-                raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
-        return Tensor(dim, valence, [float(v) for v in vals])
-
-    def reader(self, lists: list):
-        """``tensor_in`` for one instance file whose value and grad arrays
-        are ``lists``.  Rational: when every list holds only ``str`` and
-        ``int`` entries and every literal parses, each distinct literal of
-        the whole file is parsed once, here.  Any other file is read tensor
-        by tensor, so its first bad entry in file order is the one named."""
-        if self.exact and all(_LITERAL_TYPES.issuperset(map(type, v)) for v in lists):
-            try:
-                parsed = {v: _ratio_in(v) for v in set().union(*lists)}
-            except ValueError:
-                pass
-            else:
-                return partial(self.tensor_in, parsed=parsed)
-        return self.tensor_in
+    def reader(self):
+        """A reader for one instance file: ``read(dim, valence, vals)`` is
+        the file's (JSON) numbers vals as a tensor; ValueError naming vals'
+        first bad entry if one is bad.  Rational: the reader holds the
+        file's literal memo, so each distinct literal of the file is parsed
+        once (see ``_ratios_in``).  Float: a list of finite floats is taken
+        as it is; any other list is checked entry by entry."""
+        if not self.exact:
+            return _floats_in
+        memo = {}
+        return lambda dim, valence, vals: self.tensor(
+            dim, valence, *_ratios_in(vals, memo))
 
     def num_out(self, x):
         """x as an instance-file (JSON) number: a 'num/den' string or a float."""
@@ -228,19 +205,38 @@ _LITERAL_TYPES = frozenset((str, int))
 _FLOAT_TYPE = frozenset((float,))
 
 
-def _ratios_in(vals: list) -> dict:
-    """{entry: _ratio_in(entry)} over vals, each distinct literal parsed once.
+def _ratios_in(vals: list, memo: dict) -> tuple[list, int]:
+    """(nums, den): vals as scaled ints, each literal parsed only where memo,
+    the literals parsed so far, does not hold it yet.
 
-    Only a list of ``str`` and ``int`` entries goes through a set (one would
-    merge True, 1.0 and 1); any other list, and one holding a bad literal, is
-    scanned in file order, so the error names its first bad entry.
+    Only a list of ``str`` and ``int`` entries is deduplicated and looked up
+    (a dict would merge True, 1.0 and 1), its distinct literals in file
+    order; any other list holds an entry ``_ratio_in`` refuses and is
+    scanned in file order.  Either way the error names the first bad entry.
     """
-    if _LITERAL_TYPES.issuperset(map(type, vals)):
-        try:
-            return {v: _ratio_in(v) for v in set(vals)}
-        except ValueError:
-            pass
-    return {v: _ratio_in(v) for v in vals}
+    if not _LITERAL_TYPES.issuperset(map(type, vals)):
+        made = {v: _ratio_in(v) for v in vals}
+    else:
+        made = dict.fromkeys(vals)
+        for v in made:
+            if v not in memo:
+                memo[v] = _ratio_in(v)
+            made[v] = memo[v]
+    den = lcm(*{d for _, d in made.values()})
+    scaled = {v: n * (den // d) for v, (n, d) in made.items()}
+    return list(map(scaled.__getitem__, vals)), den
+
+
+def _floats_in(dim: int, valence, vals: list) -> Tensor:
+    """Float-mode instance-file numbers as a tensor (see ``Domain.reader``)."""
+    if _FLOAT_TYPE.issuperset(map(type, vals)) and all(map(isfinite, vals)):
+        return Tensor(dim, valence, list(vals))
+    for v in vals:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"float-mode entries must be numbers, got {v!r:.40}")
+        if not abs(v) <= sys.float_info.max:  # NaN, infinities, huge ints
+            raise ValueError(f"float-mode entries must be finite, got {v!r:.40}")
+    return Tensor(dim, valence, [float(v) for v in vals])
 
 
 def _finite(xs: list, what: str = "the result") -> list:

@@ -3,20 +3,23 @@
     python tests/bit_sweep.py <checkout> [--dims N ...]
 
 Imports geoinv from ``<checkout>/src`` and digests, in rational and float
-mode, the ``gen`` bytes of each instance, the ``repr`` of every entry of
-every ``pair_invariants`` tensor and the ``repr`` of every
-``agm_diagnostics`` row of both sides.  The sweep: general N = 2-5 x
-seeds 0-3 x all 8 flag patterns, geodesic N = 2-5 x seeds 0-3, agm3
-N = 2-4 x seeds 0-3 x p = 1, 2.  ``--dims`` replaces N = 2-5 by the
-dimensions given (agm3 still only up to 4): ``--dims 6`` sweeps the general
-and geodesic instances at N = 6.  Prints the number of digested records and
-the digest; two checkouts that print the same line wrote and certified the
-same bits.  Not a test module: pytest does not collect it.
+mode, the ``gen`` bytes of each instance, the ``repr`` of every value and
+grad entry of every field read back from those bytes by
+``cli.instance_from_obj``, the ``repr`` of every entry of every
+``pair_invariants`` tensor and the ``repr`` of every ``agm_diagnostics`` row
+of both sides.  The sweep: general N = 2-5 x seeds 0-3 x all 8 flag
+patterns, geodesic N = 2-5 x seeds 0-3, agm3 N = 2-4 x seeds 0-3 x
+p = 1, 2.  ``--dims`` replaces N = 2-5 by the dimensions given (agm3 still
+only up to 4): ``--dims 6`` sweeps the general and geodesic instances at
+N = 6.  Prints the number of digested records and the digest; two
+checkouts that print the same line wrote and certified the same bits.  Not
+a test module: pytest does not collect it.
 """
 
 import argparse
 import hashlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -48,7 +51,11 @@ def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
 
     for mode in ("rational", "float"):
         for ins in _instances(mode, dims, seeds):
-            put(cli.dumps(cli.instance_to_obj(ins)))
+            text = cli.dumps(cli.instance_to_obj(ins))
+            put(text)
+            for name, jet in cli.instance_from_obj(json.loads(text)).fields.items():
+                put(repr((name, [repr(x) for x in jet.value.data],
+                          [repr(x) for x in jet.grad.data])))
             for tag, _, a, b in cli.pair_invariants(ins):
                 put(repr((tag, [repr(x) for x in a.data], [repr(x) for x in b.data])))
             if ins.mapping == "agm3":

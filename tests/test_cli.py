@@ -820,9 +820,9 @@ def test_bad_long_literal_message_is_short(tmp_path, capsys):
 
 
 def test_bad_literal_behind_a_bad_field_is_not_the_one_reported():
-    # a file's literals are parsed together only when all of them parse;
-    # otherwise fields are read in file order, so a bad valence in an
-    # earlier field is still what is reported
+    # fields are read in file order, each literal parsed at the first array
+    # that holds it, so a bad valence in an earlier field is still what is
+    # reported
     obj = instance_to_obj(generate(2, 0, (1, 1, 1), "general", "rational"))
     first, *_, last = obj["fields"]
     obj["fields"][last]["grad"][1] = "x"
@@ -833,6 +833,21 @@ def test_bad_literal_behind_a_bad_field_is_not_the_one_reported():
     with pytest.raises(UsageError) as err:
         instance_from_obj(obj)
     assert str(err.value) == f"field {first!r} has a bad valence"
+
+
+def test_reader_parses_each_literal_once_per_file(monkeypatch):
+    # one _ratio_in call per distinct value/grad literal of the file; the
+    # memo is the file's, so a second load parses every literal again
+    text = dumps(instance_to_obj(generate(4, 0, (1, 1, 1), "general", "rational")))
+    literals = {v for entry in json.loads(text)["fields"].values()
+                for v in entry["value"] + entry["grad"]}
+    calls = []
+    ratio_in = tc._ratio_in
+    monkeypatch.setattr(tc, "_ratio_in", lambda v: calls.append(v) or ratio_in(v))
+    instance_from_obj(json.loads(text))
+    assert sorted(calls) == sorted(literals)
+    instance_from_obj(json.loads(text))
+    assert len(calls) == 2 * len(literals)
 
 
 @pytest.mark.parametrize("make", [
@@ -1079,6 +1094,45 @@ def test_fuzz_eval_exits_0_or_2(gen_n2, expr):
             contextlib.redirect_stderr(io.StringIO()) as err:
         rc = main(["eval", str(gen_n2), expr])
     assert rc in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+
+
+# option -> its values, valid and not; N and count stay small, so each run
+# is cheap.  Each command also meets an option it does not take.
+_ARG_VALUES = {
+    "--n": st.integers(-1, 3),
+    "--count": st.integers(-1, 2),
+    "--seed": st.integers(),
+    "--p": st.integers(-1, 3),
+    **dict.fromkeys(["--s1", "--s2", "--s3"], st.integers(-1, 2)),
+    "--mode": st.sampled_from(["rational", "float", "exact"]),
+    "--mapping": st.sampled_from(["general", "geodesic", "agm3", "projective"]),
+    "--bogus": st.just(1),
+}
+_ARG_OPTIONS = {
+    "gen": ["--seed", "--mapping", "--s1", "--s2", "--s3", "--p", "--mode",
+            "--count", "--bogus"],
+    "identities": ["--seed", "--mode", "--mapping", "--bogus"],
+}
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_fuzz_gen_and_identities_arguments_exit_0_or_2(data):
+    # --n (and for identities --count) always present: identities' defaults
+    # (N = 4, 20 draws) are slow; an option given twice keeps its last value
+    command = data.draw(st.sampled_from(sorted(_ARG_OPTIONS)))
+    options = ["--n"] + (["--count"] if command == "identities" else [])
+    options += data.draw(st.lists(st.sampled_from(_ARG_OPTIONS[command]), max_size=3))
+    argv = [command]
+    for opt in options:
+        value = data.draw(_ARG_VALUES[opt])
+        if data.draw(st.integers(0, 5)) == 0:  # not a number, or not a choice
+            value = data.draw(st.sampled_from(["", "x", "1.5"]))
+        argv += [opt, str(value)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    assert rc in (0, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
 
 @pytest.mark.parametrize(

@@ -530,20 +530,20 @@ _FLOAT_ENTRIES = st.one_of(
 @given(data=st.data())
 def test_bulk_reader_matches_the_entry_scan(dom, scan, lists, data):
     # a file's arrays read in file order, each alone and through the file's
-    # reader: the same tensors, or the same message, naming the first bad
-    # entry in file order
+    # reader (its memo holding the earlier arrays' literals): the same
+    # tensors, or the same message, naming the first bad entry in file order
     arrays = data.draw(st.lists(lists, min_size=1, max_size=3))
-    read = dom.reader(arrays)
+    read = dom.reader()
     for vals in arrays:
         try:
             want = scan(vals)
         except ValueError as e:
-            for reader in (dom.tensor_in, read):
+            for reader in (dom.reader(), read):
                 with pytest.raises(ValueError) as err:
                     reader(len(vals), (0, 1), vals)
                 assert str(err.value) == str(e)
             return
-        for reader in (dom.tensor_in, read):
+        for reader in (dom.reader(), read):
             got = reader(len(vals), (0, 1), vals)
             assert list(map(repr, got.data)) == list(map(repr, want.data))
             if dom.exact:
@@ -552,14 +552,26 @@ def test_bulk_reader_matches_the_entry_scan(dom, scan, lists, data):
 
 
 def test_bulk_reader_names_the_first_bad_literal():
-    # the distinct literals are parsed in set order; the error is file order's
+    # each distinct literal is parsed once; the error is file order's
     for bad in itertools.permutations(["x", "1/0", "\u00b2/1", "1/-2", "0.5.5"], 3):
         vals = ["1/2", *bad, 3]
         with pytest.raises(ValueError) as err:
-            tc.RATIONAL.tensor_in(len(vals), (0, 1), vals)
+            tc.RATIONAL.reader()(len(vals), (0, 1), vals)
         with pytest.raises(ValueError) as first:
             tc._ratio_in(bad[0])
         assert str(err.value) == str(first.value)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1]])
+def test_reader_memo_does_not_admit_equal_non_literals(bad):
+    # the memo holds 1 and '1/2'; True and 1.0 equal 1 and hash alike, but
+    # a later array holding one is refused as an array read alone is
+    read = tc.RATIONAL.reader()
+    assert read(2, (0, 1), [1, "1/2"]).data == [1, Fraction(1, 2)]
+    vals = ["1/2", bad, 1]
+    with pytest.raises(ValueError) as err:
+        read(len(vals), (0, 1), vals)
+    assert str(err.value) == f"rational-mode entries must be 'num/den' strings, got {bad!r}"
 
 
 def test_float_tensor_out_keeps_every_bit():
