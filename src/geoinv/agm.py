@@ -20,7 +20,7 @@ through one delta block of their sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from types import MappingProxyType
 
 from . import tensor_core as tc
@@ -116,7 +116,7 @@ class _Blocks:
         sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
         ltor = space.Ltor.value
         w = tc.ein("ja,a->j", (0, 1), sv, pv)
-        theta_t = tc.add_scaled(space.theta.value, Fraction(1, 2), w)
+        theta_t = tc.lincomb(((1, space.theta.value), (Fraction(1, 2), w)))
         torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
         tl = tc.ein("bab->a", (0, 1), ltor)
         nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv).data[0]
@@ -130,8 +130,8 @@ class _Blocks:
             "a_quad": tc.alternate(
                 tc.ein("jm,an,a,i->ijmn", (1, 3), sv, sv, pv, pv), 2, 3),
             "a_nutor": tc.alternate(
-                tc.add_scaled(tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv),
-                              eps, tc.ein("jm,in->ijmn", (1, 3), sv, torphi)),
+                tc.lincomb(((1, tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv)),
+                            (eps, tc.ein("jm,in->ijmn", (1, 3), sv, torphi)))),
                 2, 3),
             "a_mu": tc.scale(sv, agm.mu),
             "theta": space.trace_cov_derivative(),
@@ -162,8 +162,8 @@ class _Blocks:
         if name == "quad":
             return tc.sub(m["s_quad"], m["w_w"])
         if name == "nutor":
-            return tc.add_scaled(tc.sub(m["s_nu"], m["w_nu"]), self.eps,
-                                 tc.sub(m["s_tor"], m["tor"]))
+            return tc.lincomb(((1, tc.sub(m["s_nu"], m["w_nu"])),
+                               (self.eps, tc.sub(m["s_tor"], m["tor"]))))
         return m[name]
 
     @once
@@ -190,14 +190,14 @@ class _Blocks:
     @once
     def mix(self, form: str) -> Tensor:
         """The delta block of a form's (0,2) terms' sum (delta_mix is linear)."""
-        cores = [t for _, t in self.column(form, True) if t.p == 0]
-        return tc.delta_mix(reduce(tc.add, cores))
+        cores = [(1, t) for _, t in self.column(form, True) if t.p == 0]
+        return tc.delta_mix(tc.lincomb(cores))
 
     @once
     def total(self, form: str) -> Tensor:
         """A form's corrected column summed in row order: (1,3) terms, then mix."""
-        terms = [t for _, t in self.column(form, True) if t.p == 1]
-        return tc.add(reduce(tc.add, terms), self.mix(form))
+        terms = [(1, t) for _, t in self.column(form, True) if t.p == 1]
+        return tc.lincomb([*terms, (1, self.mix(form))])
 
 
 @once
@@ -228,15 +228,15 @@ def agm_first(fields: SpaceFields) -> Tensor:
 def rho_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the deformation-trace derivative for this rule."""
     b = _blocks(fields)
-    out = tc.add(tc.add(b.raw["cd_j"], b.raw["w_nu"]), b.raw["a_mu"])
-    out = tc.add_scaled(out, b.eps, b.raw["tor"])
+    out = tc.lincomb(((1, b.raw["cd_j"]), (1, b.raw["w_nu"]), (1, b.raw["a_mu"]),
+                      (b.eps, b.raw["tor"])))
     return tc.scale(out, Fraction(-1, 2))
 
 
 def s_tilde_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the quadratic trace completion for this rule."""
     b = _blocks(fields)
-    return tc.add_scaled(b.raw["tt_tt"], Fraction(-(b.N + 1), 2), b.raw["s_tt"])
+    return tc.lincomb(((1, b.raw["tt_tt"]), (Fraction(-(b.N + 1), 2), b.raw["s_tt"])))
 
 
 def agm_decompose(fields: SpaceFields) -> Decomposition:
@@ -267,13 +267,11 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
     theta_rho, s_tilde, sym_ricci = (part(fields, ("mix", ((1, core),)))
                                      for core in ("theta_rho", "s_tilde", "sym_ricci"))
     h2 = Fraction(1, (N + 1) ** 2)
-    first_base = tc.add_scaled(tc.add(R, dec.total), Fraction(-1, N + 1), theta_rho)
-    first = tc.add_scaled(first_base, -h2, s_tilde)
+    base = ((1, R), (1, dec.total), (Fraction(-1, N + 1), theta_rho))
+    first = tc.lincomb((*base, (-h2, s_tilde)))
     c = Fraction(1, N - 1)
-    fourth = tc.add_scaled(tc.add(R, dec.Z), c, sym_ricci)
-    fourth = tc.add_scaled(fourth, c, dec.mix_z_trace)
-    first_disp = tc.add_scaled(first_base, (N - 1) * h2, dec.mix_Y)
-    first_disp = tc.add_scaled(first_disp, -h2, dec.mix_z_trace)
+    fourth = tc.lincomb(((1, R), (1, dec.Z), (c, sym_ricci), (c, dec.mix_z_trace)))
+    first_disp = tc.lincomb((*base, ((N - 1) * h2, dec.mix_Y), (-h2, dec.mix_z_trace)))
     return first, fourth, first_disp
 
 
@@ -313,10 +311,8 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     # trace identity of the split, and the published first-display gap
     row("split", "trace-identity", A_trace(fields), dec.total_trace())
     # the published first-display scales both trace corrections down by N-1
-    pr_first_disp = tc.add_scaled(first_disp, Fraction(-(N - 2), (N + 1) ** 2),
-                                  dec.mix_Y)
-    pr_first_disp = tc.add_scaled(pr_first_disp,
-                                  Fraction(N - 2, (N + 1) ** 2 * (N - 1)),
-                                  dec.mix_z_trace)
+    pr_first_disp = tc.lincomb((
+        (1, first_disp), (Fraction(-(N - 2), (N + 1) ** 2), dec.mix_Y),
+        (Fraction(N - 2, (N + 1) ** 2 * (N - 1)), dec.mix_z_trace)))
     row("split", "first-display-published", pr_first_disp, first_disp)
     return rows

@@ -55,9 +55,9 @@ def special_connection_derivative(Lsym: JetTensor) -> Tensor:
     exactly 2 L^a_mn L^i_ja.
     """
     v = Lsym.value
-    res = tc.add(Lsym.grad, tc.ein("ian,ajm->ijmn", (1, 3), v, v))
-    res = tc.sub(res, tc.ein("ajn,iam->ijmn", (1, 3), v, v))
-    return tc.add(res, tc.ein("amn,ija->ijmn", (1, 3), v, v))
+    return tc.lincomb(((1, Lsym.grad), (1, tc.ein("ian,ajm->ijmn", (1, 3), v, v)),
+                       (-1, tc.ein("ajn,iam->ijmn", (1, 3), v, v)),
+                       (1, tc.ein("amn,ija->ijmn", (1, 3), v, v))))
 
 
 class ConnectionSpace:

@@ -27,6 +27,7 @@ lexicographically.
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from typing import NamedTuple
 
 from . import tensor_core as tc
@@ -435,16 +436,12 @@ def _eval(node, bindings, space: ConnectionSpace, dom: tc.Domain) -> _Val:
     if isinstance(node, Ref):
         return _ref_value(node, bindings, space)
     if isinstance(node, Chain):
-        vals = (_eval(x, bindings, space, dom) for x in node.args)
-        a = next(vals)
-        for op, b in zip(node.ops, vals):
-            if op == "*":
-                a = _mul(a, b)
-            else:
-                a, b = _canon(a), _canon(b)
-                fn = tc.add if op == "+" else tc.sub
-                a = _Val(a.uppers, a.lowers, _op(fn, a.t, b.t))
-        return a
+        if node.ops[0] == "*":  # a chain is all products or all sums
+            return reduce(_mul, (_eval(x, bindings, space, dom) for x in node.args))
+        vals = [_canon(_eval(x, bindings, space, dom)) for x in node.args]
+        signs = [1] + [1 if op == "+" else -1 for op in node.ops]
+        return _Val(vals[0].uppers, vals[0].lowers, _op(
+            lambda *ts: tc.lincomb(zip(signs, ts)), *(v.t for v in vals)))
     if isinstance(node, Func):
         v = _eval(node.arg, bindings, space, dom)
         if node.kind == "cd":

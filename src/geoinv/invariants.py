@@ -44,7 +44,8 @@ def thomas_basic(fields: SpaceFields) -> Tensor:
 
 def thomas_third(src: ConnectionSpace, tgt: ConnectionSpace) -> Tensor:
     """Arithmetic mean of the two symmetric parts (manifestly pair-symmetric)."""
-    return tc.scale(tc.add(src.Lsym.value, tgt.Lsym.value), Fraction(1, 2))
+    h = Fraction(1, 2)  # halves are exact: the bits of (a + b) / 2
+    return tc.lincomb(((h, src.Lsym.value), (h, tgt.Lsym.value)))
 
 
 def thomas_factored(fields: SpaceFields) -> Tensor:
@@ -53,10 +54,9 @@ def thomas_factored(fields: SpaceFields) -> Tensor:
     Symmetric part, minus the deformation source, minus the delta-completion
     of the reduced trace.
     """
-    return tc.sub(
-        tc.sub(fields.space.Lsym.value, fields.B.value),
-        tc.scale(tc.delta_sym(fields.theta_tilde.value), Fraction(1, fields.dim + 1)),
-    )
+    return tc.lincomb(((1, fields.space.Lsym.value), (-1, fields.B.value),
+                       (Fraction(-1, fields.dim + 1),
+                        tc.delta_sym(fields.theta_tilde.value))))
 
 
 def theta_tilde(fields: SpaceFields) -> Tensor:
@@ -71,8 +71,8 @@ def thomas_star(fields: SpaceFields) -> Tensor:
 
 def geodesic_thomas(space: ConnectionSpace) -> Tensor:
     """Reduced connection of the trace-shift rule."""
-    return tc.add_scaled(space.Lsym.value, Fraction(-1, space.dim + 1),
-                         tc.delta_sym(space.theta.value))
+    return tc.lincomb(((1, space.Lsym.value),
+                       (Fraction(-1, space.dim + 1), tc.delta_sym(space.theta.value))))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def S_tilde(fields: SpaceFields) -> Tensor:
     """Quadratic trace completion; symmetric by construction."""
     tt = fields.theta_tilde.value
     first = tc.ein("a,aij->ij", (0, 2), tt, fields.B.value)
-    return tc.add(tc.scale(first, fields.dim + 1), tc.ein("i,j->ij", (0, 2), tt, tt))
+    return tc.lincomb(((fields.dim + 1, first), (1, tc.ein("i,j->ij", (0, 2), tt, tt))))
 
 
 @once
@@ -198,12 +198,8 @@ def part(side: SpaceFields | ConnectionSpace, name: str | tuple) -> Tensor:
 
 
 def _sum(side: SpaceFields | ConnectionSpace, rows: tuple) -> Tensor:
-    """Rows (coefficient, part) scaled and summed in order; a leading 1 is unscaled."""
-    (c, name), *rest = rows
-    out = part(side, name) if c == 1 else tc.scale(part(side, name), c)
-    for c, name in rest:
-        out = tc.add_scaled(out, c, part(side, name))
-    return out
+    """Rows (coefficient, part) summed in order (``tc.lincomb``)."""
+    return tc.lincomb([(c, part(side, name)) for c, name in rows])
 
 
 def weyl_factored(fields: SpaceFields) -> Tensor:
@@ -258,7 +254,7 @@ class Decomposition:
         -(N-1) Y to that trace; the agm split's Y = -mu/2 sigma is symmetric,
         as sigma is on every instance (generated so, and checked on load).
         """
-        return tc.add_scaled(self.z_trace, -(self.Y.dim - 1), self.Y)
+        return tc.lincomb(((1, self.z_trace), (-(self.Y.dim - 1), self.Y)))
 
 
 def decompose(fields: SpaceFields, form: str) -> Decomposition:
@@ -280,13 +276,12 @@ def derived_invariants(dec: Decomposition,
     N = space.dim
     z_tr_first = tc.ein("aamn->mn", (0, 2), dec.Z)       # Z^a_amn
     alt_Y = tc.alternate(dec.Y, 0, 1)
-    curv = tc.add(space.R, dec.total)
-    first = tc.add_scaled(curv, Fraction(-1, N),
-                          tc.delta_outer(tc.add(alt_Y, z_tr_first)))
-    second = tc.add_scaled(curv, Fraction(-1, 2), tc.delta_outer(
-        tc.sub(tc.scale(alt_Y, N - 1), tc.alternate(dec.z_last, 0, 1))))
+    curv = ((1, space.R), (1, dec.total))
+    first = tc.lincomb((*curv, (Fraction(-1, N),
+                                tc.delta_outer(tc.add(alt_Y, z_tr_first)))))
+    skew = tc.lincomb(((N - 1, alt_Y), (-1, tc.alternate(dec.z_last, 0, 1))))
+    second = tc.lincomb((*curv, (Fraction(-1, 2), tc.delta_outer(skew))))
     c = Fraction(1, N - 1)
-    fourth = tc.add_scaled(tc.add(space.R, dec.Z), c,
-                           tc.delta_mix(space.sym_ricci))
-    return {"first": first, "second": second,
-            "fourth": tc.add_scaled(fourth, c, dec.mix_z_trace)}
+    fourth = tc.lincomb(((1, space.R), (1, dec.Z), (c, tc.delta_mix(space.sym_ricci)),
+                         (c, dec.mix_z_trace)))
+    return {"first": first, "second": second, "fourth": fourth}

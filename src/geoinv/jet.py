@@ -55,6 +55,12 @@ def linear(op, *args) -> JetTensor:
     return JetTensor(value, grad)
 
 
+def jet_lincomb(rows) -> JetTensor:
+    """``tc.lincomb`` on jets: rows (c, jet), summed in row order."""
+    cs, jets = zip(*rows)
+    return linear(lambda *ts: tc.lincomb(zip(cs, ts)), *jets)
+
+
 def jet_ein(expr: str, valence: tuple[int, int], *jets: JetTensor) -> JetTensor:
     """``tc.ein`` on jets: the value is the sum over the values, and the
     gradient follows the Leibniz rule, one term per operand in operand order,
@@ -66,13 +72,12 @@ def jet_ein(expr: str, valence: tuple[int, int], *jets: JetTensor) -> JetTensor:
         raise IndexKindError(f"{expr!r}: no index letter left for the derivative")
     values = [j.value for j in jets]
     value = tc.ein(expr, valence, *values)
-    grad = None
+    terms = []
     for n, j in enumerate(jets):
         gsubs = ",".join(s + k if m == n else s for m, s in enumerate(subs))
-        term = tc.ein(f"{gsubs}->{out}{k}", (valence[0], valence[1] + 1),
-                      *values[:n], j.grad, *values[n + 1:])
-        grad = term if grad is None else tc.add(grad, term)
-    return JetTensor(value, grad)
+        terms.append((1, tc.ein(f"{gsubs}->{out}{k}", (valence[0], valence[1] + 1),
+                                *values[:n], j.grad, *values[n + 1:])))
+    return JetTensor(value, tc.lincomb(terms))
 
 
 def jet_mul(a: JetTensor, b: JetTensor) -> JetTensor:
@@ -91,7 +96,7 @@ def jet_scale_by(a: JetTensor, s: JetTensor) -> JetTensor:
     c = s.value.data[0]
     ds = (tc.scale(s.grad, a.value.data[0]) if a.valence == (0, 0)
           else tc.outer(a.value, s.grad))
-    return JetTensor(tc.scale(a.value, c), tc.add(tc.scale(a.grad, c), ds))
+    return JetTensor(tc.scale(a.value, c), tc.lincomb(((c, a.grad), (1, ds))))
 
 
 def covariant_derivative(t: JetTensor, gamma) -> Tensor:
@@ -112,13 +117,10 @@ def covariant_derivative(t: JetTensor, gamma) -> Tensor:
     zz = tc._LETTER_POOL[r + 1]
     out = letters + kk
     out_val = (p, q + 1)
-    res = t.grad
+    rows = [(1, t.grad)]
     for s in range(r):
         src = letters[:s] + zz + letters[s + 1 :]
-        if s < p:
-            term = tc.ein(f"{letters[s]}{zz}{kk},{src}->{out}", out_val, g, t.value)
-            res = tc.add(res, term)
-        else:
-            term = tc.ein(f"{zz}{letters[s]}{kk},{src}->{out}", out_val, g, t.value)
-            res = tc.sub(res, term)
-    return res
+        gs = f"{letters[s]}{zz}{kk}" if s < p else f"{zz}{letters[s]}{kk}"
+        rows.append((1 if s < p else -1,
+                     tc.ein(f"{gs},{src}->{out}", out_val, g, t.value)))
+    return tc.lincomb(rows)

@@ -26,13 +26,13 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial, reduce
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
 from .jet import (
     JetTensor,
     constant_jet,
+    jet_lincomb,
     jet_mul,
     linear,
     zero_jet,
@@ -98,7 +98,7 @@ def side_terms(flags, field) -> tuple[JetTensor, ...]:
 
 def deformation_source(dim: int, terms: tuple[JetTensor, ...]) -> JetTensor:
     """A side's rule terms summed onto a zero jet, in order."""
-    return reduce(partial(linear, tc.add), terms, zero_jet(dim, (1, 2)))
+    return jet_lincomb([(1, zero_jet(dim, (1, 2))), *((1, t) for t in terms)])
 
 
 # per-space data of a third-type almost-geodesic mapping: the symmetric (0,2)
@@ -144,7 +144,7 @@ class SpaceFields:
     @once
     def omega(self) -> JetTensor:
         dt = linear(tc.delta_sym, self.theta_tilde)
-        return linear(tc.add, self.B, linear(tc.scale, dt, Fraction(1, self.dim + 1)))
+        return jet_lincomb(((1, self.B), (Fraction(1, self.dim + 1), dt)))
 
 
 def check_valence(mapping: str, name: str, valence: tuple[int, int]) -> None:
@@ -279,17 +279,16 @@ class MappingInstance:
 
 def build_target_connection(inst: MappingInstance) -> JetTensor:
     """Apply the transformation rule to the source connection jet."""
-    out = inst.fields["L"]
+    rows = [(1, inst.fields["L"])]
     if inst.flags[0]:
         psi = linear(tc.sub, inst.field("u_bar"), inst.field("u"))
-        out = linear(tc.add, out, linear(tc.delta_sym, psi))
-
+        rows.append((1, linear(tc.delta_sym, psi)))
     # term by term: adding B_bar - B in one step rounds float sums differently
     for t_bar, t in zip(inst.rule_terms("_bar"), inst.rule_terms("")):
-        out = linear(tc.add, out, linear(tc.sub, t_bar, t))
+        rows.append((1, linear(tc.sub, t_bar, t)))
     if "xi" in inst.fields:
-        out = linear(tc.add, out, inst.fields["xi"])
-    return out
+        rows.append((1, inst.fields["xi"]))
+    return jet_lincomb(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +385,8 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
             M = [list(map(Fraction, row)) for row in _rule_matrix(f_bar.value)]
             if _solve(M, [[] for _ in M]) is not None:
                 break
-            f_bar = JetTensor(
-                tc.add_scaled(f_bar.value, Fraction(1, 16), tc.delta(dim)), f_bar.grad
-            )
+            f_bar = JetTensor(tc.lincomb(
+                ((1, f_bar.value), (Fraction(1, 16), tc.delta(dim)))), f_bar.grad)
         else:  # pragma: no cover
             raise DegenerateError("could not make the trace-fix system regular")
 
@@ -411,8 +409,8 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
             # whose trace is exactly V
             phi_obj_bar = JetTensor(
                 phi_obj_bar.value,
-                tc.add_scaled(phi_obj_bar.grad, Fraction(1, dim + 1),
-                              tc.delta_sym(V)),
+                tc.lincomb(((1, phi_obj_bar.grad),
+                            (Fraction(1, dim + 1), tc.delta_sym(V)))),
             )
         elif s2:
             H = [[V[(k, n)] for n in range(dim)] for k in range(dim)]
@@ -462,7 +460,7 @@ def _sym_with_product(r, dom, phi_v: Tensor, target: Tensor) -> Tensor:
     a = tc.sub(res, tc.ein(f"j,{n}->j{n}", target.valence, v,
                            tc.scale(rphi, Fraction(1, 2))))
     av = tc.ein(f"j{n},k->jk{n}", S0.valence, a, v)
-    return tc.add(tc.add(S0, av), tc.transpose_pair(av, 0, 1))
+    return tc.lincomb(((1, S0), (1, av), (1, tc.transpose_pair(av, 0, 1))))
 
 
 def generate_agm3(dim: int, seed: int, p: int = 1,
@@ -574,5 +572,5 @@ def _pivot(xs: list) -> int:
 
 def _relation(phi_v: Tensor, nu: Tensor, mu) -> Tensor:
     """nu_j phi^i + mu d^i_j: the right-hand side of the defining relation."""
-    return tc.add(tc.ein("i,j->ij", (1, 1), phi_v, nu),
-                  tc.scale(tc.delta(phi_v.dim), mu))
+    return tc.lincomb(((1, tc.ein("i,j->ij", (1, 1), phi_v, nu)),
+                       (mu, tc.delta(phi_v.dim))))

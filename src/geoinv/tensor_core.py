@@ -26,11 +26,17 @@ contraction run exact-only integer kernels that give the same ints.  A
 list-path output with a float operand is marked inexact when it is built;
 other tensors are scanned once, on first use, and the scan is cached.
 
-Formula coefficients are exact (``int`` or ``Fraction``) in every mode; on
-the float list path ``scale`` and ``add_scaled`` round a ``Fraction`` to
-``float`` once per call (the value ``num / den`` gives).  The operands, not
-the mode, pick the path: all-exact operands (deltas, zeros and what is built
-from them) stay exact in float mode too, so no ``-0.0`` appears there.
+``lincomb(rows)``, the sum of c*t over rows (c, t), is the one
+elementwise-linear kernel (``add``, ``sub``, ``scale`` are its cases).
+Coefficients are exact (``int`` or ``Fraction``) in every mode.  Exact rows
+take one pass each over one common denominator and one normalisation.  The
+list path builds each entry in row order: the first row's x if c == 1, else
+c*x; then + y if c == 1, - y if c == -1, else + c*y, a zero c included.
+A ``Fraction`` c meets a float as its rounded ``float`` (``num / den``).
+So a left-to-right chain of pairwise sums keeps its bits as one
+``lincomb``.  The operands, not the mode, pick the path: all-exact operands
+(deltas, zeros and what is built from them) stay exact in float mode too,
+so no ``-0.0`` appears there.
 
 The mode is a ``Domain`` (``RATIONAL``/``FLOAT``, by name in ``DOMAINS``):
 it owns instance numbers (the ones generators draw and instance files carry)
@@ -295,19 +301,17 @@ def _kind(t: Tensor) -> str:
     return k
 
 
-def _result_kind(*ts: Tensor, c=None):
-    """The kind of a kernel's output from operands ts and coefficient c:
+def _result_kind(ts: Sequence[Tensor], cs: Sequence = ()):
+    """The kind of a kernel's output from operands ts and coefficients cs:
     _INT or _FRACTION when all are exact (ints only if all are), _FLOAT when
     a float goes in, else None (the output is scanned on first use)."""
-    ct = type(c)
-    if ct is float:
-        return _FLOAT
-    if c is None or ct is int:
-        k = _INT
-    elif ct is Fraction:
-        k = _FRACTION
-    else:
-        k = None
+    k = _INT
+    for c in cs:
+        ct = type(c)
+        if ct is float:
+            return _FLOAT
+        if ct is not int:
+            k = _FRACTION if ct is Fraction and k else None
     for t in ts:
         tk = t._kind or _kind(t)
         if tk is _FLOAT:
@@ -321,7 +325,7 @@ def _result_kind(*ts: Tensor, c=None):
 
 def _exact(*ts: Tensor) -> bool:
     """Whether every operand is exact, so the scaled kernels apply."""
-    return _result_kind(*ts) in _EXACT_KINDS
+    return _result_kind(ts) in _EXACT_KINDS
 
 
 def _new(dim: int, valence: tuple[int, int], data, kind, nums=None,
@@ -445,7 +449,7 @@ def delta(dim: int) -> Tensor:
 
 
 def _entries(t: Tensor) -> tuple[str | None, list]:
-    k = _result_kind(t)
+    k = _result_kind((t,))
     return k, t._nums if k in _EXACT_KINDS else t.data
 
 
@@ -493,68 +497,66 @@ def delta_sym(t: Tensor) -> Tensor:
     return _block_result(t, kind, (1, t.q + 1), out)
 
 
-def _check_same_shape(a: Tensor, b: Tensor) -> None:
-    if a.dim != b.dim or a.p != b.p or a.q != b.q:
-        raise ShapeError(f"shape mismatch: {a!r} vs {b!r}")
-
-
-def _combine(a: Tensor, c, b: Tensor, kind) -> Tensor:
-    """a + c*b on the scaled forms of exact a, b and an int/Fraction c:
-    both sides are rescaled to the lcm of their denominators."""
-    cn, cd = c.numerator, c.denominator
-    da, db = a._den, b._den * cd
-    den = da if da == db else lcm(da, db)
-    fa, fb = den // da, cn * (den // db)
-    na, nb = a._nums, b._nums
-    if fa != 1:
-        nums = [x * fa + y * fb for x, y in zip(na, nb)]
-    elif fb == 1:
-        nums = [x + y for x, y in zip(na, nb)]
-    elif fb == -1:
-        nums = [x - y for x, y in zip(na, nb)]
-    else:
-        nums = [x + y * fb for x, y in zip(na, nb)]
-    return _from_scaled(a.dim, a.valence, nums, den, kind is _INT)
+def lincomb(rows) -> Tensor:
+    """The sum of c*t over rows (c, t) of same-shape tensors, in row order
+    (see the module docstring for the order on the list path)."""
+    cs, ts = zip(*rows)
+    a = ts[0]
+    dim, p, q = a.dim, a.p, a.q
+    for t in ts:
+        if t.dim != dim or t.p != p or t.q != q:
+            raise ShapeError(f"shape mismatch: {a!r} vs {t!r}")
+    kind = _result_kind(ts, cs)
+    out = None
+    if kind in _EXACT_KINDS:
+        # the sum so far is f * out / den.  A row with another denominator
+        # raises den to their lcm, and out's factor waits in f until the
+        # next row is added: one pass per row, one normalisation per sum
+        for c, t in zip(cs, ts):
+            g, d, y = c.numerator, c.denominator * t._den, t._nums
+            if out is None:
+                f, out, den = g, y, d
+                continue
+            if d != den:
+                m = lcm(den, d)
+                f, g, den = f * (m // den), g * (m // d), m
+            if f != 1:
+                out = [f * x + g * z for x, z in zip(out, y)]
+                f = 1
+            elif g == 1:
+                out = [x + z for x, z in zip(out, y)]
+            elif g == -1:
+                out = [x - z for x, z in zip(out, y)]
+            else:
+                out = [x + g * z for x, z in zip(out, y)]
+        if f != 1:
+            out = [f * x for x in out]
+        return _from_scaled(dim, (p, q), out, den, kind is _INT)
+    for c, t in zip(cs, ts):
+        if kind is _FLOAT and type(c) is Fraction:
+            c = float(c)
+        y = t.data
+        if out is None:
+            out = y if c == 1 else [c * x for x in y]
+        elif c == 1:
+            out = [x + z for x, z in zip(out, y)]
+        elif c == -1:
+            out = [x - z for x, z in zip(out, y)]
+        else:
+            out = [x + c * z for x, z in zip(out, y)]
+    return _new(dim, (p, q), out, kind)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
-    kind = _result_kind(a, b)
-    if kind in _EXACT_KINDS:
-        return _combine(a, 1, b, kind)
-    return _new(a.dim, a.valence, [x + y for x, y in zip(a.data, b.data)], kind)
+    return lincomb(((1, a), (1, b)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
-    kind = _result_kind(a, b)
-    if kind in _EXACT_KINDS:
-        return _combine(a, -1, b, kind)
-    return _new(a.dim, a.valence, [x - y for x, y in zip(a.data, b.data)], kind)
+    return lincomb(((1, a), (-1, b)))
 
 
 def scale(a: Tensor, c) -> Tensor:
-    kind = _result_kind(a, c=c)
-    if kind in _EXACT_KINDS:
-        cn = c.numerator
-        nums = a._nums if cn == 1 else [cn * x for x in a._nums]
-        return _from_scaled(a.dim, a.valence, nums, a._den * c.denominator,
-                            kind is _INT)
-    if kind is _FLOAT and type(c) is Fraction:
-        c = float(c)
-    return _new(a.dim, a.valence, [c * x for x in a.data], kind)
-
-
-def add_scaled(a: Tensor, c, b: Tensor) -> Tensor:
-    """a + c*b in one pass (the pipeline's inner loops live on this)."""
-    _check_same_shape(a, b)
-    kind = _result_kind(a, b, c=c)
-    if kind in _EXACT_KINDS:
-        return _combine(a, c, b, kind)
-    if kind is _FLOAT and type(c) is Fraction:
-        c = float(c)
-    return _new(a.dim, a.valence,
-                [x + c * y for x, y in zip(a.data, b.data)], kind)
+    return lincomb(((c, a),))
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -608,11 +610,11 @@ def alternate(t: Tensor, a: int, b: int) -> Tensor:
 
 
 def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
-    """Half-sum over a slot pair; plain sum when factor_free is set."""
-    s = add(t, transpose_pair(t, a, b))
-    if factor_free:
-        return s
-    return scale(s, Fraction(1, 2))
+    """Half-sum over a slot pair; plain sum when factor_free is set.  Halves
+    are exact in binary floats (barring subnormals), so 1/2 t + 1/2 t' has
+    the bits of (t + t') / 2."""
+    h = 1 if factor_free else Fraction(1, 2)
+    return lincomb(((h, t), (h, transpose_pair(t, a, b))))
 
 
 _LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
@@ -871,7 +873,7 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
     plan = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
     if dim ** sum(out_valence) != plan.n_out:
         raise ShapeError(f"ein: output valence {out_valence} disagrees with {expr!r}")
-    kind = _result_kind(*tensors)
+    kind = _result_kind(tensors)
     if kind in _EXACT_KINDS:
         den = 1
         for t in tensors:
@@ -880,13 +882,17 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
         if run is None:
             run = plan.exact = _exact_kernel(plan)
         out = run(*[t._nums for t in tensors])
+        if kind is _FRACTION and run is not plan.kernel and len(tensors) == 1:
+            # a gather: a permutation of lowest terms is in lowest terms
+            return _new(dim, out_valence, None, kind, out, den)
         return _from_scaled(dim, out_valence, out, den, kind is _INT)
     return _new(dim, out_valence, plan.kernel(*[t.data for t in tensors]), kind)
 
 
 def max_abs_diff(a: Tensor, b: Tensor):
-    _check_same_shape(a, b)
-    kind = _result_kind(a, b)
+    if a.dim != b.dim or a.p != b.p or a.q != b.q:
+        raise ShapeError(f"shape mismatch: {a!r} vs {b!r}")
+    kind = _result_kind((a, b))
     if kind in _EXACT_KINDS:
         da, db = a._den, b._den
         if da == db and a._nums == b._nums:  # lowest terms: equal values

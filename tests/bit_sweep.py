@@ -6,12 +6,16 @@ Imports geoinv from ``<checkout>/src`` and digests, in rational and float
 mode, the ``gen`` bytes of each instance, the ``repr`` of every value and
 grad entry of every field read back from those bytes by
 ``cli.instance_from_obj``, the ``repr`` of every entry of every
-``pair_invariants`` tensor and the ``repr`` of every ``agm_diagnostics`` row
-of both sides.  The sweep: general N = 2-5 x seeds 0-3 x all 8 flag
+``pair_invariants`` tensor, the ``repr`` of every ``agm_diagnostics`` row
+of both sides, the ``repr`` of every entry of the three
+``derived_invariants`` tensors of the ``weyl_factored`` and ``weyl_fourth``
+decompositions of both sides of each general instance, and the ``repr`` of
+every ``identity_rows`` record (what ``geoinv identities`` writes) at each
+N and seed.  The sweep: general N = 2-5 x seeds 0-3 x all 8 flag
 patterns, geodesic N = 2-5 x seeds 0-3, agm3 N = 2-4 x seeds 0-3 x
 p = 1, 2.  ``--dims`` replaces N = 2-5 by the dimensions given (agm3 still
-only up to 4): ``--dims 6`` sweeps the general and geodesic instances at
-N = 6.  Prints the number of digested records and the digest; two
+only up to 4): ``--dims 6`` sweeps the general and geodesic instances and
+the identity rows at N = 6.  Prints the number of digested records and the digest; two
 checkouts that print the same line wrote and certified the same bits.  Not
 a test module: pytest does not collect it.
 """
@@ -40,7 +44,8 @@ def _instances(mode, dims, seeds):
 
 def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
     """(records digested, sha256 hex) over the sweep at these dims and seeds."""
-    from geoinv import agm, cli
+    from geoinv import agm, cli, invariants as inv
+    from geoinv.tensor_core import ABS_TOL, REL_TOL
 
     h, count = hashlib.sha256(), 0
 
@@ -58,10 +63,21 @@ def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
                           [repr(x) for x in jet.grad.data])))
             for tag, _, a, b in cli.pair_invariants(ins):
                 put(repr((tag, [repr(x) for x in a.data], [repr(x) for x in b.data])))
+            sides = (ins.source_fields(), ins.target_fields())
             if ins.mapping == "agm3":
-                for side in (ins.source_fields(), ins.target_fields()):
+                for side in sides:
                     for row in agm.agm_diagnostics(side):
                         put(repr(row))
+            if ins.mapping == "general":
+                for side, form in itertools.product(sides, ("weyl_factored",
+                                                            "weyl_fourth")):
+                    derived = inv.derived_invariants(inv.decompose(side, form),
+                                                     side.space)
+                    for key, t in derived.items():
+                        put(repr((form, key, [repr(x) for x in t.data])))
+        for dim, seed in itertools.product(dims, seeds):
+            for record in cli.identity_rows(dim, seed, mode, REL_TOL, ABS_TOL):
+                put(repr(record))
     return count, h.hexdigest()
 
 

@@ -151,11 +151,8 @@ def test_criterion_3_residual_laws():
             got = inv.derived_invariants(dec, fl.space)
             rhat = fl.space.skew_ricci
             rhohat = inv.rho_skew(fl)
-            corr = tc.add_scaled(
-                tc.scale(rhohat, Fraction(1, n + 1)),
-                Fraction(-1, n * (n + 1)),
-                rhat,
-            )
+            corr = tc.lincomb(((Fraction(1, n + 1), rhohat),
+                               (Fraction(-1, n * (n + 1)), rhat)))
             want_first = tc.add(inv.weyl_factored(fl), outer_delta(corr, n))
             assert tc.max_abs_diff(got["first"], want_first) == 0
             assert tc.max_abs_diff(got["first"], inv.weyl_first_over(fl)) == 0

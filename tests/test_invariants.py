@@ -121,9 +121,8 @@ def test_basic_equals_factored_plus_trace_block():
         n = ins.dim
         for fl in (s, t):
             corr = tc.add(fl.space.skew_ricci, inv.rho_skew(fl))
-            bridge = tc.add_scaled(
-                inv.weyl_factored(fl), Fraction(1, n + 1), outer_delta(corr, n)
-            )
+            bridge = tc.lincomb(((1, inv.weyl_factored(fl)),
+                                 (Fraction(1, n + 1), outer_delta(corr, n))))
             assert tc.max_abs_diff(inv.weyl_basic(fl), bridge) == 0
 
 
@@ -347,11 +346,8 @@ def test_literal_all_special_variant_is_not_invariant():
 
         def literal(sp):
             m = tc.ein("abn,bja->jn", (0, 2), sp.Lsym.value, sp.Lsym.value)
-            return tc.add_scaled(
-                inv.part(sp, "geodesic_weyl"),
-                Fraction(-2, n + 1),
-                delta_mix(m, n),
-            )
+            return tc.lincomb(((1, inv.part(sp, "geodesic_weyl")),
+                               (Fraction(-2, n + 1), delta_mix(m, n))))
 
         assert tc.max_abs_diff(literal(s.space), literal(t.space)) != 0
 

@@ -266,14 +266,6 @@ def test_add_scale_cancel():
     assert tc.add(t, tc.scale(t, -1)).is_zero()
 
 
-def test_add_scaled_matches_add_of_scale():
-    rng = random.Random(31)
-    a = random_tensor(rng, 3, (1, 2))
-    b = random_tensor(rng, 3, (1, 2))
-    c = Fraction(-5, 3)
-    assert tc.add_scaled(a, c, b).data == tc.add(a, tc.scale(b, c)).data
-
-
 def test_sub_matches_add_of_negation():
     rng = random.Random(37)
     a = random_tensor(rng, 3, (0, 2))
@@ -286,6 +278,43 @@ def test_add_rejects_shape_mismatch():
         tc.add(tc.zeros(3, (0, 2)), tc.zeros(3, (1, 1)))
     with pytest.raises(ShapeError):
         tc.add(tc.zeros(3, (0, 2)), tc.zeros(4, (0, 2)))
+    with pytest.raises(ShapeError):  # a bad shape in a later row
+        tc.lincomb([(1, tc.zeros(3, (0, 2))), (-1, tc.zeros(3, (0, 2))),
+                    (Fraction(1, 2), tc.zeros(3, (1, 1)))])
+
+
+# each case: rows (coefficient, entries) of a (0,1) tensor at N = 2, and why
+# it pins the list-path order of lincomb
+FLOAT_ORDER_CASES = {
+    "leading -0.0 row stays -0.0": ((1, [-0.0, -0.0]), (1, [-0.0, 0.0])),
+    "int zero row, then -0.0": ((1, [0, 0]), (1, [-0.0, 0.0])),
+    "c == -1 against +0.0": ((1, [-0.0, 0.0]), (-1, [0.0, -0.0])),
+    "zero coefficient still adds": ((1, [-0.0, -0.0]), (0, [5.0, -5.0])),
+    "Fraction rounded once": ((Fraction(2, 7), [0.3, 1.1]),
+                              (Fraction(2, 7), [1.1, 1.7])),
+    "rows in order": ((1, [1.0, 1e16]), (1, [1e16, 1.0]), (-1, [1e16, 1e16])),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_ORDER_CASES)
+def test_lincomb_float_order(case):
+    rows = FLOAT_ORDER_CASES[case]
+    got = tc.lincomb([(c, Tensor(2, (0, 1), d)) for c, d in rows])
+    assert [repr(x) for x in got.data] == [repr(x) for x in _o_lincomb(
+        [c for c, _ in rows], [d for _, d in rows])]
+    first, second = got.data
+    if case == "leading -0.0 row stays -0.0":
+        assert repr(first) == "-0.0"  # summed onto 0 it would read 0.0
+    elif case == "int zero row, then -0.0":
+        assert repr(first) == "0.0"
+    elif case == "zero coefficient still adds":
+        assert (repr(first), repr(second)) == ("0.0", "-0.0")  # -0.0 + +-0.0
+    elif case == "Fraction rounded once":
+        # rounding num * x / den instead would move both entries
+        assert first != 2 * 0.3 / 7 + 2 * 1.1 / 7
+        assert second != 2 * 1.1 / 7 + 2 * 1.7 / 7
+    elif case == "rows in order":
+        assert got.data == [0.0, 0.0]  # reversed, the rows sum to 1.0 twice
 
 
 def test_tensor_rejects_wrong_data_length():
@@ -1018,16 +1047,39 @@ def _unary_cases(dim, exact):
            lambda d: _o_ein("aja->j", dim, d), True)
 
 
-def _binary_cases(exact):
-    coeffs = ((1, -3, Fraction(-5, 6), Fraction(7, 4), -0.25) if exact
-              else (0.5, Fraction(-5, 6), Fraction(1, 3)))
+def _binary_cases():
     yield "add", tc.add, lambda x, y: [u + v for u, v in zip(x, y)], True
     yield "sub", tc.sub, lambda x, y: [u - v for u, v in zip(x, y)], True
-    for c in coeffs:
-        k = c if exact else float(c)
-        yield (f"add_scaled {c}", lambda a, b, c=c: tc.add_scaled(a, c, b),
-               lambda x, y, k=k: [u + k * v for u, v in zip(x, y)],
-               type(c) is int)
+
+
+def _lincomb_cases(exact):
+    """Coefficients of one, two and five lincomb rows."""
+    yield from ((c,) for c in (1, -1, 0, 3, Fraction(-5, 6)))
+    yield from ((1, c) for c in ((1, -3, Fraction(-5, 6), Fraction(7, 4), -0.25)
+                                 if exact else (0.5, Fraction(-5, 6), Fraction(1, 3))))
+    yield from ((0, 1), (-1, -1), (Fraction(1, 2), Fraction(1, 2)))
+    yield (1, -1, 0, Fraction(7, 4), 3)
+    yield (Fraction(-5, 6), 1, -1, 0, Fraction(1, 3))
+    yield (2, -1, 1, 0, -3)
+
+
+def _o_lincomb(cs, datas):
+    """The rows summed left to right in plain Python, as lincomb states its
+    list path: where a float goes in, a Fraction coefficient is its float."""
+    floats = any(type(x) is float for d in (cs, *datas) for x in d)
+    out = None
+    for c, d in zip(cs, datas):
+        if floats and type(c) is Fraction:
+            c = float(c)
+        if out is None:
+            out = list(d) if c == 1 else [c * x for x in d]
+        elif c == 1:
+            out = [x + y for x, y in zip(out, d)]
+        elif c == -1:
+            out = [x - y for x, y in zip(out, d)]
+        else:
+            out = [x + c * y for x, y in zip(out, d)]
+    return out
 
 
 def _check_result(got, want, ints, what):
@@ -1062,11 +1114,18 @@ def test_scaled_kernels_match_a_fraction_oracle(dim):
               ("float", "zero")]
     for n, (sa, sb) in enumerate(pairs):
         exact = "float" not in (sa, sb)
-        for name, kernel, oracle, keeps_int in _binary_cases(exact):
+        for name, kernel, oracle, keeps_int in _binary_cases():
             a, da = draw((1, 2), sa)
             b, db = draw((1, 2), sb)
             _check_result(kernel(a, b), oracle(da, db),
                           all_int(da, db) and keeps_int, (name, sa, sb))
+        for cs in _lincomb_cases(exact):  # rows alternate the two styles
+            rows = [draw((1, 2), (sa, sb)[k % 2]) for k in range(len(cs))]
+            datas = [d for _, d in rows]
+            _check_result(tc.lincomb([(c, t) for c, (t, _) in zip(cs, rows)]),
+                          _o_lincomb(cs, datas),
+                          all_int(*datas) and all(type(c) is int for c in cs),
+                          ("lincomb", cs, sa, sb))
         a, da = draw((1, 2), sa)
         b, db = draw((1, 2), sb)
         want = max(abs(x - y) for x, y in zip(da, db))
@@ -1092,8 +1151,8 @@ def test_scaled_kernels_match_a_fraction_oracle(dim):
     for t in (tc.zeros(dim, (1, 1)), tc.delta(dim)):
         want = [c * x for x in t.data]
         _check_result(tc.scale(t, c), want, False, ("scale exact", c))
-        _check_result(tc.add_scaled(tc.zeros(dim, (1, 1)), c, t), want, False,
-                      ("add_scaled exact", c))
+        _check_result(tc.lincomb(((1, tc.zeros(dim, (1, 1))), (c, t))), want,
+                      False, ("lincomb exact", c))
     for style in STYLES + ("float", "float+int"):
         for name, valence, kernel, oracle, keeps_int in _unary_cases(
                 dim, not style.startswith("float")):
@@ -1338,6 +1397,26 @@ def test_float_and_other_scalars_keep_the_generic_kernel():
             assert [x.terms for x in got.data] == [
                 x.terms for x in _o_ein(expr, 2, *datas)], expr
     assert (cache.fast, cache.fallbacks) == counts
+
+
+def test_exact_transpose_keeps_the_operand_denominator(monkeypatch):
+    # a gathered permutation is built on the operand's den, with no gcd
+    rng = random.Random(97)
+    data = [Fraction(1, 48)] + [
+        Fraction(rng.randint(-60, 60), rng.choice((1, 3, 16, 48))) for _ in range(255)]
+    t = Tensor(4, (1, 3), data)
+    assert tc._kind(t) is tc._FRACTION and t._den == 48
+    fast = tc._PLAN_CACHE.fast
+    monkeypatch.setattr(tc, "gcd", None)  # any normalisation would raise
+    for a, b in ((2, 3), (1, 2), (1, 3)):
+        got = tc.transpose_pair(t, a, b)
+        assert got._den == 48 and tc._kind(got) is tc._FRACTION
+        assert got.data == _o_transpose(4, 4, data, a, b)
+    ints = Tensor(4, (1, 3), [rng.randint(-9, 9) for _ in data])
+    got = tc.transpose_pair(ints, 2, 3)
+    assert got._den == 1 and got.data == _o_transpose(4, 4, ints.data, 2, 3)
+    assert {type(x) for x in got.data} == {int}
+    assert tc._PLAN_CACHE.fast == fast + 4
 
 
 CD_QUAD = ("ajm,ian->ijmn", "aed,ebc->abcd", "ebd,aec->abcd", "ecd,abe->abcd")

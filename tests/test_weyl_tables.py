@@ -1,8 +1,8 @@
 """The Weyl-type coefficient tables against the written formulas.
 
 ``invariants.weyl_tables`` holds each Weyl-type form as rows over named
-parts.  The references below write the same forms out as add_scaled
-chains, with one delta block per core.  Their entries must match the table
+parts.  The references below write the same forms out as chains of
+pairwise ``add``/``scale`` calls, with one delta block per core.  Their entries must match the table
 sums to the bit (``repr`` of every entry, so a moved float rounding or a
 flipped signed zero fails), in both modes, on both sides.
 """
@@ -18,32 +18,36 @@ from geoinv.cli import pair_invariants
 from geoinv.mappings import generate, generate_agm3
 
 
+def _add_scaled(a, c, b):
+    return tc.add(a, tc.scale(b, c))
+
+
 def _factored(f):
     N, mix = f.dim, tc.delta_mix
     bracket = tc.sub(mix(f.space.trace_cov_derivative()), mix(inv.rho(f)))
-    out = tc.add_scaled(tc.add(f.space.R, inv.A_tensor(f)), Fraction(-1, N + 1),
+    out = _add_scaled(tc.add(f.space.R, inv.A_tensor(f)), Fraction(-1, N + 1),
                         bracket)
-    return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), mix(inv.S_tilde(f)))
+    return _add_scaled(out, Fraction(-1, (N + 1) ** 2), mix(inv.S_tilde(f)))
 
 
 def _fourth(f):
     c, mix = Fraction(1, f.dim - 1), tc.delta_mix
-    out = tc.add_scaled(tc.add(f.space.R, inv.A_tensor(f)), c,
+    out = _add_scaled(tc.add(f.space.R, inv.A_tensor(f)), c,
                         mix(f.space.sym_ricci))
-    return tc.add_scaled(out, c, mix(inv.A_trace(f)))
+    return _add_scaled(out, c, mix(inv.A_trace(f)))
 
 
 def _first_display(f):
     N, mix = f.dim, tc.delta_mix
     bracket = tc.sub(mix(f.space.trace_cov_derivative()), mix(inv.rho(f)))
-    inner = tc.add_scaled(tc.scale(bracket, N + 1), 1, mix(inv.A_trace(f)))
-    return tc.add(tc.add_scaled(f.space.R, Fraction(-1, (N + 1) ** 2), inner),
+    inner = _add_scaled(tc.scale(bracket, N + 1), 1, mix(inv.A_trace(f)))
+    return tc.add(_add_scaled(f.space.R, Fraction(-1, (N + 1) ** 2), inner),
                   inv.A_tensor(f))
 
 
 def _first_over(f):
     N = f.dim
-    corr = tc.add_scaled(tc.scale(inv.rho_skew(f), Fraction(1, N + 1)),
+    corr = _add_scaled(tc.scale(inv.rho_skew(f), Fraction(1, N + 1)),
                          Fraction(-1, N * (N + 1)), f.space.skew_ricci)
     return tc.add(_factored(f), tc.delta_outer(corr))
 
@@ -51,18 +55,18 @@ def _first_over(f):
 def _geodesic_weyl(space):
     N, th = space.dim, space.theta.value
     sp = space.special_trace_derivative()
-    out = tc.add_scaled(space.R, Fraction(1, N + 1),
+    out = _add_scaled(space.R, Fraction(1, N + 1),
                         tc.delta_outer(tc.alternate(sp, 0, 1)))
     inner = tc.add(tc.scale(space.trace_cov_derivative(), N + 1),
                    tc.ein("j,n->jn", (0, 2), th, th))
-    return tc.add_scaled(out, Fraction(-1, (N + 1) ** 2), tc.delta_mix(inner))
+    return _add_scaled(out, Fraction(-1, (N + 1) ** 2), tc.delta_mix(inner))
 
 
 def _projective(space):
     N = space.dim
-    out = tc.add_scaled(space.R, Fraction(1, N + 1), tc.delta_outer(space.skew_ricci))
-    out = tc.add_scaled(out, Fraction(N, N * N - 1), tc.delta_mix(space.ricci))
-    return tc.add_scaled(out, Fraction(1, N * N - 1),
+    out = _add_scaled(space.R, Fraction(1, N + 1), tc.delta_outer(space.skew_ricci))
+    out = _add_scaled(out, Fraction(N, N * N - 1), tc.delta_mix(space.ricci))
+    return _add_scaled(out, Fraction(1, N * N - 1),
                          tc.delta_mix(tc.transpose_pair(space.ricci, 0, 1)))
 
 
