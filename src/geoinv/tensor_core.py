@@ -10,10 +10,11 @@ lowest terms (``den > 0`` and ``gcd(den, *nums) == 1``), so equal values have
 equal forms (``max_abs_diff`` reads 0 off equal forms, with no diff).  When
 every operand is exact the kernels run on those ints and normalise once per
 call, not once per multiply-add.  ``Tensor.data`` is read-only: it
-materialises the entries on first read and caches them, as ``Fraction``
-objects, or as ``int`` where every input was all-int (deltas, zeros and what
-is built from them with integer coefficients).  Tensors are immutable; build
-a new one instead of writing into ``.data``.
+materialises the entries on first read, as ``int`` where every input was
+all-int (deltas, zeros and what is built from them with integer
+coefficients), else as ``Fraction``s from one bounded value table, so equal
+tensors hold the same objects.  ``t[idx]`` materialises one entry.  Tensors
+are immutable; build a new one instead of writing into ``.data``.
 
 Any other operand (a float entry or coefficient, or a scalar type such as a
 polynomial) sends a kernel down the plain list path, which combines the
@@ -89,12 +90,17 @@ class IndexKindError(GeoinvError):
 def once(fn):
     """Compute ``fn(owner, *args)`` once per owner and argument tuple.
 
-    The package's only memo.  The result is kept in ``owner._memo`` under
-    ``(fn, *args)``: keyed on the undecorated function, so a call through a
-    wrapper of the decorated one shares the entry, and held by the owner, so
-    it lives as long as the owner and no two owners share it.  Arguments are
-    positional and hashable.  A result must not refer back to its owner, or
-    the owner outlives its last reference until the cycle collector runs.
+    The package's only per-owner memo.  The result is kept in
+    ``owner._memo`` under ``(fn, *args)``: keyed on the undecorated function,
+    so a call through a wrapper of the decorated one shares the entry, and
+    held by the owner, so it lives as long as the owner and no two owners
+    share it.  Arguments are positional and hashable.  A result must not
+    refer back to its owner, or the owner outlives its last reference until
+    the cycle collector runs.
+
+    The module-wide caches, of einsum plans (``_PLAN_CACHE``), compiled
+    kernels (``_kernel``) and values (``_fraction``), drop the least recently
+    used entry past a cap: their keys come from input, so they would grow.
     """
     @wraps(fn)
     def memo(owner, *args):
@@ -280,6 +286,12 @@ _OTHER = "other"        # anything else, e.g. polynomials: list kernels
 _EXACT_KINDS = (_INT, _FRACTION)
 _EXACT_TYPES = frozenset((int, Fraction))
 
+# The value table (hash-consing): one Fraction per scaled entry (num, den)
+# read recently; equal tensors have equal scaled forms.  The cap is the size
+# of a rank-4 tensor at N = 8, so both sides of a compare up to it meet here.
+VALUE_TABLE_CAP = 4096
+_fraction = lru_cache(maxsize=VALUE_TABLE_CAP)(Fraction)
+
 
 def _kind(t: Tensor) -> str:
     k = t._kind
@@ -382,10 +394,7 @@ class Tensor:
         """The entries, flat; read-only (tensors are immutable)."""
         d = self._data
         if d is None:
-            # one Fraction per distinct value: zeros and +-pairs repeat a lot
-            den = self._den
-            made = {n: Fraction(n, den) for n in set(self._nums)}
-            d = self._data = [made[n] for n in self._nums]
+            d = self._data = list(map(_fraction, self._nums, repeat(self._den)))
         return d
 
     @property
@@ -405,7 +414,9 @@ class Tensor:
     def __getitem__(self, idx) -> object:
         if isinstance(idx, int):
             idx = (idx,)
-        return self.data[self.offset(idx)]
+        if self._data is None:  # one entry, without materialising the rest
+            return _fraction(self._nums[self.offset(idx)], self._den)
+        return self._data[self.offset(idx)]
 
     def max_abs(self):
         if _exact(self):

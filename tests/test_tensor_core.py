@@ -910,6 +910,69 @@ def test_plan_cache_is_bounded_and_stays_correct():
     assert cache.hits == hits + 1
 
 
+# ---------------------------------------------------------------- value table
+
+
+def _sum_two_ways(seed):
+    """a + b built by two kernel routes: add, and lincomb over other rows."""
+    rng = random.Random(seed)
+    a = random_tensor(rng, 3, (1, 2))
+    b = random_tensor(rng, 3, (1, 2))
+    return tc.add(a, b), tc.lincomb([(-1, a), (1, b), (2, a)]), a, b
+
+
+def test_equal_exact_tensors_share_their_entries():
+    s, t, a, b = _sum_two_ways(71)
+    assert s is not t and s._data is None and t._data is None
+    assert all(x is y for x, y in zip(s.data, t.data))
+    assert s.data == [x + y for x, y in zip(a.data, b.data)]
+    for x, n in zip(s.data, s._nums):
+        # a Fraction in lowest terms, integral values included
+        assert type(x) is Fraction and x == Fraction(n, s._den)
+        assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
+    ints = tc.add(tc.delta(3), tc.scale(tc.delta(3), 2))
+    assert set(map(type, ints.data)) == {int} and ints[1, 1] == 3
+    zero = tc.scale(a, 0)  # integral values of a Fraction tensor stay Fractions
+    assert set(map(type, zero.data)) == {Fraction}
+
+
+def test_unequal_exact_tensors_still_compare_unequal():
+    s, *_ = _sum_two_ways(72)
+    bump = [0] * len(s.data)
+    bump[5] = Fraction(1, 7)
+    u = tc.add(s, Tensor(3, (1, 2), bump))
+    assert u.data != s.data and u != s
+    assert [k for k, (x, y) in enumerate(zip(s.data, u.data)) if x != y] == [5]
+
+
+def test_value_table_is_bounded_and_stays_correct():
+    # past the cap, values read earlier are evicted: a later read builds them
+    # again, equal though not the same objects
+    early, _, a, b = _sum_two_ways(73)
+    read = early.data  # before the table fills
+    dim = math.isqrt(math.isqrt(tc.VALUE_TABLE_CAP)) + 1
+    many = tc.RATIONAL.tensor(dim, (0, 4), list(range(dim**4)), 11)
+    assert len(set(many.data)) > tc.VALUE_TABLE_CAP
+    assert tc._fraction.cache_info().currsize == tc.VALUE_TABLE_CAP
+    fresh = tc.add(a, b)
+    assert fresh.data == read and fresh == early
+
+
+def test_single_entry_reads_match_data():
+    s, *_ = _sum_two_ways(74)
+    t = tc.ein("ijk->ikj", (1, 2), s)
+    got = [t[idx] for idx in itertools.product(range(3), repeat=3)]
+    assert t._data is None  # no entry read materialised the rest
+    assert all(x is y for x, y in zip(got, t.data))
+    ints = tc.add(tc.delta(3), tc.delta(3))
+    floats = tc.scale(Tensor(3, (1, 1), [0.5] * 9), 3)
+    for u in (ints, floats, s):
+        for off, idx in enumerate(itertools.product(range(3), repeat=u.rank)):
+            assert u[idx] == u.data[off] and type(u[idx]) is type(u.data[off])
+    with pytest.raises(IndexError):
+        tc.ein("ijk->ikj", (1, 2), s)[3, 0, 0]
+
+
 # ------------------------------------------- scaled kernels vs a Fraction oracle
 #
 # The oracle runs on plain entry lists, one multiply-add at a time, in the
