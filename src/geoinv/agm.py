@@ -5,8 +5,8 @@ form (basic, fourth, first) and the deformation curvature's expansion is one
 table, ``tables(N, eps)``, so it can be diffed against its pipeline
 counterpart group by group.  A row ``(group, part, published, corrected)``
 names a coefficient-free part of ``_Blocks`` and its two coefficients; a
-form is its rows' scaled parts summed in order, its (0,2) cores entering
-through one delta block of their sum.
+form is one ``lincomb`` of its rows (coefficient, part) in order, its (0,2)
+cores entering through one delta block of their sum.
 
 * The corrected column equals the pipeline value exactly; ``agm_basic``,
   ``agm_fourth`` and ``agm_first`` read it.
@@ -15,6 +15,12 @@ through one delta block of their sum.
   provably break invariance, so it is never certified — only measured.
   The published forms also leave the ricci, cd_j, w_nu and tor cores
   unsymmetrized: this column reads a ``sym_`` part without its prefix.
+* ``agm_diagnostics`` scales and compares only the rows whose two columns
+  differ in coefficient or part.  A row whose columns are the same
+  (curvature, every deform-quad row, the basic and first trace rows,
+  fourth's deform-mu, trace-scalar-quad and trace-outer-quad, and at N = 2
+  first's over-quad) is reported as ``match`` with ``max_abs`` 0.0 without
+  building its term: its two sides are one tensor.
 """
 
 from __future__ import annotations
@@ -168,36 +174,36 @@ class _Blocks:
 
     @once
     def term(self, part: str, num: int, den: int) -> Tensor:
-        """A part scaled by num/den, shared by every row that asks for it
-        (int keys: a ``Fraction`` key would pay for its hash on each call).
-        A zero coefficient gives exact zeros, as a scaled float part would
-        carry signed zeros into the sum."""
-        t = self.part(part)
-        if num == 0:
-            return tc.zeros(self.N, t.valence)
-        return tc.scale(t, Fraction(num, den))
+        """A part scaled by num/den, shared by every diagnostic row and the
+        split (int keys: a ``Fraction`` key would pay for its hash on each
+        call)."""
+        return tc.lincomb((_row(Fraction(num, den), self.part(part)),))
 
-    def column(self, form: str, corrected: bool) -> list[tuple[str, Tensor]]:
-        """One column of a form's table: each group with its scaled part."""
+    def rows(self, form: str, p: int) -> list[tuple]:
+        """The rows (c, part) of a form's corrected column whose parts have
+        p upper indices, in table order."""
         out = []
-        for group, part, *coefficients in tables(self.N, self.eps)[form]:
-            c = coefficients[corrected]
-            if not corrected:
-                part = part.removeprefix("sym_")
-            out.append((group, self.term(part, c.numerator, c.denominator)))
+        for _, name, _, c in tables(self.N, self.eps)[form]:
+            t = self.part(name)
+            if t.p == p:
+                out.append(_row(c, t))
         return out
 
     @once
     def mix(self, form: str) -> Tensor:
         """The delta block of a form's (0,2) terms' sum (delta_mix is linear)."""
-        cores = [(1, t) for _, t in self.column(form, True) if t.p == 0]
-        return tc.delta_mix(tc.lincomb(cores))
+        return tc.delta_mix(tc.lincomb(self.rows(form, 0)))
 
     @once
     def total(self, form: str) -> Tensor:
         """A form's corrected column summed in row order: (1,3) terms, then mix."""
-        terms = [(1, t) for _, t in self.column(form, True) if t.p == 1]
-        return tc.lincomb([*terms, (1, self.mix(form))])
+        return tc.lincomb([*self.rows(form, 1), (1, self.mix(form))])
+
+
+def _row(c: Fraction, t: Tensor) -> tuple:
+    """The lincomb row c*t.  A zero coefficient gives exact zeros, as a
+    scaled float part would carry signed zeros into the sum."""
+    return (c, t) if c else (1, tc.zeros(t.dim, t.valence))
 
 
 @once
@@ -247,7 +253,8 @@ def agm_decompose(fields: SpaceFields) -> Decomposition:
     curvature; a residual means the input bundle is inconsistent.
     """
     b = _blocks(fields)
-    g = dict(b.column("deform", True))
+    g = {group: b.term(part, *c.as_integer_ratio())
+         for group, part, _, c in tables(b.N, b.eps)["deform"]}
     dec = Decomposition(g["mu"], tc.add(g["cd"], tc.add(g["quad"], g["nutor"])),
                         b.mix("deform"))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
@@ -278,8 +285,10 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
 def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     """Row-by-row diff of each table's published column against its
     corrected one, plus corrected-total-versus-pipeline rows; a row matches
-    when its two sides are close in the fields' domain.  A core row compares
-    cores: for N >= 2 Y's entries are delta_mix(Y)'s, so max|Y| is the same."""
+    when its two sides are close in the fields' domain (a table row whose
+    columns are the same is not computed; see the module docstring).  A core
+    row compares cores: for N >= 2 Y's entries are delta_mix(Y)'s, so max|Y|
+    is the same."""
     b = _blocks(fields)
     N = b.N
     rows: list[dict] = []
@@ -290,9 +299,14 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
                      "status": "match" if ok else "mismatch", "max_abs": float(resid)})
 
     def table(section: str, pipeline: Tensor) -> None:
-        for (group, x), (_, y) in zip(b.column(section, False),
-                                      b.column(section, True)):
-            row(section, group, x, y)
+        for group, part, published, corrected in tables(N, b.eps)[section]:
+            bare = part.removeprefix("sym_")
+            if (published, bare) == (corrected, part):  # one tensor on both sides
+                rows.append({"section": section, "group": group,
+                             "status": "match", "max_abs": 0.0})
+            else:
+                row(section, group, b.term(bare, *published.as_integer_ratio()),
+                    b.term(part, *corrected.as_integer_ratio()))
         row(section, "total-vs-pipeline", b.total(section), pipeline)
 
     table("deform", A_tensor(fields))

@@ -19,15 +19,23 @@ def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
     """Symmetric and antisymmetric (half-difference) parts, as jets."""
     if L.valence != (1, 2):
         raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
-    return _symmetric_part(L), _half_difference(L)
+    swapped = linear(tc.transpose_pair, L, 1, 2)
+    return _symmetric_part(L, swapped), _half_difference(L, swapped)
 
 
-def _symmetric_part(L: JetTensor) -> JetTensor:
-    return linear(tc.sym_pair, L, 1, 2)
+def _half_sum(t: Tensor, swapped: Tensor) -> Tensor:
+    """``tc.sym_pair`` of t with its swapped pair given: each swap is built
+    once and shared with the alternation."""
+    h = Fraction(1, 2)
+    return tc.lincomb(((h, t), (h, swapped)))
 
 
-def _half_difference(L: JetTensor) -> JetTensor:
-    return linear(tc.scale, linear(tc.alternate, L, 1, 2), Fraction(1, 2))
+def _symmetric_part(L: JetTensor, swapped: JetTensor) -> JetTensor:
+    return linear(_half_sum, L, swapped)
+
+
+def _half_difference(L: JetTensor, swapped: JetTensor) -> JetTensor:
+    return linear(tc.scale, linear(tc.sub, L, swapped), Fraction(1, 2))
 
 
 def curvature(Lsym: JetTensor) -> Tensor:
@@ -73,11 +81,13 @@ class ConnectionSpace:
             raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
         self.L = L
         self.dim = L.dim
-        self.Lsym = _symmetric_part(L)
+        self._swapped = linear(tc.transpose_pair, L, 1, 2)
+        self.Lsym = _symmetric_part(L, self._swapped)
         self.R = curvature(self.Lsym)
         self.ricci = ricci(self.R)
-        self.skew_ricci = tc.alternate(self.ricci, 0, 1)
-        self.sym_ricci = tc.sym_pair(self.ricci, 0, 1)
+        self.ricci_T = tc.transpose_pair(self.ricci, 0, 1)
+        self.skew_ricci = tc.sub(self.ricci, self.ricci_T)
+        self.sym_ricci = _half_sum(self.ricci, self.ricci_T)
         # theta_j = L^a_ja of the symmetric part, with its gradient
         self.theta = linear(tc.contract, self.Lsym, 0, 1)
 
@@ -85,7 +95,7 @@ class ConnectionSpace:
     @once
     def Ltor(self) -> JetTensor:
         """The antisymmetric (half-difference) part of L, as a jet."""
-        return _half_difference(self.L)
+        return _half_difference(self.L, self._swapped)
 
     def torsion(self) -> Tensor:
         """The torsion tensor L^i_jk - L^i_kj (twice the half-difference part)."""

@@ -93,7 +93,10 @@ def rho(fields: SpaceFields) -> Tensor:
     return covariant_derivative(fields.b, fields.space.Lsym)
 
 
+@once
 def rho_skew(fields: SpaceFields) -> Tensor:
+    """The skew part of rho, built once per side: the check row and the
+    table part read the same tensor."""
     return tc.alternate(rho(fields), 0, 1)
 
 
@@ -134,7 +137,7 @@ PARTS = {
     "a_trace": lambda f, s: A_trace(f),
     "rho_skew": lambda f, s: rho_skew(f),
     "ricci": lambda f, s: s.ricci,
-    "ricci_T": lambda f, s: tc.transpose_pair(s.ricci, 0, 1),
+    "ricci_T": lambda f, s: s.ricci_T,
     "sym_ricci": lambda f, s: s.sym_ricci,
     "skew_ricci": lambda f, s: s.skew_ricci,
     "special_skew": lambda f, s: tc.alternate(s.special_trace_derivative(), 0, 1),

@@ -22,8 +22,9 @@ entries themselves in a fixed order, so float results and the signs of float
 zeros are reproducible.  ``ein`` runs the list path through its generated
 kernels (see "Minimal einsum" below): each output entry is its products
 added onto an integer 0 one after another, in order.  Exact operands take
-the same kernels, except that a permutation and a large two-operand
-contraction run exact-only integer kernels that give the same ints.  A
+the same kernels, except that an outer product (a permutation included), a
+chain of three or more operands and a large two-operand contraction run
+exact-only integer kernels that give the same ints.  A
 list-path output with a float operand is marked inexact when it is built;
 other tensors are scanned once, on first use, and the scan is cached.
 
@@ -65,7 +66,6 @@ adding blocks in the defining einsums' order so float zeros keep their signs.
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import product, repeat
@@ -313,17 +313,12 @@ def _kind(t: Tensor) -> str:
     return k
 
 
-def _result_kind(ts: Sequence[Tensor], cs: Sequence = ()):
-    """The kind of a kernel's output from operands ts and coefficients cs:
-    _INT or _FRACTION when all are exact (ints only if all are), _FLOAT when
-    a float goes in, else None (the output is scanned on first use)."""
+def _result_kind(ts: Sequence[Tensor]):
+    """The kind of a kernel's output from operands ts: _INT or _FRACTION
+    when all are exact (ints only if all are), _FLOAT when a float goes in,
+    else None (the output is scanned on first use).  ``lincomb`` applies the
+    same rule to its coefficients too."""
     k = _INT
-    for c in cs:
-        ct = type(c)
-        if ct is float:
-            return _FLOAT
-        if ct is not int:
-            k = _FRACTION if ct is Fraction and k else None
     for t in ts:
         tk = t._kind or _kind(t)
         if tk is _FLOAT:
@@ -511,20 +506,35 @@ def delta_sym(t: Tensor) -> Tensor:
 def lincomb(rows) -> Tensor:
     """The sum of c*t over rows (c, t) of same-shape tensors, in row order
     (see the module docstring for the order on the list path)."""
-    cs, ts = zip(*rows)
-    a = ts[0]
+    rows = tuple(rows)
+    a = rows[0][1]
     dim, p, q = a.dim, a.p, a.q
-    for t in ts:
+    # one pass over the rows: shapes, and _result_kind's rule with each
+    # coefficient taken as an operand of its type's kind (int: _INT,
+    # Fraction: _FRACTION, float: _FLOAT, any other: _OTHER)
+    kind = _INT
+    for c, t in rows:
         if t.dim != dim or t.p != p or t.q != q:
             raise ShapeError(f"shape mismatch: {a!r} vs {t!r}")
-    kind = _result_kind(ts, cs)
+        tk, ct = t._kind or _kind(t), type(c)
+        if tk is _FLOAT or ct is float:
+            kind = _FLOAT
+        elif kind is not _FLOAT:
+            if tk is _OTHER or ct is not int and ct is not Fraction:
+                kind = None
+            elif kind is _INT and (tk is _FRACTION or ct is Fraction):
+                kind = _FRACTION
     out = None
     if kind in _EXACT_KINDS:
         # the sum so far is f * out / den.  A row with another denominator
         # raises den to their lcm, and out's factor waits in f until the
         # next row is added: one pass per row, one normalisation per sum
-        for c, t in zip(cs, ts):
-            g, d, y = c.numerator, c.denominator * t._den, t._nums
+        for c, t in rows:
+            y = t._nums
+            if type(c) is int:
+                g, d = c, t._den
+            else:
+                g, d = c.numerator, c.denominator * t._den
             if out is None:
                 f, out, den = g, y, d
                 continue
@@ -543,7 +553,7 @@ def lincomb(rows) -> Tensor:
         if f != 1:
             out = [f * x for x in out]
         return _from_scaled(dim, (p, q), out, den, kind is _INT)
-    for c, t in zip(cs, ts):
+    for c, t in rows:
         if kind is _FLOAT and type(c) is Fraction:
             c = float(c)
         y = t.data
@@ -653,13 +663,23 @@ def _letters(n: int, start: int) -> str:
 # compiler's recursion limit.  Subscripts can come from user expressions, so
 # the plan cache keeps only the most recently used plans.
 #
-# Exact operands are Python-int numerators, so two plan shapes also get an
+# Exact operands are Python-int numerators, so three plan shapes also get an
 # exact kernel, built from the plan's offset columns on its first exact call
-# (float and other scalars never build one).  Both give the generic kernel's
-# integers, since int sums do not depend on their order:
+# (float and other scalars never build one: an exact kernel neither sums
+# onto 0 nor keeps the generic order, so float bits and signed zeros would
+# move).  Each gives the generic kernel's integers, since int sums and
+# products do not depend on their order:
 #
-# * a pure permutation (one operand, no summed or repeated letter) is one
-#   itemgetter gather;
+# * an outer product (no summed letter, no letter in two operands or twice
+#   in one) multiplies the operands' entries in one nested comprehension
+#   over their own row-major order, [x * y for x in d0 for y in d1] and so
+#   on operand by operand, then puts them in output order with one
+#   itemgetter gather; with one operand it is a permutation, the gather
+#   alone;
+# * three or more operands with a summed letter are contracted left to
+#   right, each step a two-operand plan on its own exact kernel; a step
+#   keeps the letters a later operand or the output still needs and sums
+#   the others, so jm,an,a,i->ijmn takes three N**4 steps, not N**5 terms;
 # * a two-operand contraction of PACKED_MADDS or more multiply-adds, with a
 #   summed letter, an output letter in each operand, and no letter repeated
 #   inside an operand or shared by both operands and the output, packs (SIMD
@@ -670,6 +690,10 @@ def _letters(n: int, start: int) -> str:
 #   one bytecode multiply-add per entry.  The slots hold every sum exactly
 #   while bits(max|a|) + bits(max|b|) + bits(summands) <= 63, checked per
 #   call; past it the generic kernel runs.
+#
+# _PLAN_CACHE.fast counts the exact ein calls that took an exact kernel, one
+# per call, and _PLAN_CACHE.fallbacks the packed calls that ran the generic
+# kernel instead; a chain counts once in fast, its steps in neither.
 
 PLAN_CACHE_CAP = 256  # the workloads use 63 plans (check) and 90 (agm3)
 KERNEL_TERMS = 128    # summands per pass: N**3 at N = 5 still takes one
@@ -707,27 +731,22 @@ class _Plan:
         self.exact = None
 
 
-class _PlanCache(OrderedDict):
-    """Einsum plans by (subscripts, dim, ranks); beyond PLAN_CACHE_CAP the
-    least recently used one goes.  Counts hits and misses, and the exact
-    calls that took an exact kernel (fast) or fell back past its bound."""
+class _PlanCache:
+    """Einsum plans: ``plan(expr, dim, ranks)`` is one ``lru_cache`` lookup,
+    which keeps the PLAN_CACHE_CAP most recently used plans and counts its
+    hits and misses.  ``fast`` counts the exact ``ein`` calls that took an
+    exact kernel and ``fallbacks`` those that fell back past its bound."""
 
-    hits = misses = fast = fallbacks = 0
+    fast = fallbacks = 0
 
-    def plan(self, key) -> _Plan:
-        got = self.get(key)
-        if got is None:
-            self.misses += 1
-            got = self[key] = _build_plan(*key)
-            if len(self) > PLAN_CACHE_CAP:
-                self.popitem(last=False)
-        else:
-            self.hits += 1
-            self.move_to_end(key)
-        return got
+    def __init__(self, build):
+        self.plan = lru_cache(maxsize=PLAN_CACHE_CAP)(build)
 
+    hits = property(lambda self: self.plan.cache_info().hits)
+    misses = property(lambda self: self.plan.cache_info().misses)
 
-_PLAN_CACHE = _PlanCache()
+    def __len__(self) -> int:
+        return self.plan.cache_info().currsize
 
 
 def _columns(ins: list[str], letters: list[str], dim: int) -> list[list[int]]:
@@ -789,6 +808,9 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]) -> _Plan:
     return _Plan(n_out, kernel, spec)
 
 
+_PLAN_CACHE = _PlanCache(_build_plan)
+
+
 def _gather(offsets: list[int]):
     """itemgetter(*offsets), always giving a tuple (one offset alone would
     give the bare entry)."""
@@ -809,27 +831,64 @@ def _bits(nums: list[int]) -> int:
     return max(max(nums), -min(nums)).bit_length()
 
 
+def _outer(ins: list[str], out_s: str, dim: int):
+    """The exact kernel of an einsum with no summed or repeated letter: the
+    operands' entries multiplied in their own row-major order, then one
+    gather into the output's (one operand: a permutation)."""
+    where = _columns(["".join(ins)], out_s, dim)[0]
+    order = None if where == list(range(len(where))) else _gather(where)
+
+    def outer(out, *rest):
+        _PLAN_CACHE.fast += 1
+        for b in rest:
+            out = [x * y for x in out for y in b]
+        if order is not None:
+            return list(order(out))
+        return out if rest else list(out)
+    return outer
+
+
+def _chain(ins: list[str], out_s: str, dim: int):
+    """The exact kernel of three or more operands with a summed letter: the
+    operands contracted left to right, each step a two-operand plan on its
+    own exact kernel whose output keeps, in order of first appearance, the
+    letters a later operand or the output still needs.  A chained call
+    counts once in _PLAN_CACHE.fast; its steps count in neither counter."""
+    steps, acc = [], ins[0]
+    for k in range(1, len(ins)):
+        later = set("".join(ins[k + 1:]) + out_s)
+        to = out_s if k == len(ins) - 1 else "".join(
+            dict.fromkeys(c for c in acc + ins[k] if c in later))
+        step = _build_plan(f"{acc},{ins[k]}->{to}", dim, (len(acc), len(ins[k])))
+        steps.append(_exact_kernel(step))
+        acc = to
+
+    def chain(out, *rest):
+        counts = _PLAN_CACHE.fast + 1, _PLAN_CACHE.fallbacks
+        for step, b in zip(steps, rest):
+            out = step(out, b)
+        _PLAN_CACHE.fast, _PLAN_CACHE.fallbacks = counts
+        return out
+    return chain
+
+
 def _exact_kernel(plan: _Plan):
-    """The plan's kernel for exact operands (see "Minimal einsum"): a gather
-    or the packed kernel, which count their calls in _PLAN_CACHE.fast (and
-    the packed kernel those past its bound, which run the generic kernel, in
-    _PLAN_CACHE.fallbacks), or else the generic kernel itself."""
+    """The plan's kernel for exact operands (see "Minimal einsum"): an
+    outer product, a chain or the packed kernel, which count their calls in
+    _PLAN_CACHE.fast (and the packed kernel those past its bound, which run
+    the generic kernel, in _PLAN_CACHE.fallbacks), or else the generic
+    kernel itself."""
     ins, out_s, letters, dim = plan.spec
     generic = plan.kernel
     if any(len(set(s)) != len(s) for s in ins):
         return generic
     summed = "".join(letters[len(out_s):])
-    if len(ins) == 1:
-        if summed:
-            return generic
-        get = _gather(_columns(ins, letters, dim)[0])
-
-        def gather(d):
-            _PLAN_CACHE.fast += 1
-            return list(get(d))
-        return gather
+    if not summed:  # an outer product, unless operands share a letter
+        return _outer(ins, out_s, dim) if sum(map(len, ins)) == len(out_s) else generic
+    if len(ins) > 2:
+        return _chain(ins, out_s, dim)
     free = [set(s) & set(out_s) for s in ins]
-    if (len(ins) != 2 or not summed or not all(free) or free[0] & free[1]
+    if (len(ins) == 1 or not all(free) or free[0] & free[1]
             or dim ** len(letters) < PACKED_MADDS):
         return generic
     # rows run over the operand with fewer free indices (tie: the one the
@@ -881,7 +940,7 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
     for t in tensors:
         if t.dim != dim:
             raise ShapeError("ein: dimension mismatch")
-    plan = _PLAN_CACHE.plan((expr, dim, tuple([t.p + t.q for t in tensors])))
+    plan = _PLAN_CACHE.plan(expr, dim, tuple([t.p + t.q for t in tensors]))
     if dim ** sum(out_valence) != plan.n_out:
         raise ShapeError(f"ein: output valence {out_valence} disagrees with {expr!r}")
     kind = _result_kind(tensors)

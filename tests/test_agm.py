@@ -136,6 +136,73 @@ def test_closed_forms_equal_the_term_by_term_sum(dim, mode):
                         assert fl.domain.measure(got, want)[0], key
 
 
+def _summed_terms(b, form):
+    """(total, mix) of a form by the route that sums its scaled terms: each
+    row's part scaled by its corrected coefficient (exact zeros for a zero
+    one), then summed with coefficient 1, the (0,2) terms through one delta
+    block."""
+    terms = []
+    for _, part, _, c in agm.tables(b.N, b.eps)[form]:
+        t = b.part(part)
+        terms.append(tc.scale(t, c) if c else tc.zeros(b.N, t.valence))
+    mix = tc.delta_mix(tc.lincomb([(1, t) for t in terms if t.p == 0]))
+    return tc.lincomb([*((1, t) for t in terms if t.p == 1), (1, mix)]), mix
+
+
+def _reprs(t):
+    return [repr(x) for x in t.data]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_coefficient_rows_sum_to_the_scaled_terms(mode):
+    # total and mix pass the coefficients to lincomb as rows: the same
+    # scaled form in rational mode, the same bits in float mode
+    for dim, seed, p in ((2, 0, 1), (3, 1, 2), (4, 2, 1)):
+        ins = generate_agm3(dim, seed, p, mode)
+        for fl in (ins.source_fields(), ins.target_fields()):
+            b = agm._blocks(fl)
+            for form in agm.tables(dim, b.eps):
+                total, mix = _summed_terms(b, form)
+                key = (dim, seed, p, form)
+                if mode == "rational":
+                    assert (b.total(form), b.mix(form)) == (total, mix), key
+                else:
+                    assert _reprs(b.total(form)) == _reprs(total), key
+                    assert _reprs(b.mix(form)) == _reprs(mix), key
+
+
+class _Built(agm._Blocks):
+    """Blocks over parts given by name, for a table built by hand."""
+
+    def __init__(self, parts):
+        self.N, self.eps, self._parts = 2, 1, parts
+
+    def part(self, name):
+        return self._parts[name]
+
+
+def test_a_zero_coefficient_row_enters_as_exact_zeros(monkeypatch):
+    # a -0.0 partial sum meets a zero-coefficient row: as exact zeros it
+    # reads -0.0 + 0 = 0.0, as the scaled terms do; the row 0 * part would
+    # add 0.0 * -1.5 = -0.0 and keep the -0.0
+    F = Fraction
+    parts = {"neg_zero": tc.Tensor(2, (1, 3), [-0.0] * 16),
+             "negative": tc.Tensor(2, (1, 3), [-1.5] * 16),
+             "core": tc.Tensor(2, (0, 2), [-0.0, 0.5, -1.5, 0.0]),
+             "core_neg": tc.Tensor(2, (0, 2), [-2.5] * 4)}
+    table = (("a", "neg_zero", F(1), F(1)), ("b", "negative", F(0), F(0)),
+             ("c", "core", F(1), F(1)), ("d", "core_neg", F(0), F(0)))
+    monkeypatch.setattr(agm, "tables", lambda N, eps: {"built": table})
+    b = _Built(parts)
+    assert _reprs(tc.lincomb(b.rows("built", 1))) == ["0.0"] * 16
+    assert _reprs(tc.lincomb(b.rows("built", 0)))[0] == "0.0"
+    plain = tc.lincomb([(c, parts[name]) for _, name, _, c in table[:2]])
+    assert _reprs(plain) == ["-0.0"] * 16
+    total, mix = _summed_terms(b, "built")
+    assert _reprs(b.total("built")) == _reprs(total)
+    assert _reprs(b.mix("built")) == _reprs(mix)
+
+
 def test_each_closed_form_takes_one_delta_block(monkeypatch):
     # the parts are built without a delta block; a form's total builds one
     calls = []
@@ -257,6 +324,35 @@ def test_diagnostics_report_frozen_pattern():
                 # only the mu == 0 degeneracy may flip a mismatch to a match
                 assert status == "mismatch" and got[key] == "match", key
                 assert s.agm.mu == 0, (key, s.agm.mu)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_diagnostics_table_rows_compare_both_columns(mode):
+    # each table row as if both columns' terms were built and measured, the
+    # rows whose columns are the same (not computed) included
+    skipped = 0
+    for dim in (2, 3, 4):
+        for p in (1, 2):
+            fl = generate_agm3(dim, dim, p, mode).source_fields()
+            b = agm._blocks(fl)
+            want = []
+            for section, table in agm.tables(dim, b.eps).items():
+                for group, part, published, corrected in table:
+                    x, y = b.part(part.removeprefix("sym_")), b.part(part)
+                    x, y = ((tc.scale(t, c) if c else tc.zeros(dim, t.valence))
+                            for t, c in ((x, published), (y, corrected)))
+                    ok, resid, _ = fl.domain.measure(x, y)
+                    want.append({"section": section, "group": group,
+                                 "status": "match" if ok else "mismatch",
+                                 "max_abs": float(resid)})
+                    skipped += (published, part) == (corrected, part.removeprefix("sym_"))
+            keys = {(r["section"], r["group"]) for r in want}
+            got = [r for r in agm.agm_diagnostics(fl)
+                   if (r["section"], r["group"]) in keys]
+            assert got == want, (dim, p)
+    # 20 rows of each table set, and at N = 2 first's over-quad, whose
+    # coefficients coincide there
+    assert skipped == 6 * 20 + 2
 
 
 def test_diagnostics_rows_carry_residual_magnitudes():

@@ -1,6 +1,7 @@
 """Dense rational/float tensor kernel: loop-free ops vs explicit loop oracles."""
 
 import ast
+import collections
 import functools
 import itertools
 import math
@@ -281,6 +282,20 @@ def test_add_rejects_shape_mismatch():
     with pytest.raises(ShapeError):  # a bad shape in a later row
         tc.lincomb([(1, tc.zeros(3, (0, 2))), (-1, tc.zeros(3, (0, 2))),
                     (Fraction(1, 2), tc.zeros(3, (1, 1)))])
+
+
+def test_lincomb_kind_takes_each_coefficient_as_an_operand():
+    # the one-pass kind of lincomb's output is _result_kind's over its
+    # operands and one operand per coefficient of the coefficient's kind
+    # (True stands for any other scalar type)
+    scalars = {"int": 2, "fraction": Fraction(1, 3), "float": 0.5, "other": True}
+    tensors = {k: Tensor(1, (0, 0), [x]) for k, x in scalars.items()}
+    for rows in itertools.chain.from_iterable(
+            itertools.product(itertools.product(scalars, repeat=2), repeat=n)
+            for n in (1, 2, 3)):
+        want = tc._result_kind([tensors[k] for row in rows for k in row])
+        got = tc.lincomb([(scalars[c], tensors[t]) for c, t in rows])
+        assert got._kind == want, rows
 
 
 # each case: rows (coefficient, entries) of a (0,1) tensor at N = 2, and why
@@ -1307,11 +1322,13 @@ def test_equal_exact_tensors_differ_by_a_zero_of_the_diff_type(data):
 
 # ---------------------------------------------------------------- exact kernels
 #
-# On exact operands a permutation is one gather and a large two-operand
-# contraction runs packed (see tensor_core's "Minimal einsum").  Both must
-# give the generic kernel's numerators entry for entry, and run exactly where
-# the shape and the per-call bit bound allow; every other operand kind keeps
-# the generic kernel.
+# On exact operands an outer product (a permutation included) is a product
+# and a gather, three or more operands with a summed letter are chained
+# through two-operand steps, and a large two-operand contraction runs packed
+# (see tensor_core's "Minimal einsum").  Each must give the generic kernel's
+# numerators entry for entry, and run exactly where the shape and the
+# per-call bit bound allow; every other operand kind keeps the generic
+# kernel.
 
 
 @functools.lru_cache(maxsize=None)
@@ -1339,19 +1356,22 @@ def _package_subscripts():
 
 
 def _takes_exact_kernel(expr, dim):
-    """The shape rule, restated: a permutation, or a two-operand contraction
-    of at least PACKED_MADDS multiply-adds with a summed letter, an output
-    letter in each operand, and no letter repeated inside an operand or
-    shared by both operands and the output."""
+    """The shape rule, restated: no letter repeated inside an operand, and
+    an outer product (no summed letter, no letter in two operands; one
+    operand: a permutation), three or more operands with a summed letter,
+    or a two-operand contraction of at least PACKED_MADDS multiply-adds with
+    a summed letter, an output letter in each operand, and no letter shared
+    by both operands and the output."""
     ins, out = expr.split("->")
     ops = ins.split(",")
     letters = set(ins) - {","}
     if any(len(set(s)) < len(s) for s in ops):
         return False
-    if len(ops) == 1:
-        return letters == set(out)
-    return (len(ops) == 2 and letters > set(out)
-            and all(set(s) & set(out) for s in ops)
+    if letters == set(out):
+        return sum(map(len, ops)) == len(out)
+    if len(ops) > 2:
+        return True
+    return (len(ops) == 2 and all(set(s) & set(out) for s in ops)
             and not set(ops[0]) & set(ops[1]) & set(out)
             and dim ** len(letters) >= tc.PACKED_MADDS)
 
@@ -1371,7 +1391,7 @@ def _check_exact_ein(expr, out_valence, ops):
     (fast, fallbacks) counts the call added."""
     cache, dim = tc._PLAN_CACHE, ops[0].dim
     assert all(tc._kind(t) in tc._EXACT_KINDS for t in ops)
-    plan = cache.plan((expr, dim, tuple(t.rank for t in ops)))
+    plan = cache.plan(expr, dim, tuple(t.rank for t in ops))
     want = tc._from_scaled(dim, out_valence, plan.kernel(*[t._nums for t in ops]),
                            math.prod(t._den for t in ops),
                            all(t._kind is tc._INT for t in ops))
@@ -1388,23 +1408,33 @@ _MAGNITUDES = (9, 2**20, 2**31, 2**40)
        mags=st.tuples(st.sampled_from(_MAGNITUDES), st.sampled_from(_MAGNITUDES)),
        seed=st.integers(0, 2**32))
 def test_exact_kernels_match_the_generic_kernel(dim, kind, mags, seed):
-    # every one- and two-operand subscript the package builds
+    # every subscript the package builds; an outer product or a chain counts
+    # one fast call, whatever its steps ran
     rng = random.Random(seed)
     for (expr, valences), out_valence in _package_subscripts().items():
-        if len(valences) > 2:
-            continue
-        ops = [_exact_operand(rng, dim, v, kind, m) for v, m in zip(valences, mags)]
+        ops = [_exact_operand(rng, dim, v, kind, m)
+               for v, m in zip(valences, itertools.cycle(mags))]
         moved = _check_exact_ein(expr, out_valence, ops)
+        ins, out = expr.split("->")
         if not _takes_exact_kernel(expr, dim):
             assert moved == (0, 0), expr
-        elif len(ops) == 1:
+        elif len(ops) != 2 or set(ins) - {","} == set(out):
             assert moved == (1, 0), expr
         else:
-            ins, out = expr.split("->")
             terms = dim ** len(set(ins) - set(out) - {","})
             bits = sum(max(map(abs, t._nums)).bit_length() for t in ops)
             fits = bits + terms.bit_length() <= 63
             assert moved == ((1, 0) if fits else (0, 1)), (expr, bits)
+
+
+def test_the_package_builds_outer_products_and_chains():
+    # so the test above covers both new kernels, at every dim it draws
+    shapes = collections.Counter()
+    for expr, valences in _package_subscripts():
+        ins, out = expr.split("->")
+        if _takes_exact_kernel(expr, 1) and len(valences) > 1:
+            shapes["chain" if set(ins) - {","} > set(out) else "outer"] += 1
+    assert shapes["outer"] >= 10 and shapes["chain"] == 3
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-bit-over"])
@@ -1435,7 +1465,7 @@ def test_batch_and_repeated_letters_take_the_generic_kernel(data, batch):
     rng = random.Random(expr)
     ops = [_exact_operand(rng, 5, (0, len(x)), "int", 9) for x in (a, b)]
     assert _check_exact_ein(expr, (0, 3), ops) == (0, 0)
-    plan = tc._PLAN_CACHE.plan((expr, 5, (len(a), len(b))))
+    plan = tc._PLAN_CACHE.plan(expr, 5, (len(a), len(b)))
     assert plan.exact is plan.kernel
 
 
@@ -1448,7 +1478,7 @@ def test_float_and_other_scalars_keep_the_generic_kernel():
     for (expr, valences), out_valence in _package_subscripts().items():
         for dim in (2, 5):
             datas = [_entries(rng, dim ** sum(v), "float") for v in valences]
-            want = cache.plan((expr, dim, tuple(map(sum, valences)))).kernel(*datas)
+            want = cache.plan(expr, dim, tuple(map(sum, valences))).kernel(*datas)
             got = tc.ein(expr, out_valence,
                          *[Tensor(dim, v, d) for v, d in zip(valences, datas)])
             assert [repr(x) for x in got.data] == [repr(x) for x in want], expr
@@ -1460,6 +1490,28 @@ def test_float_and_other_scalars_keep_the_generic_kernel():
             assert [x.terms for x in got.data] == [
                 x.terms for x in _o_ein(expr, 2, *datas)], expr
     assert (cache.fast, cache.fallbacks) == counts
+
+
+def test_a_float_operand_keeps_the_generic_kernel():
+    # one float operand among exact ones takes an outer product and a chain
+    # down the generic kernel: the exact kernels' bare product x*y would keep
+    # a -0.0 that the generic kernel's 0 + x*y turns into 0.0
+    cache = tc._PLAN_CACHE
+    rng = random.Random(101)
+    for expr, valences, out_valence in (
+            ("ab,cd->abcd", ((1, 1), (0, 2)), (1, 3)),
+            ("jm,an,a,i->ijmn", ((0, 2), (0, 2), (1, 0), (1, 0)), (1, 3))):
+        datas = [[Fraction(rng.randint(1, 9), 4) for _ in range(3 ** sum(v))]
+                 for v in valences]
+        datas[0][0] = -0.0
+        ops = [Tensor(3, v, d) for v, d in zip(valences, datas)]
+        assert [tc._kind(t) for t in ops][:2] == [tc._FLOAT, tc._FRACTION]
+        want = cache.plan(expr, 3, tuple(map(sum, valences))).kernel(*datas)
+        fast = cache.fast
+        got = tc.ein(expr, out_valence, *ops)
+        assert cache.fast == fast
+        assert [repr(x) for x in got.data] == [repr(x) for x in want], expr
+        assert repr(got.data[0]) == "0.0" and repr(-0.0 * datas[1][0]) == "-0.0"
 
 
 def test_exact_transpose_keeps_the_operand_denominator(monkeypatch):
