@@ -127,14 +127,16 @@ class _Blocks:
         tl = tc.ein("bab->a", (0, 1), ltor)
         nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv).data[0]
         tlphi = tc.ein("a,a->", (0, 0), tl, pv).data[0]
-        sphiphi = tc.ein("ab,a,b->", (0, 0), sv, pv, pv).data[0]
+        sphiphi = tc.ein("a,a->", (0, 0), w, pv).data[0]
         ttphi = tc.ein("a,a->", (0, 0), theta_t, pv).data[0]
         self.raw = {
             "R": space.R,
             "a_cd": tc.alternate(
                 tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3),
+            # sigma_an phi^a = w_n: sigma is symmetric on both sides (validate
+            # checks it on load, and the target side's is -sigma)
             "a_quad": tc.alternate(
-                tc.ein("jm,an,a,i->ijmn", (1, 3), sv, sv, pv, pv), 2, 3),
+                tc.ein("jm,n,i->ijmn", (1, 3), sv, w, pv), 2, 3),
             "a_nutor": tc.alternate(
                 tc.lincomb(((1, tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv)),
                             (eps, tc.ein("jm,in->ijmn", (1, 3), sv, torphi)))),
@@ -144,7 +146,7 @@ class _Blocks:
             "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
             "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
             "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
-            "tor": tc.ein("ja,abn,b->jn", (0, 2), sv, ltor, pv),
+            "tor": tc.ein("ja,an->jn", (0, 2), sv, torphi),
             "w_w": tc.ein("j,n->jn", (0, 2), w, w),
             "tt_tt": tc.ein("j,n->jn", (0, 2), theta_t, theta_t),
             "s_tt": tc.scale(sv, ttphi),

@@ -22,11 +22,11 @@ entries themselves in a fixed order, so float results and the signs of float
 zeros are reproducible.  ``ein`` runs the list path through its generated
 kernels (see "Minimal einsum" below): each output entry is its products
 added onto an integer 0 one after another, in order.  Exact operands take
-the same kernels, except that an outer product (a permutation included), a
-chain of three or more operands and a large two-operand contraction run
-exact-only integer kernels that give the same ints.  A
-list-path output with a float operand is marked inexact when it is built;
-other tensors are scanned once, on first use, and the scan is cached.
+the same kernels, except that an outer product (a permutation included) and
+a large two-operand contraction run exact-only integer kernels that give the
+same ints.  A list-path output with a float operand is marked inexact when
+it is built; other tensors are scanned once, on first use, and the scan is
+cached.
 
 ``lincomb(rows)``, the sum of c*t over rows (c, t), is the one
 elementwise-linear kernel (``add``, ``sub``, ``scale`` are its cases).
@@ -663,7 +663,7 @@ def _letters(n: int, start: int) -> str:
 # compiler's recursion limit.  Subscripts can come from user expressions, so
 # the plan cache keeps only the most recently used plans.
 #
-# Exact operands are Python-int numerators, so three plan shapes also get an
+# Exact operands are Python-int numerators, so two plan shapes also get an
 # exact kernel, built from the plan's offset columns on its first exact call
 # (float and other scalars never build one: an exact kernel neither sums
 # onto 0 nor keeps the generic order, so float bits and signed zeros would
@@ -676,10 +676,6 @@ def _letters(n: int, start: int) -> str:
 #   on operand by operand, then puts them in output order with one
 #   itemgetter gather; with one operand it is a permutation, the gather
 #   alone;
-# * three or more operands with a summed letter are contracted left to
-#   right, each step a two-operand plan on its own exact kernel; a step
-#   keeps the letters a later operand or the output still needs and sums
-#   the others, so jm,an,a,i->ijmn takes three N**4 steps, not N**5 terms;
 # * a two-operand contraction of PACKED_MADDS or more multiply-adds, with a
 #   summed letter, an output letter in each operand, and no letter repeated
 #   inside an operand or shared by both operands and the output, packs (SIMD
@@ -693,7 +689,7 @@ def _letters(n: int, start: int) -> str:
 #
 # _PLAN_CACHE.fast counts the exact ein calls that took an exact kernel, one
 # per call, and _PLAN_CACHE.fallbacks the packed calls that ran the generic
-# kernel instead; a chain counts once in fast, its steps in neither.
+# kernel instead.
 
 PLAN_CACHE_CAP = 256  # the workloads use 63 plans (check) and 90 (agm3)
 KERNEL_TERMS = 128    # summands per pass: N**3 at N = 5 still takes one
@@ -848,33 +844,9 @@ def _outer(ins: list[str], out_s: str, dim: int):
     return outer
 
 
-def _chain(ins: list[str], out_s: str, dim: int):
-    """The exact kernel of three or more operands with a summed letter: the
-    operands contracted left to right, each step a two-operand plan on its
-    own exact kernel whose output keeps, in order of first appearance, the
-    letters a later operand or the output still needs.  A chained call
-    counts once in _PLAN_CACHE.fast; its steps count in neither counter."""
-    steps, acc = [], ins[0]
-    for k in range(1, len(ins)):
-        later = set("".join(ins[k + 1:]) + out_s)
-        to = out_s if k == len(ins) - 1 else "".join(
-            dict.fromkeys(c for c in acc + ins[k] if c in later))
-        step = _build_plan(f"{acc},{ins[k]}->{to}", dim, (len(acc), len(ins[k])))
-        steps.append(_exact_kernel(step))
-        acc = to
-
-    def chain(out, *rest):
-        counts = _PLAN_CACHE.fast + 1, _PLAN_CACHE.fallbacks
-        for step, b in zip(steps, rest):
-            out = step(out, b)
-        _PLAN_CACHE.fast, _PLAN_CACHE.fallbacks = counts
-        return out
-    return chain
-
-
 def _exact_kernel(plan: _Plan):
     """The plan's kernel for exact operands (see "Minimal einsum"): an
-    outer product, a chain or the packed kernel, which count their calls in
+    outer product or the packed kernel, which count their calls in
     _PLAN_CACHE.fast (and the packed kernel those past its bound, which run
     the generic kernel, in _PLAN_CACHE.fallbacks), or else the generic
     kernel itself."""
@@ -885,10 +857,8 @@ def _exact_kernel(plan: _Plan):
     summed = "".join(letters[len(out_s):])
     if not summed:  # an outer product, unless operands share a letter
         return _outer(ins, out_s, dim) if sum(map(len, ins)) == len(out_s) else generic
-    if len(ins) > 2:
-        return _chain(ins, out_s, dim)
     free = [set(s) & set(out_s) for s in ins]
-    if (len(ins) == 1 or not all(free) or free[0] & free[1]
+    if (len(ins) != 2 or not all(free) or free[0] & free[1]
             or dim ** len(letters) < PACKED_MADDS):
         return generic
     # rows run over the operand with fewer free indices (tie: the one the

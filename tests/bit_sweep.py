@@ -1,4 +1,4 @@
-"""Bit-identity sweep: one sha256 over what geoinv writes and certifies.
+"""Bit-identity sweep: a sha256 per mode of what geoinv writes and certifies.
 
     python tests/bit_sweep.py <checkout> [--dims N ...]
 
@@ -15,9 +15,11 @@ N and seed.  The sweep: general N = 2-5 x seeds 0-3 x all 8 flag
 patterns, geodesic N = 2-5 x seeds 0-3, agm3 N = 2-4 x seeds 0-3 x
 p = 1, 2.  ``--dims`` replaces N = 2-5 by the dimensions given (agm3 still
 only up to 4): ``--dims 6`` sweeps the general and geodesic instances and
-the identity rows at N = 6.  Prints the number of digested records and the digest; two
-checkouts that print the same line wrote and certified the same bits.  Not
-a test module: pytest does not collect it.
+the identity rows at N = 6.  Prints one line per mode, rational then
+float: the mode, the number of its digested records and their digest.  Two
+checkouts that print the same line wrote and certified the same bits in
+that mode, so a change that moves only float bits shows that its rational
+line held.  Not a test module: pytest does not collect it.
 """
 
 import argparse
@@ -42,12 +44,13 @@ def _instances(mode, dims, seeds):
                 yield generate_agm3(dim, seed, p, mode)
 
 
-def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
-    """(records digested, sha256 hex) over the sweep at these dims and seeds."""
+def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> dict[str, tuple[int, str]]:
+    """{mode: (records digested, sha256 hex)} over the sweep at these dims
+    and seeds, rational then float."""
     from geoinv import agm, cli, invariants as inv
     from geoinv.tensor_core import ABS_TOL, REL_TOL
 
-    h, count = hashlib.sha256(), 0
+    out = {}
 
     def put(record: str) -> None:
         nonlocal count
@@ -55,6 +58,7 @@ def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
         count += 1
 
     for mode in ("rational", "float"):
+        h, count = hashlib.sha256(), 0
         for ins in _instances(mode, dims, seeds):
             text = cli.dumps(cli.instance_to_obj(ins))
             put(text)
@@ -78,7 +82,8 @@ def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> tuple[int, str]:
         for dim, seed in itertools.product(dims, seeds):
             for record in cli.identity_rows(dim, seed, mode, REL_TOL, ABS_TOL):
                 put(repr(record))
-    return count, h.hexdigest()
+        out[mode] = count, h.hexdigest()
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -95,8 +100,8 @@ def main(argv: list[str]) -> int:
     if Path(geoinv.__file__).resolve().parent.parent != src:
         print(f"geoinv imported from {geoinv.__file__}, not {src}", file=sys.stderr)
         return 2
-    count, hexdigest = digest(dims=args.dims)
-    print(count, hexdigest)
+    for mode, (count, hexdigest) in digest(dims=args.dims).items():
+        print(mode, count, hexdigest)
     return 0
 
 

@@ -1,7 +1,6 @@
 """Dense rational/float tensor kernel: loop-free ops vs explicit loop oracles."""
 
 import ast
-import collections
 import functools
 import itertools
 import math
@@ -1269,7 +1268,8 @@ def test_other_scalar_kind_matches_plain_fractions(dim):
 
 # The generated ein kernels by shape: more summands than one pass takes
 # (4096 for abcdef at dim 4; 129 for "a->" at dim 129, whose last pass adds
-# a single offset), rank-0 outputs, and agm's four-operand product.
+# a single offset), rank-0 outputs, and a four-operand product with summed
+# letters, which runs the generic kernel on every operand kind.
 KERNEL_CASES = (
     ("abcdef,abcdef->", (0, 0), ((0, 6), (0, 6)), (4,)),
     ("a->", (0, 0), ((1, 0),), (129,)),
@@ -1323,9 +1323,8 @@ def test_equal_exact_tensors_differ_by_a_zero_of_the_diff_type(data):
 # ---------------------------------------------------------------- exact kernels
 #
 # On exact operands an outer product (a permutation included) is a product
-# and a gather, three or more operands with a summed letter are chained
-# through two-operand steps, and a large two-operand contraction runs packed
-# (see tensor_core's "Minimal einsum").  Each must give the generic kernel's
+# and a gather, and a large two-operand contraction runs packed (see
+# tensor_core's "Minimal einsum").  Each must give the generic kernel's
 # numerators entry for entry, and run exactly where the shape and the
 # per-call bit bound allow; every other operand kind keeps the generic
 # kernel.
@@ -1358,10 +1357,9 @@ def _package_subscripts():
 def _takes_exact_kernel(expr, dim):
     """The shape rule, restated: no letter repeated inside an operand, and
     an outer product (no summed letter, no letter in two operands; one
-    operand: a permutation), three or more operands with a summed letter,
-    or a two-operand contraction of at least PACKED_MADDS multiply-adds with
-    a summed letter, an output letter in each operand, and no letter shared
-    by both operands and the output."""
+    operand: a permutation), or a two-operand contraction of at least
+    PACKED_MADDS multiply-adds with a summed letter, an output letter in each
+    operand, and no letter shared by both operands and the output."""
     ins, out = expr.split("->")
     ops = ins.split(",")
     letters = set(ins) - {","}
@@ -1369,8 +1367,6 @@ def _takes_exact_kernel(expr, dim):
         return False
     if letters == set(out):
         return sum(map(len, ops)) == len(out)
-    if len(ops) > 2:
-        return True
     return (len(ops) == 2 and all(set(s) & set(out) for s in ops)
             and not set(ops[0]) & set(ops[1]) & set(out)
             and dim ** len(letters) >= tc.PACKED_MADDS)
@@ -1408,8 +1404,8 @@ _MAGNITUDES = (9, 2**20, 2**31, 2**40)
        mags=st.tuples(st.sampled_from(_MAGNITUDES), st.sampled_from(_MAGNITUDES)),
        seed=st.integers(0, 2**32))
 def test_exact_kernels_match_the_generic_kernel(dim, kind, mags, seed):
-    # every subscript the package builds; an outer product or a chain counts
-    # one fast call, whatever its steps ran
+    # every subscript the package builds; an outer product counts one fast
+    # call
     rng = random.Random(seed)
     for (expr, valences), out_valence in _package_subscripts().items():
         ops = [_exact_operand(rng, dim, v, kind, m)
@@ -1418,7 +1414,7 @@ def test_exact_kernels_match_the_generic_kernel(dim, kind, mags, seed):
         ins, out = expr.split("->")
         if not _takes_exact_kernel(expr, dim):
             assert moved == (0, 0), expr
-        elif len(ops) != 2 or set(ins) - {","} == set(out):
+        elif set(ins) - {","} == set(out):
             assert moved == (1, 0), expr
         else:
             terms = dim ** len(set(ins) - set(out) - {","})
@@ -1427,14 +1423,17 @@ def test_exact_kernels_match_the_generic_kernel(dim, kind, mags, seed):
             assert moved == ((1, 0) if fits else (0, 1)), (expr, bits)
 
 
-def test_the_package_builds_outer_products_and_chains():
-    # so the test above covers both new kernels, at every dim it draws
-    shapes = collections.Counter()
+def test_the_package_builds_outer_products_and_no_chains():
+    # so the test above covers the outer-product kernel at every dim it
+    # draws, and every einsum of three or more operands is an outer product:
+    # none sums a letter
+    outer = 0
     for expr, valences in _package_subscripts():
         ins, out = expr.split("->")
-        if _takes_exact_kernel(expr, 1) and len(valences) > 1:
-            shapes["chain" if set(ins) - {","} > set(out) else "outer"] += 1
-    assert shapes["outer"] >= 10 and shapes["chain"] == 3
+        if len(valences) > 2:
+            assert set(ins) - {","} == set(out), expr
+        outer += _takes_exact_kernel(expr, 1) and len(valences) > 1
+    assert outer >= 10
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-bit-over"])
@@ -1493,14 +1492,14 @@ def test_float_and_other_scalars_keep_the_generic_kernel():
 
 
 def test_a_float_operand_keeps_the_generic_kernel():
-    # one float operand among exact ones takes an outer product and a chain
-    # down the generic kernel: the exact kernels' bare product x*y would keep
-    # a -0.0 that the generic kernel's 0 + x*y turns into 0.0
+    # one float operand among exact ones takes a two- and a three-operand
+    # outer product down the generic kernel: the exact kernels' bare product
+    # x*y would keep a -0.0 that the generic kernel's 0 + x*y turns into 0.0
     cache = tc._PLAN_CACHE
     rng = random.Random(101)
     for expr, valences, out_valence in (
             ("ab,cd->abcd", ((1, 1), (0, 2)), (1, 3)),
-            ("jm,an,a,i->ijmn", ((0, 2), (0, 2), (1, 0), (1, 0)), (1, 3))):
+            ("jm,n,i->ijmn", ((0, 2), (0, 1), (1, 0)), (1, 3))):
         datas = [[Fraction(rng.randint(1, 9), 4) for _ in range(3 ** sum(v))]
                  for v in valences]
         datas[0][0] = -0.0
