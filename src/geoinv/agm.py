@@ -2,11 +2,13 @@
 
 The generic pipeline (``invariants``) is the ground truth here.  Each closed
 form (basic, fourth, first) and the deformation curvature's expansion is one
-table, ``tables(N, eps)``, so it can be diffed against its pipeline
-counterpart group by group.  A row ``(group, part, published, corrected)``
-names a coefficient-free part of ``_Blocks`` and its two coefficients; a
-form is one ``lincomb`` of its rows (coefficient, part) in order, its (0,2)
-cores entering through one delta block of their sum.
+table, ``tables(N)``, so it can be diffed against its pipeline counterpart
+group by group.  A row ``(group, part, published, corrected)`` names a
+coefficient-free part and its two coefficients.  The rule's parts join
+``invariants.PARTS`` at import, so ``invariants.part`` resolves every part a
+table names and ``invariants._sum`` sums every row; a form's (0,2) cores
+enter through one delta block of their sum.  The torsion parts carry the
+rule's sign (-1)^p, so no coefficient depends on p.
 
 * The corrected column equals the pipeline value exactly; ``agm_basic``,
   ``agm_fourth`` and ``agm_first`` read it.
@@ -35,7 +37,9 @@ from .invariants import (
     A_trace,
     Decomposition,
     DecompositionError,
+    PARTS,
     S_tilde,
+    _sum,
     part,
     rho,
     weyl_factored,
@@ -47,10 +51,10 @@ from .tensor_core import Tensor, once
 
 
 @cache
-def tables(N: int, eps: int) -> MappingProxyType[str, tuple[tuple, ...]]:
+def tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     """Each closed form's rows (group, part, published, corrected) at
-    dimension N and sign eps, in summation order; built once per (N, eps)
-    and shared, so read-only."""
+    dimension N, in summation order; built once per N and shared, so
+    read-only."""
     F = Fraction
     deform = (("mu", "a_mu", F(-1, 4), F(-1, 2)),
               ("cd", "a_cd", F(1, 4), F(1, 2)),
@@ -62,7 +66,7 @@ def tables(N: int, eps: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     trace = (("trace-theta", "theta", F(-1, N + 1), F(-1, N + 1)),
              ("trace-cd", "cd_j", F(-1, 2 * (N + 1)), F(-1, 2 * (N + 1))),
              ("trace-nu", "w_nu", F(-1, 2 * (N + 1)), F(-1, 2 * (N + 1))),
-             ("trace-tor", "tor", F(-eps, 2 * (N + 1)), F(-eps, 2 * (N + 1))))
+             ("trace-tor", "tor", F(-1, 2 * (N + 1)), F(-1, 2 * (N + 1))))
     q, h = F(1, 4 * (N - 1)), F(1, 2 * (N - 1))
     over = F(-1, 4 * (N + 1) ** 2 * (N - 1))
     return MappingProxyType({
@@ -83,10 +87,10 @@ def tables(N: int, eps: int) -> MappingProxyType[str, tuple[tuple, ...]]:
             ("trace-cd", "sym_cd", q, h),
             ("trace-scalar-quad", "s_quad", q, q),
             ("trace-scalar-nu", "s_nu", q, h),
-            ("trace-scalar-tor", "s_tor", eps * q, eps * h),
+            ("trace-scalar-tor", "s_tor", q, h),
             ("trace-outer-quad", "w_w", -q, -q),
             ("trace-outer-nu", "sym_w_nu", -q, -h),
-            ("trace-outer-tor", "sym_tor", -eps * q, -eps * h),
+            ("trace-outer-tor", "sym_tor", -q, -h),
         ),
         "first": (
             curvature, *trace,
@@ -100,127 +104,112 @@ def tables(N: int, eps: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     })
 
 
-class _Blocks:
-    """The coefficient-free parts of the closed forms, built once per bundle.
-
-    ``raw`` holds four (1,3) parts, the curvature ``R`` and the
+@once
+def _agm_parts(fields: SpaceFields) -> dict[str, Tensor]:
+    """The rule's own parts, built together once per bundle: the (1,3)
     deformation-curvature structures ``a_cd``, ``a_quad`` and ``a_nutor``,
-    and the (0,2) cores that a form enters through its delta block; ``sym``
-    is the same with the ricci, cd_j, w_nu and tor cores symmetrized first.
-    """
-
-    def __init__(self, fields: SpaceFields):
-        agm = fields.agm
-        if agm is None:
-            raise NotApplicableError(
-                "closed almost-geodesic forms need the vector-field block")
-        space = fields.space
-        self.N = space.dim
-        self.eps = eps = -1 if agm.p % 2 else 1
-        sv = agm.sigma.value
-        pv = agm.phi.value
-        sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
-        ltor = space.Ltor.value
-        w = tc.ein("ja,a->j", (0, 1), sv, pv)
-        theta_t = tc.lincomb(((1, space.theta.value), (Fraction(1, 2), w)))
-        torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
-        tl = tc.ein("bab->a", (0, 1), ltor)
-        nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv).data[0]
-        tlphi = tc.ein("a,a->", (0, 0), tl, pv).data[0]
-        sphiphi = tc.ein("a,a->", (0, 0), w, pv).data[0]
-        ttphi = tc.ein("a,a->", (0, 0), theta_t, pv).data[0]
-        self.raw = {
-            "R": space.R,
-            "a_cd": tc.alternate(
-                tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3),
-            # sigma_an phi^a = w_n: sigma is symmetric on both sides (validate
-            # checks it on load, and the target side's is -sigma)
-            "a_quad": tc.alternate(
-                tc.ein("jm,n,i->ijmn", (1, 3), sv, w, pv), 2, 3),
-            "a_nutor": tc.alternate(
-                tc.lincomb(((1, tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv)),
-                            (eps, tc.ein("jm,in->ijmn", (1, 3), sv, torphi)))),
-                2, 3),
-            "a_mu": tc.scale(sv, agm.mu),
-            "theta": space.trace_cov_derivative(),
-            "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
-            "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
-            "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
-            "tor": tc.ein("ja,an->jn", (0, 2), sv, torphi),
-            "w_w": tc.ein("j,n->jn", (0, 2), w, w),
-            "tt_tt": tc.ein("j,n->jn", (0, 2), theta_t, theta_t),
-            "s_tt": tc.scale(sv, ttphi),
-            "s_quad": tc.scale(sv, sphiphi),
-            "s_nu": tc.scale(sv, nuphi),
-            "s_tor": tc.scale(sv, tlphi),
-            "ricci": space.ricci,
-        }
-        self.sym = {**self.raw, "ricci": space.sym_ricci,
-                    **{k: tc.sym_pair(self.raw[k], 0, 1)
-                       for k in ("cd_j", "w_nu", "tor")}}
-
-    @once
-    def part(self, name: str) -> Tensor:
-        """A (1,3) part or a core by name, read from ``sym`` for a ``sym_``
-        name; the core differences the forms group are built on first use."""
-        m = self.sym if name.startswith("sym_") else self.raw
-        name = name.removeprefix("sym_")
-        if name == "cd":
-            return tc.sub(m["cd_n"], m["cd_j"])
-        if name == "quad":
-            return tc.sub(m["s_quad"], m["w_w"])
-        if name == "nutor":
-            return tc.lincomb(((1, tc.sub(m["s_nu"], m["w_nu"])),
-                               (self.eps, tc.sub(m["s_tor"], m["tor"]))))
-        return m[name]
-
-    @once
-    def term(self, part: str, num: int, den: int) -> Tensor:
-        """A part scaled by num/den, shared by every diagnostic row and the
-        split (int keys: a ``Fraction`` key would pay for its hash on each
-        call)."""
-        return tc.lincomb((_row(Fraction(num, den), self.part(part)),))
-
-    def rows(self, form: str, p: int) -> list[tuple]:
-        """The rows (c, part) of a form's corrected column whose parts have
-        p upper indices, in table order."""
-        out = []
-        for _, name, _, c in tables(self.N, self.eps)[form]:
-            t = self.part(name)
-            if t.p == p:
-                out.append(_row(c, t))
-        return out
-
-    @once
-    def mix(self, form: str) -> Tensor:
-        """The delta block of a form's (0,2) terms' sum (delta_mix is linear)."""
-        return tc.delta_mix(tc.lincomb(self.rows(form, 0)))
-
-    @once
-    def total(self, form: str) -> Tensor:
-        """A form's corrected column summed in row order: (1,3) terms, then mix."""
-        return tc.lincomb([*self.rows(form, 1), (1, self.mix(form))])
+    and the (0,2) cores that a form enters through its delta block.  The
+    torsion half enters as (-1)^p L~, so every part built on it carries the
+    rule's sign and no table coefficient does."""
+    agm = fields.agm
+    if agm is None:
+        raise NotApplicableError(
+            "closed almost-geodesic forms need the vector-field block")
+    space = fields.space
+    sv = agm.sigma.value
+    pv = agm.phi.value
+    sigma_cd = covariant_derivative(agm.sigma, space.Lsym)
+    ltor = tc.scale(space.Ltor.value, -1) if agm.p % 2 else space.Ltor.value
+    w = tc.ein("ja,a->j", (0, 1), sv, pv)
+    theta_t = tc.lincomb(((1, space.theta.value), (Fraction(1, 2), w)))
+    torphi = tc.ein("ian,a->in", (1, 1), ltor, pv)
+    tl = tc.ein("bab->a", (0, 1), ltor)
+    nuphi = tc.ein("a,a->", (0, 0), agm.nu, pv).data[0]
+    tlphi = tc.ein("a,a->", (0, 0), tl, pv).data[0]
+    sphiphi = tc.ein("a,a->", (0, 0), w, pv).data[0]
+    ttphi = tc.ein("a,a->", (0, 0), theta_t, pv).data[0]
+    return {
+        "a_cd": tc.alternate(
+            tc.ein("jmn,i->ijmn", (1, 3), sigma_cd, pv), 2, 3),
+        # sigma_an phi^a = w_n: sigma is symmetric on both sides (validate
+        # checks it on load, and the target side's is -sigma)
+        "a_quad": tc.alternate(
+            tc.ein("jm,n,i->ijmn", (1, 3), sv, w, pv), 2, 3),
+        "a_nutor": tc.alternate(
+            tc.add(tc.ein("jm,n,i->ijmn", (1, 3), sv, agm.nu, pv),
+                   tc.ein("jm,in->ijmn", (1, 3), sv, torphi)), 2, 3),
+        "a_mu": tc.scale(sv, agm.mu),
+        "cd_j": tc.ein("jan,a->jn", (0, 2), sigma_cd, pv),
+        "cd_n": tc.ein("jna,a->jn", (0, 2), sigma_cd, pv),
+        "w_nu": tc.ein("j,n->jn", (0, 2), w, agm.nu),
+        "tor": tc.ein("ja,an->jn", (0, 2), sv, torphi),
+        "w_w": tc.ein("j,n->jn", (0, 2), w, w),
+        "tt_tt": tc.ein("j,n->jn", (0, 2), theta_t, theta_t),
+        "s_tt": tc.scale(sv, ttphi),
+        "s_quad": tc.scale(sv, sphiphi),
+        "s_nu": tc.scale(sv, nuphi),
+        "s_tor": tc.scale(sv, tlphi),
+    }
 
 
-def _row(c: Fraction, t: Tensor) -> tuple:
-    """The lincomb row c*t.  A zero coefficient gives exact zeros, as a
-    scaled float part would carry signed zeros into the sum."""
-    return (c, t) if c else (1, tc.zeros(t.dim, t.valence))
+def _nutor(fields: SpaceFields, pre: str) -> Tensor:
+    """The nu and torsion core differences, over the w_nu and tor cores
+    named with prefix ``pre`` ("" or "sym_")."""
+    return tc.add(tc.sub(part(fields, "s_nu"), part(fields, pre + "w_nu")),
+                  tc.sub(part(fields, "s_tor"), part(fields, pre + "tor")))
+
+
+# the rule's parts join the Weyl-type tables' in one registry (``invariants``
+# cannot import this module); R, theta, ricci and sym_ricci are already
+# there.  The core differences the forms group are built on first use
+PARTS.update(
+    {name: lambda f, s, name=name: _agm_parts(f)[name]
+     for name in ("a_cd", "a_quad", "a_nutor", "a_mu", "cd_j", "cd_n", "w_nu",
+                  "tor", "w_w", "tt_tt", "s_tt", "s_quad", "s_nu", "s_tor")},
+    **{"sym_" + k: lambda f, s, k=k: tc.sym_pair(part(f, k), 0, 1)
+       for k in ("cd_j", "w_nu", "tor")},
+    cd=lambda f, s: tc.sub(part(f, "cd_n"), part(f, "cd_j")),
+    sym_cd=lambda f, s: tc.sub(part(f, "cd_n"), part(f, "sym_cd_j")),
+    quad=lambda f, s: tc.sub(part(f, "s_quad"), part(f, "w_w")),
+    nutor=lambda f, s: _nutor(f, ""),
+    sym_nutor=lambda f, s: _nutor(f, "sym_"))
+
+
+def _rows(fields: SpaceFields, form: str, p: int) -> list[tuple]:
+    """The rows (c, part tensor) of a form's corrected column whose parts
+    have p upper indices, in table order."""
+    return [(c, t) for _, name, _, c in tables(fields.dim)[form]
+            if (t := part(fields, name)).p == p]
 
 
 @once
-def _blocks(fields: SpaceFields) -> _Blocks:
-    return _Blocks(fields)
+def _mix(fields: SpaceFields, form: str) -> Tensor:
+    """The delta block of a form's (0,2) terms' sum (delta_mix is linear)."""
+    return tc.delta_mix(_sum(fields, _rows(fields, form, 0)))
+
+
+@once
+def _total(fields: SpaceFields, form: str) -> Tensor:
+    """A form's corrected column summed in row order: (1,3) terms, then mix."""
+    return _sum(fields, [*_rows(fields, form, 1), (1, _mix(fields, form))])
+
+
+@once
+def _term(fields: SpaceFields, name: str, num: int, den: int) -> Tensor:
+    """A part scaled by num/den, shared by every diagnostic row and the
+    split (int keys: a ``Fraction`` key would pay for its hash on each
+    call)."""
+    return _sum(fields, ((Fraction(num, den), name),))
 
 
 def agm_basic(fields: SpaceFields) -> Tensor:
     """Basic Weyl-type closed form of the vector-field rule."""
-    return _blocks(fields).total("basic")
+    return _total(fields, "basic")
 
 
 def agm_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived closed form of the vector-field rule."""
-    return _blocks(fields).total("fourth")
+    return _total(fields, "fourth")
 
 
 def agm_first(fields: SpaceFields) -> Tensor:
@@ -230,21 +219,18 @@ def agm_first(fields: SpaceFields) -> Tensor:
     invariant only up to a skew-Ricci trace term; see the first-derived
     pipeline functions for the closed invariant.
     """
-    return _blocks(fields).total("first")
+    return _total(fields, "first")
 
 
 def rho_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the deformation-trace derivative for this rule."""
-    b = _blocks(fields)
-    out = tc.lincomb(((1, b.raw["cd_j"]), (1, b.raw["w_nu"]), (1, b.raw["a_mu"]),
-                      (b.eps, b.raw["tor"])))
+    out = _sum(fields, ((1, "cd_j"), (1, "w_nu"), (1, "a_mu"), (1, "tor")))
     return tc.scale(out, Fraction(-1, 2))
 
 
 def s_tilde_closed(fields: SpaceFields) -> Tensor:
     """Closed form of the quadratic trace completion for this rule."""
-    b = _blocks(fields)
-    return tc.lincomb(((1, b.raw["tt_tt"]), (Fraction(-(b.N + 1), 2), b.raw["s_tt"])))
+    return _sum(fields, ((1, "tt_tt"), (Fraction(-(fields.dim + 1), 2), "s_tt")))
 
 
 def agm_decompose(fields: SpaceFields) -> Decomposition:
@@ -254,11 +240,10 @@ def agm_decompose(fields: SpaceFields) -> Decomposition:
     Validates the reconstruction against the pipeline's deformation
     curvature; a residual means the input bundle is inconsistent.
     """
-    b = _blocks(fields)
-    g = {group: b.term(part, *c.as_integer_ratio())
-         for group, part, _, c in tables(b.N, b.eps)["deform"]}
+    g = {group: _term(fields, name, *c.as_integer_ratio())
+         for group, name, _, c in tables(fields.dim)["deform"]}
     dec = Decomposition(g["mu"], tc.add(g["cd"], tc.add(g["quad"], g["nutor"])),
-                        b.mix("deform"))
+                        _mix(fields, "deform"))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
     if not ok:
         raise DecompositionError(
@@ -291,8 +276,7 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     columns are the same is not computed; see the module docstring).  A core
     row compares cores: for N >= 2 Y's entries are delta_mix(Y)'s, so max|Y|
     is the same."""
-    b = _blocks(fields)
-    N = b.N
+    N = fields.dim
     rows: list[dict] = []
 
     def row(section: str, group: str, x: Tensor, y: Tensor) -> None:
@@ -301,15 +285,15 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
                      "status": "match" if ok else "mismatch", "max_abs": float(resid)})
 
     def table(section: str, pipeline: Tensor) -> None:
-        for group, part, published, corrected in tables(N, b.eps)[section]:
-            bare = part.removeprefix("sym_")
-            if (published, bare) == (corrected, part):  # one tensor on both sides
+        for group, name, published, corrected in tables(N)[section]:
+            bare = name.removeprefix("sym_")
+            if (published, bare) == (corrected, name):  # one tensor on both sides
                 rows.append({"section": section, "group": group,
                              "status": "match", "max_abs": 0.0})
             else:
-                row(section, group, b.term(bare, *published.as_integer_ratio()),
-                    b.term(part, *corrected.as_integer_ratio()))
-        row(section, "total-vs-pipeline", b.total(section), pipeline)
+                row(section, group, _term(fields, bare, *published.as_integer_ratio()),
+                    _term(fields, name, *corrected.as_integer_ratio()))
+        row(section, "total-vs-pipeline", _total(fields, section), pipeline)
 
     table("deform", A_tensor(fields))
     row("trace-derivative", "full", rho_closed(fields), rho(fields))

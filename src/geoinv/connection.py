@@ -15,14 +15,6 @@ from .jet import JetTensor, linear
 from .tensor_core import ShapeError, Tensor, once
 
 
-def split(L: JetTensor) -> tuple[JetTensor, JetTensor]:
-    """Symmetric and antisymmetric (half-difference) parts, as jets."""
-    if L.valence != (1, 2):
-        raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
-    swapped = linear(tc.transpose_pair, L, 1, 2)
-    return _symmetric_part(L, swapped), _half_difference(L, swapped)
-
-
 def _half_sum(t: Tensor, swapped: Tensor) -> Tensor:
     """``tc.sym_pair`` of t with its swapped pair given: each swap is built
     once and shared with the alternation."""
@@ -96,10 +88,6 @@ class ConnectionSpace:
     def Ltor(self) -> JetTensor:
         """The antisymmetric (half-difference) part of L, as a jet."""
         return _half_difference(self.L, self._swapped)
-
-    def torsion(self) -> Tensor:
-        """The torsion tensor L^i_jk - L^i_kj (twice the half-difference part)."""
-        return tc.scale(self.Ltor.value, 2)
 
     @once
     def trace_cov_derivative(self) -> Tensor:

@@ -4,7 +4,9 @@ Every function here evaluates one side of a mapping from its SpaceFields
 bundle (a geodesic form from its ConnectionSpace); comparing the two sides is
 what certifies (or refutes) invariance.  Each Weyl-type form but the basic
 one is a coefficient table over named parts (``weyl_tables``, ``part``); all
-are antisymmetric in their last index pair by construction.
+are antisymmetric in their last index pair by construction.  ``part`` is the
+one resolver of named parts: the third-type closed forms' tables
+(``agm.tables``) read theirs through it too.
 
 Two deliberately redundant routes exist in several places (e.g. the basic
 reduced connection versus its expanded form, and the closed derived forms
@@ -124,7 +126,8 @@ def A_trace(fields: SpaceFields) -> Tensor:
 
 
 # a side's named parts besides its Weyl-type forms, by (side, its space):
-# (1,3) tensors, and (0,2) cores that a row takes through a delta block
+# (1,3) tensors, and (0,2) cores that a row takes through a delta block.
+# ``agm`` adds the third-type rule's parts at import
 PARTS = {
     "R": lambda f, s: s.R,
     "A": lambda f, s: A_tensor(f),
@@ -200,9 +203,15 @@ def part(side: SpaceFields | ConnectionSpace, name: str | tuple) -> Tensor:
     return _sum(side, weyl_tables(side.dim)[name])
 
 
-def _sum(side: SpaceFields | ConnectionSpace, rows: tuple) -> Tensor:
-    """Rows (coefficient, part) summed in order (``tc.lincomb``)."""
-    return tc.lincomb([(c, part(side, name)) for c, name in rows])
+def _sum(side: SpaceFields | ConnectionSpace, rows) -> Tensor:
+    """Rows (coefficient, part) summed in order (``tc.lincomb``), each part
+    named or given as a tensor.  A zero coefficient enters as exact zeros,
+    as a scaled float part would carry signed zeros into the sum."""
+    terms = []
+    for c, name in rows:
+        t = name if isinstance(name, Tensor) else part(side, name)
+        terms.append((c, t) if c else (1, tc.zeros(t.dim, t.valence)))
+    return tc.lincomb(terms)
 
 
 def weyl_factored(fields: SpaceFields) -> Tensor:

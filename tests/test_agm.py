@@ -8,6 +8,7 @@ so the comparison allows exactly that degeneracy and nothing else.
 
 import collections
 import functools
+import types
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ import pytest
 from geoinv import agm, invariants as inv, tensor_core as tc
 from geoinv.cli import pair_invariants
 from geoinv.jet import zero_jet
-from geoinv.mappings import AGMData, SpaceFields, generate, generate_agm3
+from geoinv.mappings import (AGMData, NotApplicableError, SpaceFields, generate,
+                             generate_agm3)
 
 EXPECT = {
     ("deform", "mu"): "mismatch",
@@ -101,15 +103,15 @@ def test_corrected_closed_forms_match_pipeline_on_both_sides():
             assert tc.max_abs_diff(first, inv.part(fl, "weyl_first_display")) == 0, key
 
 
-def _term_by_term(b, form):
+def _term_by_term(fl, form):
     """A form's corrected column rebuilt as (1,3) terms: each core through its
     own delta block, each part scaled, summed in row order."""
     out = None
-    for _, part, _, c in agm.tables(b.N, b.eps)[form]:
-        t = b.part(part)
+    for _, name, _, c in agm.tables(fl.dim)[form]:
+        t = inv.part(fl, name)
         if t.valence == (0, 2):
             t = tc.delta_mix(t)
-        t = tc.scale(t, c) if c else tc.zeros(b.N, (1, 3))
+        t = tc.scale(t, c) if c else tc.zeros(fl.dim, (1, 3))
         out = t if out is None else tc.add(out, t)
     return out
 
@@ -119,7 +121,7 @@ def _term_by_term(b, form):
 def test_closed_forms_equal_the_term_by_term_sum(dim, mode):
     # one delta block of the summed cores is the sum of the cores' blocks:
     # exactly in rational mode, to the closeness rule in float mode
-    forms = {"deform": lambda fl: agm._blocks(fl).total("deform"),
+    forms = {"deform": lambda fl: agm._total(fl, "deform"),
              "basic": agm.agm_basic, "fourth": agm.agm_fourth,
              "first": agm.agm_first}
     for seed in (0, 1, 2):
@@ -128,7 +130,7 @@ def test_closed_forms_equal_the_term_by_term_sum(dim, mode):
             for fl in (ins.source_fields(), ins.target_fields()):
                 for form, closed in forms.items():
                     got = closed(fl)
-                    want = _term_by_term(agm._blocks(fl), form)
+                    want = _term_by_term(fl, form)
                     key = (dim, seed, p, form)
                     if mode == "rational":
                         assert got == want, key
@@ -136,15 +138,15 @@ def test_closed_forms_equal_the_term_by_term_sum(dim, mode):
                         assert fl.domain.measure(got, want)[0], key
 
 
-def _summed_terms(b, form):
+def _summed_terms(fl, form):
     """(total, mix) of a form by the route that sums its scaled terms: each
     row's part scaled by its corrected coefficient (exact zeros for a zero
     one), then summed with coefficient 1, the (0,2) terms through one delta
     block."""
     terms = []
-    for _, part, _, c in agm.tables(b.N, b.eps)[form]:
-        t = b.part(part)
-        terms.append(tc.scale(t, c) if c else tc.zeros(b.N, t.valence))
+    for _, name, _, c in agm.tables(fl.dim)[form]:
+        t = inv.part(fl, name)
+        terms.append(tc.scale(t, c) if c else tc.zeros(fl.dim, t.valence))
     mix = tc.delta_mix(tc.lincomb([(1, t) for t in terms if t.p == 0]))
     return tc.lincomb([*((1, t) for t in terms if t.p == 1), (1, mix)]), mix
 
@@ -160,25 +162,15 @@ def test_coefficient_rows_sum_to_the_scaled_terms(mode):
     for dim, seed, p in ((2, 0, 1), (3, 1, 2), (4, 2, 1)):
         ins = generate_agm3(dim, seed, p, mode)
         for fl in (ins.source_fields(), ins.target_fields()):
-            b = agm._blocks(fl)
-            for form in agm.tables(dim, b.eps):
-                total, mix = _summed_terms(b, form)
+            for form in agm.tables(dim):
+                total, mix = _summed_terms(fl, form)
+                got = agm._total(fl, form), agm._mix(fl, form)
                 key = (dim, seed, p, form)
                 if mode == "rational":
-                    assert (b.total(form), b.mix(form)) == (total, mix), key
+                    assert got == (total, mix), key
                 else:
-                    assert _reprs(b.total(form)) == _reprs(total), key
-                    assert _reprs(b.mix(form)) == _reprs(mix), key
-
-
-class _Built(agm._Blocks):
-    """Blocks over parts given by name, for a table built by hand."""
-
-    def __init__(self, parts):
-        self.N, self.eps, self._parts = 2, 1, parts
-
-    def part(self, name):
-        return self._parts[name]
+                    assert _reprs(got[0]) == _reprs(total), key
+                    assert _reprs(got[1]) == _reprs(mix), key
 
 
 def test_a_zero_coefficient_row_enters_as_exact_zeros(monkeypatch):
@@ -190,17 +182,54 @@ def test_a_zero_coefficient_row_enters_as_exact_zeros(monkeypatch):
              "negative": tc.Tensor(2, (1, 3), [-1.5] * 16),
              "core": tc.Tensor(2, (0, 2), [-0.0, 0.5, -1.5, 0.0]),
              "core_neg": tc.Tensor(2, (0, 2), [-2.5] * 4)}
+    for name, t in parts.items():
+        monkeypatch.setitem(inv.PARTS, name, lambda f, s, t=t: t)
     table = (("a", "neg_zero", F(1), F(1)), ("b", "negative", F(0), F(0)),
              ("c", "core", F(1), F(1)), ("d", "core_neg", F(0), F(0)))
-    monkeypatch.setattr(agm, "tables", lambda N, eps: {"built": table})
-    b = _Built(parts)
-    assert _reprs(tc.lincomb(b.rows("built", 1))) == ["0.0"] * 16
-    assert _reprs(tc.lincomb(b.rows("built", 0)))[0] == "0.0"
-    plain = tc.lincomb([(c, parts[name]) for _, name, _, c in table[:2]])
+    monkeypatch.setattr(agm, "tables", lambda N: {"built": table})
+    side = types.SimpleNamespace(dim=2)  # a hand-built side: parts by name
+    rows = [(c, name) for _, name, _, c in table]
+    assert _reprs(inv._sum(side, rows[:2])) == ["0.0"] * 16
+    assert _reprs(inv._sum(side, rows[2:]))[0] == "0.0"
+    plain = tc.lincomb([(c, parts[name]) for c, name in rows[:2]])
     assert _reprs(plain) == ["-0.0"] * 16
-    total, mix = _summed_terms(b, "built")
-    assert _reprs(b.total("built")) == _reprs(total)
-    assert _reprs(b.mix("built")) == _reprs(mix)
+    total, mix = _summed_terms(side, "built")
+    assert _reprs(agm._total(side, "built")) == _reprs(total)
+    assert _reprs(agm._mix(side, "built")) == _reprs(mix)
+
+
+def _table_parts(N):
+    """Every part name either column of agm.tables(N) reads (the published
+    one reads a sym_ part without its prefix)."""
+    return {n for rows in agm.tables(N).values() for _, name, _, _ in rows
+            for n in (name, name.removeprefix("sym_"))}
+
+
+def test_every_table_part_resolves_through_the_registry():
+    for dim in (2, 3, 4):
+        fl = generate_agm3(dim, 1, 1, "rational").source_fields()
+        for name in _table_parts(dim):
+            assert inv.part(fl, name).valence in ((1, 3), (0, 2)), (dim, name)
+
+
+def test_a_general_bundle_has_no_agm_parts():
+    fl = generate(3, 0, (1, 1, 1), "general", "rational").source_fields()
+    with pytest.raises(NotApplicableError):
+        inv.part(fl, "a_cd")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_torsion_part_carries_the_rule_sign(dim):
+    # tor is (-1)^p sigma_ja L~^a_bn phi^b on either side, built here straight
+    # from the space's torsion half
+    for p in (1, 2):
+        ins = generate_agm3(dim, 0, p, "rational")
+        for fl in (ins.source_fields(), ins.target_fields()):
+            a = fl.agm
+            unsigned = tc.ein("ja,abn,b->jn", (0, 2), a.sigma.value,
+                              fl.space.Ltor.value, a.phi.value)
+            assert not unsigned.is_zero(), (dim, p)
+            assert inv.part(fl, "tor") == tc.scale(unsigned, (-1) ** p), (dim, p)
 
 
 def test_each_closed_form_takes_one_delta_block(monkeypatch):
@@ -216,11 +245,12 @@ def test_each_closed_form_takes_one_delta_block(monkeypatch):
     for dim, seed, p in ((3, 0, 1), (4, 1, 2)):
         fl = generate_agm3(dim, seed, p, "rational").source_fields()
         calls.clear()
-        b = agm._blocks(fl)
+        for name in _table_parts(dim):
+            inv.part(fl, name)
         assert calls == [], (dim, seed, p)
-        for form in agm.tables(dim, b.eps):
+        for form in agm.tables(dim):
             calls.clear()
-            b.total(form)
+            agm._total(fl, form)
             assert len(calls) == 1, (dim, seed, p, form)
 
 
@@ -262,7 +292,20 @@ def test_skew_rho_vanishes_identically_on_family():
 
 # ------------------------------------------------------------------- tables
 
+# eps = (-1)^p is the sign of the rule's torsion term.  The parts built on
+# the torsion half carry it, so one table serves both signs; the coefficients
+# printed on the unsigned half are eps times the torsion rows' own
 TABLE_SHAPES = [(N, eps) for N in (3, 4, 5, 6) for eps in (-1, 1)]
+
+
+def _printed(N, eps):
+    """agm.tables(N) with the torsion rows' coefficients as printed on the
+    unsigned torsion half at sign eps."""
+    return {form: tuple((group, name, *((eps * pub, eps * cor)
+                                        if name in ("tor", "s_tor", "sym_tor")
+                                        else (pub, cor)))
+                        for group, name, pub, cor in rows)
+            for form, rows in agm.tables(N).items()}
 
 
 @pytest.mark.parametrize("N, eps", TABLE_SHAPES)
@@ -270,28 +313,27 @@ def test_tables_differ_exactly_on_the_mismatch_groups(N, eps):
     # a row's columns differ when its coefficients do, or when its part
     # reads the symmetrized cores (a sym_ part) in the corrected column
     differ = {(form, group)
-              for form, rows in agm.tables(N, eps).items()
-              for group, part, published, corrected in rows
-              if published != corrected or part.startswith("sym_")}
+              for form, rows in _printed(N, eps).items()
+              for group, name, published, corrected in rows
+              if published != corrected or name.startswith("sym_")}
     assert differ == {key for key, status in EXPECT.items()
                       if status == "mismatch" and key[0] != "split"}
 
 
 def test_sym_parts_read_the_symmetrized_cores():
     for _, s, _ in all_cases():
-        b = agm._blocks(s)
-        parts = {part for rows in agm.tables(s.dim, b.eps).values()
-                 for _, part, _, _ in rows}
-        sym = {part for part in parts if part.startswith("sym_")}
+        parts = {name for rows in agm.tables(s.dim).values()
+                 for _, name, _, _ in rows}
+        sym = {name for name in parts if name.startswith("sym_")}
         assert sym == {"sym_ricci", "sym_cd", "sym_w_nu", "sym_tor", "sym_nutor"}
-        for part in sym:
-            published = b.part(part.removeprefix("sym_"))
-            assert tc.max_abs_diff(b.part(part), published) != 0, part
+        for name in sym:
+            published = inv.part(s, name.removeprefix("sym_"))
+            assert tc.max_abs_diff(inv.part(s, name), published) != 0, name
 
 
 @pytest.mark.parametrize("N, eps", TABLE_SHAPES)
 def test_basic_mu_coefficients_are_pinned(N, eps):
-    rows = {group: (pub, cor) for group, _, pub, cor in agm.tables(N, eps)["basic"]}
+    rows = {group: (pub, cor) for group, _, pub, cor in _printed(N, eps)["basic"]}
     assert rows["deform-mu"] == (Fraction(-(N + 3), 4 * (N + 1)),
                                  Fraction(-(N + 2), 2 * (N + 1)))
 
@@ -300,15 +342,21 @@ def test_basic_mu_coefficients_are_pinned(N, eps):
 def test_coefficients_invariance_cannot_see_are_pinned(N, eps):
     # a_quad, mix_s_quad and mix_w_w are invariant on their own, so no
     # invariance row can catch a wrong coefficient on them
-    tables = agm.tables(N, eps)
     rows = {(form, group): (pub, cor)
-            for form, table in tables.items() for group, _, pub, cor in table}
+            for form, table in _printed(N, eps).items()
+            for group, _, pub, cor in table}
     quarter = (Fraction(1, 4),) * 2
     assert rows["deform", "quad"] == quarter
     for form in ("basic", "fourth", "first"):
         assert rows[form, "deform-quad"] == quarter
-    assert rows["fourth", "trace-scalar-quad"] == (Fraction(1, 4 * (N - 1)),) * 2
-    assert rows["fourth", "trace-outer-quad"] == (Fraction(-1, 4 * (N - 1)),) * 2
+    q, h = Fraction(1, 4 * (N - 1)), Fraction(1, 2 * (N - 1))
+    assert rows["fourth", "trace-scalar-quad"] == (q, q)
+    assert rows["fourth", "trace-outer-quad"] == (-q, -q)
+    # and the torsion rows as printed, with the sign the parts now carry
+    for form in ("basic", "first"):
+        assert rows[form, "trace-tor"] == (Fraction(-eps, 2 * (N + 1)),) * 2
+    assert rows["fourth", "trace-scalar-tor"] == (eps * q, eps * h)
+    assert rows["fourth", "trace-outer-tor"] == (-eps * q, -eps * h)
 
 
 # -------------------------------------------------------------- diagnostics
@@ -334,18 +382,18 @@ def test_diagnostics_table_rows_compare_both_columns(mode):
     for dim in (2, 3, 4):
         for p in (1, 2):
             fl = generate_agm3(dim, dim, p, mode).source_fields()
-            b = agm._blocks(fl)
             want = []
-            for section, table in agm.tables(dim, b.eps).items():
-                for group, part, published, corrected in table:
-                    x, y = b.part(part.removeprefix("sym_")), b.part(part)
+            for section, table in agm.tables(dim).items():
+                for group, name, published, corrected in table:
+                    bare = name.removeprefix("sym_")
+                    x, y = inv.part(fl, bare), inv.part(fl, name)
                     x, y = ((tc.scale(t, c) if c else tc.zeros(dim, t.valence))
                             for t, c in ((x, published), (y, corrected)))
                     ok, resid, _ = fl.domain.measure(x, y)
                     want.append({"section": section, "group": group,
                                  "status": "match" if ok else "mismatch",
                                  "max_abs": float(resid)})
-                    skipped += (published, part) == (corrected, part.removeprefix("sym_"))
+                    skipped += (published, name) == (corrected, bare)
             keys = {(r["section"], r["group"]) for r in want}
             got = [r for r in agm.agm_diagnostics(fl)
                    if (r["section"], r["group"]) in keys]

@@ -1,4 +1,5 @@
-"""Connection-space layer: split, curvature, traces, and their exact identities."""
+"""Connection-space layer: symmetric and torsion halves, curvature, traces,
+and their exact identities."""
 
 import random
 from fractions import Fraction
@@ -21,13 +22,18 @@ def random_connection_jet(rng, dim, lo=-4, hi=4):
     return JetTensor(val, grad)
 
 
+def halves(L):
+    space = ConnectionSpace(L)
+    return space.Lsym, space.Ltor
+
+
 # --------------------------------------------------------------------- split
 
 
 def test_split_recombines():
     rng = random.Random(101)
     L = random_connection_jet(rng, 3)
-    sym, tor = cn.split(L)
+    sym, tor = halves(L)
     assert tc.add(sym.value, tor.value).data == L.value.data
     assert tc.add(sym.grad, tor.grad).data == L.grad.data
 
@@ -35,7 +41,7 @@ def test_split_recombines():
 def test_split_parts_have_expected_symmetry():
     rng = random.Random(102)
     L = random_connection_jet(rng, 3)
-    sym, tor = cn.split(L)
+    sym, tor = halves(L)
     assert tc.alternate(sym.value, 1, 2).is_zero()
     assert tc.alternate(sym.grad, 1, 2).is_zero()
     assert tc.sym_pair(tor.value, 1, 2).is_zero()
@@ -45,7 +51,7 @@ def test_split_loop_oracle():
     rng = random.Random(103)
     dim = 3
     L = random_connection_jet(rng, dim)
-    sym, tor = cn.split(L)
+    sym, tor = halves(L)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -57,8 +63,8 @@ def test_split_loop_oracle():
 def test_split_of_symmetric_connection_has_no_torsion():
     rng = random.Random(104)
     L = random_connection_jet(rng, 3)
-    sym, _ = cn.split(L)
-    sym2, tor2 = cn.split(sym)
+    sym = ConnectionSpace(L).Lsym
+    sym2, tor2 = halves(sym)
     assert sym2.value.data == sym.value.data
     assert tor2.value.is_zero() and tor2.grad.is_zero()
 
@@ -68,12 +74,12 @@ def test_torsion_is_twice_half_difference():
     L = random_connection_jet(rng, 3)
     space = ConnectionSpace(L)
     expected = tc.alternate(L.value, 1, 2)
-    assert space.torsion().data == expected.data
+    assert tc.scale(space.Ltor.value, 2).data == expected.data
 
 
 def test_split_rejects_wrong_valence():
     with pytest.raises(ShapeError):
-        cn.split(constant_jet(tc.zeros(3, (1, 1))))
+        ConnectionSpace(constant_jet(tc.zeros(3, (1, 1))))
     with pytest.raises(ShapeError):
         ConnectionSpace(constant_jet(tc.zeros(3, (0, 2))))
 
@@ -107,7 +113,7 @@ def test_curvature_full_loop_oracle():
     rng = random.Random(107)
     dim = 3
     L = random_connection_jet(rng, dim)
-    sym, _ = cn.split(L)
+    sym = ConnectionSpace(L).Lsym
     R = cn.curvature(sym)
     v, g = sym.value, sym.grad
     for i in range(dim):
@@ -212,7 +218,7 @@ def test_special_derivative_gap_to_plain_covariant_derivative():
     rng = random.Random(115)
     for dim in (3, 4):
         L = random_connection_jet(rng, dim)
-        sym, _ = cn.split(L)
+        sym = ConnectionSpace(L).Lsym
         special = cn.special_connection_derivative(sym)
         plain = covariant_derivative(sym, sym.value)
         gap = tc.sub(special, plain)
@@ -224,7 +230,7 @@ def test_special_derivative_gap_to_plain_covariant_derivative():
 
 def test_alternated_special_derivative_curvature_relation():
     rng = random.Random(116)
-    sym, _ = cn.split(random_connection_jet(rng, 3))
+    sym = ConnectionSpace(random_connection_jet(rng, 3)).Lsym
     special = cn.special_connection_derivative(sym)
     # The third quadratic term is symmetric in (m, n), and the first two each
     # contribute the commutator once, so alternating the derivative pair gives

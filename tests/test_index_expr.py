@@ -62,7 +62,7 @@ def corpus(dim, f, sp):
     return [
         ("R{a;jma}", sp.ricci, "ricci-trace"),
         ("alt(d{i;m}*Y{;jn}; m,n)", delta_mix(sp.ricci, n), "delta-mix"),
-        ("L{i;jk} - L{i;kj}", sp.torsion(), "torsion"),
+        ("L{i;jk} - L{i;kj}", tc.scale(sp.Ltor.value, 2), "torsion"),
         ("Ls{a;ja}", sp.theta.value, "theta"),
         (
             "alt(cd(Ls{i;jm}; n); m,n) - alt(Ls{a;jm}*Ls{i;an}; m,n)",

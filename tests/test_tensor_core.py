@@ -875,7 +875,7 @@ def test_only_the_block_builders_take_mix_and_outer_blocks():
     src = Path(tc.__file__).parent
     allowed = {
         "invariants.py": {"part", "Decomposition.__init__", "derived_invariants"},
-        "agm.py": {"_Blocks.mix"},
+        "agm.py": {"_mix"},
     }
     hits = {path.name: lines for path in sorted(src.glob("*.py"))
             if path.name != "tensor_core.py"
@@ -883,12 +883,12 @@ def test_only_the_block_builders_take_mix_and_outer_blocks():
                                             allowed.get(path.name, set())))}
     assert hits == {}
     planted = ast.parse("def f(Y):\n    return tc.delta_mix(Y)\n"
-                        "class _Blocks:\n    def mix(self, Y):\n"
+                        "class Forms:\n    def mix(self, Y):\n"
                         "        return tc.delta_mix(Y)\n"
                         "from .tensor_core import delta_outer\n"
                         "g = tc.delta_outer\n")
     assert _delta_block_refs(planted) == [2, 5, 6, 7]
-    assert _delta_block_refs(planted, {"_Blocks.mix", "mix"}) == [2, 6, 7]
+    assert _delta_block_refs(planted, {"Forms.mix", "mix"}) == [2, 6, 7]
 
 
 # ---------------------------------------------------------------- plan cache
