@@ -4,14 +4,19 @@ The generic pipeline (``invariants``) is the ground truth here.  Each closed
 form (basic, fourth, first) and the deformation curvature's expansion is one
 table, ``tables(N)``, so it can be diffed against its pipeline counterpart
 group by group.  A row ``(group, part, published, corrected)`` names a
-coefficient-free part and its two coefficients.  The rule's parts join
-``invariants.PARTS`` at import, so ``invariants.part`` resolves every part a
-table names and ``invariants._sum`` sums every row; a form's (0,2) cores
-enter through one delta block of their sum.  The torsion parts carry the
-rule's sign (-1)^p, so no coefficient depends on p.
+coefficient-free part and its two coefficients.  The torsion parts carry
+the rule's sign (-1)^p, so no coefficient depends on p.
+
+The rule's parts and closed forms join ``invariants.PARTS`` at import, so
+``invariants.part`` resolves each form and ``invariants._sum`` sums its rows,
+``forms(N)``: a table's corrected column as (1,3) rows, then one delta block
+of its (0,2) cores' sum (the closed trace derivative ``rho_closed`` and
+trace completion ``s_tilde_closed`` are (0,2) rows only).
 
 * The corrected column equals the pipeline value exactly; ``agm_basic``,
-  ``agm_fourth`` and ``agm_first`` read it.
+  ``agm_fourth`` and the ``agm_first`` part read it.  ``agm_first`` is the
+  pipeline's display-form composition, itself invariant only up to a
+  skew-Ricci trace term.
 * The published column holds the printed coefficients, kept only so
   ``agm_diagnostics`` can report where the two disagree.  Several of them
   provably break invariance, so it is never certified — only measured.
@@ -40,6 +45,7 @@ from .invariants import (
     PARTS,
     S_tilde,
     _sum,
+    derived_fourth,
     part,
     rho,
     weyl_factored,
@@ -104,6 +110,27 @@ def tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     })
 
 
+# the only (1,3) parts the tables name; every other one is a (0,2) core
+_UPPER = frozenset(("R", "a_cd", "a_quad", "a_nutor"))
+
+
+@cache
+def forms(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
+    """Each closed form's rows (coefficient, part) at dimension N; built
+    once per N and shared, so read-only.  ``agm_<table>`` is a table's
+    corrected column: its (1,3) rows in table order, then the delta block of
+    its cores' sum (delta_mix is linear)."""
+    # rho_closed is -1/2 times its cores' sum (a zero's sign aside: halving is exact)
+    out = {"rho_closed": tuple((Fraction(-1, 2), name)
+                               for name in ("cd_j", "w_nu", "a_mu", "tor")),
+           "s_tilde_closed": ((1, "tt_tt"), (Fraction(-(N + 1), 2), "s_tt"))}
+    for form, rows in tables(N).items():
+        cores = tuple((c, name) for _, name, _, c in rows if name not in _UPPER)
+        out["agm_" + form] = (*((c, name) for _, name, _, c in rows if name in _UPPER),
+                              (1, ("mix", cores)))
+    return MappingProxyType(out)
+
+
 @once
 def _agm_parts(fields: SpaceFields) -> dict[str, Tensor]:
     """The rule's own parts, built together once per bundle: the (1,3)
@@ -152,13 +179,6 @@ def _agm_parts(fields: SpaceFields) -> dict[str, Tensor]:
     }
 
 
-def _nutor(fields: SpaceFields, pre: str) -> Tensor:
-    """The nu and torsion core differences, over the w_nu and tor cores
-    named with prefix ``pre`` ("" or "sym_")."""
-    return tc.add(tc.sub(part(fields, "s_nu"), part(fields, pre + "w_nu")),
-                  tc.sub(part(fields, "s_tor"), part(fields, pre + "tor")))
-
-
 # the rule's parts join the Weyl-type tables' in one registry (``invariants``
 # cannot import this module); R, theta, ricci and sym_ricci are already
 # there.  The core differences the forms group are built on first use
@@ -171,66 +191,24 @@ PARTS.update(
     cd=lambda f, s: tc.sub(part(f, "cd_n"), part(f, "cd_j")),
     sym_cd=lambda f, s: tc.sub(part(f, "cd_n"), part(f, "sym_cd_j")),
     quad=lambda f, s: tc.sub(part(f, "s_quad"), part(f, "w_w")),
-    nutor=lambda f, s: _nutor(f, ""),
-    sym_nutor=lambda f, s: _nutor(f, "sym_"))
-
-
-def _rows(fields: SpaceFields, form: str, p: int) -> list[tuple]:
-    """The rows (c, part tensor) of a form's corrected column whose parts
-    have p upper indices, in table order."""
-    return [(c, t) for _, name, _, c in tables(fields.dim)[form]
-            if (t := part(fields, name)).p == p]
-
-
-@once
-def _mix(fields: SpaceFields, form: str) -> Tensor:
-    """The delta block of a form's (0,2) terms' sum (delta_mix is linear)."""
-    return tc.delta_mix(_sum(fields, _rows(fields, form, 0)))
-
-
-@once
-def _total(fields: SpaceFields, form: str) -> Tensor:
-    """A form's corrected column summed in row order: (1,3) terms, then mix."""
-    return _sum(fields, [*_rows(fields, form, 1), (1, _mix(fields, form))])
-
-
-@once
-def _term(fields: SpaceFields, name: str, num: int, den: int) -> Tensor:
-    """A part scaled by num/den, shared by every diagnostic row and the
-    split (int keys: a ``Fraction`` key would pay for its hash on each
-    call)."""
-    return _sum(fields, ((Fraction(num, den), name),))
+    # the nu and torsion core differences, over the raw or the sym_ cores
+    **{pre + "nutor": lambda f, s, pre=pre: tc.add(
+        tc.sub(part(f, "s_nu"), part(f, pre + "w_nu")),
+        tc.sub(part(f, "s_tor"), part(f, pre + "tor"))) for pre in ("", "sym_")},
+    # the closed forms, each summed from its rows in ``forms(N)``
+    **{name: lambda f, s, name=name: _sum(f, forms(f.dim)[name])
+       for name in ("agm_deform", "agm_basic", "agm_fourth", "agm_first",
+                    "rho_closed", "s_tilde_closed")})
 
 
 def agm_basic(fields: SpaceFields) -> Tensor:
     """Basic Weyl-type closed form of the vector-field rule."""
-    return _total(fields, "basic")
+    return part(fields, "agm_basic")
 
 
 def agm_fourth(fields: SpaceFields) -> Tensor:
     """Fourth derived closed form of the vector-field rule."""
-    return _total(fields, "fourth")
-
-
-def agm_first(fields: SpaceFields) -> Tensor:
-    """First derived closed form of the vector-field rule.
-
-    It equals the pipeline's display-form composition, which is itself
-    invariant only up to a skew-Ricci trace term; see the first-derived
-    pipeline functions for the closed invariant.
-    """
-    return _total(fields, "first")
-
-
-def rho_closed(fields: SpaceFields) -> Tensor:
-    """Closed form of the deformation-trace derivative for this rule."""
-    out = _sum(fields, ((1, "cd_j"), (1, "w_nu"), (1, "a_mu"), (1, "tor")))
-    return tc.scale(out, Fraction(-1, 2))
-
-
-def s_tilde_closed(fields: SpaceFields) -> Tensor:
-    """Closed form of the quadratic trace completion for this rule."""
-    return _sum(fields, ((1, "tt_tt"), (Fraction(-(fields.dim + 1), 2), "s_tt")))
+    return part(fields, "agm_fourth")
 
 
 def agm_decompose(fields: SpaceFields) -> Decomposition:
@@ -240,10 +218,11 @@ def agm_decompose(fields: SpaceFields) -> Decomposition:
     Validates the reconstruction against the pipeline's deformation
     curvature; a residual means the input bundle is inconsistent.
     """
-    g = {group: _term(fields, name, *c.as_integer_ratio())
-         for group, name, _, c in tables(fields.dim)["deform"]}
-    dec = Decomposition(g["mu"], tc.add(g["cd"], tc.add(g["quad"], g["nutor"])),
-                        _mix(fields, "deform"))
+    cd, quad, nutor, (_, mix) = forms(fields.dim)["agm_deform"]
+    _, cores = mix
+    # quad and nutor first: the float bits of cd + (quad + nutor)
+    dec = Decomposition(_sum(fields, cores), _sum(fields, (quad, nutor, cd)),
+                        part(fields, mix))
     ok, resid, _ = fields.domain.measure(dec.total, A_tensor(fields))
     if not ok:
         raise DecompositionError(
@@ -256,17 +235,13 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
                                   ) -> tuple[Tensor, Tensor, Tensor]:
     """The factored, fourth and first-display forms re-expressed through a
     decomposition of the deformation curvature (exact substitutions); the
-    fourth is ``derived_invariants(dec, fields.space)["fourth"]``."""
-    N, R = fields.dim, fields.space.R
-    theta_rho, s_tilde, sym_ricci = (part(fields, ("mix", ((1, core),)))
-                                     for core in ("theta_rho", "s_tilde", "sym_ricci"))
-    h2 = Fraction(1, (N + 1) ** 2)
-    base = ((1, R), (1, dec.total), (Fraction(-1, N + 1), theta_rho))
-    first = tc.lincomb((*base, (-h2, s_tilde)))
-    c = Fraction(1, N - 1)
-    fourth = tc.lincomb(((1, R), (1, dec.Z), (c, sym_ricci), (c, dec.mix_z_trace)))
-    first_disp = tc.lincomb((*base, ((N - 1) * h2, dec.mix_Y), (-h2, dec.mix_z_trace)))
-    return first, fourth, first_disp
+    fourth is the rebuild operator's (``derived_fourth``)."""
+    N, h2 = fields.dim, Fraction(1, (fields.dim + 1) ** 2)
+    base = ((1, "R"), (1, dec.total),
+            (Fraction(-1, N + 1), ("mix", ((1, "theta_rho"),))))
+    first = _sum(fields, (*base, (-h2, ("mix", ((1, "s_tilde"),)))))
+    first_disp = _sum(fields, (*base, ((N - 1) * h2, dec.mix_Y), (-h2, dec.mix_z_trace)))
+    return first, derived_fourth(dec, fields), first_disp
 
 
 def agm_diagnostics(fields: SpaceFields) -> list[dict]:
@@ -291,13 +266,13 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
                 rows.append({"section": section, "group": group,
                              "status": "match", "max_abs": 0.0})
             else:
-                row(section, group, _term(fields, bare, *published.as_integer_ratio()),
-                    _term(fields, name, *corrected.as_integer_ratio()))
-        row(section, "total-vs-pipeline", _total(fields, section), pipeline)
+                row(section, group, _sum(fields, ((published, bare),)),
+                    _sum(fields, ((corrected, name),)))
+        row(section, "total-vs-pipeline", part(fields, "agm_" + section), pipeline)
 
     table("deform", A_tensor(fields))
-    row("trace-derivative", "full", rho_closed(fields), rho(fields))
-    row("trace-completion", "full", s_tilde_closed(fields), S_tilde(fields))
+    row("trace-derivative", "full", part(fields, "rho_closed"), rho(fields))
+    row("trace-completion", "full", part(fields, "s_tilde_closed"), S_tilde(fields))
     pipeline = {"basic": weyl_factored(fields), "fourth": weyl_fourth(fields),
                 "first": part(fields, "weyl_first_display")}
     for section, form in pipeline.items():

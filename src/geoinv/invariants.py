@@ -5,8 +5,8 @@ bundle (a geodesic form from its ConnectionSpace); comparing the two sides is
 what certifies (or refutes) invariance.  Each Weyl-type form but the basic
 one is a coefficient table over named parts (``weyl_tables``, ``part``); all
 are antisymmetric in their last index pair by construction.  ``part`` is the
-one resolver of named parts: the third-type closed forms' tables
-(``agm.tables``) read theirs through it too.
+one resolver of named parts and ``_sum`` the one row sum: the third-type
+closed forms (``agm.forms``) are parts too, summed from rows of theirs.
 
 Two deliberately redundant routes exist in several places (e.g. the basic
 reduced connection versus its expanded form, and the closed derived forms
@@ -127,7 +127,7 @@ def A_trace(fields: SpaceFields) -> Tensor:
 
 # a side's named parts besides its Weyl-type forms, by (side, its space):
 # (1,3) tensors, and (0,2) cores that a row takes through a delta block.
-# ``agm`` adds the third-type rule's parts at import
+# ``agm`` adds the third-type rule's parts and closed forms at import
 PARTS = {
     "R": lambda f, s: s.R,
     "A": lambda f, s: A_tensor(f),
@@ -293,7 +293,12 @@ def derived_invariants(dec: Decomposition,
                                 tc.delta_outer(tc.add(alt_Y, z_tr_first)))))
     skew = tc.lincomb(((N - 1, alt_Y), (-1, tc.alternate(dec.z_last, 0, 1))))
     second = tc.lincomb((*curv, (Fraction(-1, 2), tc.delta_outer(skew))))
-    c = Fraction(1, N - 1)
-    fourth = tc.lincomb(((1, space.R), (1, dec.Z), (c, tc.delta_mix(space.sym_ricci)),
-                         (c, dec.mix_z_trace)))
-    return {"first": first, "second": second, "fourth": fourth}
+    return {"first": first, "second": second, "fourth": derived_fourth(dec, space)}
+
+
+def derived_fourth(dec: Decomposition, side: SpaceFields | ConnectionSpace) -> Tensor:
+    """The fourth derived form of R + delta_mix(Y) + Z, over a side's
+    symmetrized-Ricci block (``weyl_fourth``'s, when the side is a bundle)."""
+    c = Fraction(1, side.dim - 1)
+    return _sum(side, ((1, "R"), (1, dec.Z), (c, ("mix", ((1, "sym_ricci"),))),
+                       (c, dec.mix_z_trace)))

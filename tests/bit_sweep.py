@@ -1,6 +1,6 @@
 """Bit-identity sweep: a sha256 per mode of what geoinv writes and certifies.
 
-    python tests/bit_sweep.py <checkout> [--dims N ...]
+    python tests/bit_sweep.py <checkout> [--dims N ...] [--dump FILE]
 
 Imports geoinv from ``<checkout>/src`` and digests, in rational and float
 mode, the ``gen`` bytes of each instance, the ``repr`` of every value and
@@ -19,10 +19,14 @@ the identity rows at N = 6.  Prints one line per mode, rational then
 float: the mode, the number of its digested records and their digest.  Two
 checkouts that print the same line wrote and certified the same bits in
 that mode, so a change that moves only float bits shows that its rational
-line held.  Not a test module: pytest does not collect it.
+line held.  ``--dump FILE`` also writes every digested record to FILE, one
+per line as its mode and its ``repr``, so two checkouts' dumps can be
+``diff``ed to find the records that moved.  Not a test module: pytest does
+not collect it.
 """
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -44,9 +48,10 @@ def _instances(mode, dims, seeds):
                 yield generate_agm3(dim, seed, p, mode)
 
 
-def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> dict[str, tuple[int, str]]:
+def digest(dims=(2, 3, 4, 5), seeds=range(4), dump=None) -> dict[str, tuple[int, str]]:
     """{mode: (records digested, sha256 hex)} over the sweep at these dims
-    and seeds, rational then float."""
+    and seeds, rational then float; each record is also written to the text
+    file ``dump``, if given, as a line "<mode> <repr of the record>"."""
     from geoinv import agm, cli, invariants as inv
     from geoinv.tensor_core import ABS_TOL, REL_TOL
 
@@ -56,6 +61,8 @@ def digest(dims=(2, 3, 4, 5), seeds=range(4)) -> dict[str, tuple[int, str]]:
         nonlocal count
         h.update(record.encode() + b"\0")
         count += 1
+        if dump is not None:
+            dump.write(f"{mode} {record!r}\n")
 
     for mode in ("rational", "float"):
         h, count = hashlib.sha256(), 0
@@ -90,6 +97,8 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout")
     ap.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 5])
+    ap.add_argument("--dump", metavar="FILE",
+                    help="also write every digested record to FILE, one per line")
     args = ap.parse_args(argv)
     if min(args.dims) < 2:
         ap.error("--dims must be >= 2, the generator's least dimension")
@@ -100,8 +109,9 @@ def main(argv: list[str]) -> int:
     if Path(geoinv.__file__).resolve().parent.parent != src:
         print(f"geoinv imported from {geoinv.__file__}, not {src}", file=sys.stderr)
         return 2
-    for mode, (count, hexdigest) in digest(dims=args.dims).items():
-        print(mode, count, hexdigest)
+    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
+        for mode, (count, hexdigest) in digest(dims=args.dims, dump=dump).items():
+            print(mode, count, hexdigest)
     return 0
 
 

@@ -96,7 +96,8 @@ def all_cases():
 def test_corrected_closed_forms_match_pipeline_on_both_sides():
     for ins, s, t in all_cases():
         for fl in (s, t):
-            basic, fourth, first = agm.agm_basic(fl), agm.agm_fourth(fl), agm.agm_first(fl)
+            basic, fourth = agm.agm_basic(fl), agm.agm_fourth(fl)
+            first = inv.part(fl, "agm_first")
             key = (ins.dim, ins.seed, ins.p)
             assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0, key
             assert tc.max_abs_diff(fourth, inv.weyl_fourth(fl)) == 0, key
@@ -121,15 +122,12 @@ def _term_by_term(fl, form):
 def test_closed_forms_equal_the_term_by_term_sum(dim, mode):
     # one delta block of the summed cores is the sum of the cores' blocks:
     # exactly in rational mode, to the closeness rule in float mode
-    forms = {"deform": lambda fl: agm._total(fl, "deform"),
-             "basic": agm.agm_basic, "fourth": agm.agm_fourth,
-             "first": agm.agm_first}
     for seed in (0, 1, 2):
         for p in (1, 2):
             ins = generate_agm3(dim, seed, p, mode)
             for fl in (ins.source_fields(), ins.target_fields()):
-                for form, closed in forms.items():
-                    got = closed(fl)
+                for form in ("deform", "basic", "fourth", "first"):
+                    got = inv.part(fl, "agm_" + form)
                     want = _term_by_term(fl, form)
                     key = (dim, seed, p, form)
                     if mode == "rational":
@@ -157,14 +155,15 @@ def _reprs(t):
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_coefficient_rows_sum_to_the_scaled_terms(mode):
-    # total and mix pass the coefficients to lincomb as rows: the same
-    # scaled form in rational mode, the same bits in float mode
+    # a form's rows pass the coefficients to lincomb: the same scaled form
+    # in rational mode, the same bits in float mode
     for dim, seed, p in ((2, 0, 1), (3, 1, 2), (4, 2, 1)):
         ins = generate_agm3(dim, seed, p, mode)
         for fl in (ins.source_fields(), ins.target_fields()):
             for form in agm.tables(dim):
                 total, mix = _summed_terms(fl, form)
-                got = agm._total(fl, form), agm._mix(fl, form)
+                block = agm.forms(dim)["agm_" + form][-1][1]
+                got = inv.part(fl, "agm_" + form), inv.part(fl, block)
                 key = (dim, seed, p, form)
                 if mode == "rational":
                     assert got == (total, mix), key
@@ -178,14 +177,15 @@ def test_a_zero_coefficient_row_enters_as_exact_zeros(monkeypatch):
     # reads -0.0 + 0 = 0.0, as the scaled terms do; the row 0 * part would
     # add 0.0 * -1.5 = -0.0 and keep the -0.0
     F = Fraction
-    parts = {"neg_zero": tc.Tensor(2, (1, 3), [-0.0] * 16),
-             "negative": tc.Tensor(2, (1, 3), [-1.5] * 16),
-             "core": tc.Tensor(2, (0, 2), [-0.0, 0.5, -1.5, 0.0]),
-             "core_neg": tc.Tensor(2, (0, 2), [-2.5] * 4)}
+    # two (1,3) parts and two cores, under names the tables give those valences
+    parts = {"a_cd": tc.Tensor(2, (1, 3), [-0.0] * 16),
+             "a_quad": tc.Tensor(2, (1, 3), [-1.5] * 16),
+             "a_mu": tc.Tensor(2, (0, 2), [-0.0, 0.5, -1.5, 0.0]),
+             "s_nu": tc.Tensor(2, (0, 2), [-2.5] * 4)}
     for name, t in parts.items():
         monkeypatch.setitem(inv.PARTS, name, lambda f, s, t=t: t)
-    table = (("a", "neg_zero", F(1), F(1)), ("b", "negative", F(0), F(0)),
-             ("c", "core", F(1), F(1)), ("d", "core_neg", F(0), F(0)))
+    table = (("a", "a_cd", F(1), F(1)), ("b", "a_quad", F(0), F(0)),
+             ("c", "a_mu", F(1), F(1)), ("d", "s_nu", F(0), F(0)))
     monkeypatch.setattr(agm, "tables", lambda N: {"built": table})
     side = types.SimpleNamespace(dim=2)  # a hand-built side: parts by name
     rows = [(c, name) for _, name, _, c in table]
@@ -194,8 +194,10 @@ def test_a_zero_coefficient_row_enters_as_exact_zeros(monkeypatch):
     plain = tc.lincomb([(c, parts[name]) for c, name in rows[:2]])
     assert _reprs(plain) == ["-0.0"] * 16
     total, mix = _summed_terms(side, "built")
-    assert _reprs(agm._total(side, "built")) == _reprs(total)
-    assert _reprs(agm._mix(side, "built")) == _reprs(mix)
+    # the uncached derivation, so it reads the patched tables
+    built = agm.forms.__wrapped__(2)["agm_built"]
+    got = inv._sum(side, built), inv.part(side, built[-1][1])
+    assert [_reprs(t) for t in got] == [_reprs(total), _reprs(mix)]
 
 
 def _table_parts(N):
@@ -214,8 +216,29 @@ def test_every_table_part_resolves_through_the_registry():
 
 def test_a_general_bundle_has_no_agm_parts():
     fl = generate(3, 0, (1, 1, 1), "general", "rational").source_fields()
-    with pytest.raises(NotApplicableError):
-        inv.part(fl, "a_cd")
+    for name in ("a_cd", "agm_basic"):
+        with pytest.raises(NotApplicableError):
+            inv.part(fl, name)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_derived_rows_state_each_part_valence(dim):
+    # the rows a closed form lists before its block are (1,3) parts, its
+    # block's cores and the trace forms' rows (0,2) ones: the split the
+    # derived rows state, checked against the registry
+    for p in (1, 2):
+        ins = generate_agm3(dim, 0, p, "rational")
+        for fl in (ins.source_fields(), ins.target_fields()):
+            for form, rows in agm.forms(dim).items():
+                if form.startswith("agm_"):
+                    *upper, (c, (kind, cores)) = rows
+                    assert (c, kind) == (1, "mix"), form
+                else:
+                    upper, cores = (), rows
+                for _, name in upper:
+                    assert inv.part(fl, name).valence == (1, 3), (p, form, name)
+                for _, name in cores:
+                    assert inv.part(fl, name).valence == (0, 2), (p, form, name)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -250,7 +273,7 @@ def test_each_closed_form_takes_one_delta_block(monkeypatch):
         assert calls == [], (dim, seed, p)
         for form in agm.tables(dim):
             calls.clear()
-            agm._total(fl, form)
+            inv.part(fl, "agm_" + form)
             assert len(calls) == 1, (dim, seed, p, form)
 
 
@@ -264,9 +287,10 @@ def test_published_first_closed_form_is_not_invariant():
     # It reproduces the displayed first variant, which moves under the rule.
     moved = 0
     for _, s, t in all_cases():
-        if tc.max_abs_diff(agm.agm_first(s), agm.agm_first(t)) != 0:
+        first = inv.part(s, "agm_first")
+        if tc.max_abs_diff(first, inv.part(t, "agm_first")) != 0:
             moved += 1
-        assert tc.max_abs_diff(agm.agm_first(s), inv.part(s, "weyl_first_display")) == 0
+        assert tc.max_abs_diff(first, inv.part(s, "weyl_first_display")) == 0
     assert moved == sum(1 for _ in all_cases())
 
 
@@ -570,7 +594,7 @@ def test_float_mode_parity(dim, p):
     assert tc.max_abs_diff(fourth_s, fourth_t) / scale < 1e-9
     assert tc.max_abs_diff(basic_s, inv.weyl_factored(s)) / scale < 1e-9
     display = inv.part(s, "weyl_first_display")
-    assert tc.max_abs_diff(agm.agm_first(s), display) / scale < 1e-9
+    assert tc.max_abs_diff(inv.part(s, "agm_first"), display) / scale < 1e-9
     rows = agm.agm_diagnostics(s)
     assert all(r["status"] in ("match", "mismatch") for r in rows)
     agm.agm_decompose(s)
@@ -589,7 +613,8 @@ def test_zero_family_block_reduces_to_trace_shift_forms():
     basic = agm.agm_basic(fl)
     assert tc.max_abs_diff(basic, inv.weyl_factored(fl)) == 0
     assert tc.max_abs_diff(agm.agm_fourth(fl), inv.weyl_fourth(fl)) == 0
-    assert tc.max_abs_diff(agm.agm_first(fl), inv.part(fl, "weyl_first_display")) == 0
+    first = inv.part(fl, "agm_first")
+    assert tc.max_abs_diff(first, inv.part(fl, "weyl_first_display")) == 0
     # It is NOT the plain basic form: they differ by the trace block.
     assert tc.max_abs_diff(basic, inv.weyl_basic(fl)) != 0
     gw = inv.part(src.space, "geodesic_weyl")

@@ -868,14 +868,13 @@ def _delta_block_refs(tree, allowed=frozenset()):
 
 
 def test_only_the_block_builders_take_mix_and_outer_blocks():
-    # A Weyl-type form is a table row over invariants.part, which builds each
-    # delta block once per side; the decomposition, its rebuild operator and
-    # the agm closed forms' one block per form are the only other builders.
+    # Every closed form, the agm ones included, is a table row over
+    # invariants.part, which builds each delta block once per side; the
+    # decomposition and its rebuild operator are the only other builders.
     # A form that grows its own block call fails here.
     src = Path(tc.__file__).parent
     allowed = {
         "invariants.py": {"part", "Decomposition.__init__", "derived_invariants"},
-        "agm.py": {"_mix"},
     }
     hits = {path.name: lines for path in sorted(src.glob("*.py"))
             if path.name != "tensor_core.py"
