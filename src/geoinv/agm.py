@@ -114,6 +114,20 @@ def tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
 _UPPER = frozenset(("R", "a_cd", "a_quad", "a_nutor"))
 
 
+class _Block(tuple):
+    """A ("mix", cores) part name that hashes once: a memo hashes its key on
+    lookup and again on store, and a core's ``Fraction`` coefficient hashes
+    in Python.  Equal to, and hashed as, the plain tuple."""
+
+    def __new__(cls, cores: tuple):
+        self = super().__new__(cls, ("mix", cores))
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @cache
 def forms(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     """Each closed form's rows (coefficient, part) at dimension N; built
@@ -127,7 +141,7 @@ def forms(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     for form, rows in tables(N).items():
         cores = tuple((c, name) for _, name, _, c in rows if name not in _UPPER)
         out["agm_" + form] = (*((c, name) for _, name, _, c in rows if name in _UPPER),
-                              (1, ("mix", cores)))
+                              (1, _Block(cores)))
     return MappingProxyType(out)
 
 

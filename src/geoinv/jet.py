@@ -8,6 +8,8 @@ like it needs them has been arranged not to.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import tensor_core as tc
 from .tensor_core import IndexKindError, ShapeError, Tensor
 
@@ -111,16 +113,23 @@ def covariant_derivative(t: JetTensor, gamma) -> Tensor:
     if g.valence != (1, 2):
         raise ShapeError(f"connection must be (1,2), got {g.valence}")
     p, q = t.valence
+    out_val = (p, q + 1)
+    return tc.lincomb([(1, t.grad)] + [(c, tc.ein(expr, out_val, g, t.value))
+                                       for c, expr in _connection_terms(p, q)])
+
+
+@lru_cache(maxsize=tc.PLAN_CACHE_CAP)
+def _connection_terms(p: int, q: int) -> tuple[tuple[int, str], ...]:
+    """(sign, subscripts) of each connection term of a (p, q) jet's
+    covariant derivative, slot by slot (gamma first, then the value)."""
     r = p + q
     letters = tc._letters(r, 0)
     kk = tc._LETTER_POOL[r]
     zz = tc._LETTER_POOL[r + 1]
     out = letters + kk
-    out_val = (p, q + 1)
-    rows = [(1, t.grad)]
+    terms = []
     for s in range(r):
         src = letters[:s] + zz + letters[s + 1 :]
         gs = f"{letters[s]}{zz}{kk}" if s < p else f"{zz}{letters[s]}{kk}"
-        rows.append((1 if s < p else -1,
-                     tc.ein(f"{gs},{src}->{out}", out_val, g, t.value)))
-    return tc.lincomb(rows)
+        terms.append((1 if s < p else -1, f"{gs},{src}->{out}"))
+    return tuple(terms)

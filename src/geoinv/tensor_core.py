@@ -58,9 +58,22 @@ Bracket conventions used throughout the package:
 * the symmetrized pair is the half-sum (``factor_free=True`` gives the plain
   sum, which one family of formulas needs).
 
+The structural kernels keep what they build for one shape in a bounded
+module cache keyed by the shape and its slots, so a call spells out no
+subscripts and does no index arithmetic.  ``transpose_pair`` and
+``contract`` look up their subscripts and run ``ein``.  ``alternate`` and
+``sym_pair`` make one pass over t and its swap, gathered by the swap's own
+``ein`` plan (on the list path each swapped entry is added onto an integer 0,
+as ``ein`` adds it), and give the bits of ``sub(t, transpose_pair(t, a, b))``
+and of ``lincomb(((h, t), (h, transpose_pair(t, a, b))))``.
+
 Kronecker-delta blocks come from ``delta_mix``, ``delta_outer`` and
-``delta_sym``, which write entries in place (no einsum against the delta),
-adding blocks in the defining einsums' order so float zeros keep their signs.
+``delta_sym``, which run no einsum against the delta.  Each is stated as
+its defining einsums, in their order, and replayed by one builder,
+``_block``, from a plan cached per shape: the output entries are grouped by
+the signs the einsums write to them, and each group's entries are their
+sources added onto an integer 0 in that order, so float zeros keep their
+signs.
 """
 
 from __future__ import annotations
@@ -70,7 +83,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import product, repeat
 from math import gcd, isfinite, lcm
-from operator import itemgetter, mul, xor
+from operator import add as _plus, itemgetter, mul, sub as _minus, xor
 from struct import Struct
 from typing import NamedTuple, Sequence
 
@@ -99,8 +112,10 @@ def once(fn):
     the cycle collector runs.
 
     The module-wide caches, of einsum plans (``_PLAN_CACHE``), compiled
-    kernels (``_kernel``) and values (``_fraction``), drop the least recently
-    used entry past a cap: their keys come from input, so they would grow.
+    kernels (``_kernel``), values (``_fraction``), the structural kernels'
+    subscripts (``_swap``, ``_trace``, ``jet._connection_terms``) and delta
+    block replays (``_block_plan``), drop the least recently used entry past
+    a cap: their keys come from input, so they would grow.
     """
     @wraps(fn)
     def memo(owner, *args):
@@ -448,61 +463,6 @@ def delta(dim: int) -> Tensor:
     return Tensor(dim, (1, 1), d)
 
 
-# ---------------------------------------------------------------------------
-# Delta blocks (see the module docstring).  They only add and subtract
-# entries, so an exact input's numerators run through the same loops and
-# keep its denominator.
-
-
-def _entries(t: Tensor) -> tuple[str | None, list]:
-    k = _result_kind((t,))
-    return k, t._nums if k in _EXACT_KINDS else t.data
-
-
-def _block_result(t: Tensor, k, valence, out: list) -> Tensor:
-    if k in _EXACT_KINDS:
-        return _from_scaled(t.dim, valence, out, t._den, k is _INT)
-    return _new(t.dim, valence, out, k)
-
-
-def delta_mix(Y: Tensor) -> Tensor:
-    """d^i_m Y_jn - d^i_n Y_jm, (0,2) -> (1,3); the middle index rides along."""
-    if Y.valence != (0, 2):
-        raise ShapeError(f"delta_mix: needs a (0,2) tensor, got {Y!r}")
-    (kind, y), N, out = _entries(Y), Y.dim, [0] * Y.dim**4
-    for i, j, k in product(range(N), repeat=3):
-        out[((i * N + j) * N + i) * N + k] += y[j * N + k]
-    for i, j, k in product(range(N), repeat=3):
-        out[((i * N + j) * N + k) * N + i] -= y[j * N + k]
-    return _block_result(Y, kind, (1, 3), out)
-
-
-def delta_outer(Y: Tensor) -> Tensor:
-    """d^i_j Y_mn, (0,2) -> (1,3)."""
-    if Y.valence != (0, 2):
-        raise ShapeError(f"delta_outer: needs a (0,2) tensor, got {Y!r}")
-    (kind, y), N, out = _entries(Y), Y.dim, [0] * Y.dim**4
-    for i, k in product(range(N), range(N * N)):
-        out[(i * N + i) * N * N + k] += y[k]
-    return _block_result(Y, kind, (1, 3), out)
-
-
-def delta_sym(t: Tensor) -> Tensor:
-    """d^i_j t_k.. + d^i_k t_j.., (0,q) -> (1,q+1); t's trailing slots ride
-    along, so a jet's value and gradient go through the same function."""
-    if t.p != 0 or t.q < 1:
-        raise ShapeError(f"delta_sym: needs a (0,q) tensor with q >= 1, got {t!r}")
-    N = t.dim
-    M = N ** (t.q - 1)  # entries per trailing-slot block
-    kind, d = _entries(t)
-    out = [0] * (N * N * len(d))
-    for i, k in product(range(N), range(N * M)):
-        out[(i * N + i) * N * M + k] += d[k]
-    for i, j, r in product(range(N), range(N), range(M)):
-        out[((i * N + j) * N + i) * M + r] += d[j * M + r]
-    return _block_result(t, kind, (1, t.q + 1), out)
-
-
 def lincomb(rows) -> Tensor:
     """The sum of c*t over rows (c, t) of same-shape tensors, in row order
     (see the module docstring for the order on the list path)."""
@@ -578,71 +538,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c) -> Tensor:
     return lincomb(((c, a),))
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    """Tensor product; the result's uppers are a's then b's, same for lowers."""
-    if a.dim != b.dim:
-        raise ShapeError("outer: dimension mismatch")
-    la = _letters(a.rank, 0)
-    lb = _letters(b.rank, a.rank)
-    ua, qa = la[: a.p], la[a.p :]
-    ub, qb = lb[: b.p], lb[b.p :]
-    return ein(
-        f"{la},{lb}->{ua + ub + qa + qb}", (a.p + b.p, a.q + b.q), a, b
-    )
-
-
-def contract(t: Tensor, upper: int, lower: int) -> Tensor:
-    """Contract one upper slot against one lower slot (positions within kind)."""
-    if not (0 <= upper < t.p and 0 <= lower < t.q):
-        raise IndexKindError(
-            f"contract: upper {upper} / lower {lower} out of range for valence {t.valence}"
-        )
-    letters = list(_letters(t.rank, 0))
-    letters[t.p + lower] = letters[upper]
-    out = [c for k, c in enumerate(letters) if k != upper and k != t.p + lower]
-    return ein(f"{''.join(letters)}->{''.join(out)}", (t.p - 1, t.q - 1), t)
-
-
-def _check_pair(t: Tensor, a: int, b: int) -> None:
-    r = t.rank
-    if not (0 <= a < r and 0 <= b < r) or a == b:
-        raise IndexKindError(f"bad slot pair ({a}, {b}) for rank {r}")
-    ka = a < t.p
-    kb = b < t.p
-    if ka != kb:
-        raise IndexKindError(
-            f"slots {a} and {b} are of different kinds (valence {t.valence})"
-        )
-
-
-def transpose_pair(t: Tensor, a: int, b: int) -> Tensor:
-    _check_pair(t, a, b)
-    src = _letters(t.rank, 0)
-    out = list(src)
-    out[a], out[b] = out[b], out[a]
-    return ein(f"{src}->{''.join(out)}", t.valence, t)
-
-
-def alternate(t: Tensor, a: int, b: int) -> Tensor:
-    """t[..a..b..] - t[..b..a..]; no 1/2."""
-    return sub(t, transpose_pair(t, a, b))
-
-
-def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
-    """Half-sum over a slot pair; plain sum when factor_free is set.  Halves
-    are exact in binary floats (barring subnormals), so 1/2 t + 1/2 t' has
-    the bits of (t + t') / 2."""
-    h = 1 if factor_free else Fraction(1, 2)
-    return lincomb(((h, t), (h, transpose_pair(t, a, b))))
-
-
-_LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _letters(n: int, start: int) -> str:
-    return _LETTER_POOL[start : start + n]
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +824,208 @@ def ein(expr: str, out_valence: tuple[int, int], *tensors: Tensor) -> Tensor:
     return _new(dim, out_valence, plan.kernel(*[t.data for t in tensors]), kind)
 
 
+# ---------------------------------------------------------------------------
+# Structural kernels (see the module docstring).  Each keeps what it builds
+# for one shape, subscripts or offsets, in a module cache keyed by the shape
+# and its slots, so a call builds no subscript text and does no index
+# arithmetic.
+
+_LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _letters(n: int, start: int) -> str:
+    return _LETTER_POOL[start : start + n]
+
+
+def _entries(t: Tensor) -> tuple[str | None, list]:
+    k = _result_kind((t,))
+    return k, t._nums if k in _EXACT_KINDS else t.data
+
+
+def outer(a: Tensor, b: Tensor) -> Tensor:
+    """Tensor product; the result's uppers are a's then b's, same for lowers."""
+    if a.dim != b.dim:
+        raise ShapeError("outer: dimension mismatch")
+    la = _letters(a.rank, 0)
+    lb = _letters(b.rank, a.rank)
+    ua, qa = la[: a.p], la[a.p :]
+    ub, qb = lb[: b.p], lb[b.p :]
+    return ein(
+        f"{la},{lb}->{ua + ub + qa + qb}", (a.p + b.p, a.q + b.q), a, b
+    )
+
+
+@lru_cache(maxsize=PLAN_CACHE_CAP)
+def _trace(p: int, q: int, upper: int, lower: int) -> str:
+    """The subscripts that contract upper slot `upper` of a (p, q) tensor
+    against its lower slot `lower`."""
+    if not (0 <= upper < p and 0 <= lower < q):
+        raise IndexKindError(
+            f"contract: upper {upper} / lower {lower} out of range for valence {(p, q)}"
+        )
+    letters = list(_letters(p + q, 0))
+    letters[p + lower] = letters[upper]
+    out = [c for k, c in enumerate(letters) if k != upper and k != p + lower]
+    return f"{''.join(letters)}->{''.join(out)}"
+
+
+def contract(t: Tensor, upper: int, lower: int) -> Tensor:
+    """Contract one upper slot against one lower slot (positions within kind)."""
+    return ein(_trace(t.p, t.q, upper, lower), (t.p - 1, t.q - 1), t)
+
+
+@lru_cache(maxsize=PLAN_CACHE_CAP)
+def _swap(p: int, q: int, a: int, b: int) -> str:
+    """The subscripts that swap slots a and b, of one kind, of a (p, q)
+    tensor."""
+    r = p + q
+    if not (0 <= a < r and 0 <= b < r) or a == b:
+        raise IndexKindError(f"bad slot pair ({a}, {b}) for rank {r}")
+    if (a < p) != (b < p):
+        raise IndexKindError(
+            f"slots {a} and {b} are of different kinds (valence {(p, q)})"
+        )
+    src = _letters(r, 0)
+    out = list(src)
+    out[a], out[b] = out[b], out[a]
+    return f"{src}->{''.join(out)}"
+
+
+def transpose_pair(t: Tensor, a: int, b: int) -> Tensor:
+    return ein(_swap(t.p, t.q, a, b), t.valence, t)
+
+
+def _swapped(t: Tensor, a: int, b: int) -> tuple:
+    """(kind, x, y): t's ``_entries`` (its output kind, and its numerators
+    if exact) and the entries y of its (a, b) swap, gathered by the swap's
+    ``ein`` plan as ``transpose_pair`` gathers them: an exact gather counts
+    in _PLAN_CACHE.fast, and the list path adds each y onto an integer 0."""
+    plan = _PLAN_CACHE.plan(_swap(t.p, t.q, a, b), t.dim, (t.p + t.q,))
+    kind, x = _entries(t)
+    if kind in _EXACT_KINDS:
+        run = plan.exact
+        if run is None:
+            run = plan.exact = _exact_kernel(plan)
+        return kind, x, run(x)
+    return kind, x, plan.kernel(x)
+
+
+def alternate(t: Tensor, a: int, b: int) -> Tensor:
+    """t[..a..b..] - t[..b..a..]; no 1/2.  One pass over t and its swap,
+    with the bits of ``sub(t, transpose_pair(t, a, b))``."""
+    kind, x, y = _swapped(t, a, b)
+    out = list(map(_minus, x, y))
+    if kind in _EXACT_KINDS:
+        return _from_scaled(t.dim, t.valence, out, t._den, kind is _INT)
+    return _new(t.dim, t.valence, out, kind)
+
+
+def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
+    """Half-sum over a slot pair; plain sum when factor_free is set.  Halves
+    are exact in binary floats (barring subnormals), so 1/2 t + 1/2 t' has
+    the bits of (t + t') / 2.  One pass over t and its swap, with the bits
+    of ``lincomb(((h, t), (h, transpose_pair(t, a, b))))``: h = 1/2 makes an
+    exact output a Fraction tensor, as a Fraction coefficient does."""
+    kind, x, y = _swapped(t, a, b)
+    if kind in _EXACT_KINDS:
+        den = t._den if factor_free else 2 * t._den
+        return _from_scaled(t.dim, t.valence, list(map(_plus, x, y)), den,
+                            factor_free and kind is _INT)
+    if factor_free:
+        out = list(map(_plus, x, y))
+    else:
+        h = 0.5 if kind is _FLOAT else Fraction(1, 2)
+        out = [h * u + h * v for u, v in zip(x, y)]
+    return _new(t.dim, t.valence, out, kind)
+
+
+# ---------------------------------------------------------------------------
+# Delta blocks (see the module docstring).  A block is its defining
+# einsums against the delta, as (sign, subscripts) passes in their order,
+# and ``_block`` replays them through a plan cached per shape.  They only
+# add and subtract entries, so an exact input's numerators go through the
+# same replay and keep its denominator.
+
+
+def _passes(block: str, q: int) -> tuple:
+    """The (sign, subscripts) passes of a block of a (0, q) input; the
+    delta's slots come first."""
+    r = _letters(q - 1, 3)  # delta_sym's trailing slots ride along
+    return {"mix": ((1, "im,jn->ijmn"), (-1, "in,jm->ijmn")),
+            "outer": ((1, "ij,mn->ijmn"),),
+            "sym": ((1, f"ij,k{r}->ijk{r}"), (1, f"ik,j{r}->ijk{r}"))}[block]
+
+
+@lru_cache(maxsize=PLAN_CACHE_CAP)
+def _block_plan(block: str, dim: int, q: int) -> tuple:
+    """(steps, order): the replay of a block's passes for a (0, q) input.
+
+    A pass writes its sign times the input entry wherever its delta is 1.
+    The output entries that the passes write with the same signs form one
+    group.  Its step is one (operator, source gather) pair per write, in
+    pass order, so running a step onto an integer 0 adds exactly what the
+    passes add, in their order.  ``order`` gathers the groups' entries,
+    after one integer 0 for every entry no pass writes, into output order."""
+    seq = [[] for _ in range(dim ** (q + 2))]
+    for sign, expr in _passes(block, q):
+        ins, out_s = expr.split("->")
+        on_delta, src = _columns(ins.split(","), out_s, dim)
+        for ws, x, s in zip(seq, on_delta, src):
+            if x % (dim + 1) == 0:  # a diagonal entry
+                ws.append((sign, s))
+    groups: dict[tuple, list[int]] = {}
+    for o, ws in enumerate(seq):
+        if ws:
+            groups.setdefault(tuple(sign for sign, _ in ws), []).append(o)
+    where, steps, at = [0] * len(seq), [], 0
+    for signs, outs in groups.items():
+        steps.append(tuple((_plus if sign > 0 else _minus,
+                            _gather([seq[o][n][1] for o in outs]))
+                           for n, sign in enumerate(signs)))
+        for o in outs:
+            at += 1
+            where[o] = at
+    return tuple(steps), _gather(where)
+
+
+def _block(t: Tensor, block: str) -> Tensor:
+    """The delta block of the (0,q) tensor t, (1,q+1)."""
+    kind, x = _entries(t)
+    steps, order = _block_plan(block, t.dim, t.q)
+    src = [0]
+    for step in steps:
+        acc = repeat(0)
+        for op, get in step:
+            acc = map(op, acc, get(x))
+        src.extend(acc)
+    out = list(order(src))
+    if kind in _EXACT_KINDS:
+        return _from_scaled(t.dim, (1, t.q + 1), out, t._den, kind is _INT)
+    return _new(t.dim, (1, t.q + 1), out, kind)
+
+
+def delta_mix(Y: Tensor) -> Tensor:
+    """d^i_m Y_jn - d^i_n Y_jm, (0,2) -> (1,3); the middle index rides along."""
+    if Y.valence != (0, 2):
+        raise ShapeError(f"delta_mix: needs a (0,2) tensor, got {Y!r}")
+    return _block(Y, "mix")
+
+
+def delta_outer(Y: Tensor) -> Tensor:
+    """d^i_j Y_mn, (0,2) -> (1,3)."""
+    if Y.valence != (0, 2):
+        raise ShapeError(f"delta_outer: needs a (0,2) tensor, got {Y!r}")
+    return _block(Y, "outer")
+
+
+def delta_sym(t: Tensor) -> Tensor:
+    """d^i_j t_k.. + d^i_k t_j.., (0,q) -> (1,q+1); t's trailing slots ride
+    along, so a jet's value and gradient go through the same function."""
+    if t.p != 0 or t.q < 1:
+        raise ShapeError(f"delta_sym: needs a (0,q) tensor with q >= 1, got {t!r}")
+    return _block(t, "sym")
+
+
 def max_abs_diff(a: Tensor, b: Tensor):
     if a.dim != b.dim or a.p != b.p or a.q != b.q:
         raise ShapeError(f"shape mismatch: {a!r} vs {b!r}")
@@ -937,9 +1034,13 @@ def max_abs_diff(a: Tensor, b: Tensor):
         da, db = a._den, b._den
         if da == db and a._nums == b._nums:  # lowest terms: equal values
             return 0 if kind is _INT else Fraction(0)
-        den = da if da == db else lcm(da, db)
-        fa, fb = den // da, den // db
-        m = max(abs(x * fa - y * fb) for x, y in zip(a._nums, b._nums))
+        # one C-level map chain; a side already on the common den is not scaled
+        den, x, y = lcm(da, db), a._nums, b._nums
+        if den != da:
+            x = map(mul, x, repeat(den // da))
+        if den != db:
+            y = map(mul, y, repeat(den // db))
+        m = max(map(abs, map(_minus, x, y)))
         return m if kind is _INT else Fraction(m, den)
     diffs = [abs(x - y) for x, y in zip(a.data, b.data)]
     return max(_finite(diffs, "residual") if kind is _FLOAT else diffs, default=0)

@@ -42,6 +42,21 @@ class Poly:
             return NotImplemented
         return self
 
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + other.scaled(-1)
+
+    def __rsub__(self, other) -> "Poly":
+        """0 - p, for a delta block's subtraction from the integer 0."""
+        if other != 0:
+            return NotImplemented
+        return self.scaled(-1)
+
+    def __rmul__(self, other) -> "Poly":
+        """c * p for an exact coefficient c, as ``lincomb`` applies one."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.scaled(other)
+
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():

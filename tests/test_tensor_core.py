@@ -1319,6 +1319,25 @@ def test_equal_exact_tensors_differ_by_a_zero_of_the_diff_type(data):
     assert tc.RATIONAL.measure(c, a) == (False, Fraction(1, 3), None)
 
 
+
+@pytest.mark.parametrize("dens", [(1, 1), (3, 3), (1, 3), (12, 4), (16, 3)],
+                         ids=["int", "same-den", "a-on-common", "b-on-common",
+                              "both-scaled"])
+def test_max_abs_diff_of_unequal_tensors_keeps_the_diff_type(dens):
+    # the numerator map chain gives the entrywise maximum as an int when
+    # both tensors are all-int, else as a Fraction over the common den
+    rng = random.Random(str(dens))
+    a, b = ([Fraction(rng.randint(-40, 40), d) if d > 1 else rng.randint(-40, 40)
+             for _ in range(27)] for d in dens)
+    if dens != (1, 1):  # entries that keep each tensor's den
+        a[0], b[0] = Fraction(1, dens[0]), Fraction(-1, dens[1])
+    ta, tb = Tensor(3, (1, 2), a), Tensor(3, (1, 2), b)
+    tc._kind(ta), tc._kind(tb)
+    assert (ta._den, tb._den) == dens
+    got = tc.max_abs_diff(ta, tb)
+    assert got == max(abs(x - y) for x, y in zip(a, b))
+    assert type(got) is (int if dens == (1, 1) else Fraction)
+
 # ---------------------------------------------------------------- exact kernels
 #
 # On exact operands an outer product (a permutation included) is a product
@@ -1556,3 +1575,148 @@ def test_pair_invariants_packs_the_cd_and_quad_contractions(monkeypatch, mode):
         assert {e: moved.get(e) for e in CD_QUAD} == dict.fromkeys(CD_QUAD, {1})
     else:
         assert cache.fast == counts[0]
+
+
+# ---------------------------------------------------------------- structural kernels
+# transpose_pair, alternate, sym_pair and the delta blocks run on cached
+# per-shape subscripts, swap plans and write replays.  The references below
+# are the kernels as they were built before those caches: the swap spelled
+# out as subscripts and run through ein, alternate and sym_pair as lincombs
+# of t and that swap, and the delta blocks as their index loops.  Each kernel
+# must give the reference's kind, denominator, numerators and int entries on
+# exact input, and its bits (signed zeros included) on floats and polynomials.
+
+
+def _ref_transpose(t, a, b):
+    src = tc._letters(t.rank, 0)
+    out = list(src)
+    out[a], out[b] = out[b], out[a]
+    return tc.ein(f"{src}->{''.join(out)}", t.valence, t)
+
+
+def _ref_alternate(t, a, b):
+    return tc.sub(t, _ref_transpose(t, a, b))
+
+
+def _ref_sym_pair(t, a, b, factor_free=False):
+    h = 1 if factor_free else Fraction(1, 2)
+    return tc.lincomb(((h, t), (h, _ref_transpose(t, a, b))))
+
+
+def _ref_block_result(t, k, valence, out):
+    if k in tc._EXACT_KINDS:
+        return tc._from_scaled(t.dim, valence, out, t._den, k is tc._INT)
+    return tc._new(t.dim, valence, out, k)
+
+
+def _ref_delta_mix(Y):
+    (kind, y), N, out = tc._entries(Y), Y.dim, [0] * Y.dim**4
+    for i, j, k in itertools.product(range(N), repeat=3):
+        out[((i * N + j) * N + i) * N + k] += y[j * N + k]
+    for i, j, k in itertools.product(range(N), repeat=3):
+        out[((i * N + j) * N + k) * N + i] -= y[j * N + k]
+    return _ref_block_result(Y, kind, (1, 3), out)
+
+
+def _ref_delta_outer(Y):
+    (kind, y), N, out = tc._entries(Y), Y.dim, [0] * Y.dim**4
+    for i, k in itertools.product(range(N), range(N * N)):
+        out[(i * N + i) * N * N + k] += y[k]
+    return _ref_block_result(Y, kind, (1, 3), out)
+
+
+def _ref_delta_sym(t):
+    N = t.dim
+    M = N ** (t.q - 1)
+    kind, d = tc._entries(t)
+    out = [0] * (N * N * len(d))
+    for i, k in itertools.product(range(N), range(N * M)):
+        out[(i * N + i) * N * M + k] += d[k]
+    for i, j, r in itertools.product(range(N), range(N), range(M)):
+        out[((i * N + j) * N + i) * M + r] += d[j * M + r]
+    return _ref_block_result(t, kind, (1, t.q + 1), out)
+
+
+def _structural_operand(rng, dim, valence, scalar):
+    """Exact entries over mixed denominators (or ints), floats that are
+    mostly signed zeros, or polynomials."""
+    n = dim ** sum(valence)
+    if scalar == "fraction":
+        data = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 16))) for _ in range(n)]
+        data[0] = Fraction(1, 48)  # den 48 before any normalisation
+    elif scalar == "int":
+        data = [rng.randint(-9, 9) for _ in range(n)]
+    elif scalar == "float":
+        data = [rng.choice((-0.0, -0.0, 0.0, rng.randint(-8, 8) / 4)) for _ in range(n)]
+    else:
+        data = [random_poly(rng, 2) for _ in range(n)]
+    return Tensor(dim, valence, data)
+
+
+def _same_result(got, want, what):
+    """The exact form, kind and int entries, or the list path's entries and
+    kind mark; reprs for floats, terms for polynomials."""
+    assert got.valence == want.valence, what
+    marks = got._kind, want._kind  # as built, before a scan sets them
+    if tc._kind(want) in tc._EXACT_KINDS:
+        assert (tc._kind(got), got._den, got._nums) == (
+            tc._kind(want), want._den, want._nums), what
+        assert [type(x) for x in got.data] == [type(x) for x in want.data], what
+        return
+    assert marks[0] == marks[1], what
+    shown = [getattr(x, "terms", repr(x)) for x in got.data]
+    assert shown == [getattr(x, "terms", repr(x)) for x in want.data], what
+
+
+def _pair_kernels(scalar):
+    yield "transpose_pair", tc.transpose_pair, _ref_transpose
+    yield "sym_pair plain", functools.partial(tc.sym_pair, factor_free=True), \
+        functools.partial(_ref_sym_pair, factor_free=True)
+    if scalar != "poly":  # polynomials have no halves in _poly
+        yield "alternate", tc.alternate, _ref_alternate
+        yield "sym_pair", tc.sym_pair, _ref_sym_pair
+
+
+def _valences(ranks):
+    return [(p, r - p) for r in ranks for p in range(r + 1)]
+
+
+@pytest.mark.parametrize("dim, scalar", [
+    *itertools.product([2, 3, 4, 5], ["fraction", "int", "float"]),
+    (2, "poly"),  # a slow scalar: N = 2 only
+])
+def test_structural_kernels_match_their_references(dim, scalar):
+    rng = random.Random(f"{dim} {scalar}")
+    for valence in _valences((2, 3, 4)):
+        t = _structural_operand(rng, dim, valence, scalar)
+        p, r = valence[0], sum(valence)
+        pairs = [(a, b) for a in range(r) for b in range(r)
+                 if a != b and (a < p) == (b < p)]
+        for a, b in pairs:
+            for name, kernel, ref in _pair_kernels(scalar):
+                _same_result(kernel(t, a, b), ref(t, a, b), (name, valence, a, b))
+    for q in (1, 2, 3):
+        t = _structural_operand(rng, dim, (0, q), scalar)
+        blocks = [("delta_sym", tc.delta_sym, _ref_delta_sym)]
+        if q == 2:
+            blocks += [("delta_mix", tc.delta_mix, _ref_delta_mix),
+                       ("delta_outer", tc.delta_outer, _ref_delta_outer)]
+        for name, kernel, ref in blocks:
+            _same_result(kernel(t), ref(t), (name, q))
+
+
+def test_a_float_swap_adds_each_entry_onto_zero():
+    # the swap's 0 + x turns -0.0 into 0.0, on the diagonal too: without it
+    # these alternations and sums would keep a -0.0 the references drop
+    t = Tensor(2, (0, 2), [-0.0] * 4)
+    assert [repr(x) for x in tc.transpose_pair(t, 0, 1).data] == ["0.0"] * 4
+    assert [repr(x) for x in tc.alternate(t, 0, 1).data] == ["-0.0"] * 4
+    assert [repr(x) for x in tc.sym_pair(t, 0, 1, True).data] == ["0.0"] * 4
+    assert [repr(x) for x in tc.sym_pair(t, 0, 1).data] == ["0.0"] * 4
+
+
+def test_structural_caches_are_bounded():
+    from geoinv import jet
+
+    for cache in (tc._swap, tc._trace, tc._block_plan, jet._connection_terms):
+        assert cache.cache_info().maxsize is not None, cache
