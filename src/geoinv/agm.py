@@ -27,7 +27,9 @@ trace completion ``s_tilde_closed`` are (0,2) rows only).
   (curvature, every deform-quad row, the basic and first trace rows,
   fourth's deform-mu, trace-scalar-quad and trace-outer-quad, and at N = 2
   first's over-quad) is reported as ``match`` with ``max_abs`` 0.0 without
-  building its term: its two sides are one tensor.
+  building its term: its two sides are one tensor.  A row that recurs with
+  the same part and coefficients (deform's cd and nutor rows, carried into
+  the other tables) is measured once per call and reported at each place.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .invariants import (
     DecompositionError,
     PARTS,
     S_tilde,
+    _Block,
     _sum,
     derived_fourth,
     part,
@@ -114,20 +117,6 @@ def tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
 _UPPER = frozenset(("R", "a_cd", "a_quad", "a_nutor"))
 
 
-class _Block(tuple):
-    """A ("mix", cores) part name that hashes once: a memo hashes its key on
-    lookup and again on store, and a core's ``Fraction`` coefficient hashes
-    in Python.  Equal to, and hashed as, the plain tuple."""
-
-    def __new__(cls, cores: tuple):
-        self = super().__new__(cls, ("mix", cores))
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 @cache
 def forms(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     """Each closed form's rows (coefficient, part) at dimension N; built
@@ -141,7 +130,7 @@ def forms(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     for form, rows in tables(N).items():
         cores = tuple((c, name) for _, name, _, c in rows if name not in _UPPER)
         out["agm_" + form] = (*((c, name) for _, name, _, c in rows if name in _UPPER),
-                              (1, _Block(cores)))
+                              (1, _Block("mix", *cores)))
     return MappingProxyType(out)
 
 
@@ -252,8 +241,8 @@ def weyl_forms_from_decomposition(dec: Decomposition, fields: SpaceFields
     fourth is the rebuild operator's (``derived_fourth``)."""
     N, h2 = fields.dim, Fraction(1, (fields.dim + 1) ** 2)
     base = ((1, "R"), (1, dec.total),
-            (Fraction(-1, N + 1), ("mix", ((1, "theta_rho"),))))
-    first = _sum(fields, (*base, (-h2, ("mix", ((1, "s_tilde"),)))))
+            (Fraction(-1, N + 1), _Block("mix", (1, "theta_rho"))))
+    first = _sum(fields, (*base, (-h2, _Block("mix", (1, "s_tilde")))))
     first_disp = _sum(fields, (*base, ((N - 1) * h2, dec.mix_Y), (-h2, dec.mix_z_trace)))
     return first, derived_fourth(dec, fields), first_disp
 
@@ -267,21 +256,28 @@ def agm_diagnostics(fields: SpaceFields) -> list[dict]:
     is the same."""
     N = fields.dim
     rows: list[dict] = []
+    # each table row's outcome by its part and coefficients (as int pairs,
+    # which hash in C): the deform rows recur in the other tables, and are
+    # measured once
+    seen: dict[tuple, dict] = {}
+
+    def measured(x: Tensor, y: Tensor) -> dict:
+        ok, resid, _ = fields.domain.measure(x, y)
+        return {"status": "match" if ok else "mismatch", "max_abs": float(resid)}
 
     def row(section: str, group: str, x: Tensor, y: Tensor) -> None:
-        ok, resid, _ = fields.domain.measure(x, y)
-        rows.append({"section": section, "group": group,
-                     "status": "match" if ok else "mismatch", "max_abs": float(resid)})
+        rows.append({"section": section, "group": group, **measured(x, y)})
 
     def table(section: str, pipeline: Tensor) -> None:
         for group, name, published, corrected in tables(N)[section]:
             bare = name.removeprefix("sym_")
+            key = (name, published.as_integer_ratio(), corrected.as_integer_ratio())
             if (published, bare) == (corrected, name):  # one tensor on both sides
-                rows.append({"section": section, "group": group,
-                             "status": "match", "max_abs": 0.0})
-            else:
-                row(section, group, _sum(fields, ((published, bare),)),
-                    _sum(fields, ((corrected, name),)))
+                seen[key] = {"status": "match", "max_abs": 0.0}
+            elif key not in seen:
+                seen[key] = measured(_sum(fields, ((published, bare),)),
+                                     _sum(fields, ((corrected, name),)))
+            rows.append({"section": section, "group": group, **seen[key]})
         row(section, "total-vs-pipeline", part(fields, "agm_" + section), pipeline)
 
     table("deform", A_tensor(fields))

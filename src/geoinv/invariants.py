@@ -147,6 +147,22 @@ PARTS = {
 }
 
 
+class _Block(tuple):
+    """A delta block's part name, (kind, cores) with kind "mix" or "outer"
+    and cores its (coefficient, part) rows, that hashes once: a memo hashes
+    its key on lookup and again on store, and a core's ``Fraction``
+    coefficient hashes in Python.  Equal to, and hashed as, the plain
+    tuple.  Every table block is named by one."""
+
+    def __new__(cls, kind: str, *cores: tuple):
+        self = super().__new__(cls, (kind, cores))
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @cache
 def weyl_tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     """Each Weyl-type form's rows (coefficient, part) at dimension N, in
@@ -155,37 +171,39 @@ def weyl_tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     F = Fraction
     return MappingProxyType({
         "weyl_factored": (
-            (1, "R"), (1, "A"), (F(-1, N + 1), ("mix", ((1, "theta_rho"),))),
-            (F(-1, (N + 1) ** 2), ("mix", ((1, "s_tilde"),)))),
+            (1, "R"), (1, "A"), (F(-1, N + 1), _Block("mix", (1, "theta_rho"))),
+            (F(-1, (N + 1) ** 2), _Block("mix", (1, "s_tilde")))),
         "weyl_fourth": (
-            (1, "R"), (1, "A"), (F(1, N - 1), ("mix", ((1, "sym_ricci"),))),
-            (F(1, N - 1), ("mix", ((1, "a_trace"),)))),
+            (1, "R"), (1, "A"), (F(1, N - 1), _Block("mix", (1, "sym_ricci"))),
+            (F(1, N - 1), _Block("mix", (1, "a_trace")))),
         # the first derived form as displayed, kept for diagnostics.  Not
         # invariant in general: it differs from the factored form by a delta
         # bracket of (S-completion minus the A-trace), which moves under the
         # rule; weyl_first_over is the invariant closure
         "weyl_first_display": (
             (1, "R"),
-            (F(-1, (N + 1) ** 2), ("mix", ((N + 1, "theta_rho"), (1, "a_trace")))),
+            (F(-1, (N + 1) ** 2),
+             _Block("mix", (N + 1, "theta_rho"), (1, "a_trace"))),
             (1, "A")),
         # the first derived construction applied to the factored form's
         # decomposition: the factored invariant plus a pure trace correction
-        "weyl_first_over": ((1, "weyl_factored"), (1, ("outer", (
-            (F(1, N + 1), "rho_skew"), (F(-1, N * (N + 1)), "skew_ricci"))))),
+        "weyl_first_over": ((1, "weyl_factored"), (1, _Block(
+            "outer", (F(1, N + 1), "rho_skew"), (F(-1, N * (N + 1)), "skew_ricci")))),
         # the trace-shift rule's form
         "geodesic_weyl": (
             (1, "R"),
             # the delta-diagonal block alternates the special trace derivative:
             # its symmetric excess over the covector rule cancels when alternated
-            (F(1, N + 1), ("outer", ((1, "special_skew"),))),
+            (F(1, N + 1), _Block("outer", (1, "special_skew"))),
             # the mixed block keeps the covector rule, which is what makes the
             # form move with the basic Weyl form and stay invariant
-            (F(-1, (N + 1) ** 2), ("mix", ((N + 1, "theta"), (1, "theta_theta"))))),
+            (F(-1, (N + 1) ** 2),
+             _Block("mix", (N + 1, "theta"), (1, "theta_theta")))),
         # the classical projective-type tensor of the symmetric part
         "weyl_projective": (
-            (1, "R"), (F(1, N + 1), ("outer", ((1, "skew_ricci"),))),
-            (F(N, N * N - 1), ("mix", ((1, "ricci"),))),
-            (F(1, N * N - 1), ("mix", ((1, "ricci_T"),)))),
+            (1, "R"), (F(1, N + 1), _Block("outer", (1, "skew_ricci"))),
+            (F(N, N * N - 1), _Block("mix", (1, "ricci"))),
+            (F(1, N * N - 1), _Block("mix", (1, "ricci_T")))),
     })
 
 
@@ -300,5 +318,5 @@ def derived_fourth(dec: Decomposition, side: SpaceFields | ConnectionSpace) -> T
     """The fourth derived form of R + delta_mix(Y) + Z, over a side's
     symmetrized-Ricci block (``weyl_fourth``'s, when the side is a bundle)."""
     c = Fraction(1, side.dim - 1)
-    return _sum(side, ((1, "R"), (1, dec.Z), (c, ("mix", ((1, "sym_ricci"),))),
+    return _sum(side, ((1, "R"), (1, dec.Z), (c, _Block("mix", (1, "sym_ricci"))),
                        (c, dec.mix_z_trace)))

@@ -19,6 +19,14 @@ deformation-trace difference both have symmetric gradients' worth of freedom
 removed — because the skew parts of the Ricci tensor and of the rho tensor
 are only mapping-invariant under those conditions; fully free jets would
 break invariances the rest of the package certifies.
+
+With the endomorphism pair but no symmetric object (s2 = 1, s3 = 0) the
+second constraint is a linear system, solved through ``tc.solver``.  The
+trace of the barred endomorphism is bumped until the system is regular,
+decided in both modes on the same exact determinant (lattice floats are
+dyadic), so both modes take the same bumps.  In exact mode the elimination
+that gives that determinant also gives the solution, on scaled integers;
+float mode solves by its own pivoted elimination, so its bits hold.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ from .jet import (
     linear,
     zero_jet,
 )
-from .tensor_core import DOMAINS, Domain, GeoinvError, Tensor, once
+# _solve, the list-path elimination, is tensor_core's and importable here
+from .tensor_core import (DOMAINS, Domain, GeoinvError, Tensor, _pivot,  # noqa: F401
+                          _solve, once)
 
 
 class InstanceError(GeoinvError):
@@ -330,26 +340,6 @@ def _first_draws(r, dom: Domain, dim):
     return L, u, JetTensor(u_bar_v, tc.add(u.grad, sym_shift))
 
 
-def _solve(A: list[list], B: list[list]):
-    """Solve A X = B by Gauss-Jordan elimination with max-|.| partial
-    pivoting, in either domain; None when A is singular."""
-    n = len(A)
-    m = [row_a + row_b for row_a, row_b in zip(A, B)]
-    w = len(m[0])
-    for col in range(n):
-        piv = col + _pivot([row[col] for row in m[col:]])
-        if m[piv][col] == 0:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for k in range(n):
-            if k != col and m[k][col] != 0:
-                c = m[k][col]
-                m[k] = [x - c * y for x, y in zip(m[k], m[col])]
-    return [row[n:w] for row in m]
-
-
 def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
              mode: str = "rational") -> MappingInstance:
     """Draw a consistent random instance of the general or geodesic rule.
@@ -379,11 +369,10 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     f_bar = _draw_jet(r, dom, dim, (1, 1))
     if s2 and not s3:
         # the curl fix below solves against f_bar + trace(f_bar)*delta; nudge
-        # the trace until that matrix is invertible, decided exactly (lattice
-        # floats are dyadic), so both modes take the same bumps
+        # the trace until that matrix is regular (see the module docstring)
         for bump in range(1, 64):
-            M = [list(map(Fraction, row)) for row in _rule_matrix(f_bar.value)]
-            if _solve(M, [[] for _ in M]) is not None:
+            solve = tc.solver(_rule_matrix(f_bar.value))
+            if solve is not None:
                 break
             f_bar = JetTensor(tc.lincomb(
                 ((1, f_bar.value), (Fraction(1, 16), tc.delta(dim)))), f_bar.grad)
@@ -413,12 +402,9 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
                             (Fraction(1, dim + 1), tc.delta_sym(V)))),
             )
         elif s2:
-            H = [[V[(k, n)] for n in range(dim)] for k in range(dim)]
-            G = _solve(_rule_matrix(f_bar.value), H)
-            if G is None:  # pragma: no cover - excluded by the bump loop
+            shift = solve(V)
+            if shift is None:  # pragma: no cover - a float pivot vanished
                 raise DegenerateError("curl-fix system became singular")
-            shift = Tensor(dim, (0, 2),
-                           [G[a][n] for a in range(dim) for n in range(dim)])
             sigma_bar = JetTensor(sigma_bar.value, tc.add(sigma_bar.grad, shift))
         else:  # pragma: no cover - b vanishes identically when s2 = s3 = 0
             raise DegenerateError("unexpected trace curl with no deformation source")
@@ -429,14 +415,12 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
     return MappingInstance(dim, mode, flags, "general", fields, seed=seed)
 
 
-def _rule_matrix(fv: Tensor) -> list[list]:
-    """Rows k, columns a of f^a_k + tr(f) d^a_k (the curl-fix system)."""
-    dim = fv.dim
-    tr = sum(fv[(a, a)] for a in range(dim))
-    return [
-        [fv[(a, k)] + (tr if a == k else 0) for a in range(dim)]
-        for k in range(dim)
-    ]
+def _rule_matrix(fv: Tensor) -> Tensor:
+    """Rows k, columns a of f^a_k + tr(f) d^a_k (the curl-fix system).  On
+    float entries each is fv's entry plus tr(f) or an exact zero, with the
+    bits of that sum."""
+    tr = tc.contract(fv, 0, 0)
+    return tc.add(tc.ein("ak->ka", (1, 1), fv), tc.outer(tr, tc.delta(fv.dim)))
 
 
 def _sym_with_product(r, dom, phi_v: Tensor, target: Tensor) -> Tensor:
@@ -563,11 +547,6 @@ def _solve_agm(phi_v: Tensor, M: Tensor):
     mu = M[(i0, i0)] - nu_vals[i0] * phi_v[(i0,)]
     nu_vals[k] = (M[(k, k)] - mu) / pk
     return Tensor(dim, (0, 1), nu_vals), mu
-
-
-def _pivot(xs: list) -> int:
-    """The index of xs' first entry of largest |.|: the one pivot rule."""
-    return max(range(len(xs)), key=lambda k: abs(xs[k]))
 
 
 def _relation(phi_v: Tensor, nu: Tensor, mu) -> Tensor:

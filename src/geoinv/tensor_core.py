@@ -74,6 +74,16 @@ its defining einsums, in their order, and replayed by one builder,
 the signs the einsums write to them, and each group's entries are their
 sources added onto an integer 0 in that order, so float zeros keep their
 signs.
+
+``solver(A)`` is the one kernel for square linear systems.  It decides
+whether A is regular on the exact values of its entries in every mode (a
+float is a dyadic ratio, taken exactly), by the determinant of one
+fraction-free Gauss-Jordan elimination over ints (Bareiss), whose every
+division is exact.  For an exact A that elimination also gives the
+adjugate, so an exact right-hand side is solved by one integer product and
+one normalisation, and no ``Fraction`` is built or divided.  Any other
+operand is solved on its entries by ``_solve``, Gauss-Jordan with the
+largest-|.| pivot, so float solutions keep their bits.
 """
 
 from __future__ import annotations
@@ -1044,3 +1054,122 @@ def max_abs_diff(a: Tensor, b: Tensor):
         return m if kind is _INT else Fraction(m, den)
     diffs = [abs(x - y) for x, y in zip(a.data, b.data)]
     return max(_finite(diffs, "residual") if kind is _FLOAT else diffs, default=0)
+
+
+# ---------------------------------------------------------------------------
+# Square linear systems (see the module docstring).
+
+
+def _pivot(xs: list) -> int:
+    """The index of xs' first entry of largest |.|: the pivot rule of every
+    elimination on the entries themselves (``_solve``, and mappings'
+    ``_solve_agm`` and ``_sym_with_product``)."""
+    return max(range(len(xs)), key=lambda k: abs(xs[k]))
+
+
+def _solve(A: list[list], B: list[list]):
+    """Solve A X = B by Gauss-Jordan elimination with max-|.| partial
+    pivoting on the entries themselves, in either domain; None when A is
+    singular."""
+    n = len(A)
+    m = [row_a + row_b for row_a, row_b in zip(A, B)]
+    w = len(m[0])
+    for col in range(n):
+        piv = col + _pivot([row[col] for row in m[col:]])
+        if m[piv][col] == 0:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = m[col][col]
+        m[col] = [x / inv for x in m[col]]
+        for k in range(n):
+            if k != col and m[k][col] != 0:
+                c = m[k][col]
+                m[k] = [x - c * y for x, y in zip(m[k], m[col])]
+    return [row[n:w] for row in m]
+
+
+def _bareiss(A: list[list], B: list[list]) -> tuple:
+    """(det A, det A * A^-1 B) for rows of ints, by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968) 565); (0, None)
+    when A is singular.
+
+    Step k scales every row but the pivot row by the pivot and divides by
+    the previous one, exactly, so the entries stay minors of [A | B]; after
+    the last step the left block is the last pivot, +-det A, times the unit
+    matrix.  The pivot is the first nonzero entry down its column, so the
+    entries need a zero test, ``*``, ``-`` and exact ``//``, and no order."""
+    n = len(A)
+    m = [row_a + row_b for row_a, row_b in zip(A, B)]
+    prev, sign = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        row = m[k][k:]
+        piv = row[0]
+        for i, r in enumerate(m):
+            if i != k:  # the columns left of k are settled
+                c = r[k]
+                r[k:] = [(piv * x - c * y) // prev for x, y in zip(r[k:], row)]
+        prev = piv
+    return sign * prev, [r[n:] if sign > 0 else [-x for x in r[n:]] for r in m]
+
+
+def _scaled(t: Tensor) -> tuple[list, int]:
+    """(nums, den): t's entries as ints over one denominator, exactly (a
+    float is a dyadic ratio), or, for any other scalar type, as they are
+    over 1."""
+    kind = _result_kind((t,))
+    if kind in _EXACT_KINDS:
+        return t._nums, t._den
+    if kind is not _FLOAT:
+        return t.data, 1
+    ratios = [x.as_integer_ratio() for x in t.data]
+    den = lcm(*[d for _, d in ratios])
+    return [x * (den // d) for x, d in ratios], den
+
+
+def solver(A: Tensor):
+    """``solve(B)``, the X with A X = B, for a square matrix A (rank 2:
+    rows, columns), or None when A is singular; B's first slot runs over
+    A's rows, and X has B's shape.
+
+    Regularity is decided on the exact values of A's entries, in every
+    mode, by the determinant of one fraction-free elimination (``_bareiss``).
+    An exact A keeps that elimination's adjugate, so an exact B is solved by
+    one integer product and one normalisation, with no ``Fraction`` built.
+    Any other operand solves on its entries by ``_solve`` (max-|.| pivots),
+    so float solutions keep their bits; it returns None if a float pivot
+    vanishes."""
+    if A.rank != 2:
+        raise ShapeError(f"solver: needs a square matrix, got {A!r}")
+    n = A.dim
+    nums, den = _scaled(A)
+    exact = _exact(A)
+    det, adj = _bareiss([nums[i * n:(i + 1) * n] for i in range(n)],
+                        [[int(i == j) for j in range(n)] if exact else []
+                         for i in range(n)])
+    if det == 0:
+        return None
+    if exact:  # A^-1 = den * adj / det
+        adj = [[den * x for x in r] for r in adj]
+
+    def solve(B: Tensor) -> Tensor | None:
+        if B.dim != n or B.rank < 1:
+            raise ShapeError(f"solve: {B!r} does not match {A!r}")
+        m = n ** (B.rank - 1)
+        if exact and _exact(B):
+            b = B._nums
+            cols = list(zip(*[b[i * m:(i + 1) * m] for i in range(n)]))
+            out = [sum(map(mul, r, c)) for r in adj for c in cols]
+            d = det * B._den
+            if d < 0:
+                out, d = [-x for x in out], -d
+            return _from_scaled(n, B.valence, out, d, ints=False)
+        a, b = A.data, B.data
+        X = _solve([a[i * n:(i + 1) * n] for i in range(n)],
+                   [b[i * m:(i + 1) * m] for i in range(n)])
+        return None if X is None else Tensor(n, B.valence, [x for r in X for x in r])
+    return solve

@@ -9,7 +9,10 @@ both sides' warm-up, each operation of R rounds of the workload's stream at
 seed S runs on both sides, the side that goes first alternating from pair
 to pair.  Every pair must give the same ``gen_text`` and the same ``ok``.
 Prints the summed-time ratio and the median per-operation ratio, each as
-parent seconds over change seconds (above 1: the change is faster).  Both
+parent seconds over change seconds (above 1: the change is faster), then
+one line per distinct shape of the workload's cycle, in cycle order, with
+the median ratio over that shape's operations: a change to a few shapes
+shows there, where the overall median hides it.  Both
 sides share one process and alternate, so drift in machine speed hits both
 alike.  Not a test module: pytest does not collect it.
 """
@@ -52,7 +55,8 @@ def load(checkout, name: str, root: Path):
 
 
 def compare(parent, change, workload: str, rounds: int, seed: int = 0):
-    """(parent seconds, change seconds) per operation of the A/B run;
+    """(shape, parent seconds, change seconds) per operation of the A/B
+    run, shape the operation's entry of the workload's cycle;
     AssertionError if a pair differs in gen_text or in ok."""
     names = ("geoinv_ab_parent", "geoinv_ab_change")
     try:
@@ -69,7 +73,8 @@ def compare(parent, change, workload: str, rounds: int, seed: int = 0):
                 a, b = got
                 assert a.gen_text == b.gen_text, f"operation {k}: gen_text differs"
                 assert a.ok == b.ok, f"operation {k}: ok {a.ok} vs {b.ok}"
-                times.append((a.seconds, b.seconds))
+                times.append((sides[0].cycle[k % sides[0].round_size],
+                              a.seconds, b.seconds))
             return times
     finally:  # a later call copies afresh
         for key in [k for k in sys.modules if k.startswith(names)]:
@@ -85,10 +90,16 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     times = compare(args.parent, args.change, args.workload, args.rounds, args.seed)
-    total = sum(a for a, _ in times) / sum(b for _, b in times)
-    median = statistics.median(a / b for a, b in times)
+    total = sum(a for _, a, _ in times) / sum(b for _, _, b in times)
+    median = statistics.median(a / b for _, a, b in times)
     print(f"{args.workload}: {len(times)} pairs, summed-time ratio {total:.3f}, "
           f"median per-operation ratio {median:.3f}")
+    by_shape: dict = {}
+    for shape, a, b in times:
+        by_shape.setdefault(shape, []).append(a / b)
+    for shape, ratios in by_shape.items():
+        print(f"  shape {shape}: {len(ratios)} pairs, "
+              f"median ratio {statistics.median(ratios):.3f}")
     return 0
 
 

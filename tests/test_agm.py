@@ -522,6 +522,48 @@ def test_diagnostics_share_delta_blocks(monkeypatch):
         assert list(seen.values()) == [1, 1, 1, 1], (dim, seed, p)
 
 
+def test_diagnostics_measure_each_recurring_row_once(monkeypatch):
+    # a table row whose two columns differ is built and measured once per
+    # diagnostics call for each distinct (part, published, corrected): the
+    # deform rows carried into the basic, fourth and first tables reuse it
+    for dim, p in ((2, 1), (3, 1), (4, 2)):
+        ins = generate_agm3(dim, 1, p, "rational")
+        s = ins.source_fields()
+        want = agm.agm_diagnostics(s)
+        calls, real = [], tc.Domain.measure
+        monkeypatch.setattr(tc.Domain, "measure",
+                            lambda d, x, y: calls.append(x) or real(d, x, y))
+        assert agm.agm_diagnostics(s) == want
+        monkeypatch.setattr(tc.Domain, "measure", real)
+        tables = agm.tables(dim)
+        distinct = {(name, published, corrected)
+                    for table in tables.values()
+                    for _, name, published, corrected in table
+                    if (published, name.removeprefix("sym_")) != (corrected, name)}
+        others = [r for r in want if r["section"] not in tables
+                  or r["group"] == "total-vs-pipeline"]
+        # and agm_decompose's reconstruction check
+        assert len(calls) == len(distinct) + len(others) + 1, dim
+
+
+def test_table_blocks_hash_no_fraction(monkeypatch):
+    # every delta block a Weyl-type or agm table names is an inv._Block,
+    # which hashes once: a check and a diagnostics call on a built bundle
+    # hash no Fraction coefficient
+    for N in (2, 3, 4):
+        tables = [*inv.weyl_tables(N).values(), *agm.forms(N).values()]
+        blocks = [name for rows in tables for _, name in rows
+                  if isinstance(name, tuple)]
+        assert blocks and all(type(b) is inv._Block for b in blocks)
+    hashes = []
+    real = Fraction.__hash__
+    ins = generate_agm3(3, 2, 1, "rational")
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashes.append(x) or real(x))
+    pair_invariants(ins)
+    agm.agm_diagnostics(ins.source_fields())
+    assert hashes == []
+
+
 def test_trace_derivative_is_computed_once_per_space(monkeypatch):
     # The covector-rule trace derivative feeds the factored, fourth and
     # first-display forms, the closed-form blocks and the decomposition

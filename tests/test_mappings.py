@@ -78,6 +78,23 @@ def test_float_trace_bump_is_decided_exactly():
             float(x) for x in exact.fields["f_bar"].value.data]
 
 
+def test_rational_curl_fix_never_takes_the_list_path(monkeypatch):
+    # exact generation solves the s2-only curl fix on scaled integers; the
+    # list-path elimination (tc._solve) is float mode's
+    calls, solve = [], mp._solve
+    monkeypatch.setattr(tc, "_solve", lambda A, B: calls.append(A) or solve(A, B))
+    for dim in (2, 3, 4, 5):
+        for flags in ((0, 1, 0), (1, 1, 0)):
+            for seed in range(4):
+                generate(dim, seed, flags, "general", "rational")
+    # known bump seeds: singular on the first try
+    for dim, seed, flags in [(3, 1715, (1, 1, 0)), (4, 7000180, (0, 1, 0))]:
+        generate(dim, seed, flags, "general", "rational")
+    assert calls == []
+    generate(3, 0, (0, 1, 0), "general", "float")  # the spy is in place
+    assert len(calls) == 1
+
+
 def test_distinct_seeds_differ():
     a = generate(3, 0, (1, 1, 1), "general", "rational")
     b = generate(3, 1, (1, 1, 1), "general", "rational")

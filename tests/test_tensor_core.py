@@ -660,6 +660,90 @@ def test_solve_is_exact_on_lattice_systems():
     assert _solve(singular, [[Fraction(1)], [Fraction(2)]]) is None
 
 
+def _lattice_system(rng, n, kind):
+    """An n x n lattice matrix (rows of k/16) of a kind: "regular" (redrawn
+    until the Leibniz determinant is nonzero), "zero-pivot" (a regular one
+    with A[0][0] = 0, so the first pivot comes from below), "singular" (its
+    last row the sum of two others) or "deficient" (rank n - 2: its last two
+    rows multiples of the first)."""
+    while True:
+        A = [[Fraction(rng.randint(-16, 16), 16) for _ in range(n)] for _ in range(n)]
+        if kind == "zero-pivot":
+            A[0][0] = Fraction(0)
+        if kind == "singular":
+            A[-1] = [x + y for x, y in zip(A[0], A[1 % (n - 1)])]
+        elif kind == "deficient":
+            A[-2] = [2 * x for x in A[0]]
+            A[-1] = [-3 * x for x in A[0]]
+        if (_det(A) != 0) == (kind in ("regular", "zero-pivot")):
+            return A
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fraction_free_elimination_matches_the_list_path(n, monkeypatch):
+    # tc.solver on exact lattice systems against the list-path elimination
+    # (mappings._solve) on the same Fraction lists, with right-hand sides of
+    # one column and of n columns
+    from geoinv.mappings import _solve
+
+    listed = []  # the exact solver must never take the list path
+    monkeypatch.setattr(tc, "_solve", lambda A, B: listed.append(A) or _solve(A, B))
+    rng = random.Random(3400 + n)
+    signs = set()
+    for trial, kind in enumerate(["regular", "zero-pivot", "singular", "deficient"] * 4):
+        if kind == "deficient" and n < 3:
+            continue
+        A = _lattice_system(rng, n, kind)
+        det = _det(A)
+        # the elimination's determinant is the oracle's, sign included
+        assert tc._bareiss([[x.numerator * (16 // x.denominator) for x in r] for r in A],
+                           [[] for _ in A])[0] == det * 16 ** n
+        signs.add((det > 0) - (det < 0))
+        solve = tc.solver(Tensor(n, (1, 1), [x for r in A for x in r]))
+        for valence in ((0, 1), (0, 2)):
+            m = n ** (valence[1] - 1)
+            B = [[Fraction(rng.randint(-16, 16), rng.choice((1, 2, 16)))
+                  for _ in range(m)] for _ in range(n)]
+            X = _solve(A, B)
+            if det == 0:
+                assert solve is None and X is None
+                continue
+            got = solve(Tensor(n, valence, [x for r in B for x in r]))
+            assert got.data == [x for r in X for x in r]
+            # scaled and in lowest terms, materialised as Fractions
+            assert got._den > 0 and math.gcd(got._den, *got._nums) == 1
+            assert {type(x) for x in got.data} == {Fraction}
+    assert signs == {-1, 0, 1}
+    assert listed == []
+
+
+def test_solver_decides_float_systems_on_their_exact_values():
+    # a float matrix is regular iff its exact values are, whatever a float
+    # pivot meets; its solve is the list path's, bit for bit
+    from geoinv.mappings import _solve
+
+    rng = random.Random(34)
+    for n in (2, 3, 4):
+        for kind in ("regular", "zero-pivot", "singular"):
+            A = [[float(x) for x in r] for r in _lattice_system(rng, n, kind)]
+            solve = tc.solver(Tensor(n, (1, 1), [x for r in A for x in r]))
+            assert (solve is None) == (kind == "singular")
+            if solve is not None:
+                B = [[rng.randint(-16, 16) / 16 for _ in range(n)] for _ in range(n)]
+                got = solve(Tensor(n, (0, 2), [x for r in B for x in r]))
+                assert list(map(repr, got.data)) == [repr(x) for r in _solve(A, B)
+                                                     for x in r]
+    # singular in exact values (the last row is the sum of the others),
+    # where float elimination meets a rounded pivot, not 0
+    rows = [[x / 16 for x in r] for r in ([-8, -12, 0], [-9, 15, 12], [-17, 3, 12])]
+    assert _solve(rows, [[], [], []]) is not None
+    assert tc.solver(Tensor(3, (1, 1), [x for r in rows for x in r])) is None
+    with pytest.raises(ShapeError):
+        tc.solver(Tensor(2, (0, 1), [1, 2]))
+    with pytest.raises(ShapeError):
+        tc.solver(Tensor(2, (1, 1), [1, 2, 3, 4]))(Tensor(3, (0, 1), [1, 2, 3]))
+
+
 def test_mode_dispatch_lives_in_tensor_core():
     # Mode-specific arithmetic belongs to tc.Domain; no other module may
     # branch on a mode string or on a domain's kind, infer a domain from
