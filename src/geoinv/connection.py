@@ -36,10 +36,7 @@ def curvature(Lsym: JetTensor) -> Tensor:
     R^i_jmn = L^i_jm,n - L^i_jn,m + L^a_jm L^i_an - L^a_jn L^i_am
     """
     quad = tc.ein("ajm,ian->ijmn", (1, 3), Lsym.value, Lsym.value)
-    return tc.add(
-        tc.alternate(Lsym.grad, 2, 3),
-        tc.alternate(quad, 2, 3),
-    )
+    return tc.alternate_sum(((1, ((1, Lsym.grad),)), (1, ((1, quad),))), 2, 3)
 
 
 def ricci(R: Tensor) -> Tensor:

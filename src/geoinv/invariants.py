@@ -22,17 +22,13 @@ from types import MappingProxyType
 
 from . import tensor_core as tc
 from .connection import ConnectionSpace
-from .jet import covariant_derivative
+from .jet import JetTensor, covariant_derivative, derivative_rows
 from .mappings import SpaceFields
 from .tensor_core import GeoinvError, Tensor, once
 
 
 class DecompositionError(GeoinvError):
     """A decomposition input violates its shape or symmetry contract."""
-
-
-def _alt_last(T: Tensor) -> Tensor:
-    return tc.alternate(T, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +77,17 @@ def geodesic_thomas(space: ConnectionSpace) -> Tensor:
 # Weyl-type invariants: the basic form, then tables over named parts
 
 
+def _deformed_curvature(X: JetTensor, space: ConnectionSpace) -> Tensor:
+    """alt(X.X) - alt(nabla X) over the last pair, what the deformation X adds
+    to the curvature; the cross-check routes feed it omega and B."""
+    quad = tc.ein("ajm,ian->ijmn", (1, 3), X.value, X.value)
+    return tc.alternate_sum(((1, ((1, quad),)), (-1, derivative_rows(X, space.Lsym))),
+                            2, 3)
+
+
 def weyl_basic(fields: SpaceFields) -> Tensor:
     """Curvature of the reduced connection, assembled from omega's jet."""
-    om = fields.omega
-    cd = covariant_derivative(om, fields.space.Lsym)
-    quad = tc.ein("ajm,ian->ijmn", (1, 3), om.value, om.value)
-    return tc.add(fields.space.R, tc.sub(_alt_last(quad), _alt_last(cd)))
+    return tc.add(fields.space.R, _deformed_curvature(fields.omega, fields.space))
 
 
 @once
@@ -113,10 +114,7 @@ def S_tilde(fields: SpaceFields) -> Tensor:
 @once
 def A_tensor(fields: SpaceFields) -> Tensor:
     """Deformation curvature: minus the alternated derivative plus the square."""
-    B = fields.B
-    cd = covariant_derivative(B, fields.space.Lsym)
-    quad = tc.ein("ajm,ian->ijmn", (1, 3), B.value, B.value)
-    return tc.sub(_alt_last(quad), _alt_last(cd))
+    return _deformed_curvature(fields.B, fields.space)
 
 
 @once

@@ -305,18 +305,23 @@ def build_target_connection(inst: MappingInstance) -> JetTensor:
 # generators
 
 
+_LATTICE = bytes((v >> 2) - 16 & 255 for v in range(256))  # top byte -> draw
+_REDRAWN = bytes(range(132, 256))  # top 6 bits 33 or more: randrange redraws
+
+
 def _lattice(r: random.Random, n: int) -> list[int]:
     """n draws of ``r.randrange(-16, 17)``, taken in blocks.
 
-    randrange draws 6 bits until they fall below 33; a block keeps the 6-bit
-    draws below 33 and asks only for as many as are still missing, so the
-    numbers and the state of r afterwards are those of n randrange calls.
-    """
-    out: list[int] = []
-    bits = r.getrandbits
+    randrange draws 6 bits, the top 6 of one 32-bit output, until they fall
+    below 33.  A block of the m draws still missing is one
+    ``r.getrandbits(32 * m)``, m outputs least significant first (CPython),
+    so the numbers and the state of r are those of n randrange calls."""
+    out = bytearray()
     while len(out) < n:
-        out += [x - 16 for x in [bits(6) for _ in range(n - len(out))] if x < 33]
-    return out
+        m = n - len(out)
+        words = r.getrandbits(32 * m).to_bytes(4 * m, "little")
+        out += words[3::4].translate(_LATTICE, _REDRAWN)
+    return memoryview(out).cast("b").tolist()  # signed bytes
 
 
 def _draw(r, dom: Domain, dim, valence) -> Tensor:

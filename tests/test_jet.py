@@ -12,7 +12,7 @@ from geoinv import jet, tensor_core as tc
 from geoinv.jet import JetTensor, ShapeError, constant_jet, covariant_derivative, zero_jet
 from geoinv.tensor_core import Tensor
 
-from _poly import Poly, PolyField, random_point
+from _poly import Poly, PolyField, random_point, random_poly
 
 DIM = 3
 
@@ -233,6 +233,71 @@ def test_covariant_derivative_leibniz_on_contraction():
     traced = jet.linear(tc.contract, f.jet_at(point), 0, 0)
     out = covariant_derivative(traced, g.value_at(point))
     assert out.data == traced.grad.data
+
+
+# -------------------------------------------------- derivative rows
+
+_VALENCES = [(p, r - p) for r in range(4) for p in range(r + 1)]
+
+
+def _entries(rng, n, scalar):
+    if scalar == "int":
+        return [rng.randint(-9, 9) for _ in range(n)]
+    if scalar == "fraction":
+        return [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 16))) for _ in range(n)]
+    if scalar == "float":
+        return [rng.choice((-0.0, -0.0, 0.0, rng.randint(-8, 8) / 4)) for _ in range(n)]
+    return [random_poly(rng, 2, 1) for _ in range(n)]
+
+
+def _random_jet(rng, dim, valence, scalar):
+    p, q = valence
+    return JetTensor(Tensor(dim, valence, _entries(rng, dim ** (p + q), scalar)),
+                     Tensor(dim, (p, q + 1), _entries(rng, dim ** (p + q + 1), scalar)))
+
+
+def _carried(t):
+    """A result as it was built: its kind mark, then its scaled form and
+    entry types if exact, else each entry's repr (terms for polynomials)."""
+    if tc._kind(t) in tc._EXACT_KINDS:
+        return t._kind, t._den, t._nums, [type(x) for x in t.data]
+    return t._kind, [getattr(x, "terms", repr(x)) for x in t.data]
+
+
+@pytest.mark.parametrize("scalar", ["int", "fraction", "float", "poly"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_covariant_derivative_keeps_its_bits(dim, scalar):
+    # the sum of the split-out rows is the derivative as one lincomb of the
+    # gradient and the connection einsums, in slot order, built in place
+    rng = random.Random(f"cd bits {dim} {scalar}")
+    g = Tensor(dim, (1, 2), _entries(rng, dim ** 3, scalar))
+    for gamma in (g, tc.sym_pair(g, 1, 2, factor_free=True)):
+        for p, q in _VALENCES:
+            t = _random_jet(rng, dim, (p, q), scalar)
+            want = tc.lincomb([(1, t.grad)] + [
+                (c, tc.ein(expr, (p, q + 1), gamma, t.value))
+                for c, expr in jet._connection_terms(p, q)])
+            assert _carried(covariant_derivative(t, gamma)) == _carried(want), (p, q)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_only_a_symmetric_connection_marks_its_term_even(dim):
+    # the last lower slot's term is Even exactly when gamma's lower pair is
+    # symmetric; unmarked, the exact alternation sum keeps it
+    rng = random.Random(f"even mark {dim}")
+    g = Tensor(dim, (1, 2), _entries(rng, dim ** 3, "fraction"))
+    assert not tc.alternate(g, 1, 2).is_zero()
+    for gamma, marked in ((g, False), (tc.sym_pair(g, 1, 2), True)):
+        for p, q in _VALENCES:
+            t = _random_jet(rng, dim, (p, q), "fraction")
+            rows = jet.derivative_rows(t, gamma)
+            evens = [n for n, (_, x) in enumerate(rows) if isinstance(x, tc.Even)]
+            assert evens == ([len(rows) - 1] if marked and q else []), (p, q)
+            if q:
+                r = p + q
+                got = tc.alternate_sum(((1, rows),), r - 1, r)
+                want = tc.alternate(covariant_derivative(t, gamma), r - 1, r)
+                assert (got._den, got._nums) == (want._den, want._nums), (p, q)
 
 
 def test_jet_shape_validation():

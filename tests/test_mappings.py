@@ -49,7 +49,7 @@ def test_lattice_blocks_are_randranges_stream():
     # randrange(-16, 17) draws 6 bits until they fall below 33; blocks of
     # 6-bit draws filtered the same way give its numbers and final state
     for seed in range(300):
-        for n in (1, 3, 27, 81, 625):
+        for n in (0, 1, 3, 27, 81, 625, 3125):
             r, twin = random.Random(seed), random.Random(seed)
             assert mp._lattice(r, n) == [twin.randrange(-16, 17) for _ in range(n)]
             assert r.getstate() == twin.getstate()
