@@ -30,13 +30,14 @@ def _half_difference(L: JetTensor, swapped: JetTensor) -> JetTensor:
     return linear(tc.scale, linear(tc.sub, L, swapped), Fraction(1, 2))
 
 
-def curvature(Lsym: JetTensor) -> Tensor:
-    """Curvature of the symmetric part, first-derivative data only.
+def curvature(G: JetTensor) -> Tensor:
+    """Curvature of any (1,2) connection jet, first-derivative data only:
+    the symmetric part's R, and the reduced connections' curvatures.
 
-    R^i_jmn = L^i_jm,n - L^i_jn,m + L^a_jm L^i_an - L^a_jn L^i_am
+    R^i_jmn = G^i_jm,n - G^i_jn,m + G^a_jm G^i_an - G^a_jn G^i_am
     """
-    quad = tc.ein("ajm,ian->ijmn", (1, 3), Lsym.value, Lsym.value)
-    return tc.alternate_sum(((1, ((1, Lsym.grad),)), (1, ((1, quad),))), 2, 3)
+    quad = tc.ein("ajm,ian->ijmn", (1, 3), G.value, G.value)
+    return tc.alternate_sum(((1, ((1, G.grad),)), (1, ((1, quad),))), 2, 3)
 
 
 def ricci(R: Tensor) -> Tensor:

@@ -21,8 +21,8 @@ from functools import cache
 from types import MappingProxyType
 
 from . import tensor_core as tc
-from .connection import ConnectionSpace
-from .jet import JetTensor, covariant_derivative, derivative_rows
+from .connection import ConnectionSpace, curvature
+from .jet import JetTensor, covariant_derivative, jet_lincomb
 from .mappings import SpaceFields
 from .tensor_core import GeoinvError, Tensor, once
 
@@ -77,17 +77,34 @@ def geodesic_thomas(space: ConnectionSpace) -> Tensor:
 # Weyl-type invariants: the basic form, then tables over named parts
 
 
+def _exact_jets(X: JetTensor, space: ConnectionSpace) -> bool:
+    """Whether X's jet and R (so Lsym's jet) are exact."""
+    return tc._exact(space.R, X.value, X.grad)
+
+
 def _deformed_curvature(X: JetTensor, space: ConnectionSpace) -> Tensor:
     """alt(X.X) - alt(nabla X) over the last pair, what the deformation X adds
-    to the curvature; the cross-check routes feed it omega and B."""
+    to the curvature, as written."""
     quad = tc.ein("ajm,ian->ijmn", (1, 3), X.value, X.value)
-    return tc.alternate_sum(((1, ((1, quad),)), (-1, derivative_rows(X, space.Lsym))),
-                            2, 3)
+    return tc.sub(tc.alternate(quad, 2, 3),
+                  tc.alternate(covariant_derivative(X, space.Lsym), 2, 3))
+
+
+def _reduced_curvature(X: JetTensor, space: ConnectionSpace, deformed) -> Tensor:
+    """The curvature of the reduced connection Lsym - X, which is R +
+    alt(X.X) - alt(nabla X) as Lsym's lower pair is symmetric (the structure
+    equation of a difference of connections; Kobayashi & Nomizu I, 1963).
+    Exact operands take one quadratic contraction, ``curvature(Lsym - X)``;
+    any other takes R + ``deformed()`` as written, so float bits hold."""
+    if _exact_jets(X, space):
+        return curvature(jet_lincomb(((1, space.Lsym), (-1, X))))
+    return tc.add(space.R, deformed())
 
 
 def weyl_basic(fields: SpaceFields) -> Tensor:
-    """Curvature of the reduced connection, assembled from omega's jet."""
-    return tc.add(fields.space.R, _deformed_curvature(fields.omega, fields.space))
+    """Curvature of the reduced connection Lsym - omega."""
+    omega, space = fields.omega, fields.space
+    return _reduced_curvature(omega, space, lambda: _deformed_curvature(omega, space))
 
 
 @once
@@ -113,14 +130,25 @@ def S_tilde(fields: SpaceFields) -> Tensor:
 
 @once
 def A_tensor(fields: SpaceFields) -> Tensor:
-    """Deformation curvature: minus the alternated derivative plus the square."""
+    """Deformation curvature: minus the alternated derivative plus the
+    square, what B adds to R.  On exact operands it is R_B - R, where R_B,
+    the curvature of Lsym - B, is one contraction."""
+    if _exact_jets(fields.B, fields.space):
+        return tc.sub(part(fields, "R_B"), fields.space.R)
     return _deformed_curvature(fields.B, fields.space)
+
+
+def _sym_trace(t: Tensor) -> Tensor:
+    return tc.sym_pair(tc.ein("ajna->jn", (0, 2), t), 0, 1)
 
 
 @once
 def A_trace(fields: SpaceFields) -> Tensor:
-    """Symmetrized last-slot trace of the deformation curvature."""
-    return tc.sym_pair(tc.ein("ajna->jn", (0, 2), A_tensor(fields)), 0, 1)
+    """Symmetrized last-slot trace of the deformation curvature.  On exact
+    operands it is R_B's less R's, which is ``sym_ricci``, so A is not built."""
+    if _exact_jets(fields.B, fields.space):
+        return tc.sub(_sym_trace(part(fields, "R_B")), fields.space.sym_ricci)
+    return _sym_trace(A_tensor(fields))
 
 
 # a side's named parts besides its Weyl-type forms, by (side, its space):
@@ -129,6 +157,9 @@ def A_trace(fields: SpaceFields) -> Tensor:
 PARTS = {
     "R": lambda f, s: s.R,
     "A": lambda f, s: A_tensor(f),
+    # R + A, the curvature of Lsym - B: the first two rows of the written
+    # factored and fourth forms, summed once for both
+    "R_B": lambda f, s: _reduced_curvature(f.B, s, lambda: A_tensor(f)),
     "theta": lambda f, s: s.trace_cov_derivative(),
     # a delta_mix entry is +-(theta - rho) or an exact zero, so the block of
     # this bracket is the difference of the two cores' blocks, to the bit
@@ -165,14 +196,15 @@ class _Block(tuple):
 def weyl_tables(N: int) -> MappingProxyType[str, tuple[tuple, ...]]:
     """Each Weyl-type form's rows (coefficient, part) at dimension N, in
     summation order; built once per N and shared, so read-only.  Rows keep
-    the written formulas' grouping, so float sums round as those do."""
+    the written formulas' grouping, so float sums round as those do: R_B is
+    R + A summed first, as a form's leading (1, R), (1, A) rows are."""
     F = Fraction
     return MappingProxyType({
         "weyl_factored": (
-            (1, "R"), (1, "A"), (F(-1, N + 1), _Block("mix", (1, "theta_rho"))),
+            (1, "R_B"), (F(-1, N + 1), _Block("mix", (1, "theta_rho"))),
             (F(-1, (N + 1) ** 2), _Block("mix", (1, "s_tilde")))),
         "weyl_fourth": (
-            (1, "R"), (1, "A"), (F(1, N - 1), _Block("mix", (1, "sym_ricci"))),
+            (1, "R_B"), (F(1, N - 1), _Block("mix", (1, "sym_ricci"))),
             (F(1, N - 1), _Block("mix", (1, "a_trace")))),
         # the first derived form as displayed, kept for diagnostics.  Not
         # invariant in general: it differs from the factored form by a delta
@@ -286,13 +318,15 @@ class Decomposition:
 
 
 def decompose(fields: SpaceFields, form: str) -> Decomposition:
-    """A form whose rows are (1, R), (1, A) and delta_mix blocks, read off its
-    table as R + delta_mix(Y) + A: Y sums the blocks' cores, each scaled by
-    its row's coefficient times its own, and, delta_mix being linear, its
-    block is the sum of the form's own blocks."""
+    """A form whose rows are (1, R_B), or (1, R) and (1, A), and delta_mix
+    blocks, read off its table as R + delta_mix(Y) + A (R_B is R + A): Y sums
+    the blocks' cores, each scaled by its row's coefficient times its own,
+    and, delta_mix being linear, its block is the sum of the form's own
+    blocks."""
     rows = weyl_tables(fields.dim)[form]
     blocks = tuple(r for r in rows if isinstance(r[1], tuple) and r[1][0] == "mix")
-    if sorted((r for r in rows if r not in blocks), key=str) != [(1, "A"), (1, "R")]:
+    rest = sorted((r for r in rows if r not in blocks), key=str)
+    if rest not in ([(1, "R_B")], [(1, "A"), (1, "R")]):
         raise DecompositionError(f"{form} is not R + A + delta_mix blocks")
     cores = tuple((c * k, core) for c, (_, block) in blocks for k, core in block)
     return Decomposition(_sum(fields, cores), A_tensor(fields), _sum(fields, blocks))

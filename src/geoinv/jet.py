@@ -3,9 +3,7 @@
 A JetTensor packs the value of a field and its partial derivatives there:
 ``grad`` has one extra trailing lower slot (the derivative index).  No second
 derivatives are carried anywhere in the package; every formula that looks
-like it needs them has been arranged not to.  For a symmetric connection,
-``derivative_rows`` marks the one covariant-derivative term that cancels
-when the last lower slot and the derivative slot are alternated.
+like it needs them has been arranged not to.
 """
 
 from __future__ import annotations
@@ -104,25 +102,16 @@ def jet_scale_by(a: JetTensor, s: JetTensor) -> JetTensor:
 
 
 def covariant_derivative(t: JetTensor, gamma) -> Tensor:
-    """Covariant derivative of a jet against a symmetric connection: a plain
-    tensor of valence (p, q+1), as second derivatives are not available."""
-    return tc.lincomb(derivative_rows(t, gamma, marks=False))
-
-
-def derivative_rows(t: JetTensor, gamma, marks: bool = True) -> list:
-    """The rows (c, tensor) of t's covariant derivative: the partials, one
-    +Gamma term per upper slot, one -Gamma term per lower slot (``gamma``:
-    the connection's jet or value).  With ``marks`` set and gamma's lower
-    pair symmetric (checked on its data), the last term, -Gamma^z_mk
-    X^.._..z, is symmetric in (m, k): a ``tc.Even`` row."""
+    """Covariant derivative of a jet against a symmetric connection: the
+    partials, one +Gamma term per upper slot, one -Gamma term per lower slot
+    (``gamma``: the connection's jet or value).  A plain tensor of valence
+    (p, q+1), as second derivatives are not available."""
     g = gamma.value if isinstance(gamma, JetTensor) else gamma
     if g.valence != (1, 2):
         raise ShapeError(f"connection must be (1,2), got {g.valence}")
     p, q = t.valence
-    rows = [(c, tc.Even(expr, (p, q + 1), (g, t.value)))
-            for c, expr in _connection_terms(p, q)]
-    n = len(rows) - (marks and q > 0 and tc.is_symmetric(g, 1, 2))
-    return [(1, t.grad)] + [(c, e.build()) for c, e in rows[:n]] + rows[n:]
+    return tc.lincomb([(1, t.grad)] + [(c, tc.ein(expr, (p, q + 1), g, t.value))
+                                       for c, expr in _connection_terms(p, q)])
 
 
 @lru_cache(maxsize=tc.PLAN_CACHE_CAP)

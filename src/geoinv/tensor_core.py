@@ -68,10 +68,9 @@ as ``ein`` adds it), and give the bits of ``sub(t, transpose_pair(t, a, b))``
 and of ``lincomb(((h, t), (h, transpose_pair(t, a, b))))``.
 
 ``alternate_sum(groups, a, b)`` sums c * alternate(lincomb(rows), a, b) over
-groups (c, rows); a row may be an ``Even`` einsum, symmetric in (a, b), which
-alternates to zero.  Exact operands and coefficients: the other rows make one
+groups (c, rows).  Exact operands and coefficients: the rows make one
 ``lincomb`` (coefficients multiplied), alternated once.  Otherwise the list
-path evaluates the sum as written, in order, each ``Even`` row built.
+path evaluates the sum as written, in order.
 
 Kronecker-delta blocks come from ``delta_mix``, ``delta_outer`` and
 ``delta_sym``, which run no einsum against the delta.  Each is stated as
@@ -955,41 +954,14 @@ def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
     return _new(t.dim, t.valence, out, kind)
 
 
-def is_symmetric(t: Tensor, a: int, b: int) -> bool:
-    """Whether t equals its (a, b) swap, entry by entry."""
-    _, x, y = _swapped(t, a, b)
-    return x == y
-
-
-class Even(NamedTuple):
-    """An ``alternate_sum`` row's tensor as the einsum ``ein(expr, valence,
-    *operands)``, which the caller knows is symmetric in the pair (a, b)."""
-
-    expr: str
-    valence: tuple
-    operands: tuple
-
-    def build(self) -> Tensor:
-        return ein(self.expr, self.valence, *self.operands)
-
-
 def alternate_sum(groups, a: int, b: int) -> Tensor:
-    """The sum of c * alternate(lincomb(rows), a, b) over groups (c, rows),
-    a row's tensor possibly an ``Even`` (see the module docstring)."""
+    """The sum of c * alternate(lincomb(rows), a, b) over groups (c, rows)
+    (see the module docstring)."""
     rows = [(c, k, t) for c, g in groups for k, t in g]
-    kind = _result_kind([x for _, _, t in rows
-                         for x in (t.operands if type(t) is Even else (t,))])
-    coefficients = {type(x) for c, k, _ in rows for x in (c, k)}
-    if kind not in _EXACT_KINDS or not _EXACT_TYPES.issuperset(coefficients):
-        return lincomb([(c, alternate(lincomb(
-            [(k, t.build() if type(t) is Even else t) for k, t in g]), a, b))
-            for c, g in groups])
-    ints = kind is _INT and Fraction not in coefficients
-    e = rows[0][2]  # an Even row if every row is one
-    t = lincomb([(c * k, u) for c, k, u in rows if type(u) is not Even]
-                or [(0, zeros(e.operands[0].dim, e.valence))])
-    _, x, y = _swapped(t, a, b)
-    return _from_scaled(t.dim, t.valence, list(map(_minus, x, y)), t._den, ints)
+    if (_exact(*(t for _, _, t in rows))
+            and _EXACT_TYPES.issuperset({type(x) for c, k, _ in rows for x in (c, k)})):
+        return alternate(lincomb([(c * k, t) for c, k, t in rows]), a, b)
+    return lincomb([(c, alternate(lincomb(g), a, b)) for c, g in groups])
 
 
 # ---------------------------------------------------------------------------

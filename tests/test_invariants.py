@@ -6,11 +6,12 @@ curvature or trace convention shows up as a hard mismatch.
 """
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
-from geoinv import invariants as inv, tensor_core as tc
+from geoinv import invariants as inv, jet, tensor_core as tc
 from geoinv.mappings import generate
 
 FLAGS = [
@@ -277,6 +278,79 @@ def test_rebuild_reads_the_last_slot_trace_once(monkeypatch):
     monkeypatch.setattr(tc, "ein", spy)
     inv.derived_invariants(inv.decompose(s, "weyl_factored"), s.space)
     assert traces == ["ajna->jn"]
+
+
+# ---------------------------------------------- reduced-connection curvatures
+# Lsym's lower pair is symmetric, so curvature(Lsym - X) is R + alt(X.X) -
+# alt(nabla X) for any (1,2) jet X (the structure equation of a difference
+# of connections).  Exact sides build R_B (X = B) and the basic form
+# (X = omega) by the left side, one quadratic contraction each; the right
+# side, ``tc.add(R, _deformed_curvature(X, space))``, is the route as
+# written, which every other operand takes.
+
+
+def _written(X, space):
+    return tc.add(space.R, inv._deformed_curvature(X, space))
+
+
+def _scaled(t):
+    return tc._kind(t), t._den, t._nums
+
+
+def _reduction_instances(dim, mode):
+    from geoinv.mappings import generate_agm3
+
+    for flags in FLAGS:
+        yield generate(dim, 0, flags, "general", mode)
+    yield generate(dim, 0, (1, 0, 0), "geodesic", mode)
+    for p in (1, 2):
+        yield generate_agm3(dim, 0, p, mode)
+
+
+def _no_written_route(*_):
+    raise AssertionError("the written route ran on exact operands")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_reduced_curvatures_equal_the_written_route(monkeypatch, dim):
+    from types import SimpleNamespace
+
+    from geoinv.connection import curvature
+    from geoinv.mappings import DOMAINS, _draw_jet
+
+    rng = random.Random(f"reduced {dim}")
+    deformed = inv._deformed_curvature
+    for ins in _reduction_instances(dim, "rational"):
+        for fl in (ins.source_fields(), ins.target_fields()):
+            sp = fl.space
+            lattice = _draw_jet(rng, DOMAINS["rational"], dim, (1, 2))
+            monkeypatch.setattr(inv, "_deformed_curvature", _no_written_route)
+            got = (inv.part(fl, "R_B"), inv.weyl_basic(fl), inv.A_tensor(fl),
+                   inv.A_trace(fl), inv._reduced_curvature(lattice, sp, _no_written_route))
+            monkeypatch.setattr(inv, "_deformed_curvature", deformed)
+            A = deformed(fl.B, sp)
+            want = (_written(fl.B, sp), _written(fl.omega, sp), A, inv._sym_trace(A),
+                    _written(lattice, sp))
+            for n, (a, b) in enumerate(zip(got, want)):
+                assert _scaled(a) == _scaled(b), (ins.mapping, ins.flags, ins.p, n)
+            # control: the full, non-symmetric L breaks the identity
+            full = SimpleNamespace(Lsym=sp.L, R=curvature(sp.L))
+            for X in (fl.omega, lattice):
+                assert curvature(jet.jet_lincomb(((1, sp.L), (-1, X)))) != _written(X, full)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_float_reduced_curvatures_keep_the_written_bits(dim):
+    for ins in _reduction_instances(dim, "float"):
+        for fl in (ins.source_fields(), ins.target_fields()):
+            sp = fl.space
+            A = inv._deformed_curvature(fl.B, sp)
+            pairs = ((inv.A_tensor(fl), A), (inv.part(fl, "R_B"), tc.add(sp.R, A)),
+                     (inv.weyl_basic(fl), _written(fl.omega, sp)),
+                     (inv.A_trace(fl), inv._sym_trace(A)))
+            for n, (a, b) in enumerate(pairs):
+                assert list(map(repr, a.data)) == list(map(repr, b.data)), (
+                    ins.mapping, ins.flags, ins.p, n)
 
 
 # ------------------------------------------------------------ geodesic forms

@@ -280,26 +280,6 @@ def test_covariant_derivative_keeps_its_bits(dim, scalar):
             assert _carried(covariant_derivative(t, gamma)) == _carried(want), (p, q)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_only_a_symmetric_connection_marks_its_term_even(dim):
-    # the last lower slot's term is Even exactly when gamma's lower pair is
-    # symmetric; unmarked, the exact alternation sum keeps it
-    rng = random.Random(f"even mark {dim}")
-    g = Tensor(dim, (1, 2), _entries(rng, dim ** 3, "fraction"))
-    assert not tc.alternate(g, 1, 2).is_zero()
-    for gamma, marked in ((g, False), (tc.sym_pair(g, 1, 2), True)):
-        for p, q in _VALENCES:
-            t = _random_jet(rng, dim, (p, q), "fraction")
-            rows = jet.derivative_rows(t, gamma)
-            evens = [n for n, (_, x) in enumerate(rows) if isinstance(x, tc.Even)]
-            assert evens == ([len(rows) - 1] if marked and q else []), (p, q)
-            if q:
-                r = p + q
-                got = tc.alternate_sum(((1, rows),), r - 1, r)
-                want = tc.alternate(covariant_derivative(t, gamma), r - 1, r)
-                assert (got._den, got._nums) == (want._den, want._nums), (p, q)
-
-
 def test_jet_shape_validation():
     with pytest.raises(ShapeError):
         JetTensor(tc.zeros(3, (0, 2)), tc.zeros(3, (0, 2)))

@@ -1656,11 +1656,10 @@ def test_pair_invariants_packs_the_cd_and_quad_contractions(monkeypatch, mode):
     cli.pair_invariants(ins)
     assert cache.fallbacks == counts[1]
     if mode == "rational":
-        # the last lower slot's connection term cancels when alternated, so
-        # the exact alternation sums never build it
-        packed = CD_QUAD[:3]
+        # exact sides build R, R_B and the basic form each as the curvature
+        # of one connection, so no covariant derivative's connection term runs
         assert {e: moved.get(e) for e in CD_QUAD} == {
-            **dict.fromkeys(packed, {1}), "ecd,abe->abcd": None}
+            "ajm,ian->ijmn": {1}, **dict.fromkeys(CD_QUAD[1:])}
     else:
         assert cache.fast == counts[0]
 
@@ -1805,29 +1804,26 @@ def test_a_float_swap_adds_each_entry_onto_zero():
 
 # ---------------------------------------------------------------- alternate_sum
 # alternate_sum(groups, a, b) is the sum of c * alternate(lincomb(rows), a, b)
-# over groups (c, rows); a row may be a tc.Even einsum, symmetric in (a, b).
+# over groups (c, rows).
 
 
 def _ref_alternate_sum(groups, a, b):
-    def tensor(t):
-        return tc.ein(t.expr, t.valence, *t.operands) if isinstance(t, tc.Even) else t
-    return tc.lincomb([(c, _ref_alternate(tc.lincomb([(k, tensor(t)) for k, t in rows]),
-                                          a, b)) for c, rows in groups])
+    return tc.lincomb([(c, _ref_alternate(tc.lincomb(rows), a, b)) for c, rows in groups])
 
 
 def _alternate_sum_cases(rng, dim, scalar):
     """(groups, whether every operand and coefficient is exact), alternated
-    over (2, 3): two Even rows (a connection term against a symmetric
-    lower pair, and an outer product with a symmetric factor), int and
-    Fraction coefficients, a Fraction carried by an Even row alone, and
-    groups of Even rows only."""
+    over (2, 3): int and Fraction coefficients, a Fraction carried by one
+    row alone, and rows symmetric in the pair (a connection term against a
+    symmetric lower pair, and an outer product with a symmetric factor),
+    alone in a group too."""
     def op(valence):
         return _structural_operand(rng, dim, valence, scalar)
     X, Y, v, u = op((1, 3)), op((1, 3)), op((1, 2)), op((1, 1))
     g = tc.sym_pair(op((1, 2)), 1, 2, factor_free=True)
     s = tc.sym_pair(op((0, 2)), 0, 1, factor_free=True)
-    conn = tc.Even("ecd,abe->abcd", (1, 3), (g, v))
-    outer = tc.Even("ab,cd->abcd", (1, 3), (u, s))
+    conn = tc.ein("ecd,abe->abcd", (1, 3), g, v)
+    outer = tc.ein("ab,cd->abcd", (1, 3), u, s)
     F, exact = Fraction, scalar in ("int", "fraction")
     yield ((1, ((1, X), (-1, conn))), (-1, ((1, Y),))), exact
     yield ((F(-2, 3), ((3, Y), (F(1, 2), outer), (-1, X))),
@@ -1845,15 +1841,14 @@ def _alternate_sum_cases(rng, dim, scalar):
 def test_alternate_sum_matches_its_definition(monkeypatch, dim, scalar):
     rng = random.Random(f"alternate_sum {dim} {scalar}")
     calls = []
-    ein = tc.ein
-    monkeypatch.setattr(tc, "ein", lambda expr, *rest: calls.append(expr) or ein(expr, *rest))
+    alternate = tc.alternate
+    monkeypatch.setattr(tc, "alternate", lambda *args: calls.append(1) or alternate(*args))
     for n, (groups, exact) in enumerate(_alternate_sum_cases(rng, dim, scalar)):
         want = _ref_alternate_sum(groups, 2, 3)
         start = len(calls)
         got = tc.alternate_sum(groups, 2, 3)
-        # the exact path builds no Even row; the list path builds each once
-        evens = [t.expr for _, rows in groups for _, t in rows if isinstance(t, tc.Even)]
-        assert calls[start:] == ([] if exact else evens), n
+        # the exact path alternates once; the list path once per group
+        assert len(calls) - start == (1 if exact else len(groups)), n
         _same_result(got, want, n)
 
 
