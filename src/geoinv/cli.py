@@ -355,7 +355,7 @@ def identity_rows(n: int, seed: int, mode: str, rel_tol: float,
     rows = (
         ("curvature-antisymmetry",
          "curvature flips sign in its last index pair",
-         tc.add(sp.R, tc.transpose_pair(sp.R, 2, 3)), tc.zeros(n, (1, 3))),
+         tc.sym_pair(sp.R, 2, 3, factor_free=True), tc.zeros(n, (1, 3))),
         ("curvature-trace-curl",
          "first-slot curvature trace equals the trace curl",
          R_trace, curl(sp.theta)),

@@ -15,29 +15,15 @@ from .jet import JetTensor, linear
 from .tensor_core import ShapeError, Tensor, once
 
 
-def _half_sum(t: Tensor, swapped: Tensor) -> Tensor:
-    """``tc.sym_pair`` of t with its swapped pair given: each swap is built
-    once and shared with the alternation."""
-    h = Fraction(1, 2)
-    return tc.lincomb(((h, t), (h, swapped)))
-
-
-def _symmetric_part(L: JetTensor, swapped: JetTensor) -> JetTensor:
-    return linear(_half_sum, L, swapped)
-
-
-def _half_difference(L: JetTensor, swapped: JetTensor) -> JetTensor:
-    return linear(tc.scale, linear(tc.sub, L, swapped), Fraction(1, 2))
-
-
 def curvature(G: JetTensor) -> Tensor:
     """Curvature of any (1,2) connection jet, first-derivative data only:
     the symmetric part's R, and the reduced connections' curvatures.
 
-    R^i_jmn = G^i_jm,n - G^i_jn,m + G^a_jm G^i_an - G^a_jn G^i_am
+    R^i_jmn = G^i_jm,n - G^i_jn,m + G^a_jm G^i_an - G^a_jn G^i_am,
+    one ``tc.alternate_sum`` over (m, n) of the gradient and the quadratic.
     """
     quad = tc.ein("ajm,ian->ijmn", (1, 3), G.value, G.value)
-    return tc.alternate_sum(((1, ((1, G.grad),)), (1, ((1, quad),))), 2, 3)
+    return tc.alternate_sum(((1, G.grad), (1, quad)), 2, 3)
 
 
 def ricci(R: Tensor) -> Tensor:
@@ -61,7 +47,8 @@ def special_connection_derivative(Lsym: JetTensor) -> Tensor:
 class ConnectionSpace:
     """One space of the mapping: a connection jet and its derived data.
 
-    The constructor computes the symmetric part and its curvature data,
+    The constructor computes the symmetric part, its curvature data and the
+    Ricci halves (``tc.sym_pair`` and ``tc.alternate`` over a slot pair),
     which every invariant reads; the torsion half ``Ltor`` is built on first
     use.  Every invariant evaluation reuses the cached pieces.
     """
@@ -71,13 +58,11 @@ class ConnectionSpace:
             raise ShapeError(f"connection jet must be (1,2), got {L.valence}")
         self.L = L
         self.dim = L.dim
-        self._swapped = linear(tc.transpose_pair, L, 1, 2)
-        self.Lsym = _symmetric_part(L, self._swapped)
+        self.Lsym = linear(tc.sym_pair, L, 1, 2)
         self.R = curvature(self.Lsym)
         self.ricci = ricci(self.R)
-        self.ricci_T = tc.transpose_pair(self.ricci, 0, 1)
-        self.skew_ricci = tc.sub(self.ricci, self.ricci_T)
-        self.sym_ricci = _half_sum(self.ricci, self.ricci_T)
+        self.skew_ricci = tc.alternate(self.ricci, 0, 1)
+        self.sym_ricci = tc.sym_pair(self.ricci, 0, 1)
         # theta_j = L^a_ja of the symmetric part, with its gradient
         self.theta = linear(tc.contract, self.Lsym, 0, 1)
 
@@ -85,7 +70,7 @@ class ConnectionSpace:
     @once
     def Ltor(self) -> JetTensor:
         """The antisymmetric (half-difference) part of L, as a jet."""
-        return _half_difference(self.L, self._swapped)
+        return linear(tc.scale, linear(tc.alternate, self.L, 1, 2), Fraction(1, 2))
 
     @once
     def trace_cov_derivative(self) -> Tensor:

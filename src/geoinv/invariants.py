@@ -86,8 +86,7 @@ def _deformed_curvature(X: JetTensor, space: ConnectionSpace) -> Tensor:
     """alt(X.X) - alt(nabla X) over the last pair, what the deformation X adds
     to the curvature, as written."""
     quad = tc.ein("ajm,ian->ijmn", (1, 3), X.value, X.value)
-    return tc.sub(tc.alternate(quad, 2, 3),
-                  tc.alternate(covariant_derivative(X, space.Lsym), 2, 3))
+    return tc.alternate_sum(((1, quad), (-1, covariant_derivative(X, space.Lsym))), 2, 3)
 
 
 def _reduced_curvature(X: JetTensor, space: ConnectionSpace, deformed) -> Tensor:
@@ -169,7 +168,7 @@ PARTS = {
     "a_trace": lambda f, s: A_trace(f),
     "rho_skew": lambda f, s: rho_skew(f),
     "ricci": lambda f, s: s.ricci,
-    "ricci_T": lambda f, s: s.ricci_T,
+    "ricci_T": lambda f, s: tc.transpose_pair(s.ricci, 0, 1),
     "sym_ricci": lambda f, s: s.sym_ricci,
     "skew_ricci": lambda f, s: s.skew_ricci,
     "special_skew": lambda f, s: tc.alternate(s.special_trace_derivative(), 0, 1),
@@ -299,7 +298,7 @@ class Decomposition:
         if Y.valence != (0, 2) or Z.valence != (1, 3):
             raise DecompositionError(
                 f"Y, Z valences must be (0,2), (1,3); got {Y.valence}, {Z.valence}")
-        if not tc.add(Z, tc.transpose_pair(Z, 2, 3)).is_zero():
+        if not tc.sym_pair(Z, 2, 3, factor_free=True).is_zero():
             raise DecompositionError("Z must be antisymmetric in its last two slots")
         self.Y, self.Z, self.mix_Y = Y, Z, mix_Y
         self.total = tc.add(self.mix_Y, Z)

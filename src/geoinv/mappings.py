@@ -45,9 +45,7 @@ from .jet import (
     linear,
     zero_jet,
 )
-# _solve, the list-path elimination, is tensor_core's and importable here
-from .tensor_core import (DOMAINS, Domain, GeoinvError, Tensor, _pivot,  # noqa: F401
-                          _solve, once)
+from .tensor_core import DOMAINS, Domain, GeoinvError, Tensor, _pivot, once
 
 
 class InstanceError(GeoinvError):
@@ -394,8 +392,8 @@ def generate(dim: int, seed: int, flags=(1, 1, 1), mapping: str = "general",
         terms = side_terms(flags, {"f": fj, "sigma": sj, "phi_obj": pj}.get)
         return linear(tc.contract, deformation_source(dim, terms), 0, 0)
 
-    eps = tc.sub(curl(b_of(f_bar, sigma_bar, phi_obj_bar)),
-                 curl(b_of(f, sigma, phi_obj)))
+    eps = tc.alternate_sum(((1, b_of(f_bar, sigma_bar, phi_obj_bar).grad),
+                            (-1, b_of(f, sigma, phi_obj).grad)), 0, 1)
     if not eps.is_zero():
         V = tc.scale(eps, Fraction(-1, 2))
         if s3:

@@ -65,12 +65,14 @@ subscripts and does no index arithmetic.  ``transpose_pair`` and
 ``sym_pair`` make one pass over t and its swap, gathered by the swap's own
 ``ein`` plan (on the list path each swapped entry is added onto an integer 0,
 as ``ein`` adds it), and give the bits of ``sub(t, transpose_pair(t, a, b))``
-and of ``lincomb(((h, t), (h, transpose_pair(t, a, b))))``.
+and of ``lincomb(((h, t), (h, transpose_pair(t, a, b))))``, so the
+connection's split into its symmetric part and torsion half, and the Ricci
+tensor's halves, are built by these two and keep those bits.
 
-``alternate_sum(groups, a, b)`` sums c * alternate(lincomb(rows), a, b) over
-groups (c, rows).  Exact operands and coefficients: the rows make one
-``lincomb`` (coefficients multiplied), alternated once.  Otherwise the list
-path evaluates the sum as written, in order.
+``alternate_sum(rows, a, b)`` sums c * alternate(t, a, b) over rows (c, t).
+Exact operands and coefficients: the rows make one ``lincomb``, alternated
+once.  Otherwise the list path alternates each row and sums them, in order,
+by ``lincomb``.
 
 Kronecker-delta blocks come from ``delta_mix``, ``delta_outer`` and
 ``delta_sym``, which run no einsum against the delta.  Each is stated as
@@ -954,14 +956,13 @@ def sym_pair(t: Tensor, a: int, b: int, factor_free: bool = False) -> Tensor:
     return _new(t.dim, t.valence, out, kind)
 
 
-def alternate_sum(groups, a: int, b: int) -> Tensor:
-    """The sum of c * alternate(lincomb(rows), a, b) over groups (c, rows)
-    (see the module docstring)."""
-    rows = [(c, k, t) for c, g in groups for k, t in g]
-    if (_exact(*(t for _, _, t in rows))
-            and _EXACT_TYPES.issuperset({type(x) for c, k, _ in rows for x in (c, k)})):
-        return alternate(lincomb([(c * k, t) for c, k, t in rows]), a, b)
-    return lincomb([(c, alternate(lincomb(g), a, b)) for c, g in groups])
+def alternate_sum(rows, a: int, b: int) -> Tensor:
+    """The sum of c * alternate(t, a, b) over rows (c, t) (see the module
+    docstring)."""
+    if (_exact(*(t for _, t in rows))
+            and _EXACT_TYPES.issuperset({type(c) for c, _ in rows})):
+        return alternate(lincomb(rows), a, b)
+    return lincomb([(c, alternate(t, a, b)) for c, t in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from _poly import random_poly
 from geoinv import connection as cn, tensor_core as tc
 from geoinv.connection import ConnectionSpace
-from geoinv.jet import JetTensor, ShapeError, constant_jet
+from geoinv.invariants import part
+from geoinv.jet import JetTensor, ShapeError, constant_jet, linear
 from geoinv.tensor_core import Tensor
 
 
@@ -75,6 +77,58 @@ def test_torsion_is_twice_half_difference():
     space = ConnectionSpace(L)
     expected = tc.alternate(L.value, 1, 2)
     assert tc.scale(space.Ltor.value, 2).data == expected.data
+
+
+def _jet_of(rng, dim, scalar):
+    """A connection jet of exact entries over mixed denominators, of floats
+    that are mostly signed zeros (so swaps meet -0.0), or of polynomials."""
+    def entries(n):
+        if scalar == "fraction":
+            return [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+        if scalar == "float":
+            return [rng.choice((-0.0, -0.0, 0.0, rng.randint(-8, 8) / 4)) for _ in range(n)]
+        return [random_poly(rng, dim, 1) for _ in range(n)]
+    return JetTensor(Tensor(dim, (1, 2), entries(dim**3)),
+                     Tensor(dim, (1, 3), entries(dim**4)))
+
+
+def _same_bits(got, want, what):
+    """The scaled form and kind of exact tensors, else the kind mark and the
+    entries: reprs for floats, terms for polynomials."""
+    assert tc._kind(got) == tc._kind(want), what
+    if tc._kind(want) in tc._EXACT_KINDS:
+        assert (got._nums, got._den) == (want._nums, want._den), what
+    else:
+        assert [getattr(x, "terms", repr(x)) for x in got.data] == [
+            getattr(x, "terms", repr(x)) for x in want.data], what
+
+
+@pytest.mark.parametrize("dim, scalar", [
+    (2, "fraction"), (3, "fraction"), (2, "float"), (3, "float"), (4, "float"),
+    (2, "poly"),
+])
+def test_split_and_ricci_halves_keep_the_swap_formulas(dim, scalar):
+    # the split and the Ricci halves come from sym_pair and alternate; each
+    # keeps the bits of the half-sum and the difference of a tensor and its
+    # transpose_pair, as written
+    rng = random.Random(f"split {dim} {scalar}")
+    L = _jet_of(rng, dim, scalar)
+    space = ConnectionSpace(L)
+    h = Fraction(1, 2)
+    swap = linear(tc.transpose_pair, L, 1, 2)
+    Lsym = linear(lambda t, s: tc.lincomb(((h, t), (h, s))), L, swap)
+    Ltor = linear(tc.scale, linear(tc.sub, L, swap), h)
+    ric = space.ricci
+    ric_T = tc.transpose_pair(ric, 0, 1)
+    pairs = {"Lsym": (space.Lsym.value, Lsym.value), "Lsym grad": (space.Lsym.grad, Lsym.grad),
+             "Ltor": (space.Ltor.value, Ltor.value), "Ltor grad": (space.Ltor.grad, Ltor.grad),
+             "sym_ricci": (space.sym_ricci, tc.lincomb(((h, ric), (h, ric_T)))),
+             "skew_ricci": (space.skew_ricci, tc.sub(ric, ric_T)),
+             "ricci_T": (part(space, "ricci_T"), ric_T)}
+    for what, (got, want) in pairs.items():
+        _same_bits(got, want, what)
+    if scalar == "float":  # the swaps met signed zeros
+        assert "-0.0" in map(repr, Ltor.grad.data)
 
 
 def test_split_rejects_wrong_valence():

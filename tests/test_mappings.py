@@ -81,7 +81,7 @@ def test_float_trace_bump_is_decided_exactly():
 def test_rational_curl_fix_never_takes_the_list_path(monkeypatch):
     # exact generation solves the s2-only curl fix on scaled integers; the
     # list-path elimination (tc._solve) is float mode's
-    calls, solve = [], mp._solve
+    calls, solve = [], tc._solve
     monkeypatch.setattr(tc, "_solve", lambda A, B: calls.append(A) or solve(A, B))
     for dim in (2, 3, 4, 5):
         for flags in ((0, 1, 0), (1, 1, 0)):

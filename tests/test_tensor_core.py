@@ -637,8 +637,7 @@ def _det(A):
 
 
 def test_solve_is_exact_on_lattice_systems():
-    from geoinv.mappings import _solve
-
+    _solve = tc._solve
     rng = random.Random(61)
     solved = 0
     for trial in range(120):
@@ -682,10 +681,9 @@ def _lattice_system(rng, n, kind):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fraction_free_elimination_matches_the_list_path(n, monkeypatch):
     # tc.solver on exact lattice systems against the list-path elimination
-    # (mappings._solve) on the same Fraction lists, with right-hand sides of
-    # one column and of n columns
-    from geoinv.mappings import _solve
-
+    # (tc._solve) on the same Fraction lists, with right-hand sides of one
+    # column and of n columns
+    _solve = tc._solve
     listed = []  # the exact solver must never take the list path
     monkeypatch.setattr(tc, "_solve", lambda A, B: listed.append(A) or _solve(A, B))
     rng = random.Random(3400 + n)
@@ -720,8 +718,7 @@ def test_fraction_free_elimination_matches_the_list_path(n, monkeypatch):
 def test_solver_decides_float_systems_on_their_exact_values():
     # a float matrix is regular iff its exact values are, whatever a float
     # pivot meets; its solve is the list path's, bit for bit
-    from geoinv.mappings import _solve
-
+    _solve = tc._solve
     rng = random.Random(34)
     for n in (2, 3, 4):
         for kind in ("regular", "zero-pivot", "singular"):
@@ -1803,20 +1800,20 @@ def test_a_float_swap_adds_each_entry_onto_zero():
 
 
 # ---------------------------------------------------------------- alternate_sum
-# alternate_sum(groups, a, b) is the sum of c * alternate(lincomb(rows), a, b)
-# over groups (c, rows).
+# alternate_sum(rows, a, b) is the sum of c * alternate(t, a, b) over rows
+# (c, t).
 
 
-def _ref_alternate_sum(groups, a, b):
-    return tc.lincomb([(c, _ref_alternate(tc.lincomb(rows), a, b)) for c, rows in groups])
+def _ref_alternate_sum(rows, a, b):
+    return tc.lincomb([(c, _ref_alternate(t, a, b)) for c, t in rows])
 
 
 def _alternate_sum_cases(rng, dim, scalar):
-    """(groups, whether every operand and coefficient is exact), alternated
+    """(rows, whether every operand and coefficient is exact), alternated
     over (2, 3): int and Fraction coefficients, a Fraction carried by one
-    row alone, and rows symmetric in the pair (a connection term against a
-    symmetric lower pair, and an outer product with a symmetric factor),
-    alone in a group too."""
+    row alone, a single row, and rows symmetric in the pair (a connection
+    term against a symmetric lower pair, and an outer product with a
+    symmetric factor)."""
     def op(valence):
         return _structural_operand(rng, dim, valence, scalar)
     X, Y, v, u = op((1, 3)), op((1, 3)), op((1, 2)), op((1, 1))
@@ -1825,13 +1822,13 @@ def _alternate_sum_cases(rng, dim, scalar):
     conn = tc.ein("ecd,abe->abcd", (1, 3), g, v)
     outer = tc.ein("ab,cd->abcd", (1, 3), u, s)
     F, exact = Fraction, scalar in ("int", "fraction")
-    yield ((1, ((1, X), (-1, conn))), (-1, ((1, Y),))), exact
-    yield ((F(-2, 3), ((3, Y), (F(1, 2), outer), (-1, X))),
-           (1, ((1, conn), (2, outer))), (2, ((1, X), (1, conn)))), exact
-    yield ((1, ((1, X), (F(2), conn))),), exact
-    yield ((1, ((-1, conn),)), (F(1, 2), ((1, outer),))), exact
+    yield ((1, X), (-1, conn), (-1, Y)), exact
+    yield ((F(-2, 3), Y), (F(1, 2), outer), (-1, X), (2, conn)), exact
+    yield ((1, X), (F(2), conn)), exact
+    yield ((-1, conn),), exact
+    yield ((F(1, 2), outer), (1, conn)), exact
     if scalar != "poly":  # a float coefficient sends exact operands down the list path
-        yield ((0.5, ((1, X), (1, conn))), (1, ((1, Y),))), False
+        yield ((0.5, X), (1, conn), (1, Y)), False
 
 
 @pytest.mark.parametrize("dim, scalar", [
@@ -1843,12 +1840,12 @@ def test_alternate_sum_matches_its_definition(monkeypatch, dim, scalar):
     calls = []
     alternate = tc.alternate
     monkeypatch.setattr(tc, "alternate", lambda *args: calls.append(1) or alternate(*args))
-    for n, (groups, exact) in enumerate(_alternate_sum_cases(rng, dim, scalar)):
-        want = _ref_alternate_sum(groups, 2, 3)
+    for n, (rows, exact) in enumerate(_alternate_sum_cases(rng, dim, scalar)):
+        want = _ref_alternate_sum(rows, 2, 3)
         start = len(calls)
-        got = tc.alternate_sum(groups, 2, 3)
-        # the exact path alternates once; the list path once per group
-        assert len(calls) - start == (1 if exact else len(groups)), n
+        got = tc.alternate_sum(rows, 2, 3)
+        # the exact path alternates once; the list path once per row
+        assert len(calls) - start == (1 if exact else len(rows)), n
         _same_result(got, want, n)
 
 
