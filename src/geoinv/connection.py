@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import tensor_core as tc
-from .jet import JetTensor, linear
+from .jet import JetTensor, covariant_derivative, linear
 from .tensor_core import ShapeError, Tensor, once
 
 
@@ -74,10 +74,9 @@ class ConnectionSpace:
 
     @once
     def trace_cov_derivative(self) -> Tensor:
-        """theta_j|n by the covector rule: theta_j,n - L^a_jn theta_a
-        (computed once per space)."""
-        return tc.sub(self.theta.grad,
-                      tc.ein("ajn,a->jn", (0, 2), self.Lsym.value, self.theta.value))
+        """theta_j|n, the covariant derivative of the trace: theta_j,n -
+        L^a_jn theta_a (computed once per space)."""
+        return covariant_derivative(self.theta, self.Lsym)
 
     def special_trace_derivative(self) -> Tensor:
         """theta_j|n evaluated with the special connection derivative."""

@@ -76,11 +76,12 @@ by ``lincomb``.
 
 Kronecker-delta blocks come from ``delta_mix``, ``delta_outer`` and
 ``delta_sym``, which run no einsum against the delta.  Each is stated as
-its defining einsums, in their order, and replayed by one builder,
-``_block``, from a plan cached per shape: the output entries are grouped by
-the signs the einsums write to them, and each group's entries are their
-sources added onto an integer 0 in that order, so float zeros keep their
-signs.
+its defining einsums, in their order, and built by one builder, ``_block``,
+from the offsets cached per shape where each einsum's delta is 1: the
+output starts as integer 0s, and each einsum in turn adds (or subtracts)
+its sources onto the entries it writes, so every entry is what the
+einsums write to it added onto 0 in their order, and float zeros keep
+their signs.
 
 ``solver(A)`` is the one kernel for square linear systems.  It decides
 whether A is regular on the exact values of its entries in every mode (a
@@ -131,7 +132,7 @@ def once(fn):
     The module-wide caches, of einsum plans (``_PLAN_CACHE``), compiled
     kernels (``_kernel``), values (``_fraction``), the structural kernels'
     subscripts (``_swap``, ``_trace``, ``jet._connection_terms``) and delta
-    block replays (``_block_plan``), drop the least recently used entry past
+    block offsets (``_block_plan``), drop the least recently used entry past
     a cap: their keys come from input, so they would grow.
     """
     @wraps(fn)
@@ -719,15 +720,6 @@ def _build_plan(expr: str, dim: int, ranks: tuple[int, ...]) -> _Plan:
 _PLAN_CACHE = _PlanCache(_build_plan)
 
 
-def _gather(offsets: list[int]):
-    """itemgetter(*offsets), always giving a tuple (one offset alone would
-    give the bare entry)."""
-    if len(offsets) == 1:
-        only = offsets[0]
-        return lambda d: (d[only],)
-    return itemgetter(*offsets)
-
-
 def _slots(n: int) -> int:
     """2**63 in each of n 64-bit slots: the bias between two's-complement
     slot values and their unsigned (offset binary) encoding."""
@@ -744,7 +736,7 @@ def _outer(ins: list[str], out_s: str, dim: int):
     operands' entries multiplied in their own row-major order, then one
     gather into the output's (one operand: a permutation)."""
     where = _columns(["".join(ins)], out_s, dim)[0]
-    order = None if where == list(range(len(where))) else _gather(where)
+    order = None if where == list(range(len(where))) else itemgetter(*where)
 
     def outer(out, *rest):
         _PLAN_CACHE.fast += 1
@@ -787,7 +779,7 @@ def _exact_kernel(plan: _Plan):
         (free_r + free_p, out_s), (ins[r], free_r + summed),
         (ins[p], summed + free_p)))
     n_out, n_p, terms = len(where), dim ** len(free_p), dim ** len(summed)
-    get_r, get_p = _gather(offs_r), _gather(offs_p)
+    get_r, get_p = itemgetter(*offs_r), itemgetter(*offs_p)
     pack = Struct(f"<{terms * n_p}q").pack
     unpack = Struct(f"<{n_out}q").unpack
     order = None if where == list(range(n_out)) else itemgetter(*where)
@@ -968,9 +960,10 @@ def alternate_sum(rows, a: int, b: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Delta blocks (see the module docstring).  A block is its defining
 # einsums against the delta, as (sign, subscripts) passes in their order,
-# and ``_block`` replays them through a plan cached per shape.  They only
-# add and subtract entries, so an exact input's numerators go through the
-# same replay and keep its denominator.
+# and ``_block`` scatters each pass's writes, from offsets cached per shape,
+# onto an output of integer 0s.  They only add and subtract entries, so an
+# exact input's numerators go through the same passes and keep its
+# denominator.
 
 
 def _passes(block: str, q: int) -> tuple:
@@ -984,47 +977,27 @@ def _passes(block: str, q: int) -> tuple:
 
 @lru_cache(maxsize=PLAN_CACHE_CAP)
 def _block_plan(block: str, dim: int, q: int) -> tuple:
-    """(steps, order): the replay of a block's passes for a (0, q) input.
-
-    A pass writes its sign times the input entry wherever its delta is 1.
-    The output entries that the passes write with the same signs form one
-    group.  Its step is one (operator, source gather) pair per write, in
-    pass order, so running a step onto an integer 0 adds exactly what the
-    passes add, in their order.  ``order`` gathers the groups' entries,
-    after one integer 0 for every entry no pass writes, into output order."""
-    seq = [[] for _ in range(dim ** (q + 2))]
+    """One (operator, writes) pair per pass of a block for a (0, q) input,
+    in pass order: ``operator.add`` or ``operator.sub`` by the pass's sign,
+    and the (output offset, source offset) of every entry its delta is 1
+    on."""
+    plan = []
     for sign, expr in _passes(block, q):
         ins, out_s = expr.split("->")
         on_delta, src = _columns(ins.split(","), out_s, dim)
-        for ws, x, s in zip(seq, on_delta, src):
-            if x % (dim + 1) == 0:  # a diagonal entry
-                ws.append((sign, s))
-    groups: dict[tuple, list[int]] = {}
-    for o, ws in enumerate(seq):
-        if ws:
-            groups.setdefault(tuple(sign for sign, _ in ws), []).append(o)
-    where, steps, at = [0] * len(seq), [], 0
-    for signs, outs in groups.items():
-        steps.append(tuple((_plus if sign > 0 else _minus,
-                            _gather([seq[o][n][1] for o in outs]))
-                           for n, sign in enumerate(signs)))
-        for o in outs:
-            at += 1
-            where[o] = at
-    return tuple(steps), _gather(where)
+        plan.append((_plus if sign > 0 else _minus,
+                     tuple((o, s) for o, (x, s) in enumerate(zip(on_delta, src))
+                           if x % (dim + 1) == 0)))  # a diagonal entry
+    return tuple(plan)
 
 
 def _block(t: Tensor, block: str) -> Tensor:
     """The delta block of the (0,q) tensor t, (1,q+1)."""
     kind, x = _entries(t)
-    steps, order = _block_plan(block, t.dim, t.q)
-    src = [0]
-    for step in steps:
-        acc = repeat(0)
-        for op, get in step:
-            acc = map(op, acc, get(x))
-        src.extend(acc)
-    out = list(order(src))
+    out = [0] * t.dim ** (t.q + 2)
+    for op, writes in _block_plan(block, t.dim, t.q):
+        for o, s in writes:
+            out[o] = op(out[o], x[s])
     if kind in _EXACT_KINDS:
         return _from_scaled(t.dim, (1, t.q + 1), out, t._den, kind is _INT)
     return _new(t.dim, (1, t.q + 1), out, kind)

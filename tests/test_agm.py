@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from geoinv import agm, invariants as inv, tensor_core as tc
+from geoinv import agm, connection, invariants as inv, tensor_core as tc
 from geoinv.cli import pair_invariants
 from geoinv.jet import zero_jet
 from geoinv.mappings import (AGMData, NotApplicableError, SpaceFields, generate,
@@ -565,22 +565,24 @@ def test_table_blocks_hash_no_fraction(monkeypatch):
 
 
 def test_trace_derivative_is_computed_once_per_space(monkeypatch):
-    # The covector-rule trace derivative feeds the factored, fourth and
-    # first-display forms, the closed-form blocks and the decomposition
-    # route; each space computes it once, however many of them ask.
+    # The trace derivative, the covariant derivative of theta, feeds the
+    # factored, fourth and first-display forms, the closed-form blocks and
+    # the decomposition route; each space computes it once, however many of
+    # them ask.  Its einsum is the one rho (the derivative of b) also runs on
+    # the same Lsym, so the spy counts the calls on each theta jet.
     calls = collections.Counter()
-    real = tc.ein
+    real = connection.covariant_derivative
 
-    def spy(expr, out_valence, *tensors):
-        if expr == "ajn,a->jn":  # L^a_jn theta_a
-            calls[id(tensors[0])] += 1
-        return real(expr, out_valence, *tensors)
+    def spy(t, gamma):
+        calls[id(t)] += 1
+        return real(t, gamma)
 
-    monkeypatch.setattr(tc, "ein", spy)
+    monkeypatch.setattr(connection, "covariant_derivative", spy)
     ins = generate_agm3(3, 0, 1, "rational")
     pair_invariants(ins)
     agm.agm_diagnostics(ins.source_fields())
-    assert sorted(calls.values()) == [1, 1]  # source and target space
+    assert calls == {id(f().space.theta): 1  # source and target space
+                     for f in (ins.source_fields, ins.target_fields)}
 
 
 # ------------------------------------------------------------ decomposition

@@ -1663,7 +1663,7 @@ def test_pair_invariants_packs_the_cd_and_quad_contractions(monkeypatch, mode):
 
 # ---------------------------------------------------------------- structural kernels
 # transpose_pair, alternate, sym_pair and the delta blocks run on cached
-# per-shape subscripts, swap plans and write replays.  The references below
+# per-shape subscripts, swap plans and write offsets.  The references below
 # are the kernels as they were built before those caches: the swap spelled
 # out as subscripts and run through ein, alternate and sym_pair as lincombs
 # of t and that swap, and the delta blocks as their index loops.  Each kernel
